@@ -543,6 +543,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[ignore = "timing"]
     fn table2_shape_holds() {
         // Wall-clock measurement at 3 iterations under parallel test
         // threads: one preemption can invert a ratio, so allow a few

@@ -141,13 +141,7 @@ pub struct RngRoot {
 /// The declared RNG stream roots.
 pub const RNG_ROOTS: &[RngRoot] = &[
     RngRoot {
-        file: "crates/netsim/src/sim.rs",
-        func: "send_packet",
-        stream: "fault",
-        allowed: &["fault_rng"],
-    },
-    RngRoot {
-        file: "crates/netsim/src/shard.rs",
+        file: "crates/netsim/src/region.rs",
         func: "send_packet",
         stream: "fault",
         allowed: &["fault_rng"],
@@ -239,6 +233,7 @@ pub const LOCK_SCOPE_FILES: &[&str] = &[
     "crates/detect/src/serve.rs",
     "crates/netsim/src/sim.rs",
     "crates/netsim/src/shard.rs",
+    "crates/netsim/src/region.rs",
 ];
 
 /// One entry of the allowlist file.

@@ -30,10 +30,10 @@ fn fixture_workspace_findings_are_exact() {
         ("crates/netsim/src/shard.rs", 10, "unordered-map"),
         // host_stream builds SimRng::new(seed) with no salt; the salted
         // fault_stream two lines up is not flagged.
-        ("crates/netsim/src/shard.rs", 31, "rng-stream"),
+        ("crates/netsim/src/shard.rs", 23, "rng-stream"),
         // measure_window -> latency.rs:probe, whose wallclock read is
         // allowlisted at the read site but escapes into sim-determinism here.
-        ("crates/netsim/src/shard.rs", 35, "wallclock"),
+        ("crates/netsim/src/shard.rs", 27, "wallclock"),
         ("crates/node/src/banscore/rules.rs", 3, "ban-exhaustive"),
         ("crates/node/src/banscore/rules.rs", 8, "ban-exhaustive"),
         // Bare += / + on score and deadline fields; the saturating_add and
@@ -100,14 +100,14 @@ fn fixture_workspace_findings_are_exact() {
         &findings,
         "crates/netsim/src/fault.rs",
         &[
-            "shard.rs:send_packet",
+            "region.rs:send_packet",
             "fault.rs:fault_delay",
             "host_rng.next_u64",
         ],
     );
     let wall = findings
         .iter()
-        .find(|f| f.file == "crates/netsim/src/shard.rs" && f.line == 35)
+        .find(|f| f.file == "crates/netsim/src/shard.rs" && f.line == 27)
         .expect("transitive wallclock finding");
     assert_eq!(
         wall.chain,

@@ -15,14 +15,6 @@ pub fn seen(set: &std::collections::HashSet<u64>, key: u64) -> bool { set.contai
 
 pub const FIXTURE_STREAM_SALT: u64 = 0x5a17;
 
-/// RNG root (declared in scope::RNG_ROOTS): may only draw from fault_rng.
-/// The fault_rng draw is fine; fault_delay draws from host_rng — caught
-/// through the call graph with the chain printed.
-pub fn send_packet(fault_rng: &mut SimRng, host_rng: &mut SimRng) {
-    let _flip = fault_rng.gen_bool(0.5);
-    let _jit = fault_delay(host_rng);
-}
-
 pub fn fault_stream(seed: u64) -> SimRng {
     SimRng::new(seed ^ FIXTURE_STREAM_SALT)
 }

@@ -4,8 +4,8 @@
 //! reproduction of *"The Security Investigation of Ban Score and Misbehavior
 //! Tracking in Bitcoin Network"* (ICDCS 2022):
 //!
-//! * [`sim`] — the event loop, hosts, apps, timers, promiscuous **taps**
-//!   (sniffing) and raw packet **injection** (spoofing);
+//! * [`sim`] — hosts, apps, timers, promiscuous **taps** (sniffing) and
+//!   raw packet **injection** (spoofing), plus the serial `Simulator`;
 //! * [`tcp`] — a TCP-lite transport with a real three-way handshake,
 //!   sequence/acknowledgment tracking and transport checksums, so the
 //!   paper's post-connection Defamation attack has genuine state to steal;
@@ -19,7 +19,10 @@
 //!   detector-robustness sweep);
 //! * [`shard`] — the sharded simulator: per-region event loops under
 //!   conservative-lookahead synchronization, bit-identical at any worker
-//!   count, for 100k+ host swarm topologies;
+//!   count, for 100k+ host swarm topologies. Both simulators are thin
+//!   front-ends over the crate's one event loop (`region.rs`): one region
+//!   is the same code either way, and `Simulator` is region 0 without the
+//!   lock;
 //! * [`rng`] / [`time`] — deterministic randomness and virtual time.
 //!
 //! ## Example: two hosts, one tap
@@ -48,6 +51,7 @@ pub mod cpu;
 pub mod faults;
 pub mod packet;
 pub mod prop;
+mod region;
 pub mod rng;
 pub mod shard;
 pub mod sim;

@@ -4,13 +4,11 @@
 //! # Model
 //!
 //! Hosts are partitioned into **regions** — a fixed, seed-deterministic
-//! assignment (or an explicit pin via
-//! [`ShardedSim::add_host_pinned`]). Each region owns its hosts in
-//! column-major (SoA) storage, runs its own `BinaryHeap` event loop, and
-//! draws from its own derived RNG streams (the same salt discipline as
-//! the fault layer: region 0 uses the unsalted seed, so a one-region
-//! simulation replays the serial [`Simulator`](crate::sim::Simulator)
-//! draw for draw).
+//! assignment (or an explicit pin via [`ShardedSim::add_host_pinned`]).
+//! Each region is one instance of the crate's single event loop
+//! (`region.rs`: SoA host columns, a `BinaryHeap`, RNG streams salted off
+//! the seed per region); this module holds only what is about sharding —
+//! the assignment, the lookahead rounds, the mailboxes and the workers.
 //!
 //! Links *within* a region have the usual LAN latency
 //! ([`ShardConfig::latency`]); links *between* regions have a larger
@@ -35,41 +33,29 @@
 //! RNG streams are all independent of [`ShardConfig::workers`], so the
 //! results — counters, captures, fault statistics — are **bit-identical
 //! at any worker count**. Workers only decide which OS thread locks which
-//! region inside a round. `regions = 1, workers = 1` degenerates to
-//! exactly the serial simulator: one heap, one unsalted RNG stream, no
-//! mailboxes (pinned by `tests/shard_equivalence.rs` and the
-//! `prop_shard_invariance` property test).
+//! region inside a round. `regions = 1` is the same code as the serial
+//! [`Simulator`](crate::sim::Simulator), which is region 0 without the
+//! lock; `tests/shard_equivalence.rs` and `prop_shard_invariance` guard
+//! what differs between the front-ends: window/horizon arithmetic, mail
+//! exchange and `now` clamping.
 
 use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats, LinkFaults};
-use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
-use crate::rng::SimRng;
+use crate::packet::Ipv4;
+pub use crate::region::RegionId;
+use crate::region::{HostIndex, Net, Region};
 use crate::sim::{
-    App, Ctx, HostConfig, HostCounters, Outbox, Sniffed, TapFilter, TapHandle,
-    DEFAULT_LATENCY, DEFAULT_TAP_CAPACITY, FAULT_RNG_SALT,
+    App, HostConfig, HostCounters, Sniffed, TapFilter, TapHandle, DEFAULT_LATENCY,
+    DEFAULT_TAP_CAPACITY,
 };
-use crate::tcp::{TcpDropStats, TcpStack};
+use crate::tcp::TcpDropStats;
 use crate::time::{Nanos, MILLIS};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 
 /// Default one-way latency between hosts in *different* regions
 /// (WAN-scale, continental). This is also the default lookahead window,
 /// so larger values mean fewer synchronization rounds.
 pub const DEFAULT_REGION_LATENCY: Nanos = 30 * MILLIS;
-
-/// Seed salt separating per-region RNG streams. Region `r` draws
-/// application randomness from `seed ^ (SALT · r)` and fault randomness
-/// from `(seed ^ FAULT_RNG_SALT) ^ (SALT · r)`; region 0 therefore uses
-/// the exact streams of the serial simulator.
-const SHARD_STREAM_SALT: u64 = 0x5AAD_C0DE_D15C_0123;
-
-/// Region index.
-pub type RegionId = u32;
-
-/// Host index within its region's columns.
-type LocalId = u32;
 
 /// Sharded-simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -124,337 +110,6 @@ fn assign_region(seed: u64, ip: Ipv4, regions: u32) -> RegionId {
     (mix64(u64::from(u32::from_be_bytes(ip)) ^ seed) % u64::from(regions)) as RegionId
 }
 
-enum EventKind {
-    Start(LocalId),
-    /// A packet in flight within this region, with the destination's
-    /// column index when it lives here (`None` = unknown destination,
-    /// delivered "into the void" so taps and the delivered counter still
-    /// observe it, exactly like the serial simulator).
-    Deliver(Packet, Option<LocalId>),
-    Timer(LocalId, u64),
-    TcpTick(LocalId),
-}
-
-struct Event {
-    time: Nanos,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// One staged cross-region packet (FIFO within its mailbox).
-struct Mail {
-    time: Nanos,
-    packet: Packet,
-    dst: LocalId,
-}
-
-/// Immutable per-run context shared by every region.
-struct Net<'a> {
-    /// Global sorted ip → (region, column) index.
-    index: &'a [(Ipv4, (RegionId, LocalId))],
-    plan: &'a FaultPlan,
-    cfg: ShardConfig,
-}
-
-impl Net<'_> {
-    #[inline]
-    fn lookup(&self, ip: Ipv4) -> Option<(RegionId, LocalId)> {
-        self.index
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.index[i].1)
-    }
-}
-
-/// One region: an independent event loop over column-major host state.
-///
-/// Hot per-host fields live in parallel columns (SoA) instead of an
-/// array-of-`Host`-structs: the event loop touches `counters`/`cpus` on
-/// every delivery and `apps`/`tcps` only on dispatch, so the columns keep
-/// the per-event working set dense.
-struct Region {
-    id: RegionId,
-    now: Nanos,
-    queue: BinaryHeap<Reverse<Event>>,
-    next_seq: u64,
-    // --- SoA host columns (parallel, indexed by LocalId) ---
-    ips: Vec<Ipv4>,
-    apps: Vec<Option<Box<dyn App>>>,
-    tcps: Vec<TcpStack>,
-    cpus: Vec<CpuMeter>,
-    configs: Vec<HostConfig>,
-    counters: Vec<HostCounters>,
-    tick_at: Vec<Option<Nanos>>,
-    // --- per-region streams and stats ---
-    rng: SimRng,
-    fault_rng: SimRng,
-    fault_stats: FaultStats,
-    delivered_packets: u64,
-    taps: Vec<(TapFilter, TapHandle)>,
-    /// Staged cross-region packets, indexed by destination region.
-    outbound: Vec<Vec<Mail>>,
-}
-
-impl Region {
-    fn new(id: RegionId, regions: u32, seed: u64) -> Self {
-        let salt = SHARD_STREAM_SALT.wrapping_mul(u64::from(id));
-        Region {
-            id,
-            now: 0,
-            queue: BinaryHeap::new(),
-            next_seq: 0,
-            ips: Vec::new(),
-            apps: Vec::new(),
-            tcps: Vec::new(),
-            cpus: Vec::new(),
-            configs: Vec::new(),
-            counters: Vec::new(),
-            tick_at: Vec::new(),
-            rng: SimRng::new(seed ^ salt),
-            fault_rng: SimRng::new((seed ^ FAULT_RNG_SALT) ^ salt),
-            fault_stats: FaultStats::default(),
-            delivered_packets: 0,
-            taps: Vec::new(),
-            outbound: (0..regions).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn push_event(&mut self, time: Nanos, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
-    }
-
-    /// Schedules `packet`, applying the fault model at the sender's edge
-    /// and routing cross-region packets into the staging mailbox.
-    fn send_packet(&mut self, net: &Net<'_>, packet: Packet) {
-        let f = net.cfg.faults;
-        let dst = net.lookup(packet.dst.ip);
-        let cross = matches!(dst, Some((r, _)) if r != self.id);
-        let mut delay = if cross {
-            net.cfg.region_latency
-        } else {
-            net.cfg.latency
-        };
-        if f.any() || !net.plan.is_none() {
-            if net.plan.blocked(self.now, packet.src.ip, packet.dst.ip) {
-                self.fault_stats.dropped_partition += 1;
-                return;
-            }
-            let loss = (f.loss + net.plan.extra_loss(self.now)).min(1.0);
-            if loss > 0.0 && self.fault_rng.gen_bool(loss) {
-                self.fault_stats.dropped_loss += 1;
-                return;
-            }
-            if f.jitter > 0 {
-                let offset = self.fault_rng.gen_range(2 * f.jitter + 1);
-                delay = (delay + offset).saturating_sub(f.jitter).max(1);
-                self.fault_stats.jittered += 1;
-            }
-            if f.reorder > 0.0 && f.reorder_window > 0 && self.fault_rng.gen_bool(f.reorder) {
-                delay += 1 + self.fault_rng.gen_range(f.reorder_window);
-                self.fault_stats.reordered += 1;
-            }
-        }
-        match dst {
-            Some((r, local)) if r != self.id => self.outbound[r as usize].push(Mail {
-                time: self.now + delay,
-                packet,
-                dst: local,
-            }),
-            other => {
-                let local = other.map(|(_, l)| l);
-                self.push_event(self.now + delay, EventKind::Deliver(packet, local));
-            }
-        }
-    }
-
-    /// Executes every queued event with `time < hi_excl`, leaving later
-    /// events (and staged cross-region mail) untouched.
-    fn run_window(&mut self, net: &Net<'_>, hi_excl: Nanos) {
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.time < hi_excl => {}
-                _ => break,
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(ev.time >= self.now, "region time went backwards");
-            self.now = ev.time;
-            match ev.kind {
-                EventKind::Start(i) => self.with_app(net, i, |app, ctx| app.on_start(ctx)),
-                EventKind::Timer(i, token) => {
-                    self.with_app(net, i, |app, ctx| app.on_timer(ctx, token));
-                }
-                EventKind::Deliver(packet, dst) => self.deliver(net, packet, dst),
-                EventKind::TcpTick(i) => self.tcp_tick(net, i, ev.time),
-            }
-        }
-    }
-
-    /// Mirrors `Simulator::deliver`: taps observe first, the delivered
-    /// counter always ticks, then the destination (if it lives here)
-    /// processes the packet.
-    fn deliver(&mut self, net: &Net<'_>, packet: Packet, dst: Option<LocalId>) {
-        for (filter, handle) in &self.taps {
-            if filter.matches(&packet) {
-                handle.push(Sniffed {
-                    time: self.now,
-                    packet: packet.clone(),
-                });
-            }
-        }
-        self.delivered_packets += 1;
-        let Some(i) = dst else {
-            return; // destination unreachable: dropped
-        };
-        let i = i as usize;
-        let dst_ip = packet.dst.ip;
-        self.counters[i].rx_packets += 1;
-        self.counters[i].rx_bytes += packet.wire_len() as u64;
-        self.cpus[i].charge(self.configs[i].kernel_cost_per_packet);
-        match &packet.body {
-            PacketBody::Icmp(echo) => {
-                let mut replies = Vec::new();
-                if echo.request {
-                    self.cpus[i].charge(self.configs[i].icmp_echo_cost);
-                    if self.configs[i].icmp_reply {
-                        replies.push(Packet {
-                            src: SockAddr::new(dst_ip, 0),
-                            dst: packet.src,
-                            body: PacketBody::Icmp(IcmpEcho {
-                                request: false,
-                                ..*echo
-                            }),
-                        });
-                    }
-                }
-                let echo = echo.clone();
-                let from = packet.src.ip;
-                self.with_app(net, i as LocalId, |app, ctx| app.on_icmp(ctx, from, &echo));
-                for r in replies {
-                    self.account_tx(i, &r);
-                    self.send_packet(net, r);
-                }
-            }
-            PacketBody::Tcp(seg) => {
-                let mut app = self.apps[i].take().expect("app present");
-                self.tcps[i].set_now(self.now);
-                let (events, replies) =
-                    self.tcps[i].handle_segment(packet.src, packet.dst, seg, &mut |peer| {
-                        app.on_accept(peer)
-                    });
-                self.apps[i] = Some(app);
-                for r in replies {
-                    self.account_tx(i, &r);
-                    self.send_packet(net, r);
-                }
-                self.dispatch_tcp_events(net, i as LocalId, events);
-                self.arm_tcp_tick(i as LocalId);
-            }
-        }
-    }
-
-    fn dispatch_tcp_events(&mut self, net: &Net<'_>, id: LocalId, events: Vec<crate::tcp::TcpEvent>) {
-        use crate::tcp::TcpEvent;
-        for ev in events {
-            self.with_app(net, id, |app, ctx| match &ev {
-                TcpEvent::Connected { id, peer, inbound } => {
-                    app.on_connected(ctx, *id, *peer, *inbound)
-                }
-                TcpEvent::Data { id, peer, payload } => app.on_data(ctx, *id, *peer, payload),
-                TcpEvent::Closed { id, peer, reason } => app.on_closed(ctx, *id, *peer, *reason),
-                TcpEvent::ConnectFailed { dst } => app.on_connect_failed(ctx, *dst),
-            });
-        }
-    }
-
-    fn tcp_tick(&mut self, net: &Net<'_>, id: LocalId, time: Nanos) {
-        let i = id as usize;
-        if self.tick_at[i] != Some(time) {
-            return; // stale tick
-        }
-        self.tick_at[i] = None;
-        self.tcps[i].set_now(self.now);
-        let (events, replies) = self.tcps[i].poll();
-        for r in replies {
-            self.account_tx(i, &r);
-            self.send_packet(net, r);
-        }
-        self.dispatch_tcp_events(net, id, events);
-        self.arm_tcp_tick(id);
-    }
-
-    fn arm_tcp_tick(&mut self, id: LocalId) {
-        let i = id as usize;
-        let Some(deadline) = self.tcps[i].next_deadline() else {
-            return;
-        };
-        let t = deadline.max(self.now);
-        if let Some(cur) = self.tick_at[i] {
-            if cur <= t {
-                return; // an earlier (or equal) tick will re-arm us
-            }
-        }
-        self.tick_at[i] = Some(t);
-        self.push_event(t, EventKind::TcpTick(id));
-    }
-
-    /// Runs `f` with the host's app and a fresh [`Ctx`], then applies the
-    /// collected outputs — the same collect-then-flush discipline as
-    /// `Simulator::with_app`.
-    fn with_app<F>(&mut self, net: &Net<'_>, id: LocalId, f: F)
-    where
-        F: FnOnce(&mut dyn App, &mut Ctx<'_>),
-    {
-        let i = id as usize;
-        let mut app = self.apps[i].take().expect("app present");
-        self.tcps[i].set_now(self.now);
-        let mut out = Outbox::default();
-        {
-            let mut ctx = Ctx::new(
-                self.now,
-                self.ips[i],
-                &mut self.tcps[i],
-                &mut self.cpus[i],
-                &mut self.rng,
-                &mut out,
-            );
-            f(app.as_mut(), &mut ctx);
-        }
-        self.apps[i] = Some(app);
-        for p in out.packets {
-            self.account_tx(i, &p);
-            self.send_packet(net, p);
-        }
-        for (delay, token) in out.timers {
-            self.push_event(self.now + delay, EventKind::Timer(id, token));
-        }
-        self.arm_tcp_tick(id);
-    }
-
-    fn account_tx(&mut self, i: usize, p: &Packet) {
-        self.counters[i].tx_packets += 1;
-        self.counters[i].tx_bytes += p.wire_len() as u64;
-    }
-}
-
 /// A capture handle spanning every region (from [`ShardedSim::add_tap`]).
 ///
 /// Each region records into its own bounded ring; reads merge the
@@ -506,7 +161,7 @@ pub struct ShardedSim {
     config: ShardConfig,
     now: Nanos,
     regions: Vec<Mutex<Region>>,
-    index: Vec<(Ipv4, (RegionId, LocalId))>,
+    index: HostIndex,
     plan: FaultPlan,
 }
 
@@ -522,7 +177,7 @@ impl ShardedSim {
         ShardedSim {
             now: 0,
             regions,
-            index: Vec::new(),
+            index: HostIndex::default(),
             plan: FaultPlan::none(),
             config,
         }
@@ -540,9 +195,9 @@ impl ShardedSim {
 
     /// The region an address would be (or was) assigned to.
     pub fn region_of(&self, ip: Ipv4) -> RegionId {
-        match self.index.binary_search_by_key(&ip, |e| e.0) {
-            Ok(i) => self.index[i].1 .0,
-            Err(_) => assign_region(self.config.seed, ip, self.config.regions),
+        match self.index.lookup(ip) {
+            Some((region, _)) => region,
+            None => assign_region(self.config.seed, ip, self.config.regions),
         }
     }
 
@@ -572,28 +227,12 @@ impl ShardedSim {
         region: RegionId,
     ) {
         assert!(region < self.config.regions, "region out of range");
-        let slot = match self.index.binary_search_by_key(&ip, |e| e.0) {
-            Ok(_) => panic!("host {ip:?} already registered"),
-            Err(slot) => slot,
-        };
         let reg = self.regions[region as usize]
             .get_mut()
             .expect("region lock poisoned");
-        let local = reg.ips.len() as LocalId;
-        let mut tcp = TcpStack::new(ip);
-        if self.config.reliable || self.config.faults.any() || !self.plan.is_none() {
-            tcp.set_reliable(true);
-        }
-        reg.ips.push(ip);
-        reg.apps.push(Some(app));
-        reg.tcps.push(tcp);
-        reg.cpus.push(CpuMeter::new(config.capacity_hz));
-        reg.configs.push(config);
-        reg.counters.push(HostCounters::default());
-        reg.tick_at.push(None);
-        let at = self.now;
-        reg.push_event(at, EventKind::Start(local));
-        self.index.insert(slot, (ip, (region, local)));
+        self.index.insert(ip, (region, reg.next_local()));
+        let reliable = self.config.reliable || self.config.faults.any() || !self.plan.is_none();
+        reg.add_host(ip, app, config, reliable);
     }
 
     /// Installs a tap observing deliveries in **every** region, with the
@@ -610,12 +249,9 @@ impl ShardedSim {
             .regions
             .iter_mut()
             .map(|reg| {
-                let handle = TapHandle::new(capacity);
                 reg.get_mut()
                     .expect("region lock poisoned")
-                    .taps
-                    .push((filter, handle.clone()));
-                handle
+                    .add_tap(filter, capacity)
             })
             .collect();
         ShardTap { parts }
@@ -631,13 +267,10 @@ impl ShardedSim {
     ///
     /// Panics if `region` is out of range.
     pub fn add_tap_in(&mut self, filter: TapFilter, region: RegionId) -> TapHandle {
-        let handle = TapHandle::new(DEFAULT_TAP_CAPACITY);
         self.regions[region as usize]
             .get_mut()
             .expect("region lock poisoned")
-            .taps
-            .push((filter, handle.clone()));
-        handle
+            .add_tap(filter, DEFAULT_TAP_CAPACITY)
     }
 
     /// Installs (or replaces) the scheduled-fault timeline (see
@@ -674,24 +307,13 @@ impl ShardedSim {
             .sum()
     }
 
-    #[inline]
-    fn locate(&self, ip: Ipv4) -> (usize, usize) {
-        let (region, local) = self
-            .index
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.index[i].1)
-            .expect("unknown host");
-        (region as usize, local as usize)
-    }
-
     /// Traffic counters of a host.
     ///
     /// # Panics
     ///
     /// Panics for an unknown host.
     pub fn host_counters(&self, ip: Ipv4) -> HostCounters {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.index.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").counters[i]
     }
 
@@ -701,7 +323,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn host_cpu(&self, ip: Ipv4) -> CpuMeter {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.index.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").cpus[i].clone()
     }
 
@@ -711,7 +333,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn host_tcp_drops(&self, ip: Ipv4) -> TcpDropStats {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.index.locate(ip);
         self.regions[r].lock().expect("region lock poisoned").tcps[i].drops
     }
 
@@ -721,7 +343,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn app<T: App>(&mut self, ip: Ipv4) -> Option<&T> {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.index.locate(ip);
         self.regions[r].get_mut().expect("region lock poisoned").apps[i]
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
@@ -733,7 +355,7 @@ impl ShardedSim {
     ///
     /// Panics for an unknown host.
     pub fn app_mut<T: App>(&mut self, ip: Ipv4) -> Option<&mut T> {
-        let (r, i) = self.locate(ip);
+        let (r, i) = self.index.locate(ip);
         self.regions[r].get_mut().expect("region lock poisoned").apps[i]
             .as_mut()
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
@@ -744,25 +366,18 @@ impl ShardedSim {
     /// the base cross-region latency; loss/partition only remove packets
     /// and reordering only adds delay.
     fn lookahead(&self) -> Nanos {
-        let j = if self.config.faults.jitter > 0 {
-            self.config.faults.jitter
-        } else {
-            0
-        };
-        self.config.region_latency.saturating_sub(j).max(1)
+        let jitter = self.config.faults.jitter;
+        self.config.region_latency.saturating_sub(jitter).max(1)
     }
 
     /// The next round's exclusive horizon, or `None` when no region has
     /// an event due at or before `t_end`.
     fn next_window(&self, t_end: Nanos) -> Option<Nanos> {
-        let mut t_min: Option<Nanos> = None;
-        for reg in &self.regions {
-            let reg = reg.lock().expect("region lock poisoned");
-            if let Some(Reverse(ev)) = reg.queue.peek() {
-                t_min = Some(t_min.map_or(ev.time, |t: Nanos| t.min(ev.time)));
-            }
-        }
-        let t = t_min?;
+        let t = self
+            .regions
+            .iter()
+            .filter_map(|reg| reg.lock().expect("region lock poisoned").next_time())
+            .min()?;
         if t > t_end {
             return None;
         }
@@ -792,10 +407,10 @@ impl ShardedSim {
                 if mail.is_empty() {
                     continue;
                 }
-                let mut dst = self.regions[q].lock().expect("region lock poisoned");
-                for m in mail {
-                    dst.push_event(m.time, EventKind::Deliver(m.packet, Some(m.dst)));
-                }
+                self.regions[q]
+                    .lock()
+                    .expect("region lock poisoned")
+                    .accept_mail(mail);
             }
         }
     }
@@ -812,7 +427,9 @@ impl ShardedSim {
             let net = Net {
                 index: &this.index,
                 plan: &this.plan,
-                cfg: this.config,
+                latency: this.config.latency,
+                region_latency: this.config.region_latency,
+                faults: this.config.faults,
             };
             if workers == 1 {
                 while let Some(hi) = this.next_window(t_end) {
@@ -868,6 +485,8 @@ impl ShardedSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::IcmpEcho;
+    use crate::sim::Ctx;
     use crate::time::SECS;
     use std::any::Any;
 

@@ -1,21 +1,23 @@
-//! The discrete-event simulator: hosts, links, taps and the event loop.
+//! The discrete-event simulator: the app-facing types ([`App`], [`Ctx`],
+//! host config and counters, taps) and the serial [`Simulator`] front-end.
 //!
 //! Each host runs an [`App`] (a Bitcoin node, an attacker, a traffic
 //! source) above a [`TcpStack`] and a [`CpuMeter`]. The simulator delivers
 //! packets with a configurable link latency, fires timers, lets *taps*
 //! observe traffic promiscuously (the sniffing required by post-connection
 //! Defamation) and lets any app inject raw packets with forged source
-//! addresses (spoofing).
+//! addresses (spoofing). The event loop itself lives in `region.rs`;
+//! `Simulator` is its region 0 without the lock.
 
 use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats, LinkFaults};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
+use crate::region::{HostIndex, Net, Region};
 use crate::rng::SimRng;
-use crate::tcp::{CloseReason, ConnId, TcpDropStats, TcpEvent, TcpStack};
+use crate::tcp::{CloseReason, ConnId, TcpDropStats, TcpStack};
 use crate::time::{Nanos, MICROS};
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Default one-way link latency (LAN-scale, like the paper's testbed).
@@ -103,9 +105,8 @@ pub trait App: Send + 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Deferred host outputs collected during a callback. Shared with the
-/// sharded engine ([`crate::shard`]), which applies the same
-/// collect-then-flush discipline per region.
+/// Deferred host outputs collected during a callback and flushed by the
+/// event loop (`region.rs`) once the callback returns.
 #[derive(Default)]
 pub(crate) struct Outbox {
     pub(crate) packets: Vec<Packet>,
@@ -114,34 +115,15 @@ pub(crate) struct Outbox {
 
 /// The environment handed to app callbacks.
 pub struct Ctx<'a> {
-    now: Nanos,
-    ip: Ipv4,
-    tcp: &'a mut TcpStack,
-    cpu: &'a mut CpuMeter,
-    rng: &'a mut SimRng,
-    out: &'a mut Outbox,
+    pub(crate) now: Nanos,
+    pub(crate) ip: Ipv4,
+    pub(crate) tcp: &'a mut TcpStack,
+    pub(crate) cpu: &'a mut CpuMeter,
+    pub(crate) rng: &'a mut SimRng,
+    pub(crate) out: &'a mut Outbox,
 }
 
-impl<'a> Ctx<'a> {
-    /// Builds a callback environment (also used by [`crate::shard`]).
-    pub(crate) fn new(
-        now: Nanos,
-        ip: Ipv4,
-        tcp: &'a mut TcpStack,
-        cpu: &'a mut CpuMeter,
-        rng: &'a mut SimRng,
-        out: &'a mut Outbox,
-    ) -> Self {
-        Ctx {
-            now,
-            ip,
-            tcp,
-            cpu,
-            rng,
-            out,
-        }
-    }
-
+impl Ctx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> Nanos {
         self.now
@@ -257,22 +239,6 @@ impl<'a> Ctx<'a> {
         self.rng
     }
 }
-
-struct Host {
-    ip: Ipv4,
-    app: Option<Box<dyn App>>,
-    tcp: TcpStack,
-    cpu: CpuMeter,
-    config: HostConfig,
-    counters: HostCounters,
-    /// Time of the armed [`EventKind::TcpTick`], if any. An event whose
-    /// time doesn't match is stale (superseded by an earlier re-arm) and
-    /// is ignored, so retransmission ticks never accumulate.
-    tcp_tick_at: Option<Nanos>,
-}
-
-/// Index of a host in the dense slab (assigned in registration order).
-pub type HostId = u32;
 
 /// One packet observed by a tap.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -392,47 +358,6 @@ impl TapHandle {
     }
 }
 
-struct Tap {
-    filter: TapFilter,
-    buf: TapHandle,
-}
-
-enum EventKind {
-    Start(HostId),
-    /// A packet in flight, carrying its destination's slab index when the
-    /// destination was registered at send time (`None` = not yet known; a
-    /// fallback ip lookup runs at delivery). Ids are stable — hosts are
-    /// never removed — so delivery is a direct slab index, not a
-    /// per-event binary search.
-    Deliver(Packet, Option<HostId>),
-    Timer(HostId, u64),
-    /// A host's earliest TCP retransmission deadline (reliable mode only).
-    TcpTick(HostId),
-}
-
-struct Event {
-    time: Nanos,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -462,86 +387,37 @@ impl Default for SimConfig {
     }
 }
 
-/// Seed salt separating the fault-injection RNG stream from the
-/// application-visible one: enabling faults must not shift a single draw
-/// seen by the apps. The sharded engine derives its per-region fault
-/// streams from the same salt.
-pub(crate) const FAULT_RNG_SALT: u64 = 0xFA17_1A7E_0BAD_11F2;
-
-/// Initial event-queue capacity: enough for the testbed scenarios' burst
-/// of in-flight packets/timers without rehash-style heap growth in the
-/// hot loop.
-const QUEUE_PREALLOC: usize = 1024;
-
-/// The discrete-event network simulator.
-///
-/// Hosts live in a dense slab indexed by [`HostId`] (registration order);
-/// the per-dispatch IP lookup is a binary search over a small sorted
-/// `(Ipv4, HostId)` index instead of a `HashMap` probe — deterministic,
-/// cache-friendly, and free of `RandomState` per-process hashing.
+/// The discrete-event network simulator: region 0 of the shared event
+/// loop (`region.rs`), owned by value — no lock, no mailboxes, the
+/// unsalted `seed` app stream and `seed ^ FAULT_RNG_SALT` fault stream.
+/// A one-region [`ShardedSim`](crate::shard::ShardedSim) runs the same
+/// code behind a `Mutex`.
 pub struct Simulator {
-    now: Nanos,
-    queue: BinaryHeap<Reverse<Event>>,
-    hosts: Vec<Host>,
-    host_index: Vec<(Ipv4, HostId)>,
-    taps: Vec<Tap>,
-    config: SimConfig,
-    rng: SimRng,
-    fault_rng: SimRng,
+    region: Region,
+    index: HostIndex,
     plan: FaultPlan,
-    fault_stats: FaultStats,
-    next_seq: u64,
-    delivered_packets: u64,
+    config: SimConfig,
 }
 
 impl Simulator {
     /// Creates an empty simulator.
     pub fn new(config: SimConfig) -> Self {
         Simulator {
-            now: 0,
-            queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
-            hosts: Vec::new(),
-            host_index: Vec::new(),
-            taps: Vec::new(),
-            // lint:allow(rng-stream): the base host stream; every other stream salts off this seed
-            rng: SimRng::new(config.seed),
-            fault_rng: SimRng::new(config.seed ^ FAULT_RNG_SALT),
+            region: Region::new(0, 1, config.seed),
+            index: HostIndex::default(),
             plan: FaultPlan::none(),
-            fault_stats: FaultStats::default(),
             config,
-            next_seq: 0,
-            delivered_packets: 0,
         }
-    }
-
-    /// Resolves an IP to its slab index.
-    #[inline]
-    fn host_id(&self, ip: Ipv4) -> Option<HostId> {
-        self.host_index
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.host_index[i].1)
-    }
-
-    /// Borrows the host registered for `ip`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown host.
-    #[inline]
-    fn host(&self, ip: Ipv4) -> &Host {
-        let id = self.host_id(ip).expect("unknown host");
-        &self.hosts[id as usize]
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Nanos {
-        self.now
+        self.region.now
     }
 
     /// Total packets delivered so far.
     pub fn delivered_packets(&self) -> u64 {
-        self.delivered_packets
+        self.region.delivered_packets
     }
 
     /// Registers a host running `app`. Its [`App::on_start`] fires at the
@@ -551,26 +427,9 @@ impl Simulator {
     ///
     /// Panics if `ip` is already in use.
     pub fn add_host(&mut self, ip: Ipv4, app: Box<dyn App>, config: HostConfig) {
-        let slot = match self.host_index.binary_search_by_key(&ip, |e| e.0) {
-            Ok(_) => panic!("host {ip:?} already registered"),
-            Err(slot) => slot,
-        };
-        let id = self.hosts.len() as HostId;
-        let mut tcp = TcpStack::new(ip);
-        if self.config.reliable || self.config.faults.any() || !self.plan.is_none() {
-            tcp.set_reliable(true);
-        }
-        self.hosts.push(Host {
-            ip,
-            app: Some(app),
-            tcp,
-            cpu: CpuMeter::new(config.capacity_hz),
-            config,
-            counters: HostCounters::default(),
-            tcp_tick_at: None,
-        });
-        self.host_index.insert(slot, (ip, id));
-        self.push_event(self.now, EventKind::Start(id));
+        self.index.insert(ip, (0, self.region.next_local()));
+        let reliable = self.config.reliable || self.config.faults.any() || !self.plan.is_none();
+        self.region.add_host(ip, app, config, reliable);
     }
 
     /// Installs a promiscuous tap with the default ring capacity
@@ -583,18 +442,7 @@ impl Simulator {
     /// captures; once full, the oldest capture is evicted per new one and
     /// [`TapHandle::dropped`] counts the evictions.
     pub fn add_tap_with_capacity(&mut self, filter: TapFilter, capacity: usize) -> TapHandle {
-        let handle = TapHandle::new(capacity);
-        self.taps.push(Tap {
-            filter,
-            buf: handle.clone(),
-        });
-        handle
-    }
-
-    fn push_event(&mut self, time: Nanos, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.region.add_tap(filter, capacity)
     }
 
     /// Installs (or replaces) the scheduled-fault timeline.
@@ -605,271 +453,36 @@ impl Simulator {
     /// — faults are applied at packet-send time.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         if !plan.is_none() {
-            for h in &mut self.hosts {
-                h.tcp.set_reliable(true);
+            for tcp in &mut self.region.tcps {
+                tcp.set_reliable(true);
             }
         }
         self.plan = plan;
     }
 
-    /// The installed fault timeline.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Fault-layer drop/delay counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.fault_stats
-    }
-
-    /// Schedules `packet` for delivery after the link latency, subject to
-    /// the fault model.
-    ///
-    /// Faults are applied at the sender's edge: a packet cut by a
-    /// partition or lost to the i.i.d. model never reaches the taps, like
-    /// a frame that dies inside a pulled cable. The fault RNG is a
-    /// separate stream from the app RNG, and a fully inactive fault layer
-    /// performs no draws at all — the clean path is byte-identical to a
-    /// simulator without fault support.
-    pub fn send_packet(&mut self, packet: Packet) {
-        let f = self.config.faults;
-        let mut delay = self.config.latency;
-        if f.any() || !self.plan.is_none() {
-            if self.plan.blocked(self.now, packet.src.ip, packet.dst.ip) {
-                self.fault_stats.dropped_partition += 1;
-                return;
-            }
-            let loss = (f.loss + self.plan.extra_loss(self.now)).min(1.0);
-            if loss > 0.0 && self.fault_rng.gen_bool(loss) {
-                self.fault_stats.dropped_loss += 1;
-                return;
-            }
-            if f.jitter > 0 {
-                // Uniform in [-jitter, +jitter], clamped so delivery stays
-                // strictly in the future (base latency may be small).
-                let offset = self.fault_rng.gen_range(2 * f.jitter + 1);
-                delay = (delay + offset).saturating_sub(f.jitter).max(1);
-                self.fault_stats.jittered += 1;
-            }
-            if f.reorder > 0.0 && f.reorder_window > 0 && self.fault_rng.gen_bool(f.reorder) {
-                delay += 1 + self.fault_rng.gen_range(f.reorder_window);
-                self.fault_stats.reordered += 1;
-            }
-        }
-        // Resolve the destination once at send time; delivery then indexes
-        // the slab directly instead of re-searching the ip index per event.
-        let dst = self.host_id(packet.dst.ip);
-        self.push_event(self.now + delay, EventKind::Deliver(packet, dst));
-    }
-
-    /// Advances the clock to the event's time and runs it.
-    #[inline]
-    fn exec(&mut self, ev: Event) {
-        debug_assert!(ev.time >= self.now, "time went backwards");
-        self.now = ev.time;
-        match ev.kind {
-            EventKind::Start(id) => self.dispatch(id, Dispatch::Start),
-            EventKind::Timer(id, token) => self.dispatch(id, Dispatch::Timer(token)),
-            EventKind::Deliver(packet, dst) => self.deliver(packet, dst),
-            EventKind::TcpTick(id) => self.tcp_tick(id, ev.time),
-        }
-    }
-
-    /// Runs a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
-            return false;
-        };
-        self.exec(ev);
-        true
+        self.region.fault_stats
     }
 
     /// Runs events until virtual time reaches `t` (events at exactly `t`
     /// are processed).
     pub fn run_until(&mut self, t: Nanos) {
-        // Single peek guards each pop (`step` would pop blindly after a
-        // redundant heap sift — the old path paid `peek` + `pop` + match
-        // per event).
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.time <= t => {}
-                _ => break,
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked event");
-            self.exec(ev);
-        }
-        self.now = self.now.max(t);
+        let net = Net {
+            index: &self.index,
+            plan: &self.plan,
+            latency: self.config.latency,
+            region_latency: self.config.latency,
+            faults: self.config.faults,
+        };
+        self.region.run_window(&net, t.saturating_add(1));
+        self.region.now = self.region.now.max(t);
     }
 
     /// Runs for `d` more virtual nanoseconds.
     pub fn run_for(&mut self, d: Nanos) {
-        let t = self.now + d;
+        let t = self.now() + d;
         self.run_until(t);
-    }
-
-    /// Drains every queued event (careful: periodic timers run forever).
-    pub fn run_to_completion(&mut self) {
-        while self.step() {}
-    }
-
-    fn deliver(&mut self, packet: Packet, dst: Option<HostId>) {
-        for tap in &self.taps {
-            if tap.filter.matches(&packet) {
-                tap.buf.push(Sniffed {
-                    time: self.now,
-                    packet: packet.clone(),
-                });
-            }
-        }
-        self.delivered_packets += 1;
-        let dst_ip = packet.dst.ip;
-        // The id was resolved at send time; the ip index is only consulted
-        // when the destination registered while the packet was in flight.
-        let Some(dst) = dst.or_else(|| self.host_id(dst_ip)) else {
-            return; // destination unreachable: dropped
-        };
-        let host = &mut self.hosts[dst as usize];
-        host.counters.rx_packets += 1;
-        host.counters.rx_bytes += packet.wire_len() as u64;
-        host.cpu.charge(host.config.kernel_cost_per_packet);
-        match &packet.body {
-            PacketBody::Icmp(echo) => {
-                let mut replies = Vec::new();
-                if echo.request {
-                    host.cpu.charge(host.config.icmp_echo_cost);
-                    if host.config.icmp_reply {
-                        replies.push(Packet {
-                            src: SockAddr::new(dst_ip, 0),
-                            dst: packet.src,
-                            body: PacketBody::Icmp(IcmpEcho {
-                                request: false,
-                                ..*echo
-                            }),
-                        });
-                    }
-                }
-                let echo = echo.clone();
-                let from = packet.src.ip;
-                self.with_app(dst, |app, ctx| app.on_icmp(ctx, from, &echo));
-                for r in replies {
-                    self.account_tx(dst, &r);
-                    self.send_packet(r);
-                }
-            }
-            PacketBody::Tcp(seg) => {
-                let mut app = host.app.take().expect("app present");
-                host.tcp.set_now(self.now);
-                let (events, replies) =
-                    host.tcp
-                        .handle_segment(packet.src, packet.dst, seg, &mut |peer| {
-                            app.on_accept(peer)
-                        });
-                host.app = Some(app);
-                for r in replies {
-                    self.account_tx(dst, &r);
-                    self.send_packet(r);
-                }
-                self.dispatch_tcp_events(dst, events);
-                self.arm_tcp_tick(dst);
-            }
-        }
-    }
-
-    /// Hands transport events to the host's app.
-    fn dispatch_tcp_events(&mut self, id: HostId, events: Vec<TcpEvent>) {
-        for ev in events {
-            self.with_app(id, |app, ctx| match &ev {
-                TcpEvent::Connected { id, peer, inbound } => {
-                    app.on_connected(ctx, *id, *peer, *inbound)
-                }
-                TcpEvent::Data { id, peer, payload } => app.on_data(ctx, *id, *peer, payload),
-                TcpEvent::Closed { id, peer, reason } => app.on_closed(ctx, *id, *peer, *reason),
-                TcpEvent::ConnectFailed { dst } => app.on_connect_failed(ctx, *dst),
-            });
-        }
-    }
-
-    /// Runs a host's due retransmissions (reliable mode). `time` is the
-    /// armed tick this event was scheduled for; a mismatch means a later
-    /// re-arm superseded it.
-    fn tcp_tick(&mut self, id: HostId, time: Nanos) {
-        let host = &mut self.hosts[id as usize];
-        if host.tcp_tick_at != Some(time) {
-            return; // stale tick
-        }
-        host.tcp_tick_at = None;
-        host.tcp.set_now(self.now);
-        let (events, replies) = host.tcp.poll();
-        for r in replies {
-            self.account_tx(id, &r);
-            self.send_packet(r);
-        }
-        self.dispatch_tcp_events(id, events);
-        self.arm_tcp_tick(id);
-    }
-
-    /// (Re-)arms the host's retransmission tick at its earliest TCP
-    /// deadline. No-op for stacks without pending retransmissions — clean
-    /// non-reliable runs never see a tick event.
-    fn arm_tcp_tick(&mut self, id: HostId) {
-        let host = &mut self.hosts[id as usize];
-        let Some(deadline) = host.tcp.next_deadline() else {
-            return;
-        };
-        let t = deadline.max(self.now);
-        if let Some(cur) = host.tcp_tick_at {
-            if cur <= t {
-                return; // an earlier (or equal) tick will re-arm us
-            }
-        }
-        host.tcp_tick_at = Some(t);
-        self.push_event(t, EventKind::TcpTick(id));
-    }
-
-    fn dispatch(&mut self, id: HostId, what: Dispatch) {
-        self.with_app(id, |app, ctx| match what {
-            Dispatch::Start => app.on_start(ctx),
-            Dispatch::Timer(token) => app.on_timer(ctx, token),
-        });
-    }
-
-    /// Runs `f` with the host's app and a fresh [`Ctx`], then applies the
-    /// collected outputs (packet sends, timers).
-    fn with_app<F>(&mut self, id: HostId, f: F)
-    where
-        F: FnOnce(&mut dyn App, &mut Ctx<'_>),
-    {
-        let host = &mut self.hosts[id as usize];
-        let mut app = host.app.take().expect("app present");
-        host.tcp.set_now(self.now);
-        let mut out = Outbox::default();
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                ip: host.ip,
-                tcp: &mut host.tcp,
-                cpu: &mut host.cpu,
-                rng: &mut self.rng,
-                out: &mut out,
-            };
-            f(app.as_mut(), &mut ctx);
-        }
-        host.app = Some(app);
-        for p in out.packets {
-            self.account_tx(id, &p);
-            self.send_packet(p);
-        }
-        for (delay, token) in out.timers {
-            self.push_event(self.now + delay, EventKind::Timer(id, token));
-        }
-        // The callback may have queued sends/connects that armed an RTO.
-        self.arm_tcp_tick(id);
-    }
-
-    fn account_tx(&mut self, id: HostId, p: &Packet) {
-        let h = &mut self.hosts[id as usize];
-        h.counters.tx_packets += 1;
-        h.counters.tx_bytes += p.wire_len() as u64;
     }
 
     /// Traffic counters of a host.
@@ -878,7 +491,7 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_counters(&self, ip: Ipv4) -> HostCounters {
-        self.host(ip).counters
+        self.region.counters[self.index.locate(ip).1]
     }
 
     /// CPU meter of a host.
@@ -887,7 +500,7 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_cpu(&self, ip: Ipv4) -> &CpuMeter {
-        &self.host(ip).cpu
+        &self.region.cpus[self.index.locate(ip).1]
     }
 
     /// Transport drop statistics of a host.
@@ -896,16 +509,7 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_tcp_drops(&self, ip: Ipv4) -> TcpDropStats {
-        self.host(ip).tcp.drops
-    }
-
-    /// Open socket count of a host.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown host.
-    pub fn host_socket_count(&self, ip: Ipv4) -> usize {
-        self.host(ip).tcp.socket_count()
+        self.region.tcps[self.index.locate(ip).1].drops
     }
 
     /// Downcasts a host's app for inspection.
@@ -914,8 +518,7 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn app<T: App>(&self, ip: Ipv4) -> Option<&T> {
-        self.host(ip)
-            .app
+        self.region.apps[self.index.locate(ip).1]
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
@@ -926,17 +529,10 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn app_mut<T: App>(&mut self, ip: Ipv4) -> Option<&mut T> {
-        let id = self.host_id(ip).expect("unknown host");
-        self.hosts[id as usize]
-            .app
+        self.region.apps[self.index.locate(ip).1]
             .as_mut()
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
     }
-}
-
-enum Dispatch {
-    Start,
-    Timer(u64),
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! captures, same counters, same RNG draws — on the determinism fixtures
 //! the serial simulator pins (the echo pair), clean and under faults.
 //!
-//! Region 0 derives the unsalted seed streams and a single region never
-//! stages cross-region mail, so the two engines execute the identical
-//! event sequence; this test keeps that argument honest.
+//! Both run the one event loop in `region.rs` (`Simulator` is region 0
+//! without the lock), so what this file guards is the front-ends: the
+//! sharded side's window/horizon arithmetic, mail exchange and `now`
+//! clamping must add nothing a single region can observe.
 
 use btc_netsim::faults::{FaultKind, FaultPlan, LinkFaults};
 use btc_netsim::packet::{IcmpEcho, Ipv4, SockAddr};
@@ -219,4 +220,62 @@ fn one_region_replays_the_serial_simulator_with_a_fault_plan() {
     let sharded = run_sharded(LinkFaults::NONE, plan, 4 * SECS);
     assert!(serial.dropped_partition > 0, "plan fired in the fixture");
     assert_eq!(serial, sharded);
+}
+
+/// Sends a single echo request to `dst` at start.
+struct OnePing {
+    dst: Ipv4,
+}
+
+impl App for OnePing {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send_icmp(self.dst, 1, 0, 56);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// One rule, on both front-ends, for a packet whose destination registers
+/// while it is in flight: a host that appears in the delivering region
+/// before the link latency elapses receives it. (Before the shared core,
+/// the serial loop delivered and the sharded loop dropped.) A host that
+/// appears in a *different* region does not — the packet was never staged
+/// as cross-region mail.
+#[test]
+fn destination_registered_in_flight_receives_the_packet() {
+    let half = SimConfig::default().latency / 2;
+
+    let mut serial = Simulator::new(SimConfig::default());
+    serial.add_host(CLI, Box::new(OnePing { dst: SRV }), HostConfig::default());
+    serial.run_for(half);
+    serial.add_host(SRV, Box::new(EchoServer::default()), HostConfig::default());
+    serial.run_for(SECS);
+
+    let sharded_with_late_host_in = |regions: u32, region: u32| {
+        let mut sim = ShardedSim::new(ShardConfig {
+            regions,
+            ..ShardConfig::default()
+        });
+        sim.add_host_pinned(CLI, Box::new(OnePing { dst: SRV }), HostConfig::default(), 0);
+        sim.run_for(half);
+        sim.add_host_pinned(SRV, Box::new(EchoServer::default()), HostConfig::default(), region);
+        sim.run_for(SECS);
+        sim
+    };
+
+    let same_region = sharded_with_late_host_in(1, 0);
+    assert_eq!(serial.host_counters(SRV).rx_packets, 1);
+    assert_eq!(same_region.host_counters(SRV).rx_packets, 1);
+    // Request and reply.
+    assert_eq!(serial.delivered_packets(), 2);
+    assert_eq!(same_region.delivered_packets(), serial.delivered_packets());
+    assert_eq!(same_region.host_counters(CLI), serial.host_counters(CLI));
+
+    let other_region = sharded_with_late_host_in(2, 1);
+    assert_eq!(other_region.host_counters(SRV).rx_packets, 0);
+    assert_eq!(other_region.delivered_packets(), 1);
 }

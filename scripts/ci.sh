@@ -45,6 +45,17 @@ echo "    lint clean: call graph $fn_count functions / $edge_count edges OK"
 echo "==> tests (offline)"
 cargo test -q --offline --workspace
 
+echo "==> timing tests (offline): wall-clock-ratio assertions, kept out of tier-1"
+cargo test -q --offline --workspace -- --ignored
+
+echo "==> bench spine: every workload's digest must match benchmark/golden/*.txt"
+# Full size at seed 1 is what the goldens were recorded at; the binary
+# exits non-zero on any digest or invariant mismatch. The contract tests
+# check BENCHMARK.json against what that binary prints.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+  run --all --seconds 1
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> benches compile (offline)"
 cargo bench --offline --workspace --no-run
 
@@ -148,7 +159,8 @@ if grep -q 'DIVERGED' "$swarm_out"; then
 fi
 echo "    $(echo "$s1" | wc -l) case digests identical across worker counts OK"
 
-echo "CI OK: hermetic build, tests green, benches compile, bench smoke emits JSON,"
+echo "CI OK: hermetic build, tests green, spine digests match their goldens,"
+echo "       benches compile, bench smoke emits JSON,"
 echo "       parallel sweeps reproduce the serial output byte for byte,"
 echo "       sharded streaming service reproduces the serial digests,"
 echo "       sharded netsim reproduces the serial digests at every worker count."

@@ -6,10 +6,11 @@ use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
 use btc_detect::engine::AnalysisEngine;
 use btc_netsim::packet::SockAddr;
-use btc_netsim::sim::HostConfig;
+use btc_netsim::shard::{ShardConfig, ShardedSim};
+use btc_netsim::sim::{HostConfig, SimConfig, Simulator};
 use btc_netsim::time::{MINUTES, SECS};
 use btc_node::banscore::CoreVersion;
-use btc_node::node::NodeConfig;
+use btc_node::node::{Node, NodeConfig};
 
 #[test]
 fn train_detect_respond_pipeline() {
@@ -265,4 +266,70 @@ fn detection_response_drops_and_rebuilds_connections() {
     tb.sim.run_for(10 * SECS);
     let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
     assert_eq!(attacker.stats.messages_sent, sent_at_rebuild);
+}
+
+/// A stock `Node` under a reconnecting `Flooder` reduces to the same
+/// observables on `Simulator` and on a one-region `ShardedSim`: the two
+/// front-ends share one event loop, and a whole protocol stack on top of it
+/// cannot tell them apart. PING is the never-banned flood; duplicate
+/// VERSIONs drive the ban → reconnect-from-the-next-port cycle so the ban
+/// times are not vacuous.
+#[test]
+fn node_under_flood_is_identical_on_both_simulator_front_ends() {
+    let target = SockAddr::new(addrs::TARGET, 8333);
+    // Both front-ends expose the same method names but share no trait.
+    macro_rules! observe {
+        ($sim:expr, $payload:expr) => {{
+            let mut sim = $sim;
+            sim.add_host(
+                addrs::TARGET,
+                Box::new(Node::new(NodeConfig::default())),
+                HostConfig::default(),
+            );
+            sim.add_host(
+                addrs::ATTACKER,
+                Box::new(Flooder::new(FloodConfig {
+                    target,
+                    payload: $payload,
+                    reconnect_on_ban: true,
+                    sybil_port_start: 51_000,
+                    ..FloodConfig::default()
+                })),
+                HostConfig::default(),
+            );
+            sim.run_for(3 * SECS);
+            let transport = [addrs::TARGET, addrs::ATTACKER].map(|ip| {
+                (
+                    sim.host_counters(ip),
+                    sim.host_tcp_drops(ip),
+                    sim.host_cpu(ip).cum_busy(),
+                )
+            });
+            let delivered = sim.delivered_packets();
+            let node: &Node = sim.app(addrs::TARGET).expect("target is a Node");
+            (
+                node.telemetry.counts_in_window(0, 3 * SECS + 1),
+                node.telemetry.bans,
+                node.banman.history().clone(),
+                transport,
+                delivered,
+            )
+        }};
+    }
+    for payload in [FloodPayload::Ping, FloodPayload::DuplicateVersion] {
+        let serial = observe!(Simulator::new(SimConfig::default()), payload.clone());
+        let sharded = observe!(
+            ShardedSim::new(ShardConfig {
+                regions: 1,
+                workers: 1,
+                ..ShardConfig::default()
+            }),
+            payload.clone()
+        );
+        assert!(serial.0.iter().sum::<u64>() > 100, "flood reached the node");
+        if matches!(payload, FloodPayload::DuplicateVersion) {
+            assert!(serial.1 > 1, "ban and reconnect cycled: {} bans", serial.1);
+        }
+        assert_eq!(serial, sharded, "{payload:?}");
+    }
 }
