@@ -252,7 +252,6 @@ fn serve_case(
     // ---- Node-aggregate: one pseudo-peer, one window, Figure-10 profile.
     let agg_trace: Vec<TraceEvent> = trace.iter().map(|e| TraceEvent { peer: 0, ..*e }).collect();
     let agg_engine = StreamingEngine::new(node_profile.clone(), end - SETTLE);
-    // lint:allow(wallclock): run_service times internally for its bench stats; verdicts are deterministic
     let agg = run_service(&agg_engine, &agg_trace, span, 1);
     let aggregate_streaming = agg
         .verdicts

@@ -2,26 +2,46 @@
 //!
 //! [`run_service`] partitions per-peer streaming state
 //! ([`crate::streaming::StreamingProfile`]) across `N` worker shards.
-//! Assignment is peer-keyed (`peer % shards`), ingest is one bounded mpsc
-//! channel per shard, and the merge is deterministic — shard outputs are
-//! collected in shard order and verdicts sorted by `(peer, window)` — so
-//! the result is **bit-identical at any shard count** (the same
-//! discipline as `btc-par`'s input-order result slots). Each peer's
-//! events travel one channel in trace order, so its per-peer state
-//! evolves exactly as in a serial run no matter how the OS schedules the
-//! workers.
+//! Assignment is peer-keyed (`peer % shards`) and the result is
+//! **bit-identical at any shard count** (the same discipline as
+//! `btc-par`'s input-order result slots):
+//!
+//! * **Chunked hand-off.** The producer fills one `Vec<TraceEvent>` per
+//!   shard and sends it when it holds `CHUNK` events, and at the end of
+//!   the trace, over a bounded channel a few chunks deep — a channel
+//!   operation per chunk, not per event, and a slow shard still applies
+//!   backpressure. Each peer's events travel one channel in trace order,
+//!   so its state evolves exactly as in a serial run no matter how the OS
+//!   schedules the workers. One shard runs on the caller's thread with no
+//!   channel at all, through the same ingest code.
+//! * **Interned peer slab.** A shard interns each event's [`PeerKey`] to a
+//!   dense id through a small open-addressing index (fixed hash, linear
+//!   probing, doubling at half full) and keeps the profiles in a `Vec`
+//!   indexed by it. The index's layout never reaches the output.
+//! * **Per-shard sort, ordered merge.** Each worker sorts its own verdicts
+//!   by the unique `(peer, window_index)` key; the leader merges the shard
+//!   lists by peer into one pre-sized list, moving every verdict once.
+//! * **Out-of-span rule.** Events before `span.start` or at or after the
+//!   end of the span's last full window belong to no scored window and
+//!   are dropped at ingest (they still count in [`ServeOutput::events`]),
+//!   exactly as [`batch_verdicts`] skips them — so a far-future timestamp
+//!   cannot roll a peer through windows the span does not have.
 //!
 //! [`bench_service`] wraps a run with wall-clock measurement (msgs/sec
 //! ingest throughput, p50/p99 per-decision latency), and
 //! [`batch_verdicts`] runs the same trace through the batch
 //! [`AnalysisEngine`] pipeline — group, then score each window — as the
-//! comparison baseline. Timing never feeds the verdicts: the digest of a
-//! bench run equals the digest of a plain run.
+//! comparison baseline. The decision clock is a type parameter of the
+//! shard: a plain run reads no clock at all, a bench run reads it only
+//! around the events that close a window. Timing never feeds the verdicts:
+//! the digest of a bench run equals the digest of a plain run.
 
 use crate::engine::{AnalysisEngine, Profile, Violation};
 use crate::features::TrafficWindow;
 use crate::streaming::{Nanos, StreamingEngine, StreamingProfile, WindowVerdict};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -65,6 +85,13 @@ impl TraceSpan {
     /// Number of full windows the span covers at `window_len`.
     pub fn windows(&self, window_len: Nanos) -> u64 {
         self.end.saturating_sub(self.start) / window_len
+    }
+
+    /// The times that fall in a scored window: from `start` to the end of
+    /// the last full window. Events outside it are dropped by the service
+    /// and the batch pipeline alike.
+    fn scored(&self, window_len: Nanos) -> Range<Nanos> {
+        self.start..self.start + self.windows(window_len) * window_len
     }
 }
 
@@ -110,81 +137,222 @@ pub struct ServeBench {
     pub p99_decision_ns: u64,
 }
 
-/// Internal per-shard state while draining its channel.
-struct Shard<'a> {
+/// Reads the wall clock around a window-closing event — or does not: the
+/// clock is a type parameter of [`Shard`] (which stores none), so a plain
+/// run is monomorphised with no time read at all.
+trait DecisionClock {
+    /// Marks the start of a decision.
+    fn start() -> Self;
+    /// Appends the nanoseconds since [`DecisionClock::start`] to `samples`.
+    fn stop(self, samples: &mut Vec<u64>);
+}
+
+/// [`run_service`]'s clock: records nothing.
+struct NoClock;
+
+impl DecisionClock for NoClock {
+    fn start() -> Self {
+        NoClock
+    }
+    fn stop(self, _samples: &mut Vec<u64>) {}
+}
+
+/// [`bench_service`]'s clock.
+struct WallClock(Instant);
+
+impl DecisionClock for WallClock {
+    fn start() -> Self {
+        WallClock(Instant::now())
+    }
+    fn stop(self, samples: &mut Vec<u64>) {
+        samples.push(self.0.elapsed().as_nanos() as u64);
+    }
+}
+
+/// Interns [`PeerKey`]s to dense ids `0, 1, 2, …` in first-seen order: an
+/// open-addressing table of ids over the key list, with a fixed
+/// Fibonacci-multiply hash and linear probing. Nothing is seeded per
+/// process and the table's order never reaches the output (ids index a
+/// slab; verdicts are sorted by key), so runs stay reproducible.
+struct PeerIndex {
+    /// `id + 1` of the key stored in each slot, 0 for an empty slot. The
+    /// length is a power of two, at least twice `keys.len()`.
+    slots: Vec<u32>,
+    /// The key behind each id.
+    keys: Vec<PeerKey>,
+}
+
+impl PeerIndex {
+    /// Slots of a fresh index. Small on purpose: the table doubles as
+    /// peers arrive, and a shard that sees few peers stays small.
+    const INITIAL_SLOTS: usize = 1024;
+
+    fn new() -> Self {
+        PeerIndex {
+            slots: vec![0; Self::INITIAL_SLOTS],
+            keys: Vec::new(),
+        }
+    }
+
+    /// The slot probing starts at for `key` in a table of `slots` slots
+    /// (a power of two): the top bits of the Fibonacci product.
+    fn home(key: PeerKey, slots: usize) -> usize {
+        let shift = u64::BITS - slots.trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// Probes `slots` for `key`: `Ok(id)` when it is interned, otherwise
+    /// `Err(slot)` with the empty slot the probe stopped at. At most half
+    /// the slots are ever taken, so the probe always meets an empty one.
+    fn find(slots: &[u32], keys: &[PeerKey], key: PeerKey) -> Result<usize, usize> {
+        let mask = slots.len() - 1;
+        let mut at = Self::home(key, slots.len());
+        loop {
+            // `at` stays masked to the table, so `get` never misses.
+            let taken = slots.get(at).copied().unwrap_or(0) as usize;
+            if taken == 0 {
+                return Err(at);
+            }
+            if keys.get(taken - 1) == Some(&key) {
+                return Ok(taken - 1);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The id of `key`, assigning the next one (`keys.len()`) on first
+    /// sight and doubling the table when that takes it past half full.
+    fn intern(&mut self, key: PeerKey) -> usize {
+        let vacant = match Self::find(&self.slots, &self.keys, key) {
+            Ok(id) => return id,
+            Err(vacant) => vacant,
+        };
+        let id = self.keys.len();
+        self.keys.push(key);
+        Self::occupy(&mut self.slots, vacant, id);
+        if self.keys.len() * 2 > self.slots.len() {
+            let mut slots = vec![0; self.slots.len() * 2];
+            for (id, key) in self.keys.iter().enumerate() {
+                if let Err(vacant) = Self::find(&slots, &self.keys, *key) {
+                    Self::occupy(&mut slots, vacant, id);
+                }
+            }
+            self.slots = slots;
+        }
+        id
+    }
+
+    /// Stores `id` in the empty slot a failed [`PeerIndex::find`] ended at.
+    /// Ids are `u32`: a shard holds a profile per id, so memory runs out
+    /// long before they do.
+    fn occupy(slots: &mut [u32], vacant: usize, id: usize) {
+        if let Some(slot) = slots.get_mut(vacant) {
+            *slot = id as u32 + 1;
+        }
+    }
+}
+
+/// One shard's state: the profiles of the peers assigned to it, in a slab
+/// indexed by interned id, and the verdicts they have produced so far.
+struct Shard<'a, C> {
     engine: &'a StreamingEngine,
     span: TraceSpan,
-    peers: BTreeMap<PeerKey, StreamingProfile>,
+    /// [`TraceSpan::scored`] of `span`.
+    scored: Range<Nanos>,
+    index: PeerIndex,
+    /// Profile of each interned peer, parallel to `index.keys`.
+    profiles: Vec<StreamingProfile>,
     verdicts: Vec<PeerVerdict>,
     /// Per-decision latency samples in ns (bench diagnostics only; never
     /// part of the deterministic output).
     decision_ns: Vec<u64>,
     scratch: Vec<WindowVerdict>,
+    clock: PhantomData<C>,
 }
 
-impl<'a> Shard<'a> {
+impl<'a, C: DecisionClock> Shard<'a, C> {
     fn new(engine: &'a StreamingEngine, span: TraceSpan) -> Self {
         Shard {
             engine,
             span,
-            peers: BTreeMap::new(),
+            scored: span.scored(engine.window_len),
+            index: PeerIndex::new(),
+            profiles: Vec::new(),
             verdicts: Vec::new(),
             decision_ns: Vec::new(),
             scratch: Vec::new(),
+            clock: PhantomData,
         }
     }
 
-    fn ingest(&mut self, ev: TraceEvent) {
+    /// Feeds `events` (in trace order) to their peers' profiles. Events
+    /// outside the scored part of the span are dropped, as
+    /// [`batch_verdicts`] drops them: they belong to no scored window, and
+    /// a far-future timestamp must not roll a peer through windows the
+    /// span does not have.
+    fn ingest(&mut self, events: &[TraceEvent]) {
         let engine = self.engine;
-        let span_start = self.span.start;
-        let peer = self
-            .peers
-            .entry(ev.peer)
-            .or_insert_with(|| StreamingProfile::new(engine, span_start));
-        let t = Instant::now();
-        match ev.kind {
-            TraceEventKind::Message(ty) => {
-                peer.on_message(engine, ev.time, ty, &mut self.scratch);
+        for ev in events {
+            if !self.scored.contains(&ev.time) {
+                continue;
             }
-            TraceEventKind::Reconnect => peer.on_reconnect(engine, ev.time, &mut self.scratch),
-        }
-        if self.scratch.is_empty() {
-            return;
-        }
-        // Window(s) closed: this event paid a decision.
-        self.decision_ns.push(t.elapsed().as_nanos() as u64);
-        for verdict in self.scratch.drain(..) {
-            self.verdicts.push(PeerVerdict {
-                peer: ev.peer,
-                verdict,
-            });
+            let id = self.index.intern(ev.peer);
+            if id == self.profiles.len() {
+                self.profiles
+                    .push(StreamingProfile::new(engine, self.span.start));
+            }
+            let Some(profile) = self.profiles.get_mut(id) else {
+                continue;
+            };
+            // The clock is read only around an event that pays a decision.
+            let decision = profile.window_due(engine, ev.time).then(C::start);
+            match ev.kind {
+                TraceEventKind::Message(ty) => {
+                    profile.on_message(engine, ev.time, ty, &mut self.scratch);
+                }
+                TraceEventKind::Reconnect => {
+                    profile.on_reconnect(engine, ev.time, &mut self.scratch);
+                }
+            }
+            if let Some(clock) = decision {
+                clock.stop(&mut self.decision_ns);
+                let peer = ev.peer;
+                let closed = self.scratch.drain(..);
+                self.verdicts
+                    .extend(closed.map(|verdict| PeerVerdict { peer, verdict }));
+            }
         }
     }
 
     /// Closes every peer's stream at the span end and returns the shard's
-    /// verdicts (still unsorted) and latency samples.
+    /// verdicts, sorted by `(peer, window_index)`, and latency samples.
     fn finish(mut self) -> (Vec<PeerVerdict>, Vec<u64>) {
-        let keys: Vec<PeerKey> = self.peers.keys().copied().collect();
-        for key in keys {
-            let t = Instant::now();
-            if let Some(peer) = self.peers.get_mut(&key) {
-                peer.finish(self.engine, self.span.end, &mut self.scratch);
+        let end = self.span.end;
+        for (&peer, profile) in self.index.keys.iter().zip(&mut self.profiles) {
+            let decision = profile.window_due(self.engine, end).then(C::start);
+            profile.finish(self.engine, end, &mut self.scratch);
+            if let Some(clock) = decision {
+                clock.stop(&mut self.decision_ns);
             }
-            if !self.scratch.is_empty() {
-                self.decision_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            for verdict in self.scratch.drain(..) {
-                self.verdicts.push(PeerVerdict { peer: key, verdict });
-            }
+            let closed = self.scratch.drain(..);
+            self.verdicts
+                .extend(closed.map(|verdict| PeerVerdict { peer, verdict }));
         }
+        // The key is unique per verdict, so an unstable sort is exact.
+        self.verdicts
+            .sort_unstable_by_key(|v| (v.peer, v.verdict.window_index));
         (self.verdicts, self.decision_ns)
     }
 }
 
-/// Ingest channel depth per shard: deep enough to decouple the producer
-/// from scoring hiccups, bounded so a slow shard applies backpressure
-/// instead of buffering the whole trace.
-const CHANNEL_DEPTH: usize = 1024;
+/// Events per hand-off: the producer sends a shard its events in chunks
+/// of this many, so a channel operation is paid once per chunk.
+const CHUNK: usize = 1024;
+
+/// Chunks a shard's channel holds before the producer blocks. A few are
+/// enough to ride out a scoring hiccup; a slow shard still applies
+/// backpressure, with at most `CHANNEL_DEPTH × CHUNK` events queued for it.
+const CHANNEL_DEPTH: usize = 8;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for b in bytes {
@@ -223,25 +391,45 @@ pub fn verdict_digest(verdicts: &[PeerVerdict]) -> u64 {
     h
 }
 
-fn reduce(mut all: Vec<PeerVerdict>, events: u64) -> ServeOutput {
-    // Total order — (peer, window_index) pairs are unique — so the merged
-    // list is independent of shard count and completion order.
-    all.sort_by_key(|v| (v.peer, v.verdict.window_index));
-    let peers = {
-        let mut distinct = 0u64;
-        let mut last = None;
-        for v in &all {
-            if last != Some(v.peer) {
-                distinct += 1;
-                last = Some(v.peer);
+/// Merges the shards' sorted verdict lists into one list in
+/// `(peer, window_index)` order. A peer lives in exactly one shard, so the
+/// merge moves whole per-peer runs, smallest peer first, and the result
+/// does not depend on the shard count.
+fn merge_by_peer(lists: Vec<Vec<PeerVerdict>>) -> Vec<PeerVerdict> {
+    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    let mut heads: Vec<_> = lists
+        .into_iter()
+        .map(|list| list.into_iter().peekable())
+        .collect();
+    loop {
+        let mut lowest = None;
+        for head in &mut heads {
+            let Some(peer) = head.peek().map(|v| v.peer) else {
+                continue;
+            };
+            if lowest.as_ref().is_none_or(|(low, _)| peer < *low) {
+                lowest = Some((peer, head));
             }
         }
-        distinct
-    };
-    let anomalous = all.iter().filter(|v| v.verdict.detection.anomalous).count() as u64;
-    let digest = verdict_digest(&all);
+        let Some((peer, head)) = lowest else {
+            return out;
+        };
+        while let Some(v) = head.next_if(|v| v.peer == peer) {
+            out.push(v);
+        }
+    }
+}
+
+/// Counts and digests a merged, `(peer, window_index)`-sorted verdict list.
+fn reduce(verdicts: Vec<PeerVerdict>, events: u64) -> ServeOutput {
+    let peers = verdicts.chunk_by(|a, b| a.peer == b.peer).count() as u64;
+    let anomalous = verdicts
+        .iter()
+        .filter(|v| v.verdict.detection.anomalous)
+        .count() as u64;
+    let digest = verdict_digest(&verdicts);
     ServeOutput {
-        verdicts: all,
+        verdicts,
         events,
         peers,
         anomalous,
@@ -249,16 +437,82 @@ fn reduce(mut all: Vec<PeerVerdict>, events: u64) -> ServeOutput {
     }
 }
 
+/// Runs `trace` through `shards` shards timed by clock `C` and returns the
+/// merged verdicts and the decision-latency samples.
+fn serve<C: DecisionClock>(
+    engine: &StreamingEngine,
+    trace: &[TraceEvent],
+    span: TraceSpan,
+    shards: usize,
+) -> (Vec<PeerVerdict>, Vec<u64>) {
+    // lint:allow(panic-path): harness configuration check; shard count comes from the scenario, not a peer
+    assert!(shards >= 1, "need at least one shard");
+    if shards == 1 {
+        // Serial path: no channel, no threads — the yardstick the sharded
+        // paths must reproduce byte for byte. Its one sorted list is the
+        // output: there is nothing to merge.
+        let mut shard = Shard::<C>::new(engine, span);
+        shard.ingest(trace);
+        return shard.finish();
+    }
+    std::thread::scope(|scope| {
+        let mut lanes = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            let (tx, rx) = mpsc::sync_channel::<Vec<TraceEvent>>(CHANNEL_DEPTH);
+            lanes.push((tx, Vec::with_capacity(CHUNK)));
+            handles.push(scope.spawn(move || {
+                let mut shard = Shard::<C>::new(engine, span);
+                while let Ok(chunk) = rx.recv() {
+                    shard.ingest(&chunk);
+                }
+                shard.finish()
+            }));
+        }
+        let send = |tx: &mpsc::SyncSender<Vec<TraceEvent>>, chunk: Vec<TraceEvent>| {
+            // lint:allow(panic-path): the receiver lives until its sender drops below; a hang-up means the shard panicked
+            tx.send(chunk).expect("shard hung up");
+        };
+        // Each peer's events go down one lane in trace order, so its
+        // profile evolves as in a serial run however the chunks interleave.
+        for ev in trace {
+            let lane = (ev.peer % shards as u64) as usize;
+            let Some((tx, pending)) = lanes.get_mut(lane) else {
+                continue;
+            };
+            pending.push(*ev);
+            if pending.len() == CHUNK {
+                send(tx, std::mem::replace(pending, Vec::with_capacity(CHUNK)));
+            }
+        }
+        for (tx, pending) in lanes {
+            if !pending.is_empty() {
+                send(&tx, pending);
+            }
+        }
+        let mut lists = Vec::with_capacity(shards);
+        let mut decision_ns = Vec::new();
+        for handle in handles {
+            // lint:allow(panic-path): bench-harness thread join; shard panics must surface, not vanish
+            let (verdicts, ns) = handle.join().expect("shard panicked");
+            lists.push(verdicts);
+            decision_ns.extend(ns);
+        }
+        (merge_by_peer(lists), decision_ns)
+    })
+}
+
 /// Runs `trace` through `shards` workers and returns the merged,
 /// deterministic output. `trace` must be in non-decreasing time order
-/// (the order `Telemetry::events_in_window` produces).
+/// (the order `Telemetry::events_in_window` produces). Reads no clock.
 pub fn run_service(
     engine: &StreamingEngine,
     trace: &[TraceEvent],
     span: TraceSpan,
     shards: usize,
 ) -> ServeOutput {
-    bench_service(engine, trace, span, shards).0
+    let (verdicts, _) = serve::<NoClock>(engine, trace, span, shards);
+    reduce(verdicts, trace.len() as u64)
 }
 
 /// [`run_service`] plus wall-clock measurement. The deterministic output
@@ -269,62 +523,15 @@ pub fn bench_service(
     span: TraceSpan,
     shards: usize,
 ) -> (ServeOutput, ServeBench) {
-    // lint:allow(panic-path): harness configuration check; shard count comes from the scenario, not a peer
-    assert!(shards >= 1, "need at least one shard");
     let started = Instant::now();
-    let (all, mut decision_ns) = if shards == 1 {
-        // Serial path: no channel, no threads — the yardstick the sharded
-        // paths must reproduce byte for byte.
-        let mut shard = Shard::new(engine, span);
-        for ev in trace {
-            shard.ingest(*ev);
-        }
-        shard.finish()
-    } else {
-        std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(shards);
-            let mut handles = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (tx, rx) = mpsc::sync_channel::<TraceEvent>(CHANNEL_DEPTH);
-                senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    let mut shard = Shard::new(engine, span);
-                    while let Ok(ev) = rx.recv() {
-                        shard.ingest(ev);
-                    }
-                    shard.finish()
-                }));
-            }
-            for ev in trace {
-                let target = (ev.peer % shards as u64) as usize;
-                // lint:allow(panic-path): target < shards by the modulo; receiver lives until senders drop below
-                senders[target].send(*ev).expect("shard hung up");
-            }
-            drop(senders);
-            let mut all = Vec::new();
-            let mut ns = Vec::new();
-            // Joined in shard order; the sort in `reduce` makes the final
-            // order independent of it anyway.
-            for handle in handles {
-                // lint:allow(panic-path): bench-harness thread join; shard panics must surface, not vanish
-                let (verdicts, decision_ns) = handle.join().expect("shard panicked");
-                all.extend(verdicts);
-                ns.extend(decision_ns);
-            }
-            (all, ns)
-        })
-    };
+    let (verdicts, mut decision_ns) = serve::<WallClock>(engine, trace, span, shards);
     let elapsed_ns = started.elapsed().as_nanos() as u64;
     let events = trace.len() as u64;
-    let out = reduce(all, events);
+    let out = reduce(verdicts, events);
     decision_ns.sort_unstable();
     let pct = |p: f64| -> u64 {
-        if decision_ns.is_empty() {
-            return 0;
-        }
-        let idx = ((decision_ns.len() - 1) as f64 * p).round() as usize;
-        // lint:allow(panic-path): index clamped by the min(); is_empty handled above
-        decision_ns[idx.min(decision_ns.len() - 1)]
+        let idx = (decision_ns.len().saturating_sub(1) as f64 * p).round() as usize;
+        decision_ns.get(idx).copied().unwrap_or(0)
     };
     let bench = ServeBench {
         shards,
@@ -354,10 +561,11 @@ pub fn batch_verdicts(
     window_len: Nanos,
 ) -> Vec<PeerVerdict> {
     let total_windows = span.windows(window_len);
+    let scored = span.scored(window_len);
     let minutes = window_len as f64 / crate::streaming::MINUTE as f64;
     let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
     for ev in trace {
-        if ev.time < span.start || ev.time >= span.start + total_windows * window_len {
+        if !scored.contains(&ev.time) {
             continue;
         }
         let idx = ((ev.time - span.start) / window_len) as usize;
@@ -603,5 +811,183 @@ mod tests {
         });
         let changed = run_service(&engine, &altered, span, 1);
         assert_ne!(base.digest, changed.digest);
+    }
+
+    /// The same ingest as [`Shard`] behind a `BTreeMap`, one peer at a
+    /// time: what the interned slab, the chunks and the merge must equal.
+    fn reference_verdicts(
+        engine: &StreamingEngine,
+        trace: &[TraceEvent],
+        span: TraceSpan,
+    ) -> Vec<PeerVerdict> {
+        let mut peers: BTreeMap<PeerKey, (StreamingProfile, Vec<WindowVerdict>)> = BTreeMap::new();
+        let scored = span.scored(engine.window_len);
+        for ev in trace.iter().filter(|ev| scored.contains(&ev.time)) {
+            let (profile, out) = peers
+                .entry(ev.peer)
+                .or_insert_with(|| (StreamingProfile::new(engine, span.start), Vec::new()));
+            match ev.kind {
+                TraceEventKind::Message(ty) => profile.on_message(engine, ev.time, ty, out),
+                TraceEventKind::Reconnect => profile.on_reconnect(engine, ev.time, out),
+            }
+        }
+        let mut all = Vec::new();
+        for (peer, (mut profile, mut out)) in peers {
+            profile.finish(engine, span.end, &mut out);
+            all.extend(out.into_iter().map(|verdict| PeerVerdict { peer, verdict }));
+        }
+        all
+    }
+
+    #[test]
+    fn out_of_span_events_are_dropped_as_batch_drops_them() {
+        let window_len = MINUTE;
+        let engine = trained_engine(window_len);
+        let span = TraceSpan {
+            start: MINUTE,
+            end: 3 * MINUTE,
+        };
+        let trace: Vec<TraceEvent> = [5, MINUTE + 5, 9 * MINUTE, u64::MAX]
+            .into_iter()
+            .map(|time| TraceEvent {
+                time,
+                peer: 7,
+                kind: TraceEventKind::Message(12),
+            })
+            .collect();
+        let batch = batch_verdicts(
+            &engine.profile,
+            &AnalysisEngine::default(),
+            &trace,
+            span,
+            window_len,
+        );
+        assert_eq!(batch.len(), 2);
+        for shards in [1, 3] {
+            let out = run_service(&engine, &trace, span, shards);
+            assert_eq!(out.events, 4, "dropped events are still counted");
+            assert_eq!(out.verdicts.len(), batch.len(), "shards={shards}");
+            for (s, b) in out.verdicts.iter().zip(&batch) {
+                assert_eq!(s.peer, b.peer);
+                assert_eq!(s.verdict.window_index, b.verdict.window_index);
+                assert_eq!(s.verdict.detection.n, b.verdict.detection.n);
+                assert_eq!(s.verdict.detection.c, b.verdict.detection.c);
+                assert_eq!(
+                    s.verdict.detection.violations,
+                    b.verdict.detection.violations
+                );
+            }
+        }
+        // A peer seen only outside the span is no peer of the run.
+        let stray = [TraceEvent {
+            time: 4 * MINUTE,
+            peer: 9,
+            kind: TraceEventKind::Reconnect,
+        }];
+        assert_eq!(run_service(&engine, &stray, span, 1).peers, 0);
+    }
+
+    #[test]
+    fn chunk_boundaries_do_not_change_the_output() {
+        use btc_netsim::prop::{check, Gen};
+        const SIZES: [usize; 8] = [
+            0,
+            1,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            2 * CHUNK,
+            3 * CHUNK,
+            3 * CHUNK + 1,
+        ];
+        let engine = trained_engine(MINUTE);
+        check("chunked hand-off ≡ serial", |g: &mut Gen| {
+            let span = TraceSpan {
+                start: 0,
+                end: g.u64_in(1, 4) * MINUTE,
+            };
+            let events = match g.usize_in(0, 3) {
+                0 => g.usize_in(0, 3 * CHUNK + 2),
+                _ => *g.choose(&SIZES),
+            };
+            // A stride of 30 keeps every peer in one lane at 2, 3 and 5
+            // shards, so that lane sees exactly `events` events: full
+            // chunks with an empty tail when it is a multiple of CHUNK.
+            let stride = *g.choose(&[1, 2, 30]);
+            let base = g.u64_in(0, 30);
+            let peers = g.u64_in(1, 12);
+            let mut trace: Vec<TraceEvent> = (0..events)
+                .map(|_| TraceEvent {
+                    time: g.u64_in(span.start, span.end),
+                    peer: base + stride * g.u64_in(0, peers),
+                    kind: if g.usize_in(0, 9) == 0 {
+                        TraceEventKind::Reconnect
+                    } else {
+                        TraceEventKind::Message(g.usize_in(0, 26) as u8)
+                    },
+                })
+                .collect();
+            trace.sort_by_key(|e| e.time);
+            let serial = run_service(&engine, &trace, span, 1);
+            assert_eq!(serial.verdicts, reference_verdicts(&engine, &trace, span));
+            for shards in [2, 3, 5] {
+                let sharded = run_service(&engine, &trace, span, shards);
+                assert_eq!(sharded.digest, serial.digest, "shards={shards}");
+                assert_eq!(sharded.verdicts, serial.verdicts, "shards={shards}");
+            }
+        });
+    }
+
+    #[test]
+    fn peer_index_survives_adversarial_keys_and_growth() {
+        // Keys that all start probing at slot 0 of a fresh table, the two
+        // extreme keys, and enough distinct peers to double the table
+        // three times mid-trace.
+        let mut keys: Vec<PeerKey> = (1..)
+            .filter(|k| PeerIndex::home(*k, PeerIndex::INITIAL_SLOTS) == 0)
+            .take(24)
+            .collect();
+        keys.extend([0, u64::MAX]);
+        keys.extend((0..2 * PeerIndex::INITIAL_SLOTS as u64 + 500).map(|i| 1_000_000 + 3 * i));
+        assert_eq!(PeerIndex::home(0, PeerIndex::INITIAL_SLOTS), 0);
+
+        let mut index = PeerIndex::new();
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(index.intern(*key), id, "first sight of {key}");
+        }
+        assert!(index.slots.len() >= 2 * keys.len());
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(index.intern(*key), id, "second sight of {key}");
+        }
+        assert_eq!(index.keys, keys);
+
+        // The same keys through the service: two passes over every peer in
+        // each of three windows, so profiles are looked up again after
+        // every growth step.
+        let window_len = MINUTE;
+        let engine = trained_engine(window_len);
+        let span = TraceSpan {
+            start: 0,
+            end: 3 * window_len,
+        };
+        let step = span.end / (6 * keys.len() as u64);
+        let trace: Vec<TraceEvent> = (0..6 * keys.len())
+            .map(|i| TraceEvent {
+                time: i as u64 * step,
+                peer: keys[i % keys.len()],
+                kind: if i % 7 == 0 {
+                    TraceEventKind::Reconnect
+                } else {
+                    TraceEventKind::Message((i % 26) as u8)
+                },
+            })
+            .collect();
+        let reference = reference_verdicts(&engine, &trace, span);
+        assert_eq!(reference.len(), 3 * keys.len());
+        for shards in [1, 2] {
+            let out = run_service(&engine, &trace, span, shards);
+            assert_eq!(out.peers, keys.len() as u64);
+            assert_eq!(out.verdicts, reference, "shards={shards}");
+        }
     }
 }

@@ -312,12 +312,28 @@ impl StreamingProfile {
         }
     }
 
+    /// Where the open window closes, or `None` when that boundary is past
+    /// the end of `Nanos` — such a window can never close, so a far-future
+    /// timestamp neither overflows nor rolls forever.
+    fn close_at(&self, engine: &StreamingEngine) -> Option<Nanos> {
+        let windows = self.window_index.checked_add(1)?;
+        self.start
+            .checked_add(windows.checked_mul(engine.window_len)?)
+    }
+
+    /// Whether an event at `now` closes at least one window, i.e. whether
+    /// feeding it pushes a verdict. Callers that time decisions read their
+    /// clock only when this holds.
+    pub fn window_due(&self, engine: &StreamingEngine, now: Nanos) -> bool {
+        self.close_at(engine)
+            .is_some_and(|close_at| now >= close_at)
+    }
+
     /// Closes every window that ends at or before `now`, scoring each
     /// (including interior windows with no traffic — a silent peer is the
     /// "quiet window" anomaly, not a gap in the record).
     fn roll_to(&mut self, engine: &StreamingEngine, now: Nanos, out: &mut Vec<WindowVerdict>) {
-        while now >= self.start + (self.window_index + 1) * engine.window_len {
-            let close_at = self.start + (self.window_index + 1) * engine.window_len;
+        while let Some(close_at) = self.close_at(engine).filter(|close_at| now >= *close_at) {
             out.push(WindowVerdict {
                 window_index: self.window_index,
                 detection: self.window.detect(&engine.profile, &engine.refs),
@@ -486,6 +502,20 @@ mod tests {
         peer.finish(&engine, 50 * MINUTE, &mut out);
         assert_eq!(out.len(), 5);
         assert_eq!(out[4].window_index, 4);
+    }
+
+    #[test]
+    fn a_window_boundary_past_the_end_of_time_never_closes() {
+        // Window 0 closes at 10 + 2⁶³; window 1 would close past u64::MAX.
+        let engine = StreamingEngine::new(trained_profile(), 1 << 63);
+        let mut peer = StreamingProfile::new(&engine, 10);
+        let mut out = Vec::new();
+        assert!(peer.window_due(&engine, u64::MAX));
+        peer.on_message(&engine, u64::MAX, 4, &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(!peer.window_due(&engine, u64::MAX));
+        peer.finish(&engine, u64::MAX, &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -2,13 +2,18 @@
 //! in-repo `btc_netsim::prop` harness: a [`StreamingWindow`] fed message
 //! by message must reproduce [`TrafficWindow`]'s `n`/`c`/`Λ` and the
 //! batch `detect()` verdict within float tolerance — including degenerate
-//! zero-variance windows that hit `correlation`'s guard — and the sharded
-//! profile service must be bit-identical at every shard count.
+//! zero-variance windows that hit `correlation`'s guard — the sharded
+//! profile service must be bit-identical at every shard count, and
+//! `window_due` must say exactly which events pay a decision. (Chunk
+//! boundaries and the peer index are exercised next to their private
+//! constants, in `serve.rs`' unit tests.)
 
 use btc_detect::engine::AnalysisEngine;
 use btc_detect::features::{correlation, TrafficWindow, NUM_TYPES};
 use btc_detect::serve::{run_service, TraceEvent, TraceEventKind, TraceSpan};
-use btc_detect::streaming::{ReferenceStats, StreamingEngine, StreamingWindow, MINUTE};
+use btc_detect::streaming::{
+    ReferenceStats, StreamingEngine, StreamingProfile, StreamingWindow, MINUTE,
+};
 use btc_detect::Profile;
 use btc_netsim::prop::{check, Gen};
 
@@ -132,5 +137,44 @@ fn service_digest_is_shard_count_invariant_for_any_trace() {
             assert_eq!(sharded.digest, serial.digest, "shards={shards}");
             assert_eq!(sharded.verdicts, serial.verdicts, "shards={shards}");
         }
+    });
+}
+
+#[test]
+fn window_due_predicts_exactly_the_events_that_push_a_verdict() {
+    check("window_due ⇔ a verdict is pushed", |g: &mut Gen| {
+        let window_len = *g.choose(&[1, 7, 1_000, MINUTE]);
+        let engine = StreamingEngine::new(gen_profile(g), window_len);
+        // Some streams start after their first events: those are never due.
+        let start = g.u64_in(0, 3 * window_len + 1);
+        let mut profile = StreamingProfile::new(&engine, start);
+        let mut now = g.u64_in(0, 2 * window_len + 1);
+        let mut out = Vec::new();
+        for _ in 0..g.len_in(1, 200) {
+            // Mostly small steps (same window, or onto a boundary), now
+            // and then a jump across several silent windows.
+            now += match g.usize_in(0, 4) {
+                0 => 0,
+                1 => g.u64_in(0, window_len + 1),
+                2 => window_len,
+                _ => g.u64_in(0, 6 * window_len),
+            };
+            let due = profile.window_due(&engine, now);
+            if g.bool() {
+                profile.on_message(&engine, now, g.usize_in(0, NUM_TYPES) as u8, &mut out);
+            } else {
+                profile.on_reconnect(&engine, now, &mut out);
+            }
+            assert_eq!(
+                due,
+                !out.is_empty(),
+                "now={now} start={start} len={window_len}"
+            );
+            out.clear();
+        }
+        let end = now + g.u64_in(0, 3 * window_len);
+        let due = profile.window_due(&engine, end);
+        profile.finish(&engine, end, &mut out);
+        assert_eq!(due, !out.is_empty(), "finish at {end}");
     });
 }

@@ -110,22 +110,29 @@ if ! diff -u "$out1" "$out4"; then
 fi
 echo "    $(wc -l < "$out1") output lines identical across job counts OK"
 
-echo "==> serve smoke: sharded service must be byte-identical at 1 vs 4 shards"
+echo "==> serve smoke: sharded service must be byte-identical at 1, 2 and 4 shards"
 # The serve scenario prints one deterministic `digest shards=N <hex>` line
 # per (case, shard count); wall-clock lines are prefixed [wall] and are
 # not compared. A digest mismatch means the sharded per-peer service
-# diverged from the serial run — the determinism contract is broken.
+# diverged from the serial run — the determinism contract is broken. Two
+# shards is the count the bench spine times, and every count cuts the
+# trace into different chunks, so all three are compared, and a case that
+# lacks any of its three lines fails.
 serve_out=$(mktemp)
 trap 'rm -f "$smoke_json" "$out1" "$out4" "$serve_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
   --quick --jobs 2 serve > "$serve_out"
-d1=$(grep -E '^  digest shards=1 ' "$serve_out" | awk '{print $3}')
-d4=$(grep -E '^  digest shards=4 ' "$serve_out" | awk '{print $3}')
-if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
-  echo "ERROR: serve digests differ between 1 and 4 shards" >&2
-  grep -E '^  digest' "$serve_out" >&2 || true
-  exit 1
-fi
+serve_cases=$(grep -cE '^[^ ]+ +events=[0-9]+ peers=' "$serve_out" || true)
+d1=$(grep -E '^  digest shards=1 ' "$serve_out" | awk '{print $3}' || true)
+for n in 2 4; do
+  dn=$(grep -E "^  digest shards=$n " "$serve_out" | awk '{print $3}' || true)
+  if [ "$serve_cases" -eq 0 ] || [ "$(echo "$d1" | grep -c .)" -ne "$serve_cases" ] \
+      || [ "$(echo "$dn" | grep -c .)" -ne "$serve_cases" ] || [ "$d1" != "$dn" ]; then
+    echo "ERROR: serve digests missing or different between 1 and $n shards ($serve_cases cases)" >&2
+    grep -E '^  digest' "$serve_out" >&2 || true
+    exit 1
+  fi
+done
 if grep -E '^  (streaming vs batch|node aggregate)' "$serve_out" \
     | grep -vE 'agree=yes|([0-9]+)/\1 cells' | grep -q .; then
   echo "ERROR: streaming verdicts disagree with the batch engine" >&2
