@@ -153,8 +153,7 @@ fn serve(cfg: &ReproConfig, args: &ReproArgs) {
     print!("{}", render_serve(&r));
     csv_out(args, "serve.csv", &btc_bench::csv::serve(&r));
     println!("\nDigest lines are deterministic and must be identical across shard counts;");
-    println!("[wall] lines are wall-clock. scripts/bench.sh assembles the rows into");
-    println!("results/BENCH_detect_serve.json next to the committed batch baseline.");
+    println!("[wall] lines are wall-clock.");
 }
 
 fn evasion(args: &ReproArgs) {
@@ -197,9 +196,8 @@ fn swarm(cfg: &ReproConfig, args: &ReproArgs) {
     print!("{}", btc_bench::swarm::render_swarm(&r));
     csv_out(args, "swarm.csv", &btc_bench::csv::swarm(&r));
     println!("\nDigest lines are deterministic and must be identical across worker counts;");
-    println!("[wall] lines carry the hosts-vs-wall-clock curve. scripts/bench.sh assembles");
-    println!("the rows into results/BENCH_swarm.json next to the committed single-worker");
-    println!("baseline. Speedup over workers=1 needs a multi-core runner.");
+    println!("[wall] lines carry the hosts-vs-wall-clock curve. Speedup over workers=1");
+    println!("needs a multi-core runner.");
 }
 
 fn counter() {
@@ -217,15 +215,12 @@ fn counter() {
     );
 }
 
-const USAGE: &str = "usage: repro [--quick] [--csv] [--jobs N] \
-[table1|table2|fig6|fig7|table3|fig8|fig10|fig11|serve|evasion|counter|faults|reputation|swarm|all]";
-
 fn main() {
     let args = match ReproArgs::parse(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", btc_bench::usage());
             std::process::exit(2);
         }
     };
@@ -266,7 +261,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown experiment {other:?}");
-                eprintln!("{USAGE}");
+                eprintln!("{}", btc_bench::usage());
                 std::process::exit(2);
             }
         }

@@ -1,16 +1,18 @@
 //! # btc-bench
 //!
-//! The benchmark harness of the reproduction: wall-clock benches (one per
-//! paper table/figure plus ablations) on the in-repo [`harness`], and the
-//! `repro` binary, which regenerates every table and figure as text:
+//! The paper-reproduction CLI: the `repro` binary regenerates every table
+//! and figure as text (and, with `--csv`, as `results/*.csv`), `ablate`
+//! runs the design-choice ablations:
 //!
 //! ```text
 //! cargo run -p btc-bench --release --bin repro -- all
 //! ```
+//!
+//! Performance is measured elsewhere, by the one bench spine under
+//! `benchmark/` (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 
-pub mod harness;
 pub mod swarm;
 
 use banscore::scenario::fault_matrix::FaultMatrixConfig;
@@ -89,6 +91,34 @@ impl ReproConfig {
     }
 }
 
+/// Every experiment name `repro` accepts, in usage order. `fig7` is an
+/// alias of `table3`; `all` runs every experiment except `swarm`.
+pub const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "table2",
+    "fig6",
+    "fig7",
+    "table3",
+    "fig8",
+    "fig10",
+    "fig11",
+    "serve",
+    "evasion",
+    "counter",
+    "faults",
+    "reputation",
+    "swarm",
+    "all",
+];
+
+/// The usage line of the `repro` binary.
+pub fn usage() -> String {
+    format!(
+        "usage: repro [--quick] [--csv] [--jobs N] [{}]",
+        EXPERIMENTS.join("|")
+    )
+}
+
 /// Parsed command line of the `repro` binary. Flags are scanned **once**
 /// at startup (`csv_out` used to re-scan `std::env::args()` on every
 /// call) and carried through every experiment section.
@@ -118,8 +148,9 @@ impl Default for ReproArgs {
 
 impl ReproArgs {
     /// Parses the argument list (without the program name). Unknown
-    /// `--flags` and malformed `--jobs` values are errors; bare words are
-    /// collected as experiment names and validated by the dispatcher.
+    /// `--flags`, malformed `--jobs` values and bare words that are not in
+    /// [`EXPERIMENTS`] are errors, so a misspelt name fails before any
+    /// experiment runs.
     pub fn parse<I, S>(args: I) -> Result<ReproArgs, String>
     where
         I: IntoIterator<Item = S>,
@@ -144,7 +175,8 @@ impl ReproArgs {
                 _ if arg.starts_with("--") => {
                     return Err(format!("unknown flag {arg:?}"));
                 }
-                _ => out.what.push(arg.to_owned()),
+                _ if EXPERIMENTS.contains(&arg) => out.what.push(arg.to_owned()),
+                _ => return Err(format!("unknown experiment {arg:?}")),
             }
         }
         Ok(out)
@@ -204,6 +236,9 @@ mod tests {
         assert!(ReproArgs::parse(["--jobs", "0"]).is_err());
         assert!(ReproArgs::parse(["--jobs=-3"]).is_err());
         assert!(ReproArgs::parse(["--frobnicate"]).is_err());
+        // A misspelt name is rejected up front, not after fig6 has run.
+        assert!(ReproArgs::parse(["--quick", "fig6", "tabel3"]).is_err());
+        assert_eq!(ReproArgs::parse(EXPERIMENTS).unwrap().what, EXPERIMENTS);
     }
 
     #[test]

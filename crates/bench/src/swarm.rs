@@ -1,6 +1,6 @@
 //! The swarm scale bench: runs the [`banscore::scenario::swarm`] cases
 //! over a grid of topology sizes and worker counts, timing each run —
-//! the hosts-vs-wall-clock curve behind `results/BENCH_swarm.json`.
+//! the hosts-vs-wall-clock curve `repro swarm` prints.
 //!
 //! The scenario itself is deterministic and wall-clock-free (it lives in
 //! the lint-gated `banscore` crate); this module owns the `Instant`

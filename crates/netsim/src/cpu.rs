@@ -17,10 +17,9 @@ pub const DEFAULT_CAPACITY_HZ: u64 = 4_000_000_000;
 ///
 /// This is a *paper-testbed* calibration constant, not a property of this
 /// repository's hash implementation: the reproduction must mine at the
-/// paper's rate regardless of how fast the local `sha256d` is. The local
-/// cost is measured by the `fig6_mining` bench and recorded in
-/// `results/BENCH_hashpath.json`; convert a measured per-attempt time to a
-/// model constant with [`cycles_per_hash`]. For scale, the pre-overhaul
+/// paper's rate regardless of how fast the local `sha256d` is. Convert a
+/// measured per-attempt time to a model constant with
+/// [`cycles_per_hash`]. For scale, the pre-overhaul
 /// software loop measured ≈928 ns/attempt (≈3 700 cycles at 4 GHz, close to
 /// this default), while the midstate + SHA-NI loop measures ≈140 ns/attempt,
 /// 6.6× cheaper — see EXPERIMENTS.md.
@@ -30,9 +29,8 @@ pub const DEFAULT_CYCLES_PER_HASH: u64 = 4_210;
 /// given CPU capacity: `cycles = capacity_hz · ns_per_hash / 1e9`, floored
 /// at 1 cycle.
 ///
-/// Use this to re-derive a [`Miner`] cost from `fig6_mining` bench output
-/// (`median_ns / throughput_per_iter` of the `sha256d_mining_loop_1k`
-/// record).
+/// Use this to re-derive a [`Miner`] cost from a measured per-attempt
+/// time of the local mining loop.
 pub fn cycles_per_hash(capacity_hz: u64, ns_per_hash: f64) -> u64 {
     let cycles = (capacity_hz as f64 * ns_per_hash / 1e9).round();
     (cycles as u64).max(1)

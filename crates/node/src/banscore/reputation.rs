@@ -790,6 +790,7 @@ mod tests {
         assert_eq!(e.tier(until, &p), Tier::Probation);
         // The settled score is clamped to the probation boundary.
         let o = e.on_message(until, p);
+        assert!(o.deliver, "served sentence still rate-limited");
         assert_eq!(o.from, Tier::Probation);
         assert!(e.score(until, &p) <= e.config().probation_threshold);
     }

@@ -25,7 +25,7 @@ use btc_wire::message::Message;
 /// this repository's hash implementation: the pre-overhaul local software
 /// hash measured ≈20 cycles/byte (`wire/crypto sha256d_1000B`, 5 131 ns/kB)
 /// — the same order as this constant — while the SHA-NI path measures
-/// ≈3 cycles/byte (821 ns/kB; see `results/BENCH_hashpath.json`). Use
+/// ≈3 cycles/byte (821 ns/kB; see EXPERIMENTS.md, "Hash path"). Use
 /// [`checksum_cycles_per_byte`] to re-derive the constant from a measured
 /// bulk-hash throughput when modeling different victim hardware.
 pub const CHECKSUM_CYCLES_PER_BYTE: u64 = 15;
@@ -34,8 +34,8 @@ pub const CHECKSUM_CYCLES_PER_BYTE: u64 = 15;
 /// model's cycles/byte at a given CPU capacity, floored at 1 — the
 /// checksum-path analogue of [`btc_netsim::cpu::cycles_per_hash`].
 ///
-/// Feed it `median_ns / bytes` of a `wire/crypto sha256d_*B` record from
-/// `results/BENCH_hashpath.json`.
+/// Feed it `1e3 / wire.checksum_mb_per_s` from a traced run of the bench
+/// spine (`benchmark/`).
 pub fn checksum_cycles_per_byte(capacity_hz: u64, ns_per_byte: f64) -> u64 {
     let cycles = (capacity_hz as f64 * ns_per_byte / 1e9).round();
     (cycles as u64).max(1)

@@ -81,12 +81,15 @@ fn split_chunks(g: &mut Gen, stream: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// The drain loop the zero-copy path replaced: a growing `Vec<u8>` with an
-/// O(k) tail copy per frame, cleared on a framing error.
-fn reference_drain(buf: &mut Vec<u8>, out: &mut Vec<RawMessage>) {
+/// O(k) tail copy per frame, cleared on a framing error. Returns the bytes
+/// those tail copies moved.
+fn reference_drain(buf: &mut Vec<u8>, out: &mut Vec<RawMessage>) -> u64 {
+    let mut moved = 0;
     loop {
         match read_frame(Network::Regtest, buf) {
             Ok(FrameResult::Frame { raw, consumed }) => {
                 out.push(raw);
+                moved += (buf.len() - consumed) as u64;
                 *buf = buf[consumed..].to_vec();
             }
             Ok(FrameResult::Incomplete) => break,
@@ -96,6 +99,29 @@ fn reference_drain(buf: &mut Vec<u8>, out: &mut Vec<RawMessage>) {
             }
         }
     }
+    moved
+}
+
+/// Feeds `chunks` through [`FrameAssembler`] and [`reference_drain`] side by
+/// side, asserts both yield the same frames and residual, and returns
+/// (frames, bytes the assembler memmoved, bytes the old drain moved).
+fn drain_both<'a>(chunks: impl IntoIterator<Item = &'a [u8]>, what: &str) -> (usize, u64, u64) {
+    let mut asm = FrameAssembler::new(Network::Regtest);
+    let mut refbuf: Vec<u8> = Vec::new();
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    let mut old_moved = 0;
+    for chunk in chunks {
+        asm.push(chunk);
+        while let Some(raw) = asm.next_frame() {
+            got.push(raw);
+        }
+        refbuf.extend_from_slice(chunk);
+        old_moved += reference_drain(&mut refbuf, &mut want);
+    }
+    assert_eq!(got, want, "{what}");
+    assert_eq!(asm.buffered(), refbuf.len(), "{what}: residual bytes diverged");
+    (got.len(), asm.bytes_memmoved(), old_moved)
 }
 
 #[test]
@@ -107,21 +133,32 @@ fn assembler_matches_reference_drain_under_fuzzed_chunking() {
             .enumerate()
             .flat_map(|(i, &k)| segment(k, i as u64))
             .collect();
-        let mut asm = FrameAssembler::new(Network::Regtest);
-        let mut refbuf: Vec<u8> = Vec::new();
-        let mut got = Vec::new();
-        let mut want = Vec::new();
-        for chunk in split_chunks(g, &stream) {
-            asm.push(&chunk);
-            while let Some(raw) = asm.next_frame() {
-                got.push(raw);
-            }
-            refbuf.extend_from_slice(&chunk);
-            reference_drain(&mut refbuf, &mut want);
-        }
-        assert_eq!(got, want, "kinds {kinds:?}");
-        assert_eq!(asm.buffered(), refbuf.len(), "residual bytes diverged");
+        let chunks = split_chunks(g, &stream);
+        drain_both(
+            chunks.iter().map(Vec::as_slice),
+            &format!("kinds {kinds:?}"),
+        );
     });
+}
+
+#[test]
+fn assembler_memmoves_at_most_half_of_the_reference_drain() {
+    // Multi-frame bursts delivered in MSS-sized chunks, so frames straddle
+    // delivery boundaries — the case the old drain's per-frame tail copy
+    // made quadratic. Both byte counts are deterministic.
+    const MSS: usize = 1460;
+    let ping_flood: Vec<u8> = (0..256).flat_map(|i| segment(Kind::Ping, i)).collect();
+    let mixed: Vec<u8> = (0..192)
+        .flat_map(|i| segment(if i % 3 == 0 { Kind::Addr } else { Kind::Ping }, i))
+        .collect();
+    for (name, frames, stream) in [("ping flood", 256, ping_flood), ("mixed sizes", 192, mixed)] {
+        let (got, moved, old_moved) = drain_both(stream.chunks(MSS), name);
+        assert_eq!(got, frames, "{name}");
+        assert!(
+            moved * 2 <= old_moved,
+            "{name}: {moved} bytes memmoved vs {old_moved} by the old drain"
+        );
+    }
 }
 
 /// Dials the node and sends a fixed byte stream, one chunk per millisecond

@@ -378,7 +378,7 @@ impl RecvBuffer {
     /// Total bytes moved by compactions and rebuilds — the buffer-management
     /// cost beyond the unavoidable ingest copy. The old `Vec` + per-frame
     /// tail-`to_vec` path moved O(k²) bytes per k-frame burst; this counter
-    /// is what BENCH_msgpath compares against that.
+    /// is what `crates/node/tests/recv_path.rs` compares against that.
     pub fn bytes_memmoved(&self) -> u64 {
         self.bytes_memmoved
     }
