@@ -14,7 +14,6 @@ use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
 use btc_detect::engine::AnalysisEngine;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 use btc_node::node::NodeConfig;
 
@@ -38,17 +37,13 @@ fn threshold_sweep(jobs: usize) {
             },
             ..TestbedConfig::default()
         });
-        tb.sim.add_host(
-            addrs::ATTACKER,
-            Box::new(Flooder::new(FloodConfig {
-                target: tb.target_addr,
-                payload: FloodPayload::DuplicateVersion,
-                reconnect_on_ban: true,
-                sybil_port_start: 50_000,
-                ..FloodConfig::default()
-            })),
-            HostConfig::default(),
-        );
+        tb.add_attacker(Flooder::new(FloodConfig {
+            target: tb.target_addr,
+            payload: FloodPayload::DuplicateVersion,
+            reconnect_on_ban: true,
+            sybil_port_start: 50_000,
+            ..FloodConfig::default()
+        }));
         tb.sim.run_for(5 * SECS);
         let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
         let msgs = attacker.stats.bans.first().map(|b| b.messages).unwrap_or(0);
@@ -78,19 +73,15 @@ fn check_order() {
             },
             ..TestbedConfig::default()
         });
-        tb.sim.add_host(
-            addrs::ATTACKER,
-            Box::new(Flooder::new(FloodConfig {
-                target: tb.target_addr,
-                payload: FloodPayload::BogusChecksumBlock {
-                    payload_bytes: 50_000,
-                },
-                reconnect_on_ban: true,
-                sybil_port_start: 50_000,
-                ..FloodConfig::default()
-            })),
-            HostConfig::default(),
-        );
+        tb.add_attacker(Flooder::new(FloodConfig {
+            target: tb.target_addr,
+            payload: FloodPayload::BogusChecksumBlock {
+                payload_bytes: 50_000,
+            },
+            reconnect_on_ban: true,
+            sybil_port_start: 50_000,
+            ..FloodConfig::default()
+        }));
         tb.sim.run_for(5 * SECS);
         let node = tb.target_node();
         let note = if points.is_some() {
@@ -187,18 +178,14 @@ fn reconnect_pacing(jobs: usize) {
             feeders: 0,
             ..TestbedConfig::default()
         });
-        tb.sim.add_host(
-            addrs::ATTACKER,
-            Box::new(Flooder::new(FloodConfig {
-                target: tb.target_addr,
-                payload: FloodPayload::DuplicateVersion,
-                reconnect_on_ban: true,
-                sybil_port_start: 50_000,
-                connect_setup_delay: delay,
-                ..FloodConfig::default()
-            })),
-            HostConfig::default(),
-        );
+        tb.add_attacker(Flooder::new(FloodConfig {
+            target: tb.target_addr,
+            payload: FloodPayload::DuplicateVersion,
+            reconnect_on_ban: true,
+            sybil_port_start: 50_000,
+            connect_setup_delay: delay,
+            ..FloodConfig::default()
+        }));
         tb.sim.run_for(5 * SECS);
         let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
         (name, attacker.stats.bans.len())

@@ -2,9 +2,8 @@
 //! forgoing the ban score (threshold → ∞ or fully disabled), the
 //! good-score mechanism, and the authentication-overhead estimate.
 
-use crate::testbed::{addrs, Testbed, TestbedConfig};
+use crate::testbed::{addrs, Case, Testbed, TestbedConfig};
 use btc_attack::defamation::PostConnDefamer;
-use btc_netsim::sim::{HostConfig, TapFilter};
 use btc_netsim::time::{MILLIS, SECS};
 use btc_node::banscore::BanPolicy;
 use btc_node::chain::mine_child;
@@ -45,14 +44,10 @@ fn run_defamation_under(
     let innocent_ip = tb.innocent_ips[0];
     // The attacker sniffs from the start (same-LAN promiscuous mode), but
     // under good-score it waits until the innocent has earned credit.
-    let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
-    let mut defamer = PostConnDefamer::new(tb.target_addr, vec![innocent_ip], tap);
-    defamer.poll = 50 * MILLIS;
+    tb.attack(Case::Defamation { poll: 50 * MILLIS });
     if good_score {
+        let defamer: &mut PostConnDefamer = tb.sim.app_mut(addrs::ATTACKER).expect("defamer");
         defamer.start_after = 6 * SECS;
-    }
-    tb.sim.add_host(addrs::ATTACKER, Box::new(defamer), HostConfig::default());
-    if good_score {
         // Let the innocent earn credit by relaying one valid block.
         tb.sim.run_for(2 * SECS);
         let innocent: &mut btc_node::Node = tb.sim.app_mut(innocent_ip).expect("innocent node");

@@ -6,10 +6,9 @@
 //! on the victim"*.
 
 use crate::contention::ContentionModel;
-use crate::testbed::{addrs, Testbed, TestbedConfig};
+use crate::testbed::{addrs, train_profile, Testbed, TestbedConfig, SETTLE};
 use btc_attack::evasive::{EvasiveConfig, EvasiveFlooder};
 use btc_detect::engine::{AnalysisEngine, Profile};
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{as_secs_f64, Nanos, MINUTES};
 
 /// One evasion operating point.
@@ -73,22 +72,17 @@ pub fn run_point(
     profile: &Profile,
     model: &ContentionModel,
 ) -> EvasionPoint {
-    let settle = MINUTES;
     let mut tb = Testbed::build(TestbedConfig {
         seed: 100 + index as u64,
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(EvasiveFlooder::new(EvasiveConfig::stealthy(
-            tb.target_addr,
-            rate,
-            cfg.attack_weight,
-        ))),
-        HostConfig::default(),
-    );
-    tb.sim.run_for(settle + cfg.test);
-    let window = tb.single_window(settle, settle + cfg.test);
+    tb.add_attacker(EvasiveFlooder::new(EvasiveConfig::stealthy(
+        tb.target_addr,
+        rate,
+        cfg.attack_weight,
+    )));
+    tb.sim.run_for(SETTLE + cfg.test);
+    let window = tb.single_window(SETTLE, SETTLE + cfg.test);
     let detection = engine.detect(profile, &window);
     let attacker: &EvasiveFlooder = tb.sim.app(addrs::ATTACKER).expect("evasive flooder");
     let secs = as_secs_f64(cfg.test);
@@ -118,15 +112,11 @@ pub fn run_evasion_jobs(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) 
     let engine = AnalysisEngine::default();
     let model = ContentionModel::default();
     // Train on clean traffic.
-    let mut tb = Testbed::build(TestbedConfig {
+    let clean = TestbedConfig {
         seed: 11,
         ..TestbedConfig::default()
-    });
-    tb.sim.run_for(cfg.train);
-    let settle = MINUTES;
-    let profile = engine
-        .train(&tb.windows(settle, cfg.train, cfg.window))
-        .expect("training windows");
+    };
+    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
     let indexed: Vec<(usize, f64)> = rates_per_min.iter().copied().enumerate().collect();
     let points = btc_par::par_map(jobs, indexed, |(i, rate)| {
         run_point(i, rate, &cfg, &engine, &profile, &model)

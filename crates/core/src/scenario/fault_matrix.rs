@@ -27,16 +27,14 @@
 //! (handshake/ping timeouts, reconnection backoff), so the churn dimension
 //! exercises the eviction-and-redial machinery end to end.
 
-use crate::testbed::{addrs, Testbed, TestbedConfig};
-use btc_attack::defamation::PostConnDefamer;
-use btc_attack::flood::{FloodConfig, Flooder};
-use btc_attack::payload::FloodPayload;
+use crate::testbed::{
+    churn_plan, first_alarm_s, hardened_node, train_profile, Case, Testbed, TestbedConfig,
+    PACED_POLL, SETTLE,
+};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
-use btc_detect::features::{correlation, TrafficWindow};
-use btc_netsim::faults::{FaultPlan, FaultStats, LinkFaults};
-use btc_netsim::sim::{HostConfig, TapFilter};
+use btc_detect::features::correlation;
+use btc_netsim::faults::{FaultStats, LinkFaults};
 use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
-use btc_node::node::NodeConfig;
 
 /// One grid point of the sweep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -66,6 +64,30 @@ impl FaultPoint {
             self.jitter / MILLIS,
             self.churn_fpm
         )
+    }
+
+    /// The sweep's bed at this point: the hardened target dialing two of
+    /// `innocents`, three feeders, this point's link faults, and its honest
+    /// churn — `churn_fpm` flaps per minute over the measured span. Each
+    /// flap outlasts a full keepalive round, so the connection either
+    /// aborts on retransmission timeout or is evicted by the ping timeout —
+    /// both produce an honest reconnection. Shared with the `reputation`
+    /// sweep.
+    pub(crate) fn bed(&self, innocents: usize, seed: u64, test: Nanos) -> TestbedConfig {
+        let period = (60 * SECS).checked_div(u64::from(self.churn_fpm)).unwrap_or(0);
+        TestbedConfig {
+            node: hardened_node(),
+            innocents,
+            target_outbound: 2,
+            seed,
+            faults: LinkFaults {
+                loss: self.loss,
+                jitter: self.jitter,
+                ..LinkFaults::NONE
+            },
+            fault_plan: churn_plan(SETTLE, period, 12 * SECS, innocents, SETTLE + test),
+            ..TestbedConfig::default()
+        }
     }
 }
 
@@ -213,149 +235,40 @@ impl FaultMatrixResult {
 }
 
 /// The evaluated traffic cases, in presentation order.
-const CASES: [&str; 3] = ["normal", "bm-dos", "defamation"];
+const CASES: [Case; 3] = [
+    Case::Normal,
+    Case::PingFlood { sybil: true },
+    Case::Defamation { poll: PACED_POLL },
+];
 
-const SETTLE: Nanos = MINUTES;
-
-/// The hardened target: the resilience knobs are on, so flapped peers are
-/// detected (ping timeout), evicted and replaced (with backoff) — the
-/// honest-churn signal of the sweep.
-fn hardened_node() -> NodeConfig {
-    NodeConfig {
-        ping_interval: 10 * SECS,
-        ping_timeout: 20 * SECS,
-        handshake_timeout: 30 * SECS,
-        reconnect_backoff_base: 500 * MILLIS,
-        reconnect_backoff_cap: 8 * SECS,
-        ..NodeConfig::default()
-    }
-}
-
-/// Schedules `fpm` flaps per minute over the measured span, cycling
-/// through the first few innocents (the pool the target dials from). Each
-/// flap outlasts a full keepalive round, so the connection either aborts
-/// on retransmission timeout or is evicted by the ping timeout — both
-/// produce an honest reconnection.
-fn churn_plan(fpm: u32, innocents: usize, test: Nanos) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    if fpm == 0 || innocents == 0 {
-        return plan;
-    }
-    let period = 60 * SECS / u64::from(fpm);
-    let down = 12 * SECS;
-    let mut t = SETTLE;
-    let mut i = 0usize;
-    while t + down < SETTLE + test {
-        plan = plan.with(
-            t,
-            t + down,
-            btc_netsim::faults::FaultKind::HostDown(addrs::innocent(i % innocents)),
-        );
-        t += period;
-        i += 1;
-    }
-    plan
-}
-
-/// Everything one simulated case reduces to (plain data, so the run can
-/// execute on a worker thread).
-struct CaseData {
-    aggregate: TrafficWindow,
-    windows: Vec<TrafficWindow>,
-    fault_stats: FaultStats,
-    retransmits: u64,
-}
-
-fn run_case(name: &str, point: FaultPoint, cfg: &FaultMatrixConfig) -> CaseData {
-    // The same per-case seeds as Figure 10, at every grid point: the
-    // application-visible randomness is identical across the grid (the
-    // fault layer draws from its own stream), so drift is attributable to
-    // the faults alone.
-    let seed = match name {
-        "normal" => 2,
-        "bm-dos" => 3,
-        "defamation" => 4,
-        other => panic!("unknown case {other}"),
-    };
-    let faults = LinkFaults {
-        loss: point.loss,
-        jitter: point.jitter,
-        ..LinkFaults::NONE
-    };
-    let mut tb = Testbed::build(TestbedConfig {
-        node: hardened_node(),
-        feeders: 3,
-        innocents: cfg.innocents,
-        target_outbound: 2,
-        seed,
-        faults,
-        fault_plan: churn_plan(point.churn_fpm, cfg.innocents, cfg.test),
-    });
-    match name {
-        "normal" => {}
-        "bm-dos" => {
-            tb.sim.add_host(
-                addrs::ATTACKER,
-                Box::new(Flooder::new(FloodConfig {
-                    target: tb.target_addr,
-                    payload: FloodPayload::Ping,
-                    // The hardened target evicts the never-ponging flooder
-                    // on ping timeout; a real attacker just dials back, so
-                    // the flood survives the hardening (what the sweep
-                    // measures is the *detector* under faults).
-                    reconnect_on_ban: true,
-                    sybil_port_start: 50_000,
-                    ..FloodConfig::default()
-                })),
-                HostConfig::default(),
-            );
-        }
-        "defamation" => {
-            let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
-            let victim_ips = tb.innocent_ips.clone();
-            let mut defamer = PostConnDefamer::new(tb.target_addr, victim_ips, tap);
-            defamer.poll = 20 * SECS;
-            tb.sim.add_host(addrs::ATTACKER, Box::new(defamer), HostConfig::default());
-        }
-        other => panic!("unknown case {other}"),
-    }
-    tb.sim.run_for(SETTLE + cfg.test);
+/// Runs one case at one grid point and judges it against the (shared,
+/// immutable) clean profile — plain data out, so it can execute on a
+/// worker thread.
+fn run_case(
+    case: Case,
+    point: FaultPoint,
+    cfg: &FaultMatrixConfig,
+    engine: &AnalysisEngine,
+    profile: &Profile,
+) -> FaultCase {
+    let mut tb = Testbed::build(point.bed(cfg.innocents, case.seed(), cfg.test));
+    tb.attack(case);
+    let end = SETTLE + cfg.test;
+    tb.sim.run_for(end);
     let retransmits: u64 = std::iter::once(tb.target)
         .chain(tb.innocent_ips.iter().copied())
         .chain(tb.feeder_ips.iter().copied())
         .map(|ip| tb.sim.host_tcp_drops(ip).retransmits)
         .sum();
-    CaseData {
-        aggregate: tb.single_window(SETTLE, SETTLE + cfg.test),
-        windows: tb.windows(SETTLE, SETTLE + cfg.test, cfg.window),
+    let aggregate = tb.single_window(SETTLE, end);
+    let windows = tb.windows(SETTLE, end, cfg.window);
+    FaultCase {
+        name: case.name(),
+        detection: engine.detect(profile, &aggregate),
+        rho: correlation(&aggregate.distribution(), &profile.reference),
+        latency_s: first_alarm_s(engine, profile, &windows, cfg.window),
         fault_stats: tb.sim.fault_stats(),
         retransmits,
-    }
-}
-
-fn reduce_case(
-    name: &'static str,
-    data: CaseData,
-    engine: &AnalysisEngine,
-    profile: &Profile,
-    window_len: Nanos,
-) -> FaultCase {
-    let detection = engine.detect(profile, &data.aggregate);
-    let rho = correlation(&data.aggregate.distribution(), &profile.reference);
-    let latency_s = data
-        .windows
-        .iter()
-        .position(|w| engine.detect(profile, w).anomalous)
-        .map_or(f64::NAN, |i| {
-            ((i as u64 + 1) * window_len) as f64 / SECS as f64
-        });
-    FaultCase {
-        name,
-        detection,
-        rho,
-        latency_s,
-        fault_stats: data.fault_stats,
-        retransmits: data.retransmits,
     }
 }
 
@@ -372,25 +285,17 @@ pub fn run_fault_matrix_jobs(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatri
     // Train once, on clean traffic over the same topology — the deployed
     // detector has never seen the degraded network.
     let engine = AnalysisEngine::default();
-    let mut tb = Testbed::build(TestbedConfig {
-        node: hardened_node(),
-        feeders: 3,
-        innocents: cfg.innocents,
-        target_outbound: 2,
-        seed: 1,
-        ..TestbedConfig::default()
-    });
-    tb.sim.run_for(cfg.train);
-    let profile = engine
-        .train(&tb.windows(SETTLE, cfg.train, cfg.window))
-        .expect("training windows");
+    let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
+    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
 
-    let pairs: Vec<(FaultPoint, &'static str)> = cfg
+    let pairs: Vec<(FaultPoint, Case)> = cfg
         .grid
         .iter()
         .flat_map(|p| CASES.iter().map(move |c| (*p, *c)))
         .collect();
-    let runs = btc_par::par_map(jobs, pairs, |(point, case)| run_case(case, point, cfg));
+    let runs = btc_par::par_map(jobs, pairs, |(point, case)| {
+        run_case(case, point, cfg, &engine, &profile)
+    });
     // `par_map` preserves input order, so the runs come back grouped by
     // grid point, cases in `CASES` order.
     let mut it = runs.into_iter();
@@ -399,13 +304,7 @@ pub fn run_fault_matrix_jobs(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatri
         .iter()
         .map(|p| FaultPointResult {
             point: *p,
-            cases: CASES
-                .iter()
-                .map(|name| {
-                    let data = it.next().expect("one run per (point, case) pair");
-                    reduce_case(name, data, &engine, &profile, cfg.window)
-                })
-                .collect(),
+            cases: it.by_ref().take(CASES.len()).collect(),
         })
         .collect();
     FaultMatrixResult { profile, points }

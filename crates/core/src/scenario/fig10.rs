@@ -2,14 +2,10 @@
 //! synthetic-Mainnet traffic, then compare the normal, under-BM-DoS and
 //! under-Defamation message distributions and detection verdicts.
 
-use crate::testbed::{addrs, Testbed, TestbedConfig};
-use btc_attack::defamation::PostConnDefamer;
-use btc_attack::flood::{FloodConfig, Flooder};
-use btc_attack::payload::FloodPayload;
+use crate::testbed::{train_profile, Case, Testbed, TestbedConfig, PACED_POLL, SETTLE};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
 use btc_detect::features::{correlation, TrafficWindow};
-use btc_netsim::sim::{HostConfig, TapFilter};
-use btc_netsim::time::{Nanos, MINUTES, SECS};
+use btc_netsim::time::{Nanos, MINUTES};
 
 /// One evaluated case.
 #[derive(Clone, Debug)]
@@ -59,86 +55,45 @@ impl Default for Fig10Config {
     }
 }
 
-fn normal_testbed(innocents: usize, target_outbound: usize, seed: u64) -> Testbed {
-    Testbed::build(TestbedConfig {
-        feeders: 3,
+fn bed(innocents: usize, target_outbound: usize, seed: u64) -> TestbedConfig {
+    TestbedConfig {
         innocents,
         target_outbound,
         seed,
         ..TestbedConfig::default()
-    })
+    }
 }
 
 /// The evaluated cases in presentation order.
-pub const CASES: [&str; 3] = ["normal", "bm-dos", "defamation"];
-
-/// The settle period every case discards (the handshake minute).
-pub const SETTLE: Nanos = MINUTES;
+pub const CASES: [Case; 3] = [
+    Case::Normal,
+    Case::PingFlood { sybil: false },
+    Case::Defamation { poll: PACED_POLL },
+];
 
 /// Builds and runs one case's testbed for `settle + test` of virtual
 /// time, returning it with the telemetry still inside — the `serve`
 /// scenario replays the same recorded traffic event by event. Each case
 /// has its own fixed seed, so the result is independent of which thread
 /// (or order) runs it.
-///
-/// # Panics
-///
-/// Panics on an unknown case name.
-pub fn run_case_testbed(name: &str, cfg: &Fig10Config) -> Testbed {
-    match name {
-        // Clean test traffic (fresh seed).
-        "normal" => {
-            let mut tb = normal_testbed(0, 0, 2);
-            tb.sim.run_for(SETTLE + cfg.test);
-            tb
-        }
-        // Under BM-DoS (PING flood on top of normal traffic).
-        "bm-dos" => {
-            let mut tb = normal_testbed(0, 0, 3);
-            tb.sim.add_host(
-                addrs::ATTACKER,
-                Box::new(Flooder::new(FloodConfig {
-                    target: tb.target_addr,
-                    payload: FloodPayload::Ping,
-                    ..FloodConfig::default()
-                })),
-                HostConfig::default(),
-            );
-            tb.sim.run_for(SETTLE + cfg.test);
-            tb
-        }
-        // Under Defamation of the target's outbound peers.
-        "defamation" => {
-            let mut tb = normal_testbed(cfg.innocents, 2, 4);
-            let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
-            let victim_ips = tb.innocent_ips.clone();
-            let mut defamer = PostConnDefamer::new(tb.target_addr, victim_ips, tap);
-            // Pace the strikes so the defamation spans the whole measurement
-            // window (each wave hits both live outbound peers): ~6 bans/minute,
-            // the order of the paper's measured c = 5.3/min.
-            defamer.poll = 20 * SECS;
-            tb.sim.add_host(addrs::ATTACKER, Box::new(defamer), HostConfig::default());
-            tb.sim.run_for(SETTLE + cfg.test);
-            tb
-        }
-        other => panic!("unknown case {other}"),
-    }
-}
-
-/// Builds, runs and reduces one case's testbed to its aggregate test
-/// window.
-fn run_case_window(name: &str, cfg: &Fig10Config) -> TrafficWindow {
-    run_case_testbed(name, cfg).single_window(SETTLE, SETTLE + cfg.test)
-}
-
-/// Builds and runs the clean training testbed for `cfg.train` of virtual
-/// time (seed 1 — distinct from every evaluation case). Shared with the
-/// `serve` scenario so the streaming detector trains on the exact same
-/// recorded traffic as the batch engine.
-pub fn run_training_testbed(cfg: &Fig10Config) -> Testbed {
-    let mut tb = normal_testbed(0, 0, 1);
-    tb.sim.run_for(cfg.train);
+pub fn run_case_testbed(case: Case, cfg: &Fig10Config) -> Testbed {
+    // Only Defamation needs outbound peers to defame.
+    let (innocents, target_outbound) = match case {
+        Case::Defamation { .. } => (cfg.innocents, 2),
+        _ => (0, 0),
+    };
+    let mut tb = Testbed::build(bed(innocents, target_outbound, case.seed()));
+    tb.attack(case);
+    tb.sim.run_for(SETTLE + cfg.test);
     tb
+}
+
+/// Trains the node profile on the clean bed for `cfg.train` of virtual
+/// time (seed 1 — distinct from every evaluation case). The bed comes
+/// back too, so the `serve` scenario trains its streaming detector on the
+/// exact same recorded traffic as the batch engine.
+pub fn train(engine: &AnalysisEngine, cfg: &Fig10Config) -> (Profile, Testbed) {
+    train_profile(engine, bed(0, 0, 1), cfg.train, cfg.window)
 }
 
 /// Runs the Figure-10 study.
@@ -150,32 +105,17 @@ pub fn run_fig10(cfg: Fig10Config) -> Fig10Result {
 /// workers (training stays serial — every case depends on the profile).
 pub fn run_fig10_jobs(cfg: Fig10Config, jobs: usize) -> Fig10Result {
     let engine = AnalysisEngine::default();
-    // ---- Training on clean traffic.
-    let tb = run_training_testbed(&cfg);
-    let windows = tb.windows(SETTLE, cfg.train, cfg.window);
-    let profile = engine.train(&windows).expect("training windows");
-
-    let cases = btc_par::par_map(jobs, CASES.to_vec(), |name| {
-        let window = run_case_window(name, &cfg);
-        case(name, &engine, &profile, window)
+    let (profile, _) = train(&engine, &cfg);
+    let cases = btc_par::par_map(jobs, CASES.to_vec(), |c| {
+        let window = run_case_testbed(c, &cfg).single_window(SETTLE, SETTLE + cfg.test);
+        Fig10Case {
+            name: c.name(),
+            rho: correlation(&window.distribution(), &profile.reference),
+            detection: engine.detect(&profile, &window),
+            window,
+        }
     });
     Fig10Result { profile, cases }
-}
-
-fn case(
-    name: &'static str,
-    engine: &AnalysisEngine,
-    profile: &Profile,
-    window: TrafficWindow,
-) -> Fig10Case {
-    let rho = correlation(&window.distribution(), &profile.reference);
-    let detection = engine.detect(profile, &window);
-    Fig10Case {
-        name,
-        window,
-        rho,
-        detection,
-    }
 }
 
 /// Renders the Figure-10 study as text.

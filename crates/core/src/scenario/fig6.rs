@@ -11,7 +11,6 @@ use crate::contention::ContentionModel;
 use crate::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{as_secs_f64, SECS};
 
 /// Size of the bogus `BLOCK` junk payload (the paper does not state its
@@ -96,16 +95,12 @@ pub fn run_point(cfg: Fig6PointCfg, model: &ContentionModel) -> Fig6Point {
         feeders: 0, // the flood dwarfs background traffic
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload,
-            connections,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload,
+        connections,
+        ..FloodConfig::default()
+    }));
     let duration = duration_secs * SECS;
     tb.sim.run_for(duration);
     let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");

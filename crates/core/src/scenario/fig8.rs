@@ -6,7 +6,6 @@
 use crate::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{Nanos, MILLIS, SECS};
 use btc_wire::constants::DEFAULT_BANSCORE_THRESHOLD;
 
@@ -34,10 +33,9 @@ pub struct Fig8Result {
     pub full_ip_minutes: f64,
 }
 
-/// One pacing's measurements, reduced to plain data. The simulator (which
-/// holds `Rc` tap handles and boxed apps, and is therefore not `Send`) is
-/// built *and* consumed inside [`run_point`], so runs can execute on
-/// worker threads.
+/// One pacing's measurements, reduced to plain data. The simulator is
+/// built *and* consumed inside [`run_point`] — nothing simulator-shaped
+/// crosses a thread boundary — so runs can execute on worker threads.
 #[derive(Clone, Debug)]
 pub struct Fig8Run {
     /// Mean seconds from flood start to ban.
@@ -57,19 +55,15 @@ pub fn run_point(extra_interval: Nanos, duration_secs: u64) -> Fig8Run {
         feeders: 0,
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::DuplicateVersion,
-            reconnect_on_ban: true,
-            sybil_port_start: 50_000,
-            connect_setup_delay: 200 * MILLIS,
-            extra_interval,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::DuplicateVersion,
+        reconnect_on_ban: true,
+        sybil_port_start: 50_000,
+        connect_setup_delay: 200 * MILLIS,
+        extra_interval,
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(duration_secs * SECS);
     let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
     let time_to_ban = attacker.mean_time_to_ban().unwrap_or(f64::NAN);

@@ -32,24 +32,55 @@
 //! is byte-identical for any `N`.
 
 use crate::scenario::fault_matrix::FaultPoint;
-use crate::scenario::swarm::{swarm_ip, SwarmPinger};
-use crate::testbed::{addrs, Testbed, TestbedConfig};
-use btc_attack::defamation::PostConnDefamer;
-use btc_attack::flood::{FloodConfig, Flooder};
-use btc_attack::payload::FloodPayload;
+use crate::scenario::swarm::{SwarmBed, SwarmSpec};
+use crate::testbed::{
+    first_alarm_s, hardened_node, train_profile, Case, Testbed, TestbedConfig, PACED_POLL, SETTLE,
+};
 use btc_detect::engine::{AnalysisEngine, Profile};
-use btc_detect::features::TrafficWindow;
-use btc_netsim::faults::{FaultKind, FaultPlan};
 use btc_netsim::packet::{Ipv4, SockAddr};
-use btc_netsim::shard::{ShardConfig, ShardedSim};
-use btc_netsim::sim::{HostConfig, TapFilter};
-use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
+use btc_netsim::time::{Nanos, MINUTES, SECS};
 use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_node::Tier;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// One compared policy — a row label of the sweep, not a node knob: the
+/// detector *observes* a stock node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Policy {
+    /// Table-I points, 100 → 24 h hard ban.
+    Stock,
+    /// A stock node whose telemetry the §VII detector evaluates.
+    Detector,
+    /// The trust-tier reputation engine.
+    TrustTiers,
+}
+
 /// The compared policies, in presentation order.
-pub const POLICIES: [&str; 3] = ["stock", "detector", "trust-tiers"];
+pub const POLICIES: [Policy; 3] = [Policy::Stock, Policy::Detector, Policy::TrustTiers];
+
+impl Policy {
+    /// Stable row label: `stock`, `detector` or `trust-tiers`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Policy::Stock => "stock",
+            Policy::Detector => "detector",
+            Policy::TrustTiers => "trust-tiers",
+        }
+    }
+
+    /// The hardened target (same resilience knobs as the fault-matrix
+    /// sweep, so the churn dimension exercises eviction and redial) under
+    /// this policy.
+    fn node(self) -> NodeConfig {
+        NodeConfig {
+            peer_policy: match self {
+                Policy::Stock | Policy::Detector => PeerPolicy::Stock,
+                Policy::TrustTiers => PeerPolicy::TrustTiers,
+            },
+            ..hardened_node()
+        }
+    }
+}
 
 /// One attack/traffic case of the sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,6 +111,29 @@ impl SweepCase {
             SweepCase::BmDos => 3,
             SweepCase::Defamation => 4,
             SweepCase::Churn(fpm) => 100 + u64::from(*fpm),
+        }
+    }
+
+    /// The traffic case on the bed (churn is clean traffic under a flap
+    /// plan).
+    fn traffic(&self) -> Case {
+        match self {
+            SweepCase::BmDos => Case::PingFlood { sybil: true },
+            SweepCase::Defamation => Case::Defamation { poll: PACED_POLL },
+            SweepCase::Churn(_) => Case::Normal,
+        }
+    }
+
+    /// The fault-matrix grid point the case runs at: clean links, and
+    /// honest churn at the case's rate.
+    fn point(&self) -> FaultPoint {
+        let churn_fpm = match self {
+            SweepCase::Churn(fpm) => *fpm,
+            _ => 0,
+        };
+        FaultPoint {
+            churn_fpm,
+            ..FaultPoint::CLEAN
         }
     }
 }
@@ -170,7 +224,7 @@ impl ReputationSweepConfig {
 /// One `(policy, case)` row of the sweep.
 #[derive(Clone, Debug)]
 pub struct PolicyCaseRow {
-    /// One of [`POLICIES`].
+    /// A [`Policy::label`].
     pub policy: &'static str,
     /// The case label.
     pub case: String,
@@ -257,62 +311,6 @@ impl ReputationResult {
     }
 }
 
-const SETTLE: Nanos = MINUTES;
-
-/// The hardened target (same resilience knobs as the fault-matrix sweep,
-/// so the churn dimension exercises eviction and redial) under the given
-/// policy.
-fn node_for(policy: &str) -> NodeConfig {
-    NodeConfig {
-        ping_interval: 10 * SECS,
-        ping_timeout: 20 * SECS,
-        handshake_timeout: 30 * SECS,
-        reconnect_backoff_base: 500 * MILLIS,
-        reconnect_backoff_cap: 8 * SECS,
-        peer_policy: match policy {
-            "stock" => PeerPolicy::Stock,
-            "detector" => PeerPolicy::Detector,
-            "trust-tiers" => PeerPolicy::TrustTiers,
-            other => panic!("unknown policy {other}"),
-        },
-        ..NodeConfig::default()
-    }
-}
-
-/// Schedules `fpm` flaps per minute over the measured span (the
-/// fault-matrix churn plan).
-fn churn_plan(fpm: u32, innocents: usize, test: Nanos) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    if fpm == 0 || innocents == 0 {
-        return plan;
-    }
-    let period = 60 * SECS / u64::from(fpm);
-    let down = 12 * SECS;
-    let mut t = SETTLE;
-    let mut i = 0usize;
-    while t + down < SETTLE + test {
-        plan = plan.with(t, t + down, FaultKind::HostDown(addrs::innocent(i % innocents)));
-        t += period;
-        i += 1;
-    }
-    plan
-}
-
-/// Everything one simulated `(policy, case)` run reduces to (plain data,
-/// so the run can execute on a worker thread).
-struct CaseData {
-    bans: u64,
-    graylists: u64,
-    graylist_dropped: u64,
-    tier_changes: u64,
-    innocents_excluded: usize,
-    recovery_s: f64,
-    target_msgs: u64,
-    outbound_at_end: usize,
-    aggregate: TrafficWindow,
-    windows: Vec<TrafficWindow>,
-}
-
 /// Mean seconds an excluded innocent identifier stays out of service.
 ///
 /// Stock: every innocent in the ban log is out for the full ban duration
@@ -358,58 +356,40 @@ fn innocent_exclusion(node: &Node, innocent_ips: &BTreeSet<Ipv4>) -> (usize, f64
     (excluded.len(), mean)
 }
 
-fn run_case(policy: &'static str, case: SweepCase, cfg: &ReputationSweepConfig) -> CaseData {
-    let fault_plan = match case {
-        SweepCase::Churn(fpm) => churn_plan(fpm, cfg.innocents, cfg.test),
-        _ => FaultPlan::none(),
-    };
+/// Runs one `(policy, case)` pair and judges it against the (shared,
+/// immutable) clean profile — plain data out, so it can execute on a
+/// worker thread.
+fn run_case(
+    policy: Policy,
+    case: SweepCase,
+    cfg: &ReputationSweepConfig,
+    engine: &AnalysisEngine,
+    profile: &Profile,
+) -> PolicyCaseRow {
     let mut tb = Testbed::build(TestbedConfig {
-        node: node_for(policy),
-        feeders: 3,
-        innocents: cfg.innocents,
-        target_outbound: 2,
-        seed: case.seed(),
-        fault_plan,
-        ..TestbedConfig::default()
+        node: policy.node(),
+        ..case.point().bed(cfg.innocents, case.seed(), cfg.test)
     });
-    match case {
-        SweepCase::BmDos => {
-            tb.sim.add_host(
-                addrs::ATTACKER,
-                Box::new(Flooder::new(FloodConfig {
-                    target: tb.target_addr,
-                    payload: FloodPayload::Ping,
-                    reconnect_on_ban: true,
-                    sybil_port_start: 50_000,
-                    ..FloodConfig::default()
-                })),
-                HostConfig::default(),
-            );
-        }
-        SweepCase::Defamation => {
-            let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
-            let victim_ips = tb.innocent_ips.clone();
-            let mut defamer = PostConnDefamer::new(tb.target_addr, victim_ips, tap);
-            defamer.poll = 20 * SECS;
-            tb.sim.add_host(addrs::ATTACKER, Box::new(defamer), HostConfig::default());
-        }
-        SweepCase::Churn(_) => {}
-    }
-    tb.sim.run_for(SETTLE + cfg.test);
+    tb.attack(case.traffic());
+    let end = SETTLE + cfg.test;
+    tb.sim.run_for(end);
     let innocent_ips: BTreeSet<Ipv4> = tb.innocent_ips.iter().copied().collect();
     let node = tb.target_node();
     let (innocents_excluded, recovery_s) = innocent_exclusion(node, &innocent_ips);
-    CaseData {
+    let windows = tb.windows(SETTLE, end, cfg.window);
+    PolicyCaseRow {
+        policy: policy.label(),
+        case: case.label(),
         bans: node.telemetry.bans,
         graylists: node.telemetry.graylists,
         graylist_dropped: node.telemetry.graylist_dropped,
         tier_changes: node.telemetry.tier_changes.len() as u64,
         innocents_excluded,
         recovery_s,
+        detected: engine.detect(profile, &tb.single_window(SETTLE, end)).anomalous,
+        latency_s: first_alarm_s(engine, profile, &windows, cfg.window),
         target_msgs: node.telemetry.messages.len() as u64,
         outbound_at_end: node.outbound_count(),
-        aggregate: tb.single_window(SETTLE, SETTLE + cfg.test),
-        windows: tb.windows(SETTLE, SETTLE + cfg.test, cfg.window),
     }
 }
 
@@ -421,95 +401,36 @@ fn run_case(policy: &'static str, case: SweepCase, cfg: &ReputationSweepConfig) 
 ///
 /// Panics when the target host is missing (it never is).
 pub fn run_swarm_tiers(spec: &SwarmTierSpec) -> SwarmTierOutcome {
-    let mut sim = ShardedSim::new(ShardConfig {
+    let swarm = SwarmSpec {
+        case: "bm-dos",
+        swarm_hosts: spec.swarm_hosts,
         regions: spec.regions,
         workers: spec.workers,
+        dur: spec.dur,
+        innocents: spec.innocents,
         seed: spec.seed,
-        ..ShardConfig::default()
-    });
-    let mut hosts = 0usize;
-    let innocent_ips: Vec<Ipv4> = (0..spec.innocents).map(addrs::innocent).collect();
-    for ip in &innocent_ips {
-        sim.add_host_pinned(*ip, Box::new(Node::new(NodeConfig::default())), HostConfig::default(), 0);
-        hosts += 1;
-    }
-    let mut node_cfg = node_for("trust-tiers");
-    node_cfg.target_outbound = 2.min(spec.innocents);
-    node_cfg.outbound_targets = innocent_ips.iter().map(|ip| SockAddr::new(*ip, 8333)).collect();
-    let target_addr = SockAddr::new(addrs::TARGET, node_cfg.listen_port);
-    sim.add_host_pinned(addrs::TARGET, Box::new(Node::new(node_cfg)), HostConfig::default(), 0);
-    hosts += 1;
-    sim.add_host_pinned(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: target_addr,
-            payload: FloodPayload::Ping,
-            reconnect_on_ban: true,
-            sybil_port_start: 50_000,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-        0,
-    );
-    hosts += 1;
-    let n = spec.swarm_hosts;
-    for i in 0..n {
-        let targets = [swarm_ip((i + 1) % n), swarm_ip((i * 7 + 3) % n)];
-        let period = 250 * MILLIS + (i as u64 % 64) * 25 * MILLIS;
-        sim.add_host(
-            swarm_ip(i),
-            Box::new(SwarmPinger {
-                targets,
-                period,
-                next: 0,
-                replies: 0,
-            }),
-            HostConfig::default(),
-        );
-        hosts += 1;
-    }
-    sim.run_for(spec.dur);
-
-    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x100_0000_01B3);
-    let (target_msgs, bans, graylists, graylist_dropped, tier_changes) = {
-        let node: &Node = sim.app(addrs::TARGET).expect("target is a Node");
-        (
-            node.telemetry.messages.len() as u64,
-            node.telemetry.bans,
-            node.telemetry.graylists,
-            node.telemetry.graylist_dropped,
-            node.telemetry.tier_changes.len() as u64,
-        )
     };
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let stride = (n / 32).max(1);
-    let mut i = 0;
-    while i < n {
-        let c = sim.host_counters(swarm_ip(i));
-        for v in [c.rx_packets, c.rx_bytes, c.tx_packets, c.tx_bytes] {
-            h = fnv(h, v);
-        }
-        i += stride;
-    }
-    let tc = sim.host_counters(addrs::TARGET);
-    for v in [
-        sim.delivered_packets(),
+    let mut bed = SwarmBed::run(&swarm, Policy::TrustTiers.node(), 0);
+    let node = bed.target_node();
+    let (target_msgs, bans, graylists, graylist_dropped) = (
+        node.telemetry.messages.len() as u64,
+        node.telemetry.bans,
+        node.telemetry.graylists,
+        node.telemetry.graylist_dropped,
+    );
+    let tier_changes = node.telemetry.tier_changes.len() as u64;
+    let facts = [
+        bed.sim.delivered_packets(),
         target_msgs,
         bans,
         graylists,
         graylist_dropped,
         tier_changes,
-        tc.rx_packets,
-        tc.rx_bytes,
-        tc.tx_packets,
-        tc.tx_bytes,
-        hosts as u64,
-    ] {
-        h = fnv(h, v);
-    }
+    ];
+    let samples = bed.samples();
     SwarmTierOutcome {
-        hosts,
-        digest: h,
+        hosts: bed.hosts,
+        digest: bed.digest(&samples, 4, &facts, &[]),
         target_msgs,
         bans,
         graylists,
@@ -532,55 +453,17 @@ pub fn run_reputation(cfg: &ReputationSweepConfig) -> ReputationResult {
 pub fn run_reputation_jobs(cfg: &ReputationSweepConfig, jobs: usize) -> ReputationResult {
     // Train the detector once, on clean stock traffic.
     let engine = AnalysisEngine::default();
-    let mut tb = Testbed::build(TestbedConfig {
-        node: node_for("stock"),
-        feeders: 3,
-        innocents: cfg.innocents,
-        target_outbound: 2,
-        seed: 1,
-        ..TestbedConfig::default()
-    });
-    tb.sim.run_for(cfg.train);
-    let profile = engine
-        .train(&tb.windows(SETTLE, cfg.train, cfg.window))
-        .expect("training windows");
+    let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
+    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
 
     let cases = cfg.cases();
-    let pairs: Vec<(SweepCase, &'static str)> = cases
+    let pairs: Vec<(SweepCase, Policy)> = cases
         .iter()
         .flat_map(|c| POLICIES.iter().map(move |p| (*c, *p)))
         .collect();
-    let runs = btc_par::par_map(jobs, pairs.clone(), |(case, policy)| {
-        run_case(policy, case, cfg)
+    let rows = btc_par::par_map(jobs, pairs, |(case, policy)| {
+        run_case(policy, case, cfg, &engine, &profile)
     });
-    let rows = pairs
-        .iter()
-        .zip(runs)
-        .map(|((case, policy), data)| {
-            let detection = engine.detect(&profile, &data.aggregate);
-            let latency_s = data
-                .windows
-                .iter()
-                .position(|w| engine.detect(&profile, w).anomalous)
-                .map_or(f64::NAN, |i| {
-                    ((i as u64 + 1) * cfg.window) as f64 / SECS as f64
-                });
-            PolicyCaseRow {
-                policy,
-                case: case.label(),
-                bans: data.bans,
-                graylists: data.graylists,
-                graylist_dropped: data.graylist_dropped,
-                tier_changes: data.tier_changes,
-                innocents_excluded: data.innocents_excluded,
-                recovery_s: data.recovery_s,
-                detected: detection.anomalous,
-                latency_s,
-                target_msgs: data.target_msgs,
-                outbound_at_end: data.outbound_at_end,
-            }
-        })
-        .collect();
     let swarm = run_swarm_tiers(&cfg.swarm);
     let reference = NodeConfig::default();
     ReputationResult {
@@ -621,7 +504,7 @@ pub fn render_reputation(r: &ReputationResult) -> String {
     );
     for case in &r.cases {
         for policy in POLICIES {
-            let row = r.row(policy, case);
+            let row = r.row(policy.label(), case);
             let _ = writeln!(
                 out,
                 "{:<12} {:<12} {:>6} {:>6} {:>9} {:>6} {:>5} {:>11.0} {:>5} {:>7.0} {:>8} {:>4}",
@@ -663,18 +546,6 @@ pub fn render_reputation(r: &ReputationResult) -> String {
         s.hosts, s.digest, s.target_msgs, s.bans, s.graylists, s.graylist_dropped
     );
     out
-}
-
-/// The churn grid points shared with the fault matrix (documentation of
-/// provenance; the sweep itself only varies the churn rate).
-pub fn churn_fault_points(churn_points: &[u32]) -> Vec<FaultPoint> {
-    churn_points
-        .iter()
-        .map(|fpm| FaultPoint {
-            churn_fpm: *fpm,
-            ..FaultPoint::CLEAN
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -730,7 +601,7 @@ mod tests {
     fn honest_churn_excludes_no_innocents() {
         let r = run_reputation(&tiny());
         for policy in POLICIES {
-            let row = r.row(policy, "churn=5");
+            let row = r.row(policy.label(), "churn=5");
             assert_eq!(row.innocents_excluded, 0, "{row:?}");
             assert_eq!(row.bans, 0, "{row:?}");
         }

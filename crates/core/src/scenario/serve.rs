@@ -19,7 +19,8 @@
 //! All digest/verdict output is deterministic; only the `[wall]` lines
 //! (throughput, decision latency) vary run to run.
 
-use crate::scenario::fig10::{run_case_testbed, run_training_testbed, Fig10Config, CASES, SETTLE};
+use crate::scenario::fig10::{self, run_case_testbed, Fig10Config, CASES};
+use crate::testbed::{Case, SETTLE};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
 use btc_detect::features::TrafficWindow;
 use btc_detect::serve::{
@@ -186,10 +187,7 @@ pub fn run_serve(cfg: ServeConfig) -> ServeResult {
 pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
     let engine = AnalysisEngine::default();
     // ---- Train both profiles on the same clean run.
-    let tb = run_training_testbed(&cfg.fig10);
-    let node_profile = engine
-        .train(&tb.windows(SETTLE, cfg.fig10.train, cfg.fig10.window))
-        .expect("node training windows");
+    let (node_profile, tb) = fig10::train(&engine, &cfg.fig10);
     let train_trace = telemetry_trace(&tb.target_node().telemetry, SETTLE, cfg.fig10.train);
     let train_span = TraceSpan {
         start: SETTLE,
@@ -200,8 +198,8 @@ pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
         .expect("per-peer training windows");
     let streaming = StreamingEngine::new(peer_profile.clone(), cfg.window);
 
-    let cases = btc_par::par_map(jobs, CASES.to_vec(), |name| {
-        serve_case(name, &cfg, &engine, &node_profile, &streaming)
+    let cases = btc_par::par_map(jobs, CASES.to_vec(), |case| {
+        serve_case(case, &cfg, &engine, &node_profile, &streaming)
     });
     ServeResult {
         window: cfg.window,
@@ -211,13 +209,13 @@ pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
 }
 
 fn serve_case(
-    name: &'static str,
+    case: Case,
     cfg: &ServeConfig,
     engine: &AnalysisEngine,
     node_profile: &Profile,
     streaming: &StreamingEngine,
 ) -> ServeCase {
-    let tb = run_case_testbed(name, &cfg.fig10);
+    let tb = run_case_testbed(case, &cfg.fig10);
     let end = SETTLE + cfg.fig10.test;
     let trace = telemetry_trace(&tb.target_node().telemetry, SETTLE, end);
     let span = TraceSpan {
@@ -263,7 +261,7 @@ fn serve_case(
     let aggregate_batch = engine.detect(node_profile, &tb.single_window(SETTLE, end));
 
     ServeCase {
-        name,
+        name: case.name(),
         events: reference.events,
         peers: reference.peers,
         verdicts: reference.verdicts.len() as u64,

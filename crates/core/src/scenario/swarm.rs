@@ -27,15 +27,13 @@
 //! scenario lives in `btc-bench` (`crates/bench/src/swarm.rs`), keeping
 //! this crate free of wall-clock reads per the lint contract.
 
-use crate::mainnet::MainnetPeer;
-use crate::testbed::addrs;
+use crate::testbed::{addrs, churn_plan, install_case, BedPlan, Case};
 use btc_attack::defamation::PostConnDefamer;
-use btc_attack::flood::{FloodConfig, Flooder};
-use btc_attack::payload::FloodPayload;
-use btc_netsim::faults::{FaultKind, FaultPlan, LinkFaults};
-use btc_netsim::packet::{Ipv4, SockAddr};
+use btc_attack::flood::Flooder;
+use btc_netsim::faults::{FaultPlan, LinkFaults};
+use btc_netsim::packet::Ipv4;
 use btc_netsim::shard::{ShardConfig, ShardedSim};
-use btc_netsim::sim::{App, Ctx, HostConfig, TapFilter};
+use btc_netsim::sim::{App, Ctx, HostConfig};
 use btc_netsim::time::{Nanos, MILLIS, SECS};
 use btc_node::node::{Node, NodeConfig};
 use std::any::Any;
@@ -101,13 +99,12 @@ pub fn swarm_ip(i: usize) -> Ipv4 {
 
 /// A background swarm host: staggered periodic ICMP probes to two fixed
 /// swarm peers. Targets, period and phase are all index-derived, so the
-/// traffic pattern is a function of the topology alone. Shared with the
-/// `reputation` scenario's swarm case.
-pub(crate) struct SwarmPinger {
-    pub(crate) targets: [Ipv4; 2],
-    pub(crate) period: Nanos,
-    pub(crate) next: usize,
-    pub(crate) replies: u64,
+/// traffic pattern is a function of the topology alone.
+struct SwarmPinger {
+    targets: [Ipv4; 2],
+    period: Nanos,
+    next: usize,
+    replies: u64,
 }
 
 impl App for SwarmPinger {
@@ -135,28 +132,122 @@ impl App for SwarmPinger {
     }
 }
 
-/// Scheduled link flaps of the target's peers for the `faults` case: one
-/// innocent down for 400 ms every second, round-robin — the swarm-scale
-/// analogue of the fault-matrix churn dimension.
-fn flap_plan(innocents: usize, dur: Nanos) -> FaultPlan {
-    let mut plan = FaultPlan::none();
-    if innocents == 0 {
-        return plan;
-    }
-    let period = SECS;
-    let down = 400 * MILLIS;
-    let mut t = period;
-    let mut i = 0usize;
-    while t + down < dur {
-        plan = plan.with(t, t + down, FaultKind::HostDown(addrs::innocent(i % innocents)));
-        t += period;
-        i += 1;
-    }
-    plan
+/// The §V bed in region 0 of a sharded simulator, embedded in a
+/// background swarm spread over every region by the seed-deterministic
+/// shard assignment. Shared with the `reputation` scenario's swarm case.
+pub(crate) struct SwarmBed {
+    pub(crate) sim: ShardedSim,
+    /// The traffic case [`SwarmSpec::case`] names.
+    pub(crate) case: Case,
+    /// Total hosts simulated (bed + attacker + swarm).
+    pub(crate) hosts: usize,
+    swarm_hosts: usize,
 }
 
-fn fnv(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100_0000_01B3)
+impl SwarmBed {
+    /// Builds `spec`'s topology around a target running `node` and runs it
+    /// for `spec.dur`: the bed (with `feeders` feeders) and the case's
+    /// attacker pinned into region 0, then the pingers straight into the
+    /// simulator — addresses ascend, so each index insert is an append.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown [`SwarmSpec::case`].
+    pub(crate) fn run(spec: &SwarmSpec, node: NodeConfig, feeders: usize) -> SwarmBed {
+        let case = match spec.case {
+            "bm-dos" => Case::PingFlood { sybil: true },
+            "defamation" => Case::Defamation { poll: 100 * MILLIS },
+            "faults" => Case::Normal,
+            other => panic!("unknown swarm case {other}"),
+        };
+        // No attacker means the adverse network: i.i.d. loss + jitter, and
+        // one innocent down for 400 ms every second — the swarm-scale
+        // analogue of the fault-matrix churn dimension.
+        let (faults, fault_plan) = if case == Case::Normal {
+            let faults = LinkFaults {
+                loss: FAULT_LOSS,
+                jitter: FAULT_JITTER,
+                ..LinkFaults::NONE
+            };
+            (faults, churn_plan(SECS, SECS, 400 * MILLIS, spec.innocents, spec.dur))
+        } else {
+            (LinkFaults::NONE, FaultPlan::none())
+        };
+        let mut sim = ShardedSim::new(ShardConfig {
+            regions: spec.regions,
+            workers: spec.workers,
+            seed: spec.seed,
+            faults,
+            ..ShardConfig::default()
+        });
+        sim.set_fault_plan(fault_plan);
+        let plan = BedPlan::new(node, spec.innocents, 2.min(spec.innocents), feeders);
+        plan.install(&mut sim);
+        install_case(&mut sim, plan.target_addr, &plan.innocent_ips, case);
+        let n = spec.swarm_hosts;
+        for i in 0..n {
+            let targets = [swarm_ip((i + 1) % n), swarm_ip((i * 7 + 3) % n)];
+            let period = 250 * MILLIS + (i as u64 % 64) * 25 * MILLIS;
+            sim.add_host(
+                swarm_ip(i),
+                Box::new(SwarmPinger {
+                    targets,
+                    period,
+                    next: 0,
+                    replies: 0,
+                }),
+                HostConfig::default(),
+            );
+        }
+        sim.run_for(spec.dur);
+        SwarmBed {
+            sim,
+            case,
+            hosts: plan.hosts() + usize::from(case != Case::Normal) + n,
+            swarm_hosts: n,
+        }
+    }
+
+    /// `[rx_packets, rx_bytes, tx_packets, tx_bytes, replies]` of every
+    /// `n/32`-th swarm host — the sample keeps the reduction O(1)-ish at
+    /// 100k hosts while still covering every region statistically.
+    pub(crate) fn samples(&mut self) -> Vec<[u64; 5]> {
+        let stride = (self.swarm_hosts / 32).max(1);
+        (0..self.swarm_hosts)
+            .step_by(stride)
+            .map(|i| {
+                let ip = swarm_ip(i);
+                let c = self.sim.host_counters(ip);
+                let p: &SwarmPinger = self.sim.app(ip).expect("swarm host is a pinger");
+                [c.rx_packets, c.rx_bytes, c.tx_packets, c.tx_bytes, p.replies]
+            })
+            .collect()
+    }
+
+    /// FNV-1a over a run's observable state (the CI byte-equality
+    /// anchor): the first `words` counters of every sample, then `facts`,
+    /// the target host's transport counters, `tail` and the host count.
+    pub(crate) fn digest(
+        &self,
+        samples: &[[u64; 5]],
+        words: usize,
+        facts: &[u64],
+        tail: &[u64],
+    ) -> u64 {
+        let c = self.sim.host_counters(addrs::TARGET);
+        let target = [c.rx_packets, c.rx_bytes, c.tx_packets, c.tx_bytes];
+        let hosts = [self.hosts as u64];
+        samples
+            .iter()
+            .map(|s| &s[..words])
+            .chain([facts, &target, tail, &hosts])
+            .flatten()
+            .fold(0xCBF2_9CE4_8422_2325, |h, v| (h ^ v).wrapping_mul(0x100_0000_01B3))
+    }
+
+    pub(crate) fn target_node(&mut self) -> &Node {
+        self.sim.app(addrs::TARGET).expect("target is a Node")
+    }
 }
 
 /// Runs one swarm case end to end and reduces it to its deterministic
@@ -166,138 +257,25 @@ fn fnv(h: u64, x: u64) -> u64 {
 ///
 /// Panics on an unknown [`SwarmSpec::case`].
 pub fn run_swarm(spec: &SwarmSpec) -> SwarmOutcome {
-    let faults = if spec.case == "faults" {
-        LinkFaults {
-            loss: FAULT_LOSS,
-            jitter: FAULT_JITTER,
-            ..LinkFaults::NONE
+    let mut bed = SwarmBed::run(spec, NodeConfig::default(), 3);
+    let fs = bed.sim.fault_stats();
+    let delivered = bed.sim.delivered_packets();
+    let node = bed.target_node();
+    let (target_msgs, target_bans) = (node.telemetry.messages.len() as u64, node.telemetry.bans);
+    let (strikes, flood_msgs) = match bed.case {
+        Case::Normal => (0, 0),
+        Case::PingFlood { .. } => {
+            let f: &Flooder = bed.sim.app(addrs::ATTACKER).expect("flooder present");
+            (0, f.stats.messages_sent)
         }
-    } else {
-        LinkFaults::NONE
-    };
-    let mut sim = ShardedSim::new(ShardConfig {
-        regions: spec.regions,
-        workers: spec.workers,
-        seed: spec.seed,
-        faults,
-        ..ShardConfig::default()
-    });
-    if spec.case == "faults" {
-        sim.set_fault_plan(flap_plan(spec.innocents, spec.dur));
-    }
-
-    // ---- The attack core, pinned into region 0 (testbed build order:
-    // innocents listen before the target dials, feeders last).
-    let mut hosts = 0usize;
-    let innocent_ips: Vec<Ipv4> = (0..spec.innocents).map(addrs::innocent).collect();
-    for ip in &innocent_ips {
-        sim.add_host_pinned(*ip, Box::new(Node::new(NodeConfig::default())), HostConfig::default(), 0);
-        hosts += 1;
-    }
-    let mut node_cfg = NodeConfig::default();
-    node_cfg.target_outbound = 2.min(spec.innocents);
-    node_cfg.outbound_targets = innocent_ips.iter().map(|ip| SockAddr::new(*ip, 8333)).collect();
-    let target_addr = SockAddr::new(addrs::TARGET, node_cfg.listen_port);
-    sim.add_host_pinned(addrs::TARGET, Box::new(Node::new(node_cfg)), HostConfig::default(), 0);
-    hosts += 1;
-    for i in 0..3 {
-        sim.add_host_pinned(
-            addrs::feeder(i),
-            Box::new(MainnetPeer::new(target_addr)),
-            HostConfig::default(),
-            0,
-        );
-        hosts += 1;
-    }
-    match spec.case {
-        "bm-dos" => {
-            sim.add_host_pinned(
-                addrs::ATTACKER,
-                Box::new(Flooder::new(FloodConfig {
-                    target: target_addr,
-                    payload: FloodPayload::Ping,
-                    reconnect_on_ban: true,
-                    sybil_port_start: 50_000,
-                    ..FloodConfig::default()
-                })),
-                HostConfig::default(),
-                0,
-            );
-            hosts += 1;
+        Case::Defamation { .. } => {
+            let d: &PostConnDefamer = bed.sim.app(addrs::ATTACKER).expect("defamer present");
+            (d.records.len() as u64, 0)
         }
-        "defamation" => {
-            // The Defamer drains its tap during timer callbacks, so the
-            // tap and the attacker must both live in the target's region.
-            let tap = sim.add_tap_in(TapFilter::Host(addrs::TARGET), 0);
-            let mut defamer = PostConnDefamer::new(target_addr, innocent_ips.clone(), tap);
-            defamer.poll = 100 * MILLIS;
-            sim.add_host_pinned(addrs::ATTACKER, Box::new(defamer), HostConfig::default(), 0);
-            hosts += 1;
-        }
-        "faults" => {}
-        other => panic!("unknown swarm case {other}"),
-    }
-
-    // ---- The background swarm, spread by the hash assignment. Addresses
-    // ascend, so each index insert is an append.
-    let n = spec.swarm_hosts;
-    for i in 0..n {
-        let targets = [swarm_ip((i + 1) % n), swarm_ip((i * 7 + 3) % n)];
-        let period = 250 * MILLIS + (i as u64 % 64) * 25 * MILLIS;
-        sim.add_host(
-            swarm_ip(i),
-            Box::new(SwarmPinger {
-                targets,
-                period,
-                next: 0,
-                replies: 0,
-            }),
-            HostConfig::default(),
-        );
-        hosts += 1;
-    }
-
-    sim.run_for(spec.dur);
-
-    // ---- Reduce. Sampled swarm hosts keep the reduction O(1)-ish at
-    // 100k hosts while still covering every region statistically.
-    let fs = sim.fault_stats();
-    let delivered = sim.delivered_packets();
-    let (target_msgs, target_bans) = {
-        let node: &Node = sim.app(addrs::TARGET).expect("target is a Node");
-        (node.telemetry.messages.len() as u64, node.telemetry.bans)
-    };
-    let strikes = match spec.case {
-        "defamation" => {
-            let d: &PostConnDefamer = sim.app(addrs::ATTACKER).expect("defamer present");
-            d.records.len() as u64
-        }
-        _ => 0,
-    };
-    let flood_msgs = match spec.case {
-        "bm-dos" => {
-            let f: &Flooder = sim.app(addrs::ATTACKER).expect("flooder present");
-            f.stats.messages_sent
-        }
-        _ => 0,
     };
 
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut swarm_replies = 0u64;
-    let stride = (n / 32).max(1);
-    let mut i = 0;
-    while i < n {
-        let ip = swarm_ip(i);
-        let c = sim.host_counters(ip);
-        let p: &SwarmPinger = sim.app(ip).expect("swarm host is a pinger");
-        swarm_replies += p.replies;
-        for v in [c.rx_packets, c.rx_bytes, c.tx_packets, c.tx_bytes, p.replies] {
-            h = fnv(h, v);
-        }
-        i += stride;
-    }
-    let tc = sim.host_counters(addrs::TARGET);
-    for v in [
+    let samples = bed.samples();
+    let facts = [
         delivered,
         fs.dropped_loss,
         fs.dropped_partition,
@@ -305,24 +283,14 @@ pub fn run_swarm(spec: &SwarmSpec) -> SwarmOutcome {
         fs.reordered,
         target_msgs,
         target_bans,
-        tc.rx_packets,
-        tc.rx_bytes,
-        tc.tx_packets,
-        tc.tx_bytes,
-        strikes,
-        flood_msgs,
-        hosts as u64,
-    ] {
-        h = fnv(h, v);
-    }
-
+    ];
     SwarmOutcome {
-        hosts,
-        digest: h,
+        hosts: bed.hosts,
+        digest: bed.digest(&samples, 5, &facts, &[strikes, flood_msgs]),
         delivered,
         target_msgs,
         target_bans,
-        swarm_replies,
+        swarm_replies: samples.iter().map(|s| s[4]).sum(),
         dropped: fs.dropped_loss + fs.dropped_partition,
         strikes,
         flood_msgs,

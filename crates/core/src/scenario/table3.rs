@@ -7,7 +7,6 @@ use crate::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder, IcmpFlooder};
 use btc_attack::payload::FloodPayload;
 use btc_netsim::cpu::DEFAULT_CAPACITY_HZ;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{as_secs_f64, Nanos, SECS};
 
 /// One row of Table III.
@@ -95,16 +94,12 @@ fn ping_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row
     } else {
         0
     };
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::Ping,
-            extra_interval: extra,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::Ping,
+        extra_interval: extra,
+        ..FloodConfig::default()
+    }));
     let duration = duration_secs * SECS;
     tb.sim.run_for(duration);
     let secs = as_secs_f64(duration);
@@ -129,11 +124,7 @@ fn icmp_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row
         feeders: 0,
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(IcmpFlooder::new(addrs::TARGET, rate)),
-        HostConfig::default(),
-    );
+    tb.add_attacker(IcmpFlooder::new(addrs::TARGET, rate));
     let duration = duration_secs * SECS;
     tb.sim.run_for(duration);
     let secs = as_secs_f64(duration);

@@ -1,13 +1,24 @@
 //! The experiment testbed: builds the paper's §V setup — a target node,
 //! synthetic Mainnet feeders, optional innocent peers, and a reserved slot
 //! for the attacker — inside the deterministic simulator.
+//!
+//! The bed exists once. [`BedPlan`] is its checked host plan; the serial
+//! [`Testbed`] and the sharded swarm (`scenario::swarm`, region 0) both
+//! install that plan and the same three traffic [`Case`]s, and every
+//! detection study trains with [`train_profile`] and measures latency with
+//! [`first_alarm_s`].
 
 use crate::mainnet::MainnetPeer;
+use btc_attack::defamation::PostConnDefamer;
+use btc_attack::flood::{FloodConfig, Flooder};
+use btc_attack::payload::FloodPayload;
+use btc_detect::engine::{AnalysisEngine, Profile};
 use btc_detect::features::TrafficWindow;
-use btc_netsim::faults::{FaultPlan, LinkFaults};
+use btc_netsim::faults::{FaultKind, FaultPlan, LinkFaults};
 use btc_netsim::packet::{Ipv4, SockAddr};
-use btc_netsim::sim::{HostConfig, SimConfig, Simulator};
-use btc_netsim::time::Nanos;
+use btc_netsim::shard::ShardedSim;
+use btc_netsim::sim::{App, HostConfig, SimConfig, Simulator, TapFilter, TapHandle};
+use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
 use btc_node::node::{Node, NodeConfig};
 
 /// Well-known testbed addresses.
@@ -18,15 +29,182 @@ pub mod addrs {
     pub const TARGET: Ipv4 = [10, 0, 0, 1];
     /// The attacker host (added by the scenario).
     pub const ATTACKER: Ipv4 = [10, 0, 9, 9];
+    /// Feeders the plan has addresses for (`10.0.1.1` – `10.0.1.255`).
+    pub const MAX_FEEDERS: usize = 255;
+    /// Innocents the plan has addresses for (`10.0.2.1` – `10.0.3.250`).
+    pub const MAX_INNOCENTS: usize = 500;
 
-    /// The `i`-th mainnet feeder.
+    /// The `i`-th mainnet feeder (`i <` [`MAX_FEEDERS`]).
     pub fn feeder(i: usize) -> Ipv4 {
         [10, 0, 1, (i + 1) as u8]
     }
 
-    /// The `i`-th innocent peer.
+    /// The `i`-th innocent peer (`i <` [`MAX_INNOCENTS`]).
     pub fn innocent(i: usize) -> Ipv4 {
         [10, 0, 2 + (i / 250) as u8, (i % 250 + 1) as u8]
+    }
+}
+
+/// The settle period every detection case discards (the handshake minute).
+pub const SETTLE: Nanos = MINUTES;
+
+/// Defamer poll that paces the strikes across a whole measurement window
+/// (each wave hits both live outbound peers): ~6 bans/minute, the order
+/// of the paper's measured c = 5.3/min.
+pub const PACED_POLL: Nanos = 20 * SECS;
+
+/// The three traffic cases the detection figures are taken under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Case {
+    /// Clean traffic, no attacker.
+    Normal,
+    /// BM-DoS: a PING flood on top of normal traffic. With `sybil` the
+    /// flooder dials back from the next port when its connection drops —
+    /// a hardened target evicts the never-ponging flooder on ping timeout
+    /// and a real attacker just reconnects, so the flood survives.
+    PingFlood {
+        /// Serial-Sybil reconnection from port 50 000 upward.
+        sybil: bool,
+    },
+    /// Post-connection Defamation of every innocent the target dials.
+    Defamation {
+        /// Sniffer poll interval (the strike pacing).
+        poll: Nanos,
+    },
+}
+
+impl Case {
+    /// Stable name: `normal`, `bm-dos` or `defamation`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Case::Normal => "normal",
+            Case::PingFlood { .. } => "bm-dos",
+            Case::Defamation { .. } => "defamation",
+        }
+    }
+
+    /// Figure 10's per-case seed, reused by every sweep over these cases:
+    /// the application-visible randomness of a case is the same wherever
+    /// it runs (the fault layer draws from its own stream), and distinct
+    /// from the training seed 1.
+    pub fn seed(&self) -> u64 {
+        match self {
+            Case::Normal => 2,
+            Case::PingFlood { .. } => 3,
+            Case::Defamation { .. } => 4,
+        }
+    }
+}
+
+/// Where the bed's hosts and the attacker's tap go: the serial simulator,
+/// or region 0 of the sharded one (the Defamer drains its tap during timer
+/// callbacks and sniffing is region-local, so tap, attacker and target
+/// share a region).
+pub(crate) trait BedSim {
+    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>);
+    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle;
+}
+
+impl BedSim for Simulator {
+    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>) {
+        self.add_host(ip, app, HostConfig::default());
+    }
+    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle {
+        self.add_tap(filter)
+    }
+}
+
+impl BedSim for ShardedSim {
+    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>) {
+        self.add_host_pinned(ip, app, HostConfig::default(), 0);
+    }
+    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle {
+        self.add_tap_in(filter, 0)
+    }
+}
+
+/// The bed's checked host plan, in build order: innocents (listening
+/// before the target dials) → target → feeders.
+#[derive(Clone, Debug)]
+pub(crate) struct BedPlan {
+    pub(crate) target_addr: SockAddr,
+    pub(crate) innocent_ips: Vec<Ipv4>,
+    pub(crate) feeder_ips: Vec<Ipv4>,
+    node: NodeConfig,
+}
+
+impl BedPlan {
+    /// Plans the bed around a target running `node` (its outbound targets
+    /// are filled in from the innocents).
+    ///
+    /// # Panics
+    ///
+    /// Panics when more innocents or feeders are requested than the
+    /// address plan holds ([`addrs::MAX_INNOCENTS`], [`addrs::MAX_FEEDERS`]).
+    pub(crate) fn new(
+        mut node: NodeConfig,
+        innocents: usize,
+        target_outbound: usize,
+        feeders: usize,
+    ) -> BedPlan {
+        assert!(innocents <= addrs::MAX_INNOCENTS, "too many innocents");
+        assert!(feeders <= addrs::MAX_FEEDERS, "too many feeders");
+        let innocent_ips: Vec<Ipv4> = (0..innocents).map(addrs::innocent).collect();
+        node.target_outbound = target_outbound;
+        node.outbound_targets = innocent_ips
+            .iter()
+            .map(|ip| SockAddr::new(*ip, 8333))
+            .collect();
+        BedPlan {
+            target_addr: SockAddr::new(addrs::TARGET, node.listen_port),
+            innocent_ips,
+            feeder_ips: (0..feeders).map(addrs::feeder).collect(),
+            node,
+        }
+    }
+
+    /// Hosts the plan installs.
+    pub(crate) fn hosts(&self) -> usize {
+        self.innocent_ips.len() + 1 + self.feeder_ips.len()
+    }
+
+    pub(crate) fn install(&self, sim: &mut impl BedSim) {
+        for ip in &self.innocent_ips {
+            sim.add_bed_host(*ip, Box::new(Node::new(NodeConfig::default())));
+        }
+        sim.add_bed_host(addrs::TARGET, Box::new(Node::new(self.node.clone())));
+        for ip in &self.feeder_ips {
+            sim.add_bed_host(*ip, Box::new(MainnetPeer::new(self.target_addr)));
+        }
+    }
+}
+
+/// Adds `case`'s attacker — and, for Defamation of `victims`, its tap on
+/// the target — to a simulator the bed was installed in.
+pub(crate) fn install_case(
+    sim: &mut impl BedSim,
+    target: SockAddr,
+    victims: &[Ipv4],
+    case: Case,
+) {
+    match case {
+        Case::Normal => {}
+        Case::PingFlood { sybil } => sim.add_bed_host(
+            addrs::ATTACKER,
+            Box::new(Flooder::new(FloodConfig {
+                target,
+                payload: FloodPayload::Ping,
+                reconnect_on_ban: sybil,
+                sybil_port_start: if sybil { 50_000 } else { 0 },
+                ..FloodConfig::default()
+            })),
+        ),
+        Case::Defamation { poll } => {
+            let tap = sim.add_bed_tap(TapFilter::Host(addrs::TARGET));
+            let mut defamer = PostConnDefamer::new(target, victims.to_vec(), tap);
+            defamer.poll = poll;
+            sim.add_bed_host(addrs::ATTACKER, Box::new(defamer));
+        }
     }
 }
 
@@ -84,50 +262,34 @@ impl Testbed {
     ///
     /// # Panics
     ///
-    /// Panics when more innocents are requested than the address plan
-    /// supports (500).
+    /// Panics when more innocents or feeders are requested than the
+    /// address plan holds ([`addrs::MAX_INNOCENTS`], [`addrs::MAX_FEEDERS`]).
     pub fn build(cfg: TestbedConfig) -> Testbed {
-        assert!(cfg.innocents <= 500, "too many innocents");
+        let plan = BedPlan::new(cfg.node, cfg.innocents, cfg.target_outbound, cfg.feeders);
         let mut sim = Simulator::new(SimConfig {
             seed: cfg.seed,
             faults: cfg.faults,
             ..SimConfig::default()
         });
-        if !cfg.fault_plan.is_none() {
-            sim.set_fault_plan(cfg.fault_plan.clone());
-        }
-        let target_addr = SockAddr::new(addrs::TARGET, cfg.node.listen_port);
-        let innocent_ips: Vec<Ipv4> = (0..cfg.innocents).map(addrs::innocent).collect();
-        // Innocent peers first so they are listening before the target dials.
-        for ip in &innocent_ips {
-            sim.add_host(
-                *ip,
-                Box::new(Node::new(NodeConfig::default())),
-                HostConfig::default(),
-            );
-        }
-        let mut node_cfg = cfg.node.clone();
-        node_cfg.target_outbound = cfg.target_outbound;
-        node_cfg.outbound_targets = innocent_ips
-            .iter()
-            .map(|ip| SockAddr::new(*ip, 8333))
-            .collect();
-        sim.add_host(addrs::TARGET, Box::new(Node::new(node_cfg)), HostConfig::default());
-        let feeder_ips: Vec<Ipv4> = (0..cfg.feeders).map(addrs::feeder).collect();
-        for ip in &feeder_ips {
-            sim.add_host(
-                *ip,
-                Box::new(MainnetPeer::new(target_addr)),
-                HostConfig::default(),
-            );
-        }
+        sim.set_fault_plan(cfg.fault_plan);
+        plan.install(&mut sim);
         Testbed {
             sim,
             target: addrs::TARGET,
-            target_addr,
-            feeder_ips,
-            innocent_ips,
+            target_addr: plan.target_addr,
+            feeder_ips: plan.feeder_ips,
+            innocent_ips: plan.innocent_ips,
         }
+    }
+
+    /// Puts `app` on the attacker host ([`addrs::ATTACKER`]).
+    pub fn add_attacker(&mut self, app: impl App) {
+        self.sim.add_bed_host(addrs::ATTACKER, Box::new(app));
+    }
+
+    /// Installs `case`'s attacker (none for [`Case::Normal`]).
+    pub fn attack(&mut self, case: Case) {
+        install_case(&mut self.sim, self.target_addr, &self.innocent_ips, case);
     }
 
     /// Borrow the target node.
@@ -153,6 +315,84 @@ impl Testbed {
     pub fn single_window(&self, start: Nanos, end: Nanos) -> TrafficWindow {
         crate::windows::single_window(&self.target_node().telemetry, start, end)
     }
+}
+
+/// The hardened target of the fault and reputation sweeps: the resilience
+/// knobs are on, so flapped peers are detected (ping timeout), evicted and
+/// replaced (with backoff) — the honest-churn signal.
+pub fn hardened_node() -> NodeConfig {
+    NodeConfig {
+        ping_interval: 10 * SECS,
+        ping_timeout: 20 * SECS,
+        handshake_timeout: 30 * SECS,
+        reconnect_backoff_base: 500 * MILLIS,
+        reconnect_backoff_cap: 8 * SECS,
+        ..NodeConfig::default()
+    }
+}
+
+/// Scheduled link flaps of the target's peers: from `start`, every
+/// `period` one of the first `innocents` innocents (round-robin — the pool
+/// the target dials from) goes down for `down`, as long as the whole flap
+/// fits before `end`. A zero `period` schedules nothing.
+pub fn churn_plan(
+    start: Nanos,
+    period: Nanos,
+    down: Nanos,
+    innocents: usize,
+    end: Nanos,
+) -> FaultPlan {
+    let mut plan = FaultPlan::none();
+    if period == 0 || innocents == 0 {
+        return plan;
+    }
+    let mut t = start;
+    let mut i = 0usize;
+    while t + down < end {
+        plan = plan.with(t, t + down, FaultKind::HostDown(addrs::innocent(i % innocents)));
+        t += period;
+        i += 1;
+    }
+    plan
+}
+
+/// Trains the node profile once: builds the clean bed `cfg` (no
+/// attacker), runs it for `train` and fits the engine to its telemetry
+/// after [`SETTLE`], cut into `window`-long windows. The bed comes back
+/// with the telemetry still inside.
+///
+/// # Panics
+///
+/// Panics when `train` is too short to hold one window after the settle.
+pub fn train_profile(
+    engine: &AnalysisEngine,
+    cfg: TestbedConfig,
+    train: Nanos,
+    window: Nanos,
+) -> (Profile, Testbed) {
+    let mut tb = Testbed::build(cfg);
+    tb.sim.run_for(train);
+    let profile = engine
+        .train(&tb.windows(SETTLE, train, window))
+        .expect("training windows");
+    (profile, tb)
+}
+
+/// Seconds from measurement start to the end of the first window of
+/// `windows` (each `window_len` long) the detector flags (`NaN` when none
+/// fires).
+pub fn first_alarm_s(
+    engine: &AnalysisEngine,
+    profile: &Profile,
+    windows: &[TrafficWindow],
+    window_len: Nanos,
+) -> f64 {
+    windows
+        .iter()
+        .position(|w| engine.detect(profile, w).anomalous)
+        .map_or(f64::NAN, |i| {
+            ((i as u64 + 1) * window_len) as f64 / SECS as f64
+        })
 }
 
 #[cfg(test)]
@@ -203,5 +443,35 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2));
+    }
+
+    #[test]
+    fn plan_addresses_are_distinct_at_the_limits() {
+        let plan = BedPlan::new(
+            NodeConfig::default(),
+            addrs::MAX_INNOCENTS,
+            0,
+            addrs::MAX_FEEDERS,
+        );
+        let mut ips: Vec<Ipv4> = plan.innocent_ips.iter().chain(&plan.feeder_ips).copied().collect();
+        ips.extend([addrs::TARGET, addrs::ATTACKER]);
+        assert_eq!(ips.len(), plan.hosts() + 1);
+        ips.sort_unstable();
+        ips.dedup();
+        assert_eq!(ips.len(), plan.hosts() + 1, "two hosts share an address");
+    }
+
+    // Innocent 1758 would be `10.0.9.9`, the attacker's address.
+    #[test]
+    #[should_panic(expected = "too many innocents")]
+    fn plan_rejects_innocents_past_the_address_range() {
+        BedPlan::new(NodeConfig::default(), addrs::MAX_INNOCENTS + 1, 0, 0);
+    }
+
+    // Feeder 255 would wrap to `10.0.1.0` and feeder 256 alias feeder 0.
+    #[test]
+    #[should_panic(expected = "too many feeders")]
+    fn plan_rejects_feeders_past_the_address_range() {
+        BedPlan::new(NodeConfig::default(), 0, 0, addrs::MAX_FEEDERS + 1);
     }
 }

@@ -10,8 +10,11 @@ use banscore::scenario::fault_matrix::{
     render_fault_matrix, run_fault_matrix_jobs, FaultMatrixConfig, FaultPoint,
 };
 use banscore::scenario::fig6::{render_fig6, run_fig6_jobs};
+use banscore::scenario::reputation::{
+    render_reputation, run_reputation_jobs, ReputationSweepConfig, SwarmTierSpec,
+};
 use banscore::scenario::table3::{render_table3, run_table3_jobs};
-use btc_netsim::time::{MILLIS, MINUTES};
+use btc_netsim::time::{MILLIS, MINUTES, SECS};
 
 #[test]
 fn fig6_identical_at_jobs_1_and_4() {
@@ -74,4 +77,35 @@ fn fault_matrix_identical_at_jobs_1_and_4() {
         render_fault_matrix(&serial),
         render_fault_matrix(&parallel)
     );
+}
+
+#[test]
+fn reputation_identical_at_jobs_1_and_3() {
+    // The one sweep with float decay in the node itself (the trust-tier
+    // engine): recovery times and detection latencies must come out
+    // bit-identical however the (case, policy) runs are scheduled.
+    let cfg = ReputationSweepConfig {
+        train: 6 * MINUTES,
+        window: MINUTES,
+        test: 2 * MINUTES,
+        innocents: 6,
+        churn_points: vec![5],
+        swarm: SwarmTierSpec {
+            swarm_hosts: 120,
+            regions: 4,
+            workers: 2,
+            dur: 2 * SECS,
+            innocents: 3,
+            seed: 7,
+        },
+    };
+    let serial = run_reputation_jobs(&cfg, 1);
+    let parallel = run_reputation_jobs(&cfg, 3);
+    for (s, p) in serial.rows.iter().zip(&parallel.rows) {
+        assert_eq!((s.policy, &s.case), (p.policy, &p.case));
+        assert_eq!(s.recovery_s.to_bits(), p.recovery_s.to_bits(), "{s:?}");
+        assert_eq!(s.latency_s.to_bits(), p.latency_s.to_bits(), "{s:?}");
+    }
+    assert_eq!(serial.swarm, parallel.swarm);
+    assert_eq!(render_reputation(&serial), render_reputation(&parallel));
 }

@@ -1,0 +1,120 @@
+//! Integer facts of the swarm, fault-matrix and reputation scenarios,
+//! recorded before the bed, its traffic cases and the train → fan-out →
+//! first-alarm study were folded into one implementation. A refactor of
+//! the scenario layer must not move any of them; a PR that means to
+//! change a simulated number changes the pin with it.
+
+use banscore::scenario::fault_matrix::{run_fault_matrix, FaultMatrixConfig, FaultPoint};
+use banscore::scenario::reputation::{
+    run_reputation, run_swarm_tiers, ReputationSweepConfig, SwarmTierSpec,
+};
+use banscore::scenario::swarm::{run_swarm, SwarmSpec};
+use btc_netsim::time::{MILLIS, MINUTES, SECS};
+
+const TIERS: SwarmTierSpec = SwarmTierSpec {
+    swarm_hosts: 120,
+    regions: 4,
+    workers: 2,
+    dur: 2 * SECS,
+    innocents: 3,
+    seed: 7,
+};
+
+#[test]
+fn swarm_cases_are_pinned() {
+    // (case, digest, delivered, target_msgs)
+    let pins = [
+        ("bm-dos", 0x88ff_794b_2759_4b42_u64, 7343, 3036),
+        ("defamation", 0x3ac2_6158_ac68_9b23, 1317, 31),
+        ("faults", 0xb2e0_f63d_7153_db81, 1331, 18),
+    ];
+    for (case, digest, delivered, target_msgs) in pins {
+        let r = run_swarm(&SwarmSpec {
+            case,
+            swarm_hosts: 200,
+            regions: 5,
+            workers: 2,
+            dur: 3 * SECS,
+            innocents: 4,
+            seed: 7,
+        });
+        assert_eq!(
+            (r.digest, r.delivered, r.target_msgs),
+            (digest, delivered, target_msgs),
+            "{case}: {r:x?}"
+        );
+    }
+}
+
+#[test]
+fn swarm_tiers_is_pinned() {
+    let r = run_swarm_tiers(&TIERS);
+    assert_eq!(
+        (r.digest, r.graylists, r.hosts, r.target_msgs),
+        (0x446c_1dec_82c3_60bf, 0, 125, 2009),
+        "{r:x?}"
+    );
+}
+
+#[test]
+fn fault_matrix_point_is_pinned() {
+    let r = run_fault_matrix(&FaultMatrixConfig {
+        train: 8 * MINUTES,
+        window: MINUTES,
+        test: 2 * MINUTES,
+        innocents: 6,
+        grid: vec![FaultPoint {
+            loss: 0.05,
+            jitter: 2 * MILLIS,
+            churn_fpm: 5,
+        }],
+    });
+    // (case, retransmits, dropped_loss, dropped_partition, jittered, reordered)
+    let pins = [
+        ("normal", 825_u64, 517_u64, 181_u64, 9054_u64, 0_u64),
+        ("bm-dos", 20307, 656_102, 150, 12_482_148, 0),
+        ("defamation", 1166, 440, 79, 8358, 0),
+    ];
+    let got: Vec<_> = r.points[0]
+        .cases
+        .iter()
+        .map(|c| {
+            let f = c.fault_stats;
+            (c.name, c.retransmits, f.dropped_loss, f.dropped_partition, f.jittered, f.reordered)
+        })
+        .collect();
+    assert_eq!(got, pins);
+}
+
+#[test]
+fn reputation_rows_are_pinned() {
+    let r = run_reputation(&ReputationSweepConfig {
+        train: 6 * MINUTES,
+        window: MINUTES,
+        test: 2 * MINUTES,
+        innocents: 6,
+        churn_points: vec![5],
+        swarm: TIERS,
+    });
+    // (case, policy, bans, graylists, target_msgs, outbound_at_end)
+    let pins = [
+        ("bm-dos", "stock", 0_u64, 0_u64, 180_804_u64, 2_usize),
+        ("bm-dos", "detector", 0, 0, 180_804, 2),
+        ("bm-dos", "trust-tiers", 8, 9, 113_025, 2),
+        ("defamation", "stock", 6, 0, 1201, 0),
+        ("defamation", "detector", 6, 0, 1201, 0),
+        ("defamation", "trust-tiers", 0, 4, 1383, 2),
+        ("churn=5", "stock", 0, 0, 1618, 2),
+        ("churn=5", "detector", 0, 0, 1618, 2),
+        ("churn=5", "trust-tiers", 0, 0, 1618, 2),
+    ];
+    let got: Vec<_> = r
+        .rows
+        .iter()
+        .map(|row| {
+            (row.case.as_str(), row.policy, row.bans, row.graylists, row.target_msgs, row.outbound_at_end)
+        })
+        .collect();
+    assert_eq!(got, pins);
+    assert_eq!(r.swarm.digest, 0x446c_1dec_82c3_60bf);
+}

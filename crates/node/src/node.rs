@@ -59,11 +59,6 @@ pub enum PeerPolicy {
     /// The stock banscore mechanism: Table-I points, 100 → 24 h hard ban.
     #[default]
     Stock,
-    /// Stock banscore plus the paper's §VII detection engine. The node
-    /// itself behaves exactly like [`PeerPolicy::Stock`]; the detection
-    /// loop runs scenario-side over telemetry windows (`btc_detect`), and
-    /// this label routes the three-way `repro reputation` sweep.
-    Detector,
     /// The trust-tier reputation engine
     /// ([`crate::banscore::ReputationEngine`]): weighted penalties, decay,
     /// graylist soft-bans, hard ban only as a last resort.

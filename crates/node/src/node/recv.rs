@@ -29,7 +29,6 @@
 
 use super::{Node, PeerPolicy};
 use crate::banscore::Tier;
-use crate::metrics::msg_type_id;
 use btc_netsim::sim::Ctx;
 use btc_netsim::tcp::ConnId;
 use btc_wire::encode::{DecodeError, DecodeResult};
@@ -137,9 +136,13 @@ impl Node {
             };
             // Stage 4: handler + misbehavior tracking.
             ctx.charge_cpu(self.config.cost.handler_cost(&msg));
-            if let (Some(id), Some(p)) = (msg_type_id(msg.command()), self.peers.get(&conn)) {
-                self.telemetry
-                    .record_message(self.now, id, raw.payload.len() as u32, p.addr);
+            if let Some(p) = self.peers.get(&conn) {
+                self.telemetry.record_message(
+                    self.now,
+                    msg.command_index(),
+                    raw.payload.len() as u32,
+                    p.addr,
+                );
             }
             if !self.handshake(ctx, conn, &msg) {
                 self.handle_message(ctx, conn, msg);

@@ -265,36 +265,48 @@ pub const ALL_COMMANDS: [&str; 26] = [
 ];
 
 impl Message {
-    /// The command string carried in the message header.
-    pub fn command(&self) -> &'static str {
+    /// Position of this message's command in [`ALL_COMMANDS`] (the variant
+    /// order) — the telemetry type id, known without a string compare.
+    pub fn command_index(&self) -> u8 {
         match self {
-            Message::Version(_) => "version",
-            Message::Verack => "verack",
-            Message::Addr(_) => "addr",
-            Message::GetAddr => "getaddr",
-            Message::Ping(_) => "ping",
-            Message::Pong(_) => "pong",
-            Message::Inv(_) => "inv",
-            Message::GetData(_) => "getdata",
-            Message::NotFound(_) => "notfound",
-            Message::GetBlocks(_) => "getblocks",
-            Message::GetHeaders(_) => "getheaders",
-            Message::Headers(_) => "headers",
-            Message::Tx(_) => "tx",
-            Message::Block(_) => "block",
-            Message::Mempool => "mempool",
-            Message::MerkleBlock(_) => "merkleblock",
-            Message::SendHeaders => "sendheaders",
-            Message::FeeFilter(_) => "feefilter",
-            Message::FilterLoad(_) => "filterload",
-            Message::FilterAdd(_) => "filteradd",
-            Message::FilterClear => "filterclear",
-            Message::SendCmpct(_) => "sendcmpct",
-            Message::CmpctBlock(_) => "cmpctblock",
-            Message::GetBlockTxn(_) => "getblocktxn",
-            Message::BlockTxn(_) => "blocktxn",
-            Message::Reject(_) => "reject",
+            Message::Version(_) => 0,
+            Message::Verack => 1,
+            Message::Addr(_) => 2,
+            Message::GetAddr => 3,
+            Message::Ping(_) => 4,
+            Message::Pong(_) => 5,
+            Message::Inv(_) => 6,
+            Message::GetData(_) => 7,
+            Message::NotFound(_) => 8,
+            Message::GetBlocks(_) => 9,
+            Message::GetHeaders(_) => 10,
+            Message::Headers(_) => 11,
+            Message::Tx(_) => 12,
+            Message::Block(_) => 13,
+            Message::Mempool => 14,
+            Message::MerkleBlock(_) => 15,
+            Message::SendHeaders => 16,
+            Message::FeeFilter(_) => 17,
+            Message::FilterLoad(_) => 18,
+            Message::FilterAdd(_) => 19,
+            Message::FilterClear => 20,
+            Message::SendCmpct(_) => 21,
+            Message::CmpctBlock(_) => 22,
+            Message::GetBlockTxn(_) => 23,
+            Message::BlockTxn(_) => 24,
+            Message::Reject(_) => 25,
         }
+    }
+
+    /// The command string carried in the message header:
+    /// [`ALL_COMMANDS`] at [`Message::command_index`] (a variant position,
+    /// so the lookup cannot miss — `twenty_six_commands` holds the table
+    /// to the variants).
+    pub fn command(&self) -> &'static str {
+        ALL_COMMANDS
+            .get(usize::from(self.command_index()))
+            .copied()
+            .unwrap_or("?")
     }
 
     /// Encodes only the payload (header excluded).

@@ -7,7 +7,7 @@ use btc_wire::block::{Block, BlockHeader, HeadersEntry};
 use btc_wire::compact::{BlockTxnRequest, SendCmpct};
 use btc_wire::encode::{Decodable, Encodable, Reader};
 use btc_wire::message::{
-    decode_frame, read_frame, FrameResult, Message, RawMessage, VersionMessage,
+    decode_frame, read_frame, FrameResult, Message, RawMessage, VersionMessage, ALL_COMMANDS,
 };
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
 use btc_wire::types::{
@@ -138,9 +138,13 @@ fn frame_parser_never_panics() {
 #[test]
 fn payload_decoder_never_panics() {
     check_sized("payload_decoder_never_panics", 256, |g| {
-        let cmd = *g.choose(&btc_wire::message::ALL_COMMANDS);
+        let cmd = *g.choose(&ALL_COMMANDS);
         let bytes = g.vec_u8(0, 256);
-        let _ = Message::decode_payload(cmd, &bytes);
+        if let Ok(m) = Message::decode_payload(cmd, &bytes) {
+            // The variant order is the `ALL_COMMANDS` order.
+            assert_eq!(ALL_COMMANDS[m.command_index() as usize], m.command());
+            assert_eq!(m.command(), cmd);
+        }
     });
 }
 

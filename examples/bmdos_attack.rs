@@ -9,7 +9,6 @@ use banscore::contention::ContentionModel;
 use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{as_secs_f64, SECS};
 
 fn flood(payload: FloodPayload, connections: usize, reconnect: bool, secs: u64) {
@@ -17,18 +16,14 @@ fn flood(payload: FloodPayload, connections: usize, reconnect: bool, secs: u64) 
         feeders: 0,
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload,
-            connections,
-            reconnect_on_ban: reconnect,
-            sybil_port_start: if reconnect { 50_000 } else { 0 },
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload,
+        connections,
+        reconnect_on_ban: reconnect,
+        sybil_port_start: if reconnect { 50_000 } else { 0 },
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(secs * SECS);
     let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
     let node = tb.target_node();

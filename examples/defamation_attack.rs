@@ -9,7 +9,7 @@
 use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::defamation::{PostConnDefamer, PreConnDefamer};
 use btc_netsim::packet::SockAddr;
-use btc_netsim::sim::{HostConfig, TapFilter};
+use btc_netsim::sim::TapFilter;
 use btc_netsim::time::SECS;
 
 fn pre_connection() {
@@ -22,11 +22,7 @@ fn pre_connection() {
     });
     let innocent = tb.innocent_ips[0];
     let ports: Vec<u16> = (50_000..50_008).collect();
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(PreConnDefamer::new(tb.target_addr, innocent, ports.clone())),
-        HostConfig::default(),
-    );
+    tb.add_attacker(PreConnDefamer::new(tb.target_addr, innocent, ports.clone()));
     tb.sim.run_for(4 * SECS);
     let node = tb.target_node();
     println!(
@@ -63,11 +59,7 @@ fn post_connection() {
     let innocent = tb.innocent_ips[0];
     // The attacker sniffs the target's LAN segment...
     let tap = tb.sim.add_tap(TapFilter::Host(addrs::TARGET));
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(PostConnDefamer::new(tb.target_addr, vec![innocent], tap)),
-        HostConfig::default(),
-    );
+    tb.add_attacker(PostConnDefamer::new(tb.target_addr, vec![innocent], tap));
     tb.sim.run_for(10 * SECS);
     let attacker: &PostConnDefamer = tb.sim.app(addrs::ATTACKER).expect("defamer");
     let node = tb.target_node();

@@ -6,10 +6,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use banscore::testbed::{addrs, Testbed, TestbedConfig};
+use banscore::testbed::{Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
-use btc_netsim::sim::HostConfig;
 use btc_netsim::time::{MINUTES, SECS};
 
 fn main() {
@@ -32,15 +31,11 @@ fn main() {
 
     // Now a peer misbehaves: it sends blocks with invalid proof of work.
     println!("\nattaching a misbehaving peer (invalid-PoW blocks)...");
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::InvalidPowBlock,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::InvalidPowBlock,
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(5 * SECS);
     let node = tb.target_node();
     println!("  bans now: {}", node.telemetry.bans);

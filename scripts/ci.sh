@@ -84,7 +84,7 @@ if ! diff -u "$out1" "$out4"; then
   echo "ERROR: repro output differs between --jobs 1 and --jobs 4" >&2
   exit 1
 fi
-echo "    $(wc -l < "$out1") output lines identical across job counts OK"
+echo "    $(wc -l < "$out1") output lines identical across job counts OK (sha256 $(sha256sum < "$out1" | cut -d' ' -f1))"
 
 echo "==> serve smoke: sharded service must be byte-identical at 1, 2 and 4 shards"
 # The serve scenario prints one deterministic `digest shards=N <hex>` line

@@ -24,15 +24,11 @@ fn train_detect_respond_pipeline() {
     let profile = engine.train(&windows).expect("training data");
 
     // Continue the SAME simulation with an attacker attached.
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::Ping,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::Ping,
+        ..FloodConfig::default()
+    }));
     let attack_start = tb.sim.now();
     tb.sim.run_for(5 * MINUTES);
     let attack_window = tb.single_window(attack_start, attack_start + 5 * MINUTES);
@@ -54,17 +50,13 @@ fn version_022_no_longer_bans_duplicate_version() {
             },
             ..TestbedConfig::default()
         });
-        tb.sim.add_host(
-            addrs::ATTACKER,
-            Box::new(Flooder::new(FloodConfig {
-                target: tb.target_addr,
-                payload: FloodPayload::DuplicateVersion,
-                reconnect_on_ban: true,
-                sybil_port_start: 50_000,
-                ..FloodConfig::default()
-            })),
-            HostConfig::default(),
-        );
+        tb.add_attacker(Flooder::new(FloodConfig {
+            target: tb.target_addr,
+            payload: FloodPayload::DuplicateVersion,
+            reconnect_on_ban: true,
+            sybil_port_start: 50_000,
+            ..FloodConfig::default()
+        }));
         tb.sim.run_for(3 * SECS);
         tb.target_node().telemetry.bans
     };
@@ -83,17 +75,13 @@ fn ban_expires_and_identifier_is_welcome_again() {
         },
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::InvalidPowBlock,
-            sybil_port_start: 50_000,
-            max_messages: Some(1),
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::InvalidPowBlock,
+        sybil_port_start: 50_000,
+        max_messages: Some(1),
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(2 * SECS);
     let banned_id = SockAddr::new(addrs::ATTACKER, 50_000);
     {
@@ -130,16 +118,12 @@ fn flood_does_not_disturb_honest_peers() {
     // While a PING flood runs, honest feeders keep their sessions and their
     // transactions keep landing in the mempool.
     let mut tb = Testbed::build(TestbedConfig::default());
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::Ping,
-            connections: 10,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::Ping,
+        connections: 10,
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(MINUTES);
     let node = tb.target_node();
     assert_eq!(node.inbound_count(), 3 + 10, "feeders + sybil connections");
@@ -170,17 +154,13 @@ fn whole_suite_is_deterministic() {
             target_outbound: 2,
             ..TestbedConfig::default()
         });
-        tb.sim.add_host(
-            addrs::ATTACKER,
-            Box::new(Flooder::new(FloodConfig {
-                target: tb.target_addr,
-                payload: FloodPayload::OversizeAddr,
-                reconnect_on_ban: true,
-                sybil_port_start: 51_000,
-                ..FloodConfig::default()
-            })),
-            HostConfig::default(),
-        );
+        tb.add_attacker(Flooder::new(FloodConfig {
+            target: tb.target_addr,
+            payload: FloodPayload::OversizeAddr,
+            reconnect_on_ban: true,
+            sybil_port_start: 51_000,
+            ..FloodConfig::default()
+        }));
         tb.sim.run_for(30 * SECS);
         let node = tb.target_node();
         (
@@ -199,16 +179,12 @@ fn oversize_addr_attack_scores_twenty_per_message() {
         feeders: 0,
         ..TestbedConfig::default()
     });
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::OversizeAddr,
-            max_messages: Some(5),
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::OversizeAddr,
+        max_messages: Some(5),
+        ..FloodConfig::default()
+    }));
     tb.sim.run_for(3 * SECS);
     let node = tb.target_node();
     let events = node.tracker.events();
@@ -239,16 +215,12 @@ fn detection_response_drops_and_rebuilds_connections() {
     let profile = engine
         .train(&tb.windows(MINUTES, 11 * MINUTES, 5 * MINUTES))
         .expect("training data");
-    tb.sim.add_host(
-        addrs::ATTACKER,
-        Box::new(Flooder::new(FloodConfig {
-            target: tb.target_addr,
-            payload: FloodPayload::Ping,
-            connections: 5,
-            ..FloodConfig::default()
-        })),
-        HostConfig::default(),
-    );
+    tb.add_attacker(Flooder::new(FloodConfig {
+        target: tb.target_addr,
+        payload: FloodPayload::Ping,
+        connections: 5,
+        ..FloodConfig::default()
+    }));
     let attack_start = tb.sim.now();
     tb.sim.run_for(MINUTES);
     // Detect on the last minute of traffic.
