@@ -256,8 +256,7 @@ fn serve_case(
         .first()
         .expect("one aggregate window")
         .verdict
-        .detection
-        .clone();
+        .detection;
     let aggregate_batch = engine.detect(node_profile, &tb.single_window(SETTLE, end));
 
     ServeCase {

@@ -1,13 +1,17 @@
 //! Integer facts of the swarm, fault-matrix and reputation scenarios,
 //! recorded before the bed, its traffic cases and the train → fan-out →
-//! first-alarm study were folded into one implementation. A refactor of
-//! the scenario layer must not move any of them; a PR that means to
-//! change a simulated number changes the pin with it.
+//! first-alarm study were folded into one implementation, and of the
+//! serve study, recorded before the detector's verdicts stopped
+//! allocating. A refactor of the scenario or detector layer must not move
+//! any of them; a PR that means to change a simulated number changes the
+//! pin with it.
 
 use banscore::scenario::fault_matrix::{run_fault_matrix, FaultMatrixConfig, FaultPoint};
+use banscore::scenario::fig10::Fig10Config;
 use banscore::scenario::reputation::{
     run_reputation, run_swarm_tiers, ReputationSweepConfig, SwarmTierSpec,
 };
+use banscore::scenario::serve::{run_serve_jobs, ServeConfig};
 use banscore::scenario::swarm::{run_swarm, SwarmSpec};
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 
@@ -81,6 +85,40 @@ fn fault_matrix_point_is_pinned() {
         .map(|c| {
             let f = c.fault_stats;
             (c.name, c.retransmits, f.dropped_loss, f.dropped_partition, f.jittered, f.reordered)
+        })
+        .collect();
+    assert_eq!(got, pins);
+}
+
+#[test]
+fn serve_cases_are_pinned() {
+    // `repro --quick serve`'s configuration.
+    let r = run_serve_jobs(
+        ServeConfig {
+            fig10: Fig10Config {
+                train: 20 * MINUTES,
+                window: 5 * MINUTES,
+                test: 4 * MINUTES,
+                innocents: 25,
+            },
+            window: MINUTES,
+        },
+        2,
+    );
+    // (case, events, peers, verdicts, anomalous, agreement, batch digest,
+    // the digest every shard count shares)
+    let pins = [
+        ("normal", 1229_u64, 3_u64, 12_u64, 0_u64, (12_u64, 12_u64), 0xb0fa_7577_05d0_f060_u64, 0x4b63_03a7_79fd_0f12_u64),
+        ("bm-dos", 241_232, 4, 16, 5, (16, 16), 0x50a7_3135_8636_41d9, 0xa2db_3bc3_2237_2993),
+        ("defamation", 2393, 11, 44, 32, (44, 44), 0x4137_836e_4941_b376, 0x8e45_902b_495b_96af),
+    ];
+    let got: Vec<_> = r
+        .cases
+        .iter()
+        .map(|c| {
+            let digest = c.runs.first().map_or(0, |run| run.digest);
+            assert!(c.digests_agree, "{}: {:x?}", c.name, c.runs);
+            (c.name, c.events, c.peers, c.verdicts, c.anomalous, c.agreement, c.batch_digest, digest)
         })
         .collect();
     assert_eq!(got, pins);

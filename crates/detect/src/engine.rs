@@ -22,6 +22,57 @@ pub enum Violation {
     Distribution,
 }
 
+impl Violation {
+    /// Every violation, in declaration order.
+    const ALL: [Violation; 3] = [
+        Violation::MessageRate,
+        Violation::ReconnectRate,
+        Violation::Distribution,
+    ];
+
+    /// This violation's bit in a [`Violations`] set.
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+/// The set of thresholds one window violated, in one byte.
+///
+/// [`Violations::iter`] yields members in declaration order, whatever
+/// order they were inserted in; `Debug` prints that sequence as a list
+/// (`[MessageRate, Distribution]`), and `verdict_digest` hashes it.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Violations(u8);
+
+impl Violations {
+    /// Adds `v` to the set.
+    pub fn insert(&mut self, v: Violation) {
+        self.0 |= v.bit();
+    }
+
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: &Violation) -> bool {
+        self.0 & v.bit() != 0
+    }
+
+    /// Whether no threshold was violated.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
+    }
+
+    /// The members, in declaration order.
+    pub fn iter(&self) -> impl Iterator<Item = Violation> {
+        let set = *self;
+        Violation::ALL.into_iter().filter(move |v| set.contains(v))
+    }
+}
+
+impl std::fmt::Debug for Violations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The trained reference profile.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Profile {
@@ -44,15 +95,15 @@ impl Profile {
     /// ([`crate::streaming`]), so the two can never disagree on the
     /// threshold logic.
     pub fn judge(&self, n: f64, c: f64, rho: f64) -> Detection {
-        let mut violations = Vec::new();
+        let mut violations = Violations::default();
         if n < self.tau_n.0 || n > self.tau_n.1 {
-            violations.push(Violation::MessageRate);
+            violations.insert(Violation::MessageRate);
         }
         if c < self.tau_c.0 || c > self.tau_c.1 {
-            violations.push(Violation::ReconnectRate);
+            violations.insert(Violation::ReconnectRate);
         }
         if rho < self.tau_lambda {
-            violations.push(Violation::Distribution);
+            violations.insert(Violation::Distribution);
         }
         Detection {
             anomalous: !violations.is_empty(),
@@ -65,7 +116,7 @@ impl Profile {
 }
 
 /// One detection verdict.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Detection {
     /// Whether the window is anomalous.
     pub anomalous: bool,
@@ -76,7 +127,7 @@ pub struct Detection {
     /// Measured correlation `ρ` against the reference.
     pub rho: f64,
     /// Which thresholds were violated.
-    pub violations: Vec<Violation>,
+    pub violations: Violations,
 }
 
 /// Errors from training.
@@ -269,6 +320,24 @@ mod tests {
         let d = engine.detect(&profile, &w);
         assert!(d.anomalous);
         assert!(d.violations.contains(&Violation::MessageRate));
+    }
+
+    #[test]
+    fn violations_iterate_in_declaration_order() {
+        let mut v = Violations::default();
+        assert!(v.is_empty());
+        v.insert(Violation::Distribution);
+        v.insert(Violation::MessageRate);
+        v.insert(Violation::Distribution);
+        assert!(!v.is_empty());
+        assert!(v.contains(&Violation::MessageRate));
+        assert!(!v.contains(&Violation::ReconnectRate));
+        assert_eq!(
+            v.iter().collect::<Vec<_>>(),
+            [Violation::MessageRate, Violation::Distribution]
+        );
+        assert_eq!(format!("{v:?}"), "[MessageRate, Distribution]");
+        assert_eq!(std::mem::size_of::<Violations>(), 1);
     }
 
     #[test]

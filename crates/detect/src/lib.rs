@@ -40,7 +40,7 @@ pub mod serve;
 pub mod streaming;
 
 pub use dataset::Dataset;
-pub use engine::{AnalysisEngine, Detection, Profile, Violation};
+pub use engine::{AnalysisEngine, Detection, Profile, Violation, Violations};
 pub use eval::{compare_accuracy, Metrics};
 pub use features::{correlation, TrafficWindow, NUM_TYPES};
 pub use latency::{compare_latencies, LatencyRow};

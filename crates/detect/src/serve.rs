@@ -31,15 +31,21 @@
 //! ingest throughput, p50/p99 per-decision latency), and
 //! [`batch_verdicts`] runs the same trace through the batch
 //! [`AnalysisEngine`] pipeline — group, then score each window — as the
-//! comparison baseline. The decision clock is a type parameter of the
-//! shard: a plain run reads no clock at all, a bench run reads it only
-//! around the events that close a window. Timing never feeds the verdicts:
-//! the digest of a bench run equals the digest of a plain run.
+//! comparison baseline. Its grouping is a counting sort: beside the
+//! verdicts it returns it holds one byte per event and one word per
+//! `(peer, window)` cell, never a 224-byte [`TrafficWindow`] for every
+//! cell at once. Verdicts are `Copy` (the violation set is one byte), so
+//! scoring a window allocates nothing.
+//!
+//! The decision clock is a type parameter of the shard: a plain run reads
+//! no clock at all, a bench run reads it only around the events that
+//! close a window. Timing never feeds the verdicts: the digest of a bench
+//! run equals the digest of a plain run.
 
 use crate::engine::{AnalysisEngine, Profile, Violation};
-use crate::features::TrafficWindow;
+use crate::features::{TrafficWindow, NUM_TYPES};
 use crate::streaming::{Nanos, StreamingEngine, StreamingProfile, WindowVerdict};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::mpsc;
@@ -96,7 +102,7 @@ impl TraceSpan {
 }
 
 /// One scored `(peer, window)` cell.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeerVerdict {
     /// The peer.
     pub peer: PeerKey,
@@ -370,7 +376,7 @@ pub fn verdict_digest(verdicts: &[PeerVerdict]) -> u64 {
         fnv1a(&mut h, &v.peer.to_le_bytes());
         fnv1a(&mut h, &v.verdict.window_index.to_le_bytes());
         fnv1a(&mut h, &[u8::from(v.verdict.detection.anomalous)]);
-        for viol in &v.verdict.detection.violations {
+        for viol in v.verdict.detection.violations.iter() {
             let tag: u8 = match viol {
                 Violation::MessageRate => 1,
                 Violation::ReconnectRate => 2,
@@ -548,11 +554,34 @@ pub fn bench_service(
     (out, bench)
 }
 
+/// [`batch_verdicts`]' one-byte record of an event: the message's
+/// command-table slot, or [`RECONNECT_SLOT`]. Message types past the table
+/// have none; like the telemetry guard, the window does not count them.
+fn batch_slot(kind: TraceEventKind) -> Option<u8> {
+    match kind {
+        TraceEventKind::Message(ty) => (usize::from(ty) < NUM_TYPES).then_some(ty),
+        TraceEventKind::Reconnect => Some(RECONNECT_SLOT),
+    }
+}
+
+/// The slot [`batch_slot`] gives a reconnection: one past the message types.
+const RECONNECT_SLOT: u8 = NUM_TYPES as u8;
+
 /// The batch comparison pipeline: group the same trace into per-peer
 /// [`TrafficWindow`]s (every peer × every window of the span), then score
 /// each with [`AnalysisEngine::detect`]. Returns the same
 /// `(peer, window)`-sorted shape as [`run_service`] with EWMA fields
-/// zeroed (the batch engine has no between-window signal).
+/// zeroed (the batch engine has no between-window signal). The trace may
+/// be in any time order.
+///
+/// The grouping is a counting sort by `(peer, window)` cell, so no window
+/// table is ever held for every peer:
+///
+/// 1. one pass interns each scored event's peer and counts its cell;
+/// 2. a second pass writes each event's one-byte [`batch_slot`] into its
+///    cell's run of one shared byte array;
+/// 3. peers are scored one at a time in key order, each cell folded into
+///    one [`TrafficWindow`] and scored into an exactly pre-sized list.
 pub fn batch_verdicts(
     profile: &Profile,
     engine: &AnalysisEngine,
@@ -560,37 +589,73 @@ pub fn batch_verdicts(
     span: TraceSpan,
     window_len: Nanos,
 ) -> Vec<PeerVerdict> {
-    let total_windows = span.windows(window_len);
+    let windows = span.windows(window_len) as usize;
     let scored = span.scored(window_len);
     let minutes = window_len as f64 / crate::streaming::MINUTE as f64;
-    let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
-    for ev in trace {
-        if !scored.contains(&ev.time) {
-            continue;
-        }
-        let idx = ((ev.time - span.start) / window_len) as usize;
-        let windows = grouped
-            .entry(ev.peer)
-            .or_insert_with(|| vec![TrafficWindow::empty(minutes); total_windows as usize]);
-        match ev.kind {
-            TraceEventKind::Message(ty) => {
-                // lint:allow(panic-path): idx < total_windows by the min() above; vec sized to total_windows
-                if let Some(slot) = windows[idx].counts.get_mut(ty as usize) {
-                    *slot += 1;
-                }
+    let in_span = || trace.iter().filter(|ev| scored.contains(&ev.time));
+    let cell = |id: usize, time: Nanos| id * windows + ((time - span.start) / window_len) as usize;
+
+    // Pass 1: `bounds[cell]` counts the cell's records.
+    let mut index = PeerIndex::new();
+    let mut bounds: Vec<usize> = Vec::new();
+    for ev in in_span() {
+        let id = index.intern(ev.peer);
+        bounds.resize(index.keys.len() * windows, 0);
+        if batch_slot(ev.kind).is_some() {
+            if let Some(count) = bounds.get_mut(cell(id, ev.time)) {
+                *count += 1;
             }
-            // lint:allow(panic-path): idx < total_windows by the min() above; vec sized to total_windows
-            TraceEventKind::Reconnect => windows[idx].reconnects += 1,
         }
     }
-    let mut out = Vec::new();
-    for (peer, windows) in &grouped {
-        for (idx, w) in windows.iter().enumerate() {
+    // Counts to run starts; pass 2 advances each start to its run's end.
+    let mut records = 0;
+    for bound in &mut bounds {
+        let count = *bound;
+        *bound = records;
+        records += count;
+    }
+    let mut slots = vec![0u8; records];
+    for ev in in_span() {
+        let Some(slot) = batch_slot(ev.kind) else {
+            continue;
+        };
+        // Every peer is interned already: this is a lookup.
+        let id = index.intern(ev.peer);
+        if let Some(at) = bounds.get_mut(cell(id, ev.time)) {
+            if let Some(record) = slots.get_mut(*at) {
+                *record = slot;
+            }
+            *at += 1;
+        }
+    }
+
+    let mut order: Vec<(PeerKey, usize)> = index.keys.iter().copied().zip(0..).collect();
+    order.sort_unstable();
+    let mut out = Vec::with_capacity(bounds.len());
+    for (peer, id) in order {
+        let first = id * windows;
+        // A cell's run starts where the previous cell's ends.
+        let mut start = first
+            .checked_sub(1)
+            .and_then(|prev| bounds.get(prev))
+            .copied()
+            .unwrap_or(0);
+        let ends = bounds.get(first..first + windows).unwrap_or_default();
+        for (window_index, &end) in (0..).zip(ends) {
+            let mut w = TrafficWindow::empty(minutes);
+            for &slot in slots.get(start..end).unwrap_or_default() {
+                if slot == RECONNECT_SLOT {
+                    w.reconnects += 1;
+                } else if let Some(count) = w.counts.get_mut(usize::from(slot)) {
+                    *count += 1;
+                }
+            }
+            start = end;
             out.push(PeerVerdict {
-                peer: *peer,
+                peer,
                 verdict: WindowVerdict {
-                    window_index: idx as u64,
-                    detection: engine.detect(profile, w),
+                    window_index,
+                    detection: engine.detect(profile, &w),
                     ewma_n: 0.0,
                     ewma_c: 0.0,
                 },
@@ -641,19 +706,32 @@ pub fn bench_batch(
 /// the same trace: the fraction of `(peer, window)` cells where both
 /// agree on `anomalous` **and** the violation set. Returns `(matching,
 /// total)`; shapes that differ (missing cells) count as disagreement.
+///
+/// Both lists must be sorted by `(peer, window_index)` with unique keys,
+/// as [`run_service`] and [`batch_verdicts`] return them: the two are
+/// walked together, one cell at a time. On unsorted input the walk pairs
+/// each verdict at most once and only with an equal key, so it can miss
+/// agreement but never invent it.
 pub fn verdict_agreement(streaming: &[PeerVerdict], batch: &[PeerVerdict]) -> (u64, u64) {
-    let mut batch_map: BTreeMap<(PeerKey, u64), &PeerVerdict> = BTreeMap::new();
-    for v in batch {
-        batch_map.insert((v.peer, v.verdict.window_index), v);
-    }
+    let key = |v: &PeerVerdict| (v.peer, v.verdict.window_index);
     let total = streaming.len().max(batch.len()) as u64;
     let mut matching = 0u64;
-    for s in streaming {
-        if let Some(b) = batch_map.get(&(s.peer, s.verdict.window_index)) {
-            if s.verdict.detection.anomalous == b.verdict.detection.anomalous
-                && s.verdict.detection.violations == b.verdict.detection.violations
-            {
-                matching += 1;
+    let (mut s, mut b) = (streaming.iter().peekable(), batch.iter().peekable());
+    while let (Some(sv), Some(bv)) = (s.peek(), b.peek()) {
+        match key(sv).cmp(&key(bv)) {
+            Ordering::Less => {
+                s.next();
+            }
+            Ordering::Greater => {
+                b.next();
+            }
+            Ordering::Equal => {
+                let (sd, bd) = (&sv.verdict.detection, &bv.verdict.detection);
+                if sd.anomalous == bd.anomalous && sd.violations == bd.violations {
+                    matching += 1;
+                }
+                s.next();
+                b.next();
             }
         }
     }
@@ -665,6 +743,7 @@ mod tests {
     use super::*;
     use crate::engine::AnalysisEngine;
     use crate::streaming::MINUTE;
+    use std::collections::BTreeMap;
 
     fn trained_engine(window_len: Nanos) -> StreamingEngine {
         let mut windows = Vec::new();
@@ -797,6 +876,57 @@ mod tests {
         assert!(batch_bench.msgs_per_sec > 0.0);
     }
 
+    /// One verdict per violation subset, judged by a hand-set profile:
+    /// bit 0 of `subset` breaks `τ_n`, bit 1 `τ_c`, bit 2 `τ_Λ`.
+    fn every_violation_subset() -> Vec<PeerVerdict> {
+        let profile = Profile {
+            tau_n: (1.0, 2.0),
+            tau_c: (0.0, 1.0),
+            tau_lambda: 0.5,
+            reference: [0.0; NUM_TYPES],
+            training_windows: 1,
+        };
+        (0..8u64)
+            .map(|subset| {
+                let n = if subset & 1 == 0 { 1.5 } else { 7.25 };
+                let c = if subset & 2 == 0 { 0.5 } else { 3.0 };
+                let rho = if subset & 4 == 0 { 0.875 } else { 0.125 };
+                PeerVerdict {
+                    peer: 100 + subset,
+                    verdict: WindowVerdict {
+                        window_index: subset % 3,
+                        detection: profile.judge(n, c, rho),
+                        ewma_n: subset as f64 / 4.0,
+                        ewma_c: 1.0 / (subset + 1) as f64,
+                    },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn digest_and_debug_text_of_every_violation_subset_are_pinned() {
+        let verdicts = every_violation_subset();
+        let text: Vec<String> = verdicts
+            .iter()
+            .map(|v| format!("{:?}", v.verdict.detection.violations))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "[]",
+                "[MessageRate]",
+                "[ReconnectRate]",
+                "[MessageRate, ReconnectRate]",
+                "[Distribution]",
+                "[MessageRate, Distribution]",
+                "[ReconnectRate, Distribution]",
+                "[MessageRate, ReconnectRate, Distribution]",
+            ]
+        );
+        assert_eq!(verdict_digest(&verdicts), 0xdb8c_a592_e25e_e3b4);
+    }
+
     #[test]
     fn digest_is_sensitive_to_verdict_changes() {
         let window_len = MINUTE;
@@ -837,6 +967,149 @@ mod tests {
             all.extend(out.into_iter().map(|verdict| PeerVerdict { peer, verdict }));
         }
         all
+    }
+
+    /// [`batch_verdicts`] as a window table per peer behind a `BTreeMap`:
+    /// what the counting sort must equal.
+    fn reference_batch(
+        profile: &Profile,
+        engine: &AnalysisEngine,
+        trace: &[TraceEvent],
+        span: TraceSpan,
+        window_len: Nanos,
+    ) -> Vec<PeerVerdict> {
+        let total_windows = span.windows(window_len);
+        let scored = span.scored(window_len);
+        let minutes = window_len as f64 / MINUTE as f64;
+        let mut grouped: BTreeMap<PeerKey, Vec<TrafficWindow>> = BTreeMap::new();
+        for ev in trace.iter().filter(|ev| scored.contains(&ev.time)) {
+            let idx = ((ev.time - span.start) / window_len) as usize;
+            let windows = grouped
+                .entry(ev.peer)
+                .or_insert_with(|| vec![TrafficWindow::empty(minutes); total_windows as usize]);
+            match ev.kind {
+                TraceEventKind::Message(ty) => {
+                    if let Some(slot) = windows[idx].counts.get_mut(ty as usize) {
+                        *slot += 1;
+                    }
+                }
+                TraceEventKind::Reconnect => windows[idx].reconnects += 1,
+            }
+        }
+        let mut out = Vec::new();
+        for (peer, windows) in &grouped {
+            for (idx, w) in windows.iter().enumerate() {
+                out.push(PeerVerdict {
+                    peer: *peer,
+                    verdict: WindowVerdict {
+                        window_index: idx as u64,
+                        detection: engine.detect(profile, w),
+                        ewma_n: 0.0,
+                        ewma_c: 0.0,
+                    },
+                });
+            }
+        }
+        out
+    }
+
+    /// [`verdict_agreement`] through a map of the batch cells: what the
+    /// sorted walk must equal on sorted input.
+    fn reference_agreement(streaming: &[PeerVerdict], batch: &[PeerVerdict]) -> (u64, u64) {
+        let mut batch_map: BTreeMap<(PeerKey, u64), &PeerVerdict> = BTreeMap::new();
+        for v in batch {
+            batch_map.insert((v.peer, v.verdict.window_index), v);
+        }
+        let total = streaming.len().max(batch.len()) as u64;
+        let mut matching = 0u64;
+        for s in streaming {
+            if let Some(b) = batch_map.get(&(s.peer, s.verdict.window_index)) {
+                if s.verdict.detection.anomalous == b.verdict.detection.anomalous
+                    && s.verdict.detection.violations == b.verdict.detection.violations
+                {
+                    matching += 1;
+                }
+            }
+        }
+        (matching, total)
+    }
+
+    #[test]
+    fn batch_counting_sort_and_agreement_walk_equal_their_references() {
+        use btc_netsim::prop::{check, Gen};
+        let engine = trained_engine(MINUTE);
+        let batch_engine = AnalysisEngine::default();
+        check("batch_verdicts ≡ reference_batch", |g: &mut Gen| {
+            let window_len = *g.choose(&[1, 7, MINUTE]);
+            let start = g.u64_in(0, 3 * window_len);
+            // Up to three windows and a partial tail; a span shorter than
+            // one window, or ending before it starts, has none.
+            let end = match g.usize_in(0, 5) {
+                0 => start.saturating_sub(g.u64_in(0, 2 * window_len)),
+                _ => start + g.u64_in(0, 3 * window_len + window_len / 2 + 1),
+            };
+            let span = TraceSpan { start, end };
+            let peers = g.u64_in(1, 10);
+            let mut trace: Vec<TraceEvent> = g.vec_with(0, 300, |g| TraceEvent {
+                time: match g.usize_in(0, 12) {
+                    0 => u64::MAX,
+                    1 => g.u64_in(0, start + 1),
+                    2 => end.saturating_add(g.u64_in(0, 2 * window_len)),
+                    _ => g.u64_in(start, end.max(start) + 1),
+                },
+                peer: g.u64_in(0, peers) * 1_000_003,
+                kind: match g.usize_in(0, 8) {
+                    0 => TraceEventKind::Reconnect,
+                    1 => TraceEventKind::Message(g.usize_in(NUM_TYPES, 256) as u8),
+                    _ => TraceEventKind::Message(g.usize_in(0, NUM_TYPES) as u8),
+                },
+            });
+            if g.bool() {
+                trace.sort_by_key(|e| e.time);
+            }
+            let profile = &engine.profile;
+            let batch = batch_verdicts(profile, &batch_engine, &trace, span, window_len);
+            let expect = reference_batch(profile, &batch_engine, &trace, span, window_len);
+            assert_eq!(batch, expect);
+            assert_eq!(batch.len(), batch.capacity(), "the list is sized exactly");
+
+            // A second, sorted list with cells missing, extra and differing.
+            let key = |v: &PeerVerdict| (v.peer, v.verdict.window_index);
+            let mut other = Vec::new();
+            for v in &batch {
+                let mut v = *v;
+                let d = &mut v.verdict.detection;
+                match g.usize_in(0, 6) {
+                    0 => continue,
+                    1 => d.anomalous = !d.anomalous,
+                    2 => d.violations.insert(Violation::ReconnectRate),
+                    _ => {}
+                }
+                other.push(v);
+            }
+            let subsets = every_violation_subset();
+            for _ in 0..g.usize_in(0, 4) {
+                let mut v = *g.choose(&subsets);
+                v.peer = g.u64_in(0, peers) * 1_000_003 + g.u64_in(0, 2);
+                v.verdict.window_index = g.u64_in(0, 5);
+                if !other.iter().any(|o| key(o) == key(&v)) {
+                    other.push(v);
+                }
+            }
+            other.sort_by_key(key);
+            let walked = verdict_agreement(&other, &batch);
+            assert_eq!(walked, reference_agreement(&other, &batch));
+            let flipped = verdict_agreement(&batch, &other);
+            assert_eq!(flipped, reference_agreement(&batch, &other));
+            // Out of order, the walk can only miss agreement.
+            other.reverse();
+            assert!(verdict_agreement(&other, &batch).0 <= walked.0);
+        });
+    }
+
+    #[test]
+    fn verdicts_are_small_copy_values() {
+        assert_eq!(std::mem::size_of::<PeerVerdict>(), 64);
     }
 
     #[test]

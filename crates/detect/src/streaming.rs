@@ -95,15 +95,15 @@ impl StreamingWindow {
     /// table; out-of-range ids are ignored, mirroring the telemetry
     /// guard). O(1).
     pub fn record(&mut self, msg_type: u8, refs: &ReferenceStats) {
-        let Some(slot) = self.counts.get_mut(msg_type as usize) else {
+        let ty = usize::from(msg_type);
+        let (Some(slot), Some(weight)) = (self.counts.get_mut(ty), refs.reference.get(ty)) else {
             return;
         };
         // (c+1)² − c² = 2c + 1 keeps Σ counts² current without a rescan.
         self.sq_sum += 2 * *slot + 1;
         *slot += 1;
         self.total += 1;
-        // lint:allow(panic-path): the get_mut above already proved msg_type in range for the same-size table
-        self.ref_dot += refs.reference[msg_type as usize];
+        self.ref_dot += weight;
     }
 
     /// Records one outbound reconnection. O(1).
@@ -267,7 +267,7 @@ impl StreamingEngine {
 }
 
 /// One closed window's verdict, emitted by [`StreamingProfile`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowVerdict {
     /// Which tumbling window (0-based since the stream start).
     pub window_index: u64,

@@ -54,10 +54,15 @@ pub const PEER_INPUT_FILES: &[&str] = &[
 /// The steady-state receive path: files where a `to_vec()` /
 /// `copy_from_slice` / `Vec::new` would silently reintroduce the per-frame
 /// copies the zero-copy refactor removed (`hot-path-alloc` rule scope).
+/// The two detector files cover the detector's per-window path: every
+/// closed window is scored through `Profile::judge`, and a verdict must
+/// stay a `Copy` value that costs no allocation.
 pub const RECV_PATH_FILES: &[&str] = &[
     "crates/node/src/node/recv.rs",
     "crates/node/src/peer.rs",
     "crates/wire/src/drain.rs",
+    "crates/detect/src/engine.rs",
+    "crates/detect/src/streaming.rs",
 ];
 
 /// Wire parsing files where `as u8`/`as u16`/`as u32` narrowing must be
@@ -347,6 +352,8 @@ mod tests {
         assert!(is_recv_path("crates/node/src/node/recv.rs"));
         assert!(is_recv_path("crates/wire/src/drain.rs"));
         assert!(!is_recv_path("crates/node/src/node.rs"));
+        assert!(is_recv_path("crates/detect/src/engine.rs"));
+        assert!(!is_recv_path("crates/detect/src/serve.rs"));
         assert!(is_peer_input("crates/node/src/node/recv.rs"));
         assert!(is_peer_input("crates/wire/src/drain.rs"));
     }

@@ -115,7 +115,8 @@ if grep -E '^  (streaming vs batch|node aggregate)' "$serve_out" \
   grep -E '^  (streaming vs batch|node aggregate)' "$serve_out" >&2
   exit 1
 fi
-echo "    $(echo "$d1" | wc -l) case digests identical across shard counts OK"
+serve_sha=$(grep -v '\[wall\]' "$serve_out" | sha256sum | cut -d' ' -f1)
+echo "    $(echo "$d1" | wc -l) case digests identical across shard counts OK (sha256 without [wall] lines $serve_sha)"
 
 echo "==> swarm smoke: sharded netsim must be byte-identical at 1 vs 4 workers"
 # The swarm scenario prints one deterministic `digest workers=N <hex>` line
