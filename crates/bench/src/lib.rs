@@ -280,7 +280,11 @@ pub mod csv {
         for p in points {
             out.push_str(&format!(
                 "{},{},{:.2},{:.3},{:.1}\n",
-                p.attack, p.connections, p.msgs_per_sec, p.mbits_per_sec, p.mining_rate
+                p.attack.label(),
+                p.connections,
+                p.msgs_per_sec,
+                p.mbits_per_sec,
+                p.mining_rate
             ));
         }
         out

@@ -17,11 +17,44 @@ use btc_netsim::time::{as_secs_f64, SECS};
 /// size; 200 kB sits inside protocol limits and the testbed's bandwidth).
 pub const BOGUS_BLOCK_BYTES: usize = 200_000;
 
+/// The flood behind one Figure-6 point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fig6Attack {
+    /// The idle baseline: no flood.
+    None,
+    /// Bogus-checksum `BLOCK` frames of [`BOGUS_BLOCK_BYTES`].
+    Block,
+    /// `PING` frames.
+    Ping,
+}
+
+impl Fig6Attack {
+    /// Stable row label: `none`, `block` or `ping`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fig6Attack::None => "none",
+            Fig6Attack::Block => "block",
+            Fig6Attack::Ping => "ping",
+        }
+    }
+
+    /// The flooder's payload, or `None` for the idle baseline.
+    fn payload(self) -> Option<FloodPayload> {
+        match self {
+            Fig6Attack::None => None,
+            Fig6Attack::Block => Some(FloodPayload::BogusChecksumBlock {
+                payload_bytes: BOGUS_BLOCK_BYTES,
+            }),
+            Fig6Attack::Ping => Some(FloodPayload::Ping),
+        }
+    }
+}
+
 /// One point of Figure 6.
 #[derive(Clone, Debug)]
 pub struct Fig6Point {
-    /// "none", "block" or "ping".
-    pub attack: &'static str,
+    /// The flood.
+    pub attack: Fig6Attack,
     /// Sybil connection count.
     pub connections: usize,
     /// Measured delivered flood messages per second.
@@ -37,8 +70,8 @@ pub struct Fig6Point {
 /// worker threads.
 #[derive(Clone, Copy, Debug)]
 pub struct Fig6PointCfg {
-    /// "none", "block" or "ping".
-    pub attack: &'static str,
+    /// The flood.
+    pub attack: Fig6Attack,
     /// Sybil connection count (0 = idle baseline).
     pub connections: usize,
     /// Virtual run length in seconds.
@@ -49,11 +82,11 @@ pub struct Fig6PointCfg {
 /// {block, ping} × {1, 10, 20} connections.
 pub fn point_list(duration_secs: u64) -> Vec<Fig6PointCfg> {
     let mut cfgs = vec![Fig6PointCfg {
-        attack: "none",
+        attack: Fig6Attack::None,
         connections: 0,
         duration_secs,
     }];
-    for attack in ["block", "ping"] {
+    for attack in [Fig6Attack::Block, Fig6Attack::Ping] {
         for connections in [1usize, 10, 20] {
             cfgs.push(Fig6PointCfg {
                 attack,
@@ -75,7 +108,7 @@ pub fn run_point(cfg: Fig6PointCfg, model: &ContentionModel) -> Fig6Point {
         connections,
         duration_secs,
     } = cfg;
-    if connections == 0 {
+    let Some(payload) = attack.payload().filter(|_| connections > 0) else {
         return Fig6Point {
             attack,
             connections,
@@ -83,13 +116,6 @@ pub fn run_point(cfg: Fig6PointCfg, model: &ContentionModel) -> Fig6Point {
             mbits_per_sec: 0.0,
             mining_rate: model.mining_rate(0.0),
         };
-    }
-    let payload = match attack {
-        "block" => FloodPayload::BogusChecksumBlock {
-            payload_bytes: BOGUS_BLOCK_BYTES,
-        },
-        "ping" => FloodPayload::Ping,
-        other => panic!("unknown attack {other}"),
     };
     let mut tb = Testbed::build(TestbedConfig {
         feeders: 0, // the flood dwarfs background traffic
@@ -146,7 +172,11 @@ pub fn render_fig6(points: &[Fig6Point]) -> String {
         writeln!(
             out,
             "{:<8} {:>6} {:>12.0} {:>12.2} {:>16.0}",
-            p.attack, p.connections, p.msgs_per_sec, p.mbits_per_sec, p.mining_rate
+            p.attack.label(),
+            p.connections,
+            p.msgs_per_sec,
+            p.mbits_per_sec,
+            p.mining_rate
         )
         .unwrap();
     }
@@ -157,7 +187,7 @@ pub fn render_fig6(points: &[Fig6Point]) -> String {
 mod tests {
     use super::*;
 
-    fn get<'a>(points: &'a [Fig6Point], attack: &str, conns: usize) -> &'a Fig6Point {
+    fn get(points: &[Fig6Point], attack: Fig6Attack, conns: usize) -> &Fig6Point {
         points
             .iter()
             .find(|p| p.attack == attack && p.connections == conns)
@@ -167,15 +197,15 @@ mod tests {
     #[test]
     fn fig6_shape_matches_paper() {
         let points = run_fig6(2);
-        let baseline = get(&points, "none", 0).mining_rate;
+        let baseline = get(&points, Fig6Attack::None, 0).mining_rate;
         // Paper: idle ≈ 9.5e5 h/s.
         assert!((9.0e5..10.0e5).contains(&baseline), "baseline {baseline}");
-        let b1 = get(&points, "block", 1).mining_rate;
-        let b10 = get(&points, "block", 10).mining_rate;
-        let b20 = get(&points, "block", 20).mining_rate;
-        let p1 = get(&points, "ping", 1).mining_rate;
-        let p10 = get(&points, "ping", 10).mining_rate;
-        let p20 = get(&points, "ping", 20).mining_rate;
+        let b1 = get(&points, Fig6Attack::Block, 1).mining_rate;
+        let b10 = get(&points, Fig6Attack::Block, 10).mining_rate;
+        let b20 = get(&points, Fig6Attack::Block, 20).mining_rate;
+        let p1 = get(&points, Fig6Attack::Ping, 1).mining_rate;
+        let p10 = get(&points, Fig6Attack::Ping, 10).mining_rate;
+        let p20 = get(&points, Fig6Attack::Ping, 20).mining_rate;
         // Monotone decline with Sybil count, saturating (the BLOCK flood is
         // bandwidth-capped beyond 1 connection, so 10 vs 20 sit on a
         // plateau — allow 2% jitter there).

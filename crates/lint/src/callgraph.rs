@@ -217,6 +217,7 @@ const STD_METHODS: &[&str] = &[
     "ends_with", "trim", "parse", "cmp", "eq", "fmt", "default", "new", "resize", "truncate",
     "windows", "chunks", "copied", "cloned", "unwrap_or", "unwrap_or_else", "and_then", "or",
     "or_else", "ok", "err", "is_some", "is_none", "is_ok", "is_err", "lines", "bytes",
+    "copy_from_slice",
 ];
 
 fn resolve(

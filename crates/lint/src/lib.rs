@@ -14,8 +14,9 @@
 //! | `panic-path`     | peer-input files + transitive     | no unwrap/expect/panic!/`[i]` on     |
 //! |                  |                                   | (or reachable from) peer bytes       |
 //! | `narrowing-cast` | wire parse files                  | no `as u8/u16/u32`                   |
-//! | `hot-path-alloc` | receive-path files + transitive   | no `to_vec()`/`copy_from_slice`/     |
-//! |                  |                                   | `Vec::new` on the steady-state path  |
+//! | `hot-path-alloc` | receive-path files + send-path    | no `to_vec()`/`copy_from_slice`/     |
+//! |                  | roots + transitive                | `Vec::new`/fresh `Writer` on the     |
+//! |                  |                                   | steady-state path                    |
 //! | `score-arith`    | `crates/node/src/banscore/`       | saturating/checked score arithmetic  |
 //! | `rng-stream`     | RNG roots + reachable fns         | draws stay on the owning salted      |
 //! |                  |                                   | stream; `SimRng::new` is salted      |

@@ -438,17 +438,21 @@ fn parse_impl_header(toks: &[Token], start: usize) -> (String, Option<usize>) {
 }
 
 /// Finds the token index of a function body's `{`, scanning from just
-/// past the function name. `;` at paren depth 0 means a bodiless
-/// declaration. Generic parameters and argument lists are skipped by
-/// depth so `fn f(g: fn() -> u8) -> u8 {` resolves to the final brace.
+/// past the function name. `;` at paren and bracket depth 0 means a
+/// bodiless declaration (the `;` of an array type like `-> [u8; 80]` does
+/// not). Generic parameters and argument lists are skipped by depth so
+/// `fn f(g: fn() -> u8) -> u8 {` resolves to the final brace.
 fn find_fn_body(toks: &[Token], start: usize) -> Option<usize> {
     let mut paren = 0usize;
+    let mut bracket = 0usize;
     let mut angle = 0usize;
     let mut j = start;
     while j < toks.len() {
         match toks[j].text.as_str() {
             "(" => paren += 1,
             ")" => paren = paren.saturating_sub(1),
+            "[" => bracket += 1,
+            "]" => bracket = bracket.saturating_sub(1),
             "<" => angle += 1,
             ">" => {
                 // `->` is `-`, `>`: not a generic close.
@@ -457,7 +461,7 @@ fn find_fn_body(toks: &[Token], start: usize) -> Option<usize> {
                 }
             }
             "{" if paren == 0 && angle == 0 => return Some(j),
-            ";" if paren == 0 => return None,
+            ";" if paren == 0 && bracket == 0 => return None,
             _ => {}
         }
         j += 1;
@@ -645,6 +649,14 @@ mod tests {
         let p = parsed("trait T {\n    fn decl(&self);\n    fn with_default(&self) { self.decl(); }\n}\n");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "with_default");
+    }
+
+    #[test]
+    fn array_return_type_has_a_body() {
+        let p = parsed("trait T {\n    fn decl(&self) -> [u8; 4];\n}\nfn f() -> [u8; 80] { g() }\n");
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "f");
+        assert_eq!(p.fns[0].calls.len(), 1);
     }
 
     #[test]

@@ -6,42 +6,64 @@
 //! a `Bytes::copy_from_slice` payload clone quietly reintroduces the O(k²)
 //! burst cost the refactor removed, and no functional test catches it — the
 //! behaviour is identical, only slower. Flagged here: `.to_vec()`,
-//! `copy_from_slice` (both the `Bytes` constructor and the slice method)
-//! and `Vec::new`. Setup-time or error-path uses may be justified with
+//! `copy_from_slice` (both the `Bytes` constructor and the slice method),
+//! `Vec::new` and a fresh wire `Writer` (`Writer::new`/`with_capacity`).
+//! Setup-time or error-path uses may be justified with
 //! `lint:allow(hot-path-alloc): <reason>`.
 
 use crate::findings::Finding;
-use crate::lexer::{SourceFile, TokKind};
+use crate::lexer::{SourceFile, TokKind, Token};
 
 /// Rule name for hot-path allocation findings.
 pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 
+/// One flagged construct: its short chain label, what it costs, and
+/// whether it allocates (a slice `.copy_from_slice(..)` into an existing
+/// buffer copies but does not).
+pub struct Construct {
+    /// Chain label (`to_vec`, `Vec::new`, …).
+    pub label: &'static str,
+    /// What the construct costs, for the finding message.
+    pub what: &'static str,
+    /// Whether it allocates; the transitive pass flags only these.
+    pub allocates: bool,
+}
+
+/// The allocating/copying construct at token `i`, if any. Shared by the
+/// per-file rule and the transitive pass.
+pub fn alloc_construct(toks: &[Token], i: usize) -> Option<Construct> {
+    let t = toks.get(i)?;
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let text = |k: usize| toks.get(k).map(|n| n.text.as_str());
+    let path_call = |name: &str| {
+        text(i + 1) == Some(":") && text(i + 2) == Some(":") && text(i + 3) == Some(name)
+    };
+    let (label, what, allocates) = match t.text.as_str() {
+        "to_vec" if i > 0 && text(i - 1) == Some(".") && text(i + 1) == Some("(") => {
+            ("to_vec", "`.to_vec()` copies the buffer", true)
+        }
+        "copy_from_slice" if text(i + 1) == Some("(") => {
+            let method = i > 0 && text(i - 1) == Some(".");
+            ("copy_from_slice", "`copy_from_slice(..)` copies the payload", !method)
+        }
+        "Vec" if path_call("new") => ("Vec::new", "`Vec::new()` allocates per call", true),
+        "Writer" if path_call("new") || path_call("with_capacity") => (
+            "Writer",
+            "a fresh `Writer` allocates an encode buffer per call (frame once with `to_frame`)",
+            true,
+        ),
+        _ => return None,
+    };
+    Some(Construct { label, what, allocates })
+}
+
 /// Flags allocating/copying constructs in receive-path files.
 pub fn hot_path_alloc(sf: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &sf.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
+    for (i, t) in sf.tokens.iter().enumerate() {
+        let Some(Construct { what, .. }) = alloc_construct(&sf.tokens, i) else {
             continue;
-        }
-        let what = match t.text.as_str() {
-            "to_vec"
-                if i > 0
-                    && toks[i - 1].text == "."
-                    && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") =>
-            {
-                "`.to_vec()` copies the buffer"
-            }
-            "copy_from_slice" if toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") => {
-                "`copy_from_slice(..)` copies the payload"
-            }
-            "Vec"
-                if toks.get(i + 1).map(|n| n.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|n| n.text.as_str()) == Some(":")
-                    && toks.get(i + 3).map(|n| n.text.as_str()) == Some("new") =>
-            {
-                "`Vec::new()` allocates per call"
-            }
-            _ => continue,
         };
         if sf.in_test(t.line) {
             continue;
@@ -98,6 +120,12 @@ mod tests {
         let f = run("let a: Vec<u8> = Vec::new();\nlet b = Vec::with_capacity(8);\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
+    fn fresh_writer_flagged() {
+        let f = run("let w = Writer::new();\nlet v = Writer::with_capacity(32);\nw.bytes(b);\n");
+        assert_eq!(f.len(), 2);
     }
 
     #[test]

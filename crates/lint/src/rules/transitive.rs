@@ -17,7 +17,7 @@ use crate::findings::Finding;
 use crate::lexer::{SourceFile, TokKind};
 use crate::parse::FnItem;
 use crate::rules::Workspace;
-use crate::rules::alloc::HOT_PATH_ALLOC;
+use crate::rules::alloc::{self, HOT_PATH_ALLOC};
 use crate::rules::determinism::WALLCLOCK;
 use crate::rules::panics::PANIC_PATH;
 use crate::scope::{self, Allowlist};
@@ -59,12 +59,15 @@ pub fn panic_path_transitive(ws: &Workspace, out: &mut Vec<Finding>) {
 }
 
 /// `hot-path-alloc`, transitively: allocating constructs in any function
-/// reachable from the receive-path files, stopping at the declared
-/// steady-state boundaries.
+/// reachable from the receive-path files or the send-path roots, stopping
+/// at the declared steady-state boundaries.
 pub fn hot_path_alloc_transitive(ws: &Workspace, out: &mut Vec<Finding>) {
     let mut roots: Vec<usize> = Vec::new();
     for &rel in scope::RECV_PATH_FILES {
         roots.extend(ws.defs_in_file(rel));
+    }
+    for &(rel, name) in scope::SEND_PATH_ROOTS {
+        roots.extend(ws.defs_in_file(rel).into_iter().filter(|&d| ws.fn_of(d).name == name));
     }
     if roots.is_empty() {
         return;
@@ -72,11 +75,13 @@ pub fn hot_path_alloc_transitive(ws: &Workspace, out: &mut Vec<Finding>) {
     let is_boundary =
         |d: usize| scope::HOT_PATH_BOUNDARIES.contains(&ws.fn_of(d).name.as_str());
     let parents = ws.graph.reach(&roots, &is_boundary);
-    for (&d, parent) in &parents {
-        if parent.is_none() || is_boundary(d) {
-            continue; // roots per-file; boundary fns own their allocations
+    for &d in parents.keys() {
+        if is_boundary(d) {
+            continue; // boundary fns own their allocations
         }
         let rel = ws.rel_of(d);
+        // Receive-path files are covered by the per-file rule; send-path
+        // roots live elsewhere, so their bodies are checked here.
         if scope::is_recv_path(rel) || crate::symbols::is_test_tree(rel) {
             continue;
         }
@@ -211,42 +216,26 @@ fn panic_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
     hits
 }
 
-/// Allocating/copying constructs inside `f`'s body (same set as the
-/// per-file `hot-path-alloc` rule).
+/// Allocating constructs inside `f`'s body: the per-file `hot-path-alloc`
+/// set minus slice copies into existing buffers, which a reachable helper
+/// (a hash kernel, a fixed-size read) makes by design.
 fn alloc_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
-    let toks = &sf.tokens;
     let mut hits = Vec::new();
-    for i in f.body_start..=f.body_end.min(toks.len().saturating_sub(1)) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || sf.in_test(t.line) {
+    let body = sf.tokens.iter().enumerate().take(f.body_end + 1).skip(f.body_start);
+    for (i, t) in body {
+        let Some(c) = alloc::alloc_construct(&sf.tokens, i) else {
+            continue;
+        };
+        if !c.allocates || sf.in_test(t.line) {
             continue;
         }
-        let (construct, what) = match t.text.as_str() {
-            "to_vec"
-                if i > 0
-                    && toks[i - 1].text == "."
-                    && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") =>
-            {
-                ("to_vec", "`.to_vec()` copies the buffer")
-            }
-            "copy_from_slice" if toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") => {
-                ("copy_from_slice", "`copy_from_slice(..)` copies the payload")
-            }
-            "Vec"
-                if toks.get(i + 1).map(|n| n.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|n| n.text.as_str()) == Some(":")
-                    && toks.get(i + 3).map(|n| n.text.as_str()) == Some("new") =>
-            {
-                ("Vec::new", "`Vec::new()` allocates per call")
-            }
-            _ => continue,
-        };
+        let what = c.what;
         hits.push(Hit {
             line: t.line,
-            construct,
+            construct: c.label,
             message: format!(
-                "{what} in a function called from the steady-state receive path; use the \
-                 cursor buffer / refcounted slices, or justify with \
+                "{what} in a function called from the steady-state receive or send path; use \
+                 the cursor buffer / refcounted slices, or justify with \
                  `lint:allow(hot-path-alloc): <reason>`"
             ),
         });

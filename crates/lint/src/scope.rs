@@ -65,6 +65,15 @@ pub const RECV_PATH_FILES: &[&str] = &[
     "crates/detect/src/streaming.rs",
 ];
 
+/// The steady-state send path: `(file, fn)` roots of the `hot-path-alloc`
+/// transitive pass beside [`RECV_PATH_FILES`]. A reply an attacker can
+/// trigger should cost one frame buffer and nothing else; the roots' own
+/// bodies are checked too, since their files are not receive-path files.
+pub const SEND_PATH_ROOTS: &[(&str, &str)] = &[
+    ("crates/node/src/node.rs", "send_message"),
+    ("crates/node/src/node.rs", "broadcast_inv"),
+];
+
 /// Wire parsing files where `as u8`/`as u16`/`as u32` narrowing must be
 /// justified (the crypto kernels are excluded: byte extraction is their
 /// business).
@@ -110,6 +119,8 @@ pub const HOT_PATH_BOUNDARIES: &[&str] = &[
     "decode",         // Message::decode builds owned payload structures
     "disconnect",     // teardown path, not steady-state
     "handshake",      // once-per-connection setup, not per-frame
+    "to_frame",       // send path: the frame buffer is the reply's one allocation
+    "from_block",     // builds the owned CMPCTBLOCK, once per broadcast, not per peer
 ];
 
 /// Directory prefix of the ban-score bookkeeping: the `score-arith` scope.

@@ -16,6 +16,7 @@ use crate::region::{HostIndex, Net, Region};
 use crate::rng::SimRng;
 use crate::tcp::{CloseReason, ConnId, TcpDropStats, TcpStack};
 use crate::time::{Nanos, MICROS};
+use btc_wire::bytes::Bytes;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -155,9 +156,16 @@ impl Ctx<'_> {
     }
 
     /// Sends bytes on an established connection. Returns `false` if the
-    /// connection isn't usable.
+    /// connection isn't usable. Copies `data` once; see [`Ctx::send_bytes`].
     pub fn send(&mut self, conn: ConnId, data: &[u8]) -> bool {
-        match self.tcp.send(conn, data) {
+        self.send_bytes(conn, Bytes::copy_from_slice(data))
+    }
+
+    /// [`Ctx::send`] for a buffer the caller already owns: segments are
+    /// refcounted slices of `data`, so a frame sent to many peers by
+    /// `Bytes::clone` is never copied.
+    pub fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> bool {
+        match self.tcp.send_bytes(conn, data) {
             Some(pkts) => {
                 self.out.packets.extend(pkts);
                 true

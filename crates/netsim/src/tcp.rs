@@ -321,7 +321,15 @@ impl TcpStack {
 
     /// Queues application data on `id`. Returns the segments to transmit
     /// (split at [`MSS`]), or `None` if the connection is not established.
+    /// Copies `data` once; [`TcpStack::send_bytes`] does the rest.
     pub fn send(&mut self, id: ConnId, data: &[u8]) -> Option<Vec<Packet>> {
+        self.send_bytes(id, Bytes::copy_from_slice(data))
+    }
+
+    /// [`TcpStack::send`] without the copy: each segment's payload is a
+    /// refcounted [`Bytes::slice`] of `data`, so the segments (and the
+    /// retransmit queue) share `data`'s one allocation.
+    pub fn send_bytes(&mut self, id: ConnId, data: Bytes) -> Option<Vec<Packet>> {
         let key = *self.routes.get(&id)?;
         let sock = self.socks.get_mut(&key)?;
         if sock.state != TcpState::Established {
@@ -332,7 +340,7 @@ impl TcpStack {
         let mut off = 0;
         while off < data.len() {
             let end = (off + MSS).min(data.len());
-            let chunk = Bytes::copy_from_slice(&data[off..end]);
+            let chunk = data.slice(off..end);
             let seg = make_segment(
                 local,
                 remote,
@@ -732,8 +740,15 @@ mod tests {
     /// Drives a full handshake between two stacks; returns (client, server,
     /// client_conn, server_conn).
     fn establish() -> (TcpStack, TcpStack, ConnId, ConnId) {
+        establish_with(false)
+    }
+
+    /// [`establish`] with both stacks in reliable mode when `reliable`.
+    fn establish_with(reliable: bool) -> (TcpStack, TcpStack, ConnId, ConnId) {
         let mut client = TcpStack::new([10, 0, 0, 1]);
         let mut server = TcpStack::new([10, 0, 0, 2]);
+        client.set_reliable(reliable);
+        server.set_reliable(reliable);
         server.listen(8333);
         let dst = sa(2, 8333);
         let (cid, syn) = client.connect(dst);
@@ -802,6 +817,45 @@ mod tests {
             }
         }
         assert_eq!(got, data);
+    }
+
+    /// The segments `data` must become on `id`, built independently of
+    /// the stack's own loop: one `make_segment` per `MSS` chunk.
+    fn reference_segments(s: &TcpStack, id: ConnId, data: &[u8]) -> Vec<Packet> {
+        let (local, remote) = s.routes[&id];
+        let (mut snd, rcv) = s.seq_state(id).unwrap();
+        data.chunks(MSS)
+            .map(|c| {
+                let p = make_segment(local, remote, snd, rcv, TcpFlags::ACK, Bytes::copy_from_slice(c));
+                snd = snd.wrapping_add(c.len() as u32);
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn send_bytes_matches_send() {
+        // `send(&[u8])` is `send_bytes` after one copy: both emit the
+        // reference segments (seq, ack, flags, checksum, payload) and leave
+        // the same retransmit queue, around every MSS boundary, both modes.
+        for reliable in [false, true] {
+            let (mut a, _, aid, _) = establish_with(reliable);
+            let (mut b, _, bid, _) = establish_with(reliable);
+            let mut queued = 0;
+            for len in [0, 1, MSS - 1, MSS, MSS + 1, 3 * MSS + 7] {
+                let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+                let expected = reference_segments(&a, aid, &data);
+                let copied = a.send(aid, &data).unwrap();
+                let shared = b.send_bytes(bid, Bytes::from(data)).unwrap();
+                assert_eq!(copied, expected, "send, reliable={reliable} len={len}");
+                assert_eq!(shared, expected, "send_bytes, reliable={reliable} len={len}");
+                assert_eq!(a.seq_state(aid), b.seq_state(bid));
+                let rtx = |s: &TcpStack, id: ConnId| s.socks[&s.routes[&id]].rtx.clone();
+                assert_eq!(rtx(&a, aid), rtx(&b, bid), "rtx, reliable={reliable} len={len}");
+                queued += if reliable { expected.len() } else { 0 };
+                assert_eq!(rtx(&a, aid).len(), queued);
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use super::rules::{tier_weight_of_penalty, CoreVersion, Misbehavior};
 use super::tracker::GoodScoreTracker;
 use btc_netsim::packet::SockAddr;
 use btc_netsim::time::{Nanos, MINUTES, SECS};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// The five trust tiers, ordered best → worst (so `Ord` compares standing).
@@ -314,8 +314,8 @@ pub struct ReputationEngine {
     config: ReputationConfig,
     peers: BTreeMap<SockAddr, PeerRep>,
     credit: GoodScoreTracker,
-    transitions: Vec<TierTransition>,
-    pending: Vec<TierTransition>,
+    transitions: VecDeque<TierTransition>,
+    pending: VecDeque<TierTransition>,
 }
 
 /// Cap on the recorded transition history (mirrors `BanMan`'s history cap;
@@ -337,8 +337,8 @@ impl ReputationEngine {
             config,
             peers: BTreeMap::new(),
             credit: GoodScoreTracker::new(),
-            transitions: Vec::new(),
-            pending: Vec::new(),
+            transitions: VecDeque::new(),
+            pending: VecDeque::new(),
         }
     }
 
@@ -348,7 +348,7 @@ impl ReputationEngine {
     }
 
     /// Recorded tier transitions, oldest first (bounded history).
-    pub fn transitions(&self) -> &[TierTransition] {
+    pub fn transitions(&self) -> &VecDeque<TierTransition> {
         &self.transitions
     }
 
@@ -357,7 +357,7 @@ impl ReputationEngine {
     /// bounded history regardless). Taking an empty backlog allocates
     /// nothing.
     pub fn take_transitions(&mut self) -> Vec<TierTransition> {
-        std::mem::take(&mut self.pending)
+        Vec::from(std::mem::take(&mut self.pending))
     }
 
     /// Number of peers with reputation state.
@@ -475,24 +475,18 @@ impl ReputationEngine {
     }
 
     fn record(&mut self, time: Nanos, peer: SockAddr, from: Tier, to: Tier) {
-        if self.transitions.len() >= TRANSITION_HISTORY_CAP {
-            self.transitions.remove(0);
-        }
-        if self.pending.len() >= TRANSITION_HISTORY_CAP {
-            self.pending.remove(0);
-        }
-        self.pending.push(TierTransition {
+        let t = TierTransition {
             time,
             peer,
             from,
             to,
-        });
-        self.transitions.push(TierTransition {
-            time,
-            peer,
-            from,
-            to,
-        });
+        };
+        for log in [&mut self.transitions, &mut self.pending] {
+            if log.len() >= TRANSITION_HISTORY_CAP {
+                log.pop_front();
+            }
+            log.push_back(t);
+        }
     }
 
     /// Tier the ladder assigns for `strikes`/`credit`, given the peer's
@@ -961,6 +955,24 @@ mod tests {
             e.on_misbehavior(0, q, true, Misbehavior::BlockMutated);
         }
         assert!(e.transitions().len() <= TRANSITION_HISTORY_CAP);
+    }
+
+    #[test]
+    fn full_transition_logs_evict_oldest_first() {
+        let mut e = engine();
+        let p = peer(14);
+        let extra = 3;
+        for t in 0..(TRANSITION_HISTORY_CAP + extra) as Nanos {
+            e.record(t, p, Tier::Normal, Tier::Probation);
+        }
+        let first = extra as Nanos;
+        let last = (TRANSITION_HISTORY_CAP + extra - 1) as Nanos;
+        let ts = e.transitions();
+        assert_eq!(ts.len(), TRANSITION_HISTORY_CAP);
+        assert_eq!((ts.front().map(|t| t.time), ts.back().map(|t| t.time)), (Some(first), Some(last)));
+        let pending = e.take_transitions();
+        assert_eq!(pending.len(), TRANSITION_HISTORY_CAP);
+        assert_eq!((pending[0].time, pending[pending.len() - 1].time), (first, last));
     }
 
     #[test]

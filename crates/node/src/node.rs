@@ -358,9 +358,10 @@ impl Node {
         NetAddr::new(ctx.ip(), self.config.listen_port)
     }
 
-    fn send_message(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: &Message) {
-        let raw = RawMessage::frame(self.config.network, msg);
-        ctx.send(conn, &raw.to_bytes());
+    /// Frames `msg` once into its wire buffer and hands that buffer to the
+    /// transport, which segments it by refcounted slice.
+    fn send_message(&self, ctx: &mut Ctx<'_>, conn: ConnId, msg: &Message) {
+        ctx.send_bytes(conn, msg.to_frame(self.config.network));
     }
 
     fn send_version(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, peer_addr: SockAddr) {
@@ -548,35 +549,38 @@ impl Node {
         }
     }
 
-    fn broadcast_inv(&mut self, ctx: &mut Ctx<'_>, inv: Inventory, except: Option<ConnId>) {
+    fn broadcast_inv(&self, ctx: &mut Ctx<'_>, inv: Inventory, except: Option<ConnId>) {
         let tiers = self.tiers_active();
-        let targets: Vec<(ConnId, bool)> = self
-            .peers
-            .values()
-            .filter(|p| p.handshake_complete() && Some(p.conn) != except)
-            // Graylisted peers are dropped from relay for the duration of
-            // the soft-ban.
-            .filter(|p| !tiers || !self.reputation.deprioritized(self.now, &p.addr))
-            .map(|p| (p.conn, p.cmpct_announce))
-            .collect();
+        let network = self.config.network;
+        let relays_to = |p: &Peer| {
+            p.handshake_complete()
+                && Some(p.conn) != except
+                // Graylisted peers are dropped from relay for the duration
+                // of the soft-ban.
+                && !(tiers && self.reputation.deprioritized(self.now, &p.addr))
+        };
         // BIP152 high-bandwidth mode: peers that negotiated it get new
         // blocks pushed as CMPCTBLOCK instead of announced via INV.
-        let compact = if matches!(inv.kind, InvType::Block) && targets.iter().any(|(_, c)| *c) {
+        let compact = if matches!(inv.kind, InvType::Block)
+            && self.peers.values().any(|p| p.cmpct_announce && relays_to(p))
+        {
             self.chain.block(&inv.hash).map(|b| {
                 let [nonce_seed, ..] = inv.hash.0;
-                btc_wire::compact::CompactBlock::from_block(b, u64::from(nonce_seed) | 0x100)
+                let cb = btc_wire::compact::CompactBlock::from_block(b, u64::from(nonce_seed) | 0x100);
+                Message::CmpctBlock(cb).to_frame(network)
             })
         } else {
             None
         };
-        for (conn, wants_compact) in targets {
-            match (&compact, wants_compact) {
-                (Some(cb), true) => {
-                    let msg = Message::CmpctBlock(cb.clone());
-                    self.send_message(ctx, conn, &msg);
-                }
-                _ => self.send_message(ctx, conn, &Message::Inv(vec![inv])),
-            }
+        // Each distinct frame is encoded once, on first use, and every
+        // target gets a refcounted clone of it.
+        let mut inv_frame = None;
+        for p in self.peers.values().filter(|p| relays_to(p)) {
+            let frame = match &compact {
+                Some(cb) if p.cmpct_announce => cb,
+                _ => &*inv_frame.get_or_insert_with(|| Message::Inv(vec![inv]).to_frame(network)),
+            };
+            ctx.send_bytes(p.conn, frame.clone());
         }
     }
 

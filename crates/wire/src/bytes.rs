@@ -187,6 +187,11 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }
+
+    /// Hands back the underlying `Vec` as-is: no copy, no new allocation.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
 impl Deref for BytesMut {

@@ -268,6 +268,11 @@ impl Writer {
         self.buf.freeze()
     }
 
+    /// Consumes the writer, returning the `Vec` it encoded into (no copy).
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into_vec()
+    }
+
     /// Appends raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
         self.buf.put_slice(b);
@@ -356,7 +361,7 @@ pub trait Encodable {
     fn encode_to_vec(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode(&mut w);
-        w.into_bytes().to_vec()
+        w.into_vec()
     }
 
     /// Length of the encoding in bytes.

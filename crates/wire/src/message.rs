@@ -312,31 +312,58 @@ impl Message {
     /// Encodes only the payload (header excluded).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_payload_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Frames the message for `network` into one wire buffer: a header
+    /// placeholder, the payload encoded straight after it, then magic,
+    /// command, length and checksum patched into the placeholder. Byte for
+    /// byte equal to `RawMessage::frame(network, self).to_bytes()`, without
+    /// the payload `Vec`, the second buffer and the copy between them.
+    pub fn to_frame(&self, network: Network) -> Bytes {
+        // Sized so every handshake and control reply is one allocation
+        // (VERSION, the largest, carries 102 payload bytes): a regrow chain
+        // per reply shifts glibc's heap layout enough to move peak RSS.
+        // Frames carrying blocks or transactions grow as they encode.
+        let mut w = Writer::with_capacity(HEADER_SIZE + 128);
+        w.bytes(&[0; HEADER_SIZE]);
+        self.encode_payload_into(&mut w);
+        let mut frame = w.into_vec();
+        // The placeholder was written first, so the split always succeeds.
+        if let Some((head, payload)) = frame.split_first_chunk_mut::<HEADER_SIZE>() {
+            *head = MessageHeader::for_payload(network, self.command(), payload).to_array();
+        }
+        Bytes::from(frame)
+    }
+
+    /// Appends the payload encoding to `w` — the one encoder behind both
+    /// [`Message::encode_payload`] and [`Message::to_frame`].
+    fn encode_payload_into(&self, w: &mut Writer) {
         match self {
-            Message::Version(v) => v.encode(&mut w),
+            Message::Version(v) => v.encode(w),
             Message::Verack
             | Message::GetAddr
             | Message::Mempool
             | Message::SendHeaders
             | Message::FilterClear => {}
-            Message::Addr(v) => encode_vec(&mut w, v),
+            Message::Addr(v) => encode_vec(w, v),
             Message::Ping(n) | Message::Pong(n) => w.u64_le(*n),
-            Message::Inv(v) | Message::GetData(v) | Message::NotFound(v) => encode_vec(&mut w, v),
-            Message::GetBlocks(l) | Message::GetHeaders(l) => l.encode(&mut w),
-            Message::Headers(v) => encode_vec(&mut w, v),
-            Message::Tx(t) => t.encode(&mut w),
-            Message::Block(b) => b.encode(&mut w),
-            Message::MerkleBlock(m) => m.encode(&mut w),
+            Message::Inv(v) | Message::GetData(v) | Message::NotFound(v) => encode_vec(w, v),
+            Message::GetBlocks(l) | Message::GetHeaders(l) => l.encode(w),
+            Message::Headers(v) => encode_vec(w, v),
+            Message::Tx(t) => t.encode(w),
+            Message::Block(b) => b.encode(w),
+            Message::MerkleBlock(m) => m.encode(w),
             Message::FeeFilter(f) => w.i64_le(*f),
-            Message::FilterLoad(f) => f.encode(&mut w),
-            Message::FilterAdd(f) => f.encode(&mut w),
-            Message::SendCmpct(s) => s.encode(&mut w),
-            Message::CmpctBlock(c) => c.encode(&mut w),
-            Message::GetBlockTxn(g) => g.encode(&mut w),
-            Message::BlockTxn(b) => b.encode(&mut w),
-            Message::Reject(r) => r.encode(&mut w),
+            Message::FilterLoad(f) => f.encode(w),
+            Message::FilterAdd(f) => f.encode(w),
+            Message::SendCmpct(s) => s.encode(w),
+            Message::CmpctBlock(c) => c.encode(w),
+            Message::GetBlockTxn(g) => g.encode(w),
+            Message::BlockTxn(b) => b.encode(w),
+            Message::Reject(r) => r.encode(w),
         }
-        w.into_bytes().to_vec()
     }
 
     /// Decodes a payload for `command`.
@@ -437,6 +464,35 @@ impl MessageHeader {
         Ok(s)
     }
 
+    /// The header of a frame carrying `payload` as `command` on `network`,
+    /// with a correct checksum.
+    pub fn for_payload(network: Network, command: &str, payload: &[u8]) -> Self {
+        MessageHeader {
+            magic: network.magic(),
+            command: MessageHeader::pad_command(command),
+            // Real payloads fit u32 by the MAX_MESSAGE_SIZE cap; an
+            // attack-crafted oversize payload saturates the field.
+            length: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+            checksum: payload_checksum(payload),
+        }
+    }
+
+    /// The 24 header bytes as they go on the wire, built on the stack.
+    pub fn to_array(&self) -> [u8; HEADER_SIZE] {
+        let mut out = [0u8; HEADER_SIZE];
+        let fields = self
+            .magic
+            .to_le_bytes()
+            .into_iter()
+            .chain(self.command)
+            .chain(self.length.to_le_bytes())
+            .chain(self.checksum);
+        for (dst, src) in out.iter_mut().zip(fields) {
+            *dst = src;
+        }
+        out
+    }
+
     /// Builds a NUL-padded command array. Commands longer than the 12-byte
     /// field are truncated — the wire format cannot carry them, and the
     /// attack tooling feeds arbitrary strings through here.
@@ -451,10 +507,7 @@ impl MessageHeader {
 
 impl Encodable for MessageHeader {
     fn encode(&self, w: &mut Writer) {
-        w.u32_le(self.magic);
-        w.bytes(&self.command);
-        w.u32_le(self.length);
-        w.bytes(&self.checksum);
+        w.bytes(&self.to_array());
     }
 }
 
@@ -473,7 +526,7 @@ impl Decodable for MessageHeader {
 ///
 /// Rides the allocation-free [`crate::crypto::sha256d`] path: both hash
 /// passes stay on the stack, so checksumming adds no per-message heap
-/// traffic on either send ([`RawMessage::frame`]) or receive
+/// traffic on either send ([`Message::to_frame`]) or receive
 /// ([`verify_checksum`]).
 pub fn payload_checksum(payload: &[u8]) -> [u8; 4] {
     let d = crate::crypto::sha256d(payload);
@@ -494,29 +547,13 @@ pub struct RawMessage {
 impl RawMessage {
     /// Frames `msg` for `network` with a correct checksum.
     pub fn frame(network: Network, msg: &Message) -> Self {
-        let payload = Bytes::from(msg.encode_payload());
-        RawMessage {
-            header: MessageHeader {
-                magic: network.magic(),
-                command: MessageHeader::pad_command(msg.command()),
-                // Real payloads fit u32 by the MAX_MESSAGE_SIZE cap; an
-                // attack-crafted oversize payload saturates the field.
-                length: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-                checksum: payload_checksum(&payload),
-            },
-            payload,
-        }
+        RawMessage::frame_raw(network, msg.command(), Bytes::from(msg.encode_payload()))
     }
 
     /// Frames an arbitrary command/payload with a correct checksum.
     pub fn frame_raw(network: Network, command: &str, payload: Bytes) -> Self {
         RawMessage {
-            header: MessageHeader {
-                magic: network.magic(),
-                command: MessageHeader::pad_command(command),
-                length: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-                checksum: payload_checksum(&payload),
-            },
+            header: MessageHeader::for_payload(network, command, &payload),
             payload,
         }
     }

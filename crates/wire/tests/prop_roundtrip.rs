@@ -4,10 +4,13 @@
 
 use btc_netsim::prop::{check, check_sized, Gen};
 use btc_wire::block::{Block, BlockHeader, HeadersEntry};
-use btc_wire::compact::{BlockTxnRequest, SendCmpct};
+use btc_wire::bloom::{BloomFilter, BloomFlags, FilterAdd};
+use btc_wire::compact::{BlockTxn, BlockTxnRequest, CompactBlock, PrefilledTx, SendCmpct, ShortId};
+use btc_wire::constants::{MAX_ADDR_TO_SEND, MAX_HEADERS_RESULTS, MAX_INV_SZ};
 use btc_wire::encode::{Decodable, Encodable, Reader};
 use btc_wire::message::{
-    decode_frame, read_frame, FrameResult, Message, RawMessage, VersionMessage, ALL_COMMANDS,
+    decode_frame, read_frame, FrameResult, MerkleBlockMsg, Message, RawMessage, RejectMessage,
+    VersionMessage, ALL_COMMANDS,
 };
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
 use btc_wire::types::{
@@ -52,6 +55,107 @@ fn arb_header(g: &mut Gen) -> BlockHeader {
         time: g.u32(),
         bits: g.u32(),
         nonce: g.u32(),
+    }
+}
+
+fn arb_inv(g: &mut Gen) -> Inventory {
+    let kind = *g.choose(&[InvType::Tx, InvType::Block, InvType::WitnessTx, InvType::Error(7)]);
+    Inventory::new(kind, arb_hash(g))
+}
+
+fn arb_locator(g: &mut Gen) -> BlockLocator {
+    BlockLocator {
+        version: g.u32(),
+        hashes: g.vec_with(0, 32, arb_hash),
+        stop: arb_hash(g),
+    }
+}
+
+/// A list usually of up to 16 entries, but one time in sixteen just over
+/// `limit`: the oversize lists the attack tooling sends and the ban-score
+/// layer punishes.
+fn arb_list<T>(g: &mut Gen, limit: u64, f: impl FnMut(&mut Gen) -> T) -> Vec<T> {
+    if g.u8() < 16 {
+        let n = usize::try_from(limit).unwrap() + g.usize_in(1, 5);
+        let mut f = f;
+        (0..n).map(|_| f(g)).collect()
+    } else {
+        g.vec_with(0, 16, f)
+    }
+}
+
+/// A message of any of the 26 commands, with fuzzed contents.
+fn arb_message(g: &mut Gen) -> Message {
+    match g.usize_in(0, ALL_COMMANDS.len()) {
+        0 => {
+            let mut v = VersionMessage::new(arb_netaddr(g), arb_netaddr(g), g.u64());
+            v.start_height = g.i32();
+            v.relay = g.bool();
+            Message::Version(v)
+        }
+        1 => Message::Verack,
+        2 => Message::Addr(arb_list(g, MAX_ADDR_TO_SEND, |g| TimestampedAddr {
+            time: g.u32(),
+            addr: arb_netaddr(g),
+        })),
+        3 => Message::GetAddr,
+        4 => Message::Ping(g.u64()),
+        5 => Message::Pong(g.u64()),
+        6 => Message::Inv(arb_list(g, MAX_INV_SZ, arb_inv)),
+        7 => Message::GetData(arb_list(g, MAX_INV_SZ, arb_inv)),
+        8 => Message::NotFound(arb_list(g, MAX_INV_SZ, arb_inv)),
+        9 => Message::GetBlocks(arb_locator(g)),
+        10 => Message::GetHeaders(arb_locator(g)),
+        11 => Message::Headers(arb_list(g, MAX_HEADERS_RESULTS, |g| HeadersEntry(arb_header(g)))),
+        12 => Message::Tx(arb_tx(g)),
+        13 => Message::Block(Block {
+            header: arb_header(g),
+            txs: g.vec_with(0, 4, arb_tx),
+        }),
+        14 => Message::Mempool,
+        15 => Message::MerkleBlock(MerkleBlockMsg {
+            header: arb_header(g),
+            total_txs: g.u32(),
+            hashes: g.vec_with(0, 16, arb_hash),
+            flags: g.vec_u8(0, 8),
+        }),
+        16 => Message::SendHeaders,
+        17 => Message::FeeFilter(g.i64()),
+        18 => Message::FilterLoad(BloomFilter {
+            data: g.vec_u8(0, 64),
+            n_hash_funcs: g.u32(),
+            tweak: g.u32(),
+            flags: BloomFlags::Other(g.u8()),
+        }),
+        19 => Message::FilterAdd(FilterAdd { data: g.vec_u8(0, 64) }),
+        20 => Message::FilterClear,
+        21 => Message::SendCmpct(SendCmpct {
+            announce: g.bool(),
+            version: g.u64(),
+        }),
+        22 => Message::CmpctBlock(CompactBlock {
+            header: arb_header(g),
+            nonce: g.u64(),
+            short_ids: g.vec_with(0, 16, |g| ShortId(std::array::from_fn(|_| g.u8()))),
+            prefilled: g.vec_with(0, 3, |g| PrefilledTx {
+                diff_index: g.u64_in(0, 1 << 20),
+                tx: arb_tx(g),
+            }),
+        }),
+        23 => Message::GetBlockTxn(BlockTxnRequest {
+            block_hash: arb_hash(g),
+            diff_indices: g.vec_with(0, 16, |g| g.u64_in(0, 1 << 20)),
+        }),
+        24 => Message::BlockTxn(BlockTxn {
+            block_hash: arb_hash(g),
+            txs: g.vec_with(0, 4, arb_tx),
+        }),
+        _ => Message::Reject(RejectMessage {
+            message: "tx".to_owned(),
+            code: g.u8(),
+            reason: String::from_utf8_lossy(&g.vec_u8(0, 32)).into_owned(),
+            data: g.bool().then(|| arb_hash(g)),
+        }),
     }
 }
 
@@ -162,6 +266,18 @@ fn framed_message_roundtrip() {
             }
             FrameResult::Incomplete => panic!("incomplete"),
         }
+    });
+}
+
+#[test]
+fn to_frame_matches_raw_frame() {
+    // The send path's one-buffer framer must put on the wire exactly what
+    // the two-step `RawMessage::frame(..).to_bytes()` does, for every
+    // command, oversize lists included.
+    check("to_frame_matches_raw_frame", |g| {
+        let msg = arb_message(g);
+        let net = *g.choose(&[Network::Mainnet, Network::Regtest]);
+        assert_eq!(msg.to_frame(net), RawMessage::frame(net, &msg).to_bytes(), "{}", msg.command());
     });
 }
 
