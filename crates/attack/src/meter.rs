@@ -19,7 +19,7 @@ use btc_node::mempool::Mempool;
 use btc_wire::block::HeadersEntry;
 use btc_wire::compact::{BlockTxn, BlockTxnRequest, CompactBlock, SendCmpct};
 use btc_wire::message::{
-    decode_frame, read_frame, FrameResult, Message, MerkleBlockMsg, RawMessage, VersionMessage,
+    decode_frame, read_frame, FrameResult, Message, RawMessage, VersionMessage,
 };
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
 use btc_wire::types::{
@@ -394,16 +394,6 @@ fn specs(fx: &Fixtures) -> Vec<(&'static str, AttackerMode, Builder)> {
         Box::new(move || Message::GetBlocks(locator2.clone())) as Builder,
     )))
     .collect()
-}
-
-/// A merkle-block fixture is unused in Table II but exercised in tests.
-pub fn sample_merkleblock() -> MerkleBlockMsg {
-    MerkleBlockMsg {
-        header: btc_wire::BlockHeader::default(),
-        total_txs: 1,
-        hashes: vec![Hash256::hash(b"leaf")],
-        flags: vec![1],
-    }
 }
 
 /// Measures one Table-II row: attacker cost, then victim impact, over

@@ -143,11 +143,6 @@ impl FloodPayload {
     }
 }
 
-/// Frames a [`Message`] for sending (attacker-side convenience).
-pub fn frame_bytes(network: Network, msg: &Message) -> Bytes {
-    RawMessage::frame(network, msg).to_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

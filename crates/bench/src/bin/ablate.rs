@@ -13,6 +13,7 @@
 use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
+use btc_bench::{ReproArgs, ABLATIONS};
 use btc_detect::engine::AnalysisEngine;
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 use btc_node::node::NodeConfig;
@@ -195,15 +196,16 @@ fn reconnect_pacing(jobs: usize) {
     }
 }
 
-const USAGE: &str =
-    "usage: ablate [--jobs N] [threshold|check-order|duration|good-score|window|reconnect|all]";
+fn usage() -> String {
+    format!("usage: ablate [--jobs N] [{}]", ABLATIONS.join("|"))
+}
 
 fn main() {
-    let args = match btc_bench::ReproArgs::parse(std::env::args().skip(1)) {
+    let args = match ReproArgs::parse(std::env::args().skip(1), ABLATIONS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     };
@@ -225,7 +227,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown ablation {other:?}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }

@@ -24,7 +24,7 @@ use banscore::scenario::reputation::{render_reputation, run_reputation_jobs};
 use banscore::scenario::serve::{render_serve, run_serve_jobs};
 use banscore::scenario::table3::{render_table3, run_table3_jobs};
 use btc_attack::meter::{fixtures, measure_bogus_block_with, measure_table2_with, render_table2};
-use btc_bench::{ReproArgs, ReproConfig};
+use btc_bench::{ReproArgs, ReproConfig, EXPERIMENTS};
 use btc_detect::dataset::Dataset;
 use btc_detect::eval::{compare_accuracy_jobs, render_accuracy};
 use btc_detect::latency::{compare_latencies_jobs, render_fig11};
@@ -216,7 +216,7 @@ fn counter() {
 }
 
 fn main() {
-    let args = match ReproArgs::parse(std::env::args().skip(1)) {
+    let args = match ReproArgs::parse(std::env::args().skip(1), EXPERIMENTS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");

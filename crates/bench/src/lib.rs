@@ -111,6 +111,18 @@ pub const EXPERIMENTS: &[&str] = &[
     "all",
 ];
 
+/// Every ablation name `ablate` accepts, in usage order; `all` runs every
+/// ablation.
+pub const ABLATIONS: &[&str] = &[
+    "threshold",
+    "check-order",
+    "duration",
+    "good-score",
+    "window",
+    "reconnect",
+    "all",
+];
+
 /// The usage line of the `repro` binary.
 pub fn usage() -> String {
     format!(
@@ -119,9 +131,10 @@ pub fn usage() -> String {
     )
 }
 
-/// Parsed command line of the `repro` binary. Flags are scanned **once**
-/// at startup (`csv_out` used to re-scan `std::env::args()` on every
-/// call) and carried through every experiment section.
+/// Parsed command line of the `repro` and `ablate` binaries. Flags are
+/// scanned **once** at startup (`csv_out` used to re-scan
+/// `std::env::args()` on every call) and carried through every experiment
+/// section.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReproArgs {
     /// `--quick`: use [`ReproConfig::quick`] experiment sizes.
@@ -149,9 +162,9 @@ impl Default for ReproArgs {
 impl ReproArgs {
     /// Parses the argument list (without the program name). Unknown
     /// `--flags`, malformed `--jobs` values and bare words that are not in
-    /// [`EXPERIMENTS`] are errors, so a misspelt name fails before any
-    /// experiment runs.
-    pub fn parse<I, S>(args: I) -> Result<ReproArgs, String>
+    /// `names` (`repro` passes [`EXPERIMENTS`], `ablate` [`ABLATIONS`]) are
+    /// errors, so a misspelt name fails before any experiment runs.
+    pub fn parse<I, S>(args: I, names: &[&str]) -> Result<ReproArgs, String>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -175,7 +188,7 @@ impl ReproArgs {
                 _ if arg.starts_with("--") => {
                     return Err(format!("unknown flag {arg:?}"));
                 }
-                _ if EXPERIMENTS.contains(&arg) => out.what.push(arg.to_owned()),
+                _ if names.contains(&arg) => out.what.push(arg.to_owned()),
                 _ => return Err(format!("unknown experiment {arg:?}")),
             }
         }
@@ -208,7 +221,7 @@ mod tests {
 
     #[test]
     fn parse_defaults() {
-        let a = ReproArgs::parse(Vec::<String>::new()).unwrap();
+        let a = ReproArgs::parse(Vec::<String>::new(), EXPERIMENTS).unwrap();
         assert!(!a.quick);
         assert!(!a.csv);
         assert!(a.jobs >= 1);
@@ -217,7 +230,7 @@ mod tests {
 
     #[test]
     fn parse_flags_and_experiments() {
-        let a = ReproArgs::parse(["--quick", "fig6", "--csv", "table3"]).unwrap();
+        let a = ReproArgs::parse(["--quick", "fig6", "--csv", "table3"], EXPERIMENTS).unwrap();
         assert!(a.quick);
         assert!(a.csv);
         assert_eq!(a.what, vec!["fig6", "table3"]);
@@ -225,27 +238,38 @@ mod tests {
 
     #[test]
     fn parse_jobs_both_spellings() {
-        assert_eq!(ReproArgs::parse(["--jobs", "4"]).unwrap().jobs, 4);
-        assert_eq!(ReproArgs::parse(["--jobs=7"]).unwrap().jobs, 7);
+        assert_eq!(ReproArgs::parse(["--jobs", "4"], EXPERIMENTS).unwrap().jobs, 4);
+        assert_eq!(ReproArgs::parse(["--jobs=7"], EXPERIMENTS).unwrap().jobs, 7);
     }
 
     #[test]
     fn parse_rejects_bad_input() {
-        assert!(ReproArgs::parse(["--jobs"]).is_err());
-        assert!(ReproArgs::parse(["--jobs", "zero"]).is_err());
-        assert!(ReproArgs::parse(["--jobs", "0"]).is_err());
-        assert!(ReproArgs::parse(["--jobs=-3"]).is_err());
-        assert!(ReproArgs::parse(["--frobnicate"]).is_err());
+        assert!(ReproArgs::parse(["--jobs"], EXPERIMENTS).is_err());
+        assert!(ReproArgs::parse(["--jobs", "zero"], EXPERIMENTS).is_err());
+        assert!(ReproArgs::parse(["--jobs", "0"], EXPERIMENTS).is_err());
+        assert!(ReproArgs::parse(["--jobs=-3"], EXPERIMENTS).is_err());
+        assert!(ReproArgs::parse(["--frobnicate"], EXPERIMENTS).is_err());
         // A misspelt name is rejected up front, not after fig6 has run.
-        assert!(ReproArgs::parse(["--quick", "fig6", "tabel3"]).is_err());
-        assert_eq!(ReproArgs::parse(EXPERIMENTS).unwrap().what, EXPERIMENTS);
+        assert!(ReproArgs::parse(["--quick", "fig6", "tabel3"], EXPERIMENTS).is_err());
+        assert_eq!(ReproArgs::parse(EXPERIMENTS, EXPERIMENTS).unwrap().what, EXPERIMENTS);
+    }
+
+    #[test]
+    fn every_ablation_name_parses() {
+        // Regression: `ablate` parsed against `repro`'s names, so every
+        // named ablation exited 2 as an unknown experiment.
+        for name in ABLATIONS {
+            assert_eq!(ReproArgs::parse([*name], ABLATIONS).unwrap().what, [*name]);
+        }
+        assert!(ReproArgs::parse(["threshold"], EXPERIMENTS).is_err());
+        assert!(ReproArgs::parse(["table1"], ABLATIONS).is_err());
     }
 
     #[test]
     fn quick_selects_quick_config() {
-        let a = ReproArgs::parse(["--quick"]).unwrap();
+        let a = ReproArgs::parse(["--quick"], EXPERIMENTS).unwrap();
         assert_eq!(a.config().flood_secs, ReproConfig::quick().flood_secs);
-        let b = ReproArgs::parse(Vec::<String>::new()).unwrap();
+        let b = ReproArgs::parse(Vec::<String>::new(), EXPERIMENTS).unwrap();
         assert_eq!(b.config().flood_secs, ReproConfig::default().flood_secs);
     }
 }

@@ -5,9 +5,8 @@
 use crate::testbed::{addrs, Case, Testbed, TestbedConfig};
 use btc_attack::defamation::PostConnDefamer;
 use btc_netsim::time::{MILLIS, SECS};
-use btc_node::banscore::BanPolicy;
 use btc_node::chain::mine_child;
-use btc_node::node::NodeConfig;
+use btc_node::node::{NodeConfig, PeerPolicy};
 
 /// Outcome of running the Defamation attack under one node policy.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,19 +23,13 @@ pub struct CounterOutcome {
     pub strikes_delivered: bool,
 }
 
-fn run_defamation_under(
-    policy: BanPolicy,
-    good_score: bool,
-    name: &'static str,
-) -> CounterOutcome {
+fn run_defamation_under(policy: PeerPolicy, name: &'static str) -> CounterOutcome {
     let mut tb = Testbed::build(TestbedConfig {
         feeders: 0,
         innocents: 1,
         target_outbound: 1,
         node: NodeConfig {
-            ban_policy: policy,
-            good_score,
-            good_score_min_credit: 1,
+            peer_policy: policy,
             ..NodeConfig::default()
         },
         ..TestbedConfig::default()
@@ -45,7 +38,7 @@ fn run_defamation_under(
     // The attacker sniffs from the start (same-LAN promiscuous mode), but
     // under good-score it waits until the innocent has earned credit.
     tb.attack(Case::Defamation { poll: 50 * MILLIS });
-    if good_score {
+    if let PeerPolicy::GoodScore { .. } = policy {
         let defamer: &mut PostConnDefamer = tb.sim.app_mut(addrs::ATTACKER).expect("defamer");
         defamer.start_after = 6 * SECS;
         // Let the innocent earn credit by relaying one valid block.
@@ -78,12 +71,15 @@ fn run_defamation_under(
 
 /// Runs the Defamation attack under every §VIII policy.
 pub fn evaluate_countermeasures() -> Vec<CounterOutcome> {
-    vec![
-        run_defamation_under(BanPolicy::Standard, false, "standard (0.20.0)"),
-        run_defamation_under(BanPolicy::NeverBan, false, "threshold → ∞"),
-        run_defamation_under(BanPolicy::Disabled, false, "checking disabled"),
-        run_defamation_under(BanPolicy::Standard, true, "good-score"),
+    [
+        (PeerPolicy::Stock, "standard (0.20.0)"),
+        (PeerPolicy::NeverBan, "threshold → ∞"),
+        (PeerPolicy::Disabled, "checking disabled"),
+        (PeerPolicy::GoodScore { min_credit: 1 }, "good-score"),
     ]
+    .into_iter()
+    .map(|(policy, name)| run_defamation_under(policy, name))
+    .collect()
 }
 
 /// Renders the countermeasure table.
@@ -150,7 +146,7 @@ mod tests {
 
     #[test]
     fn standard_policy_bans_the_innocent() {
-        let r = run_defamation_under(BanPolicy::Standard, false, "standard");
+        let r = run_defamation_under(PeerPolicy::Stock, "standard");
         assert!(r.strikes_delivered);
         assert!(r.innocent_banned, "{r:?}");
         assert!(!r.innocent_connected);
@@ -158,7 +154,7 @@ mod tests {
 
     #[test]
     fn infinite_threshold_keeps_score_but_never_bans() {
-        let r = run_defamation_under(BanPolicy::NeverBan, false, "neverban");
+        let r = run_defamation_under(PeerPolicy::NeverBan, "neverban");
         assert!(r.strikes_delivered);
         assert!(!r.innocent_banned);
         assert!(r.innocent_connected, "{r:?}");
@@ -168,7 +164,7 @@ mod tests {
 
     #[test]
     fn disabled_checking_tracks_nothing() {
-        let r = run_defamation_under(BanPolicy::Disabled, false, "disabled");
+        let r = run_defamation_under(PeerPolicy::Disabled, "disabled");
         assert!(!r.innocent_banned);
         assert!(r.innocent_connected);
         assert_eq!(r.innocent_score, 0);
@@ -176,7 +172,7 @@ mod tests {
 
     #[test]
     fn good_score_shields_peers_with_history() {
-        let r = run_defamation_under(BanPolicy::Standard, true, "goodscore");
+        let r = run_defamation_under(PeerPolicy::GoodScore { min_credit: 1 }, "goodscore");
         assert!(r.strikes_delivered);
         assert!(!r.innocent_banned, "{r:?}");
         assert!(r.innocent_connected);

@@ -1,11 +1,12 @@
 //! Integer facts of the swarm, fault-matrix and reputation scenarios,
 //! recorded before the bed, its traffic cases and the train → fan-out →
-//! first-alarm study were folded into one implementation, and of the
-//! serve study, recorded before the detector's verdicts stopped
-//! allocating. A refactor of the scenario or detector layer must not move
+//! first-alarm study were folded into one implementation, of the serve
+//! study, recorded before the detector's verdicts stopped allocating, and
+//! of the §VIII countermeasure table. A refactor of the scenario or detector layer must not move
 //! any of them; a PR that means to change a simulated number changes the
 //! pin with it.
 
+use banscore::countermeasure::evaluate_countermeasures;
 use banscore::scenario::fault_matrix::{run_fault_matrix, FaultMatrixConfig, FaultPoint};
 use banscore::scenario::fig10::Fig10Config;
 use banscore::scenario::reputation::{
@@ -155,4 +156,21 @@ fn reputation_rows_are_pinned() {
         .collect();
     assert_eq!(got, pins);
     assert_eq!(r.swarm.digest, 0x446c_1dec_82c3_60bf);
+}
+
+#[test]
+fn countermeasure_rows_are_pinned() {
+    // Recorded before the §VIII switches were folded into `PeerPolicy`.
+    // (policy, innocent banned, innocent connected, score, strikes delivered)
+    let pins = [
+        ("standard (0.20.0)", true, false, 0_u32, true),
+        ("threshold → ∞", false, true, 100, true),
+        ("checking disabled", false, true, 0, true),
+        ("good-score", false, true, 0, true),
+    ];
+    let got: Vec<_> = evaluate_countermeasures()
+        .into_iter()
+        .map(|r| (r.policy, r.innocent_banned, r.innocent_connected, r.innocent_score, r.strikes_delivered))
+        .collect();
+    assert_eq!(got, pins);
 }

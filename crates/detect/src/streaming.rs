@@ -254,12 +254,6 @@ impl StreamingEngine {
         }
     }
 
-    /// Overrides the EWMA time constant (minutes).
-    pub fn with_ewma_tau(mut self, tau_minutes: f64) -> Self {
-        self.ewma_tau_minutes = tau_minutes;
-        self
-    }
-
     /// Window length in minutes (the `minutes` denominator of the rates).
     pub fn window_minutes(&self) -> f64 {
         self.window_len as f64 / MINUTE as f64

@@ -22,7 +22,6 @@
 //! |                  |                                   | stream; `SimRng::new` is salted      |
 //! | `lock-order`     | par + netsim + detect serve       | Mutex acquisitions follow the        |
 //! |                  |                                   | declared total order                 |
-//! | `ban-exhaustive` | message.rs / rules.rs / node.rs   | Table I covers all 26 types          |
 //! | `stale-allow`    | markers + lint-allow.txt          | every exemption still suppresses     |
 //! |                  |                                   | something                            |
 //!
@@ -126,24 +125,6 @@ pub fn analyze(root: &Path) -> Analysis {
     rules::transitive::wallclock_transitive(&ws, &allow, &mut raw);
     rules::rng_stream::rng_stream(&ws, &mut raw);
     rules::lock_order::lock_order(&ws, &mut raw);
-
-    match (ws.file_idx("crates/wire/src/message.rs"),
-           ws.file_idx("crates/node/src/banscore/rules.rs"),
-           ws.file_idx("crates/node/src/node.rs"))
-    {
-        (Some(m), Some(r), Some(n)) => {
-            rules::ban_rules::ban_exhaustive(&files[m], &files[r], &files[n], &mut raw);
-        }
-        _ => {
-            raw.push(Finding::new(
-                "crates",
-                1,
-                rules::ban_rules::BAN_EXHAUSTIVE,
-                "missing one of message.rs / banscore/rules.rs / node.rs; \
-                 the ban-decision cross-check could not run",
-            ));
-        }
-    }
 
     // Pass 4: suppression + stale-exemption audit. A finding survives unless
     // an inline marker (same line or the line above, matching rule) or an

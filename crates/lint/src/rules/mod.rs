@@ -7,7 +7,6 @@
 //! audit from what actually fired.
 
 pub mod alloc;
-pub mod ban_rules;
 pub mod casts;
 pub mod determinism;
 pub mod lock_order;

@@ -152,14 +152,6 @@ impl Miner {
     pub fn total_hashes(&self) -> u64 {
         self.total_hashes
     }
-
-    /// Mean hash rate over all samples (0 if none).
-    pub fn mean_rate(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.hash_rate).sum::<f64>() / self.samples.len() as f64
-    }
 }
 
 impl Default for Miner {

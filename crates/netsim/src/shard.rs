@@ -193,14 +193,6 @@ impl ShardedSim {
         self.now
     }
 
-    /// The region an address would be (or was) assigned to.
-    pub fn region_of(&self, ip: Ipv4) -> RegionId {
-        match self.index.lookup(ip) {
-            Some((region, _)) => region,
-            None => assign_region(self.config.seed, ip, self.config.regions),
-        }
-    }
-
     /// Registers a host in its seed-deterministic default region.
     ///
     /// # Panics

@@ -229,16 +229,6 @@ impl TcpStack {
         self.reliable = on;
     }
 
-    /// Whether reliable mode is on.
-    pub fn is_reliable(&self) -> bool {
-        self.reliable
-    }
-
-    /// Overrides the fixed RTO (tests use short timeouts).
-    pub fn set_rto(&mut self, rto: Nanos) {
-        self.rto = rto;
-    }
-
     /// Updates the stack's virtual-time mirror. The simulator calls this
     /// before `handle_segment` / app callbacks / [`TcpStack::poll`].
     pub fn set_now(&mut self, now: Nanos) {
@@ -248,11 +238,6 @@ impl TcpStack {
     /// Starts listening on `port`.
     pub fn listen(&mut self, port: u16) {
         self.listeners.insert(port);
-    }
-
-    /// Number of open sockets.
-    pub fn socket_count(&self) -> usize {
-        self.socks.len()
     }
 
     /// The remote address of `id`, if open.

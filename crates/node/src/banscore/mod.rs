@@ -10,8 +10,8 @@ pub use reputation::{
     TierTransition,
 };
 pub use rules::{
-    protected_message_types, render_table1, tier_weight, tier_weight_of_penalty,
-    unprotected_message_types, BanObject, CoreVersion, Misbehavior, MisbehaviorKind, TierWeight,
-    ALL_MISBEHAVIORS, TIER_WEIGHTS,
+    protected_message_types, render_table1, tier_weight_of_penalty, unprotected_message_types,
+    BanObject, CoreVersion, Misbehavior, MisbehaviorKind, TierWeight, ALL_MISBEHAVIORS,
+    RULES_BY_COMMAND,
 };
 pub use tracker::{BanPolicy, GoodScoreTracker, MisbehaviorTracker, ScoreEvent, Verdict};

@@ -15,8 +15,8 @@
 //! * **Weighted penalties** — strikes are graded by
 //!   [`TierWeight`](super::rules::TierWeight) (Severe 40 / Moderate 15 /
 //!   Light 5), derived from the stock Table-I penalty of the rule, so the
-//!   relative severity of the 26-command `BAN_DECISIONS` table is preserved
-//!   while no single rule can jump a peer past the graylist.
+//!   relative severity of Table I is preserved while no single rule can
+//!   jump a peer past the graylist.
 //! * **Deterministic decay** — the strike score halves every
 //!   `half_life` of sim time (`score · 2^(−Δt/half_life)`), so stale
 //!   (e.g. spoofed) strikes age out instead of accumulating forever.
@@ -737,9 +737,9 @@ mod tests {
         // The graylist-before-ban guarantee: no single weighted penalty
         // may exceed ban_threshold - graylist_threshold.
         let cfg = ReputationConfig::default();
-        let max = super::super::rules::TIER_WEIGHTS
-            .iter()
-            .map(|(_, w)| w.points())
+        let max = super::super::rules::ALL_MISBEHAVIORS
+            .into_iter()
+            .filter_map(|m| cfg.strike_points(m))
             .fold(0.0f64, f64::max);
         assert!(max <= cfg.ban_threshold - cfg.graylist_threshold);
     }

@@ -1,7 +1,8 @@
 //! The ban-score rules of Bitcoin Core 0.20.0 / 0.21.0 / 0.22.0 — a direct
 //! encoding of Table I of the paper.
 //!
-//! Each [`Misbehavior`] names one rule; [`Misbehavior::penalty`] yields the
+//! Each [`Misbehavior`] names one rule and [`RULES_BY_COMMAND`] files every
+//! rule under its message type; [`Misbehavior::penalty`] yields the
 //! score increment for a given Core version (or `None` where the rule was
 //! deprecated), and [`Misbehavior::object`] restricts which peers the rule
 //! can hit (one rule only affects outbound peers, the handshake rules only
@@ -148,25 +149,52 @@ pub const ALL_MISBEHAVIORS: [Misbehavior; 19] = [
     Misbehavior::MessageBeforeVerack,
 ];
 
+/// Table I by message type: one row per wire command, in
+/// [`btc_wire::message::ALL_COMMANDS`] order, naming the rules that can
+/// fire on it. An empty row is the explicit "tolerated" decision — the
+/// message types of the paper's first BM-DoS vector. The array length ties
+/// the table to `ALL_COMMANDS`, so a new wire command does not compile
+/// without a row here.
+pub const RULES_BY_COMMAND: [(&str, &[Misbehavior]); btc_wire::message::ALL_COMMANDS.len()] = {
+    use Misbehavior::*;
+    [
+        ("version", &[DuplicateVersion, MessageBeforeVersion]),
+        ("verack", &[MessageBeforeVerack]),
+        ("addr", &[AddrOversize]),
+        ("getaddr", &[]),
+        ("ping", &[]),
+        ("pong", &[]),
+        ("inv", &[InvOversize]),
+        ("getdata", &[GetDataOversize]),
+        ("notfound", &[]),
+        ("getblocks", &[]),
+        ("getheaders", &[]),
+        ("headers", &[HeadersUnconnecting, HeadersNonContinuous, HeadersOversize]),
+        ("tx", &[TxInvalidSegwit]),
+        ("block", &[BlockMutated, BlockCachedInvalid, BlockPrevInvalid, BlockPrevMissing]),
+        ("mempool", &[]),
+        ("merkleblock", &[]),
+        ("sendheaders", &[]),
+        ("feefilter", &[]),
+        ("filterload", &[FilterLoadOversize]),
+        ("filteradd", &[FilterAddProtocolVersion, FilterAddOversize]),
+        ("filterclear", &[]),
+        ("sendcmpct", &[]),
+        ("cmpctblock", &[CmpctBlockInvalid]),
+        ("getblocktxn", &[GetBlockTxnOutOfBounds]),
+        ("blocktxn", &[]),
+        ("reject", &[]),
+    ]
+};
+
 impl Misbehavior {
-    /// The message type the rule applies to.
+    /// The message type the rule applies to: its [`RULES_BY_COMMAND`] row,
+    /// or `"(any)"` for the ablation-only [`Misbehavior::ChecksumCorrupt`].
     pub fn message_type(&self) -> &'static str {
-        use Misbehavior::*;
-        match self {
-            BlockMutated | BlockCachedInvalid | BlockPrevInvalid | BlockPrevMissing => "block",
-            TxInvalidSegwit => "tx",
-            GetBlockTxnOutOfBounds => "getblocktxn",
-            HeadersUnconnecting | HeadersNonContinuous | HeadersOversize => "headers",
-            AddrOversize => "addr",
-            InvOversize => "inv",
-            GetDataOversize => "getdata",
-            CmpctBlockInvalid => "cmpctblock",
-            FilterLoadOversize => "filterload",
-            FilterAddProtocolVersion | FilterAddOversize => "filteradd",
-            DuplicateVersion | MessageBeforeVersion => "version",
-            MessageBeforeVerack => "verack",
-            ChecksumCorrupt => "(any)",
-        }
+        RULES_BY_COMMAND
+            .iter()
+            .find(|(_, rules)| rules.contains(self))
+            .map_or("(any)", |(command, _)| command)
     }
 
     /// Human-readable description (Table I's "Message Misbehavior" column).
@@ -271,62 +299,7 @@ impl fmt::Display for Misbehavior {
     }
 }
 
-/// What a version of Core does with misbehavior in one message type: the
-/// per-(type, version) cell of Table I, flattened.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BanDecision {
-    /// At least one Table I rule penalizes misbehavior in this type.
-    Penalize,
-    /// No rule — misbehavior in this type is tolerated. These rows are the
-    /// raw material of the paper's first BM-DoS vector, so each one is an
-    /// explicit decision here, not an omission.
-    Tolerate,
-}
-
-/// One explicit decision per wire command per version, columns in
-/// `[V0_20, V0_21, V0_22]` order. `btc-lint`'s `ban-exhaustive` rule
-/// cross-checks this table against `ALL_COMMANDS` and the `node.rs`
-/// dispatch — a new message type that lands without a row here fails the
-/// lint — and the `ban_decisions_agree_with_penalties` test ties each cell
-/// to [`Misbehavior::penalty`].
-pub const BAN_DECISIONS: [(&str, [BanDecision; 3]); 26] = [
-    ("version", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Tolerate]),
-    ("verack", [BanDecision::Penalize, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("addr", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("getaddr", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("ping", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("pong", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("inv", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("getdata", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("notfound", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("getblocks", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("getheaders", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("headers", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("tx", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("block", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("mempool", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("merkleblock", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("sendheaders", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("feefilter", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("filterload", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("filteradd", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("filterclear", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("sendcmpct", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("cmpctblock", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("getblocktxn", [BanDecision::Penalize, BanDecision::Penalize, BanDecision::Penalize]),
-    ("blocktxn", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-    ("reject", [BanDecision::Tolerate, BanDecision::Tolerate, BanDecision::Tolerate]),
-];
-
-/// The [`BAN_DECISIONS`] row for `command`, if any.
-pub fn ban_decision(command: &str) -> Option<[BanDecision; 3]> {
-    BAN_DECISIONS
-        .iter()
-        .find(|(c, _)| *c == command)
-        .map(|(_, d)| *d)
-}
-
-/// Weight class of a command under the trust-tier reputation engine
+/// Weight class of a strike under the trust-tier reputation engine
 /// (ROADMAP item 3). Where the stock mechanism is binary (100 points →
 /// 24 h ban), the tier engine grades strikes so that no single rule can
 /// jump a peer straight past the graylist into a hard ban.
@@ -338,9 +311,8 @@ pub enum TierWeight {
     Moderate,
     /// Handshake-order slips (stock 1-point rules).
     Light,
-    /// No per-message misbehavior rule; the command is still covered by
-    /// the engine's flood-pressure accounting, so "Neutral" is an
-    /// explicit decision, not an omission.
+    /// No stock points; message types without a rule are still covered by
+    /// the engine's flood-pressure accounting.
     Neutral,
 }
 
@@ -359,60 +331,6 @@ impl TierWeight {
     }
 }
 
-impl fmt::Display for TierWeight {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TierWeight::Severe => write!(f, "Severe"),
-            TierWeight::Moderate => write!(f, "Moderate"),
-            TierWeight::Light => write!(f, "Light"),
-            TierWeight::Neutral => write!(f, "Neutral"),
-        }
-    }
-}
-
-/// One explicit tier-weight decision per wire command — the reputation
-/// engine's analogue of [`BAN_DECISIONS`]. `btc-lint`'s `ban-exhaustive`
-/// rule cross-checks this table against `ALL_COMMANDS` exactly like the
-/// decision table, so a new message type cannot land without a weight
-/// class, and `tier_weights_agree_with_ban_decisions` pins each row to
-/// the stock penalty it grades.
-pub const TIER_WEIGHTS: [(&str, TierWeight); 26] = [
-    ("version", TierWeight::Light),
-    ("verack", TierWeight::Light),
-    ("addr", TierWeight::Moderate),
-    ("getaddr", TierWeight::Neutral),
-    ("ping", TierWeight::Neutral),
-    ("pong", TierWeight::Neutral),
-    ("inv", TierWeight::Moderate),
-    ("getdata", TierWeight::Moderate),
-    ("notfound", TierWeight::Neutral),
-    ("getblocks", TierWeight::Neutral),
-    ("getheaders", TierWeight::Neutral),
-    ("headers", TierWeight::Moderate),
-    ("tx", TierWeight::Severe),
-    ("block", TierWeight::Severe),
-    ("mempool", TierWeight::Neutral),
-    ("merkleblock", TierWeight::Neutral),
-    ("sendheaders", TierWeight::Neutral),
-    ("feefilter", TierWeight::Neutral),
-    ("filterload", TierWeight::Severe),
-    ("filteradd", TierWeight::Severe),
-    ("filterclear", TierWeight::Neutral),
-    ("sendcmpct", TierWeight::Neutral),
-    ("cmpctblock", TierWeight::Severe),
-    ("getblocktxn", TierWeight::Severe),
-    ("blocktxn", TierWeight::Neutral),
-    ("reject", TierWeight::Neutral),
-];
-
-/// The [`TIER_WEIGHTS`] row for `command`, if any.
-pub fn tier_weight(command: &str) -> Option<TierWeight> {
-    TIER_WEIGHTS
-        .iter()
-        .find(|(c, _)| *c == command)
-        .map(|(_, w)| *w)
-}
-
 /// Maps a stock score increment to its tier weight class: 100-point rules
 /// are Severe, the 10–20-point limit rules Moderate, the 1-point
 /// handshake rules Light. This is how the tier engine "reuses" Table I —
@@ -428,13 +346,12 @@ pub fn tier_weight_of_penalty(stock: u32) -> TierWeight {
 
 /// Message types that carry at least one ban-score rule under `version`.
 pub fn protected_message_types(version: CoreVersion) -> Vec<&'static str> {
-    let mut v: Vec<&'static str> = ALL_MISBEHAVIORS
+    let mut v: Vec<&'static str> = RULES_BY_COMMAND
         .iter()
-        .filter(|m| m.penalty(version).is_some())
-        .map(|m| m.message_type())
+        .filter(|(_, rules)| rules.iter().any(|m| m.penalty(version).is_some()))
+        .map(|(command, _)| *command)
         .collect();
     v.sort_unstable();
-    v.dedup();
     v
 }
 
@@ -584,78 +501,14 @@ mod tests {
     }
 
     #[test]
-    fn ban_decisions_agree_with_penalties() {
-        // The flattened table is derived data; this pins every cell to the
-        // Misbehavior::penalty source of truth so the two can never drift.
-        let versions = [CoreVersion::V0_20, CoreVersion::V0_21, CoreVersion::V0_22];
-        for (command, decisions) in BAN_DECISIONS {
-            for (i, v) in versions.into_iter().enumerate() {
-                let protected = protected_message_types(v).contains(&command);
-                let expect = if protected {
-                    BanDecision::Penalize
-                } else {
-                    BanDecision::Tolerate
-                };
-                assert_eq!(
-                    decisions[i], expect,
-                    "BAN_DECISIONS disagrees with Misbehavior::penalty for {command} under {v}"
-                );
-            }
+    fn rules_by_command_cover_every_command_and_rule_once() {
+        let commands: Vec<&str> = RULES_BY_COMMAND.iter().map(|(c, _)| *c).collect();
+        assert_eq!(commands, btc_wire::message::ALL_COMMANDS);
+        for m in ALL_MISBEHAVIORS {
+            let rows = RULES_BY_COMMAND.iter().filter(|(_, rules)| rules.contains(&m)).count();
+            assert_eq!(rows, 1, "{m:?} sits in {rows} rows");
         }
-    }
-
-    #[test]
-    fn ban_decisions_cover_every_command_once() {
-        let mut commands: Vec<&str> = BAN_DECISIONS.iter().map(|(c, _)| *c).collect();
-        let mut expect = btc_wire::message::ALL_COMMANDS.to_vec();
-        commands.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(commands, expect);
-        assert_eq!(ban_decision("ping"), Some([BanDecision::Tolerate; 3]));
-        assert_eq!(ban_decision("bogus"), None);
-    }
-
-    #[test]
-    fn tier_weights_cover_every_command_once() {
-        let mut commands: Vec<&str> = TIER_WEIGHTS.iter().map(|(c, _)| *c).collect();
-        let mut expect = btc_wire::message::ALL_COMMANDS.to_vec();
-        commands.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(commands, expect);
-        assert_eq!(tier_weight("ping"), Some(TierWeight::Neutral));
-        assert_eq!(tier_weight("block"), Some(TierWeight::Severe));
-        assert_eq!(tier_weight("bogus"), None);
-    }
-
-    #[test]
-    fn tier_weights_agree_with_ban_decisions() {
-        // A command is Neutral exactly when no version ever penalizes it,
-        // and a weighted command's class matches the strongest stock rule
-        // on that message type.
-        for (command, weight) in TIER_WEIGHTS {
-            let ever_penalized = ban_decision(command)
-                .expect("tier-weight command missing from BAN_DECISIONS")
-                .iter()
-                .any(|d| *d == BanDecision::Penalize);
-            assert_eq!(
-                weight != TierWeight::Neutral,
-                ever_penalized,
-                "TIER_WEIGHTS disagrees with BAN_DECISIONS for {command}"
-            );
-            if ever_penalized {
-                let strongest = ALL_MISBEHAVIORS
-                    .iter()
-                    .filter(|m| m.message_type() == command)
-                    .filter_map(|m| m.penalty(CoreVersion::V0_20))
-                    .max()
-                    .unwrap_or(0);
-                assert_eq!(
-                    weight,
-                    tier_weight_of_penalty(strongest),
-                    "weight class of {command} does not match its strongest stock rule"
-                );
-            }
-        }
+        assert_eq!(Misbehavior::ChecksumCorrupt.message_type(), "(any)");
     }
 
     #[test]

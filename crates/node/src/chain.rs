@@ -109,21 +109,6 @@ impl Chain {
         self.blocks.get(hash)
     }
 
-    /// Height of a known header.
-    pub fn header_height(&self, hash: &Hash256) -> Option<u64> {
-        self.headers.get(hash).map(|(_, h)| *h)
-    }
-
-    /// Whether `hash` is marked invalid.
-    pub fn is_invalid(&self, hash: &Hash256) -> bool {
-        self.invalid.contains(hash)
-    }
-
-    /// Number of stored blocks (including genesis).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Processes a standalone header (from a `HEADERS` message).
     pub fn accept_header(&mut self, header: &BlockHeader) -> HeaderVerdict {
         let hash = header.hash();

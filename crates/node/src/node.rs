@@ -16,7 +16,7 @@ use crate::addrman::{AddrMan, AddrSource};
 use crate::banman::BanMan;
 use crate::banscore::{
     BanPolicy, CoreVersion, GoodScoreTracker, Misbehavior, MisbehaviorTracker, ReputationConfig,
-    ReputationEngine, StrikeOutcome, Tier, Verdict,
+    ReputationEngine, Tier, Verdict,
 };
 use crate::chain::{BlockVerdict, Chain, HeaderVerdict};
 use crate::cost::CostModel;
@@ -53,16 +53,37 @@ mod timers {
     pub const PING: u64 = 3;
 }
 
-/// Which reputation mechanism governs peer misbehavior.
+/// Which mechanism governs peer misbehavior: the stock ban score, one of
+/// the paper's §VIII countermeasures, or the trust-tier engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PeerPolicy {
     /// The stock banscore mechanism: Table-I points, 100 → 24 h hard ban.
     #[default]
     Stock,
+    /// §VIII "ban score threshold to ∞": scores are kept, nobody is banned.
+    NeverBan,
+    /// §VIII "disabling the checking": misbehavior is not tracked at all.
+    Disabled,
+    /// The §VIII good-score countermeasure: peers earn credit per valid
+    /// block, a peer holding `min_credit` is shielded from banning, and a
+    /// full inbound table evicts the lowest-credit peer instead of
+    /// refusing the newcomer.
+    GoodScore {
+        /// Credit needed for the ban shield.
+        min_credit: u64,
+    },
     /// The trust-tier reputation engine
     /// ([`crate::banscore::ReputationEngine`]): weighted penalties, decay,
     /// graylist soft-bans, hard ban only as a last resort.
     TrustTiers,
+}
+
+impl PeerPolicy {
+    /// Whether a full inbound table evicts the worst-standing peer instead
+    /// of refusing the newcomer (CKB-style, §IX-A).
+    fn evicts(self) -> bool {
+        matches!(self, PeerPolicy::GoodScore { .. } | PeerPolicy::TrustTiers)
+    }
 }
 
 /// Node configuration.
@@ -72,9 +93,7 @@ pub struct NodeConfig {
     pub network: Network,
     /// Which Core rule set to enforce.
     pub core_version: CoreVersion,
-    /// Ban policy (§VIII countermeasures).
-    pub ban_policy: BanPolicy,
-    /// Which reputation mechanism handles misbehavior.
+    /// Which mechanism handles misbehavior.
     pub peer_policy: PeerPolicy,
     /// Tuning for the trust-tier engine (used only under
     /// [`PeerPolicy::TrustTiers`]; its `version` field is overridden with
@@ -99,10 +118,6 @@ pub struct NodeConfig {
     /// Keepalive ping round interval (0 disables; Bitcoin pings every
     /// 2 minutes).
     pub ping_interval: Nanos,
-    /// Enable the §VIII good-score countermeasure.
-    pub good_score: bool,
-    /// Credit needed for good-score shielding.
-    pub good_score_min_credit: u64,
     /// Processing cost model.
     pub cost: CostModel,
     /// Charge the calibrated interference overhead per delivered message
@@ -142,7 +157,6 @@ impl Default for NodeConfig {
         NodeConfig {
             network: Network::Regtest,
             core_version: CoreVersion::V0_20,
-            ban_policy: BanPolicy::Standard,
             peer_policy: PeerPolicy::Stock,
             reputation: ReputationConfig::default(),
             ban_threshold: btc_wire::constants::DEFAULT_BANSCORE_THRESHOLD,
@@ -154,8 +168,6 @@ impl Default for NodeConfig {
             miner_enabled: false,
             miner_sample_interval: SECS,
             ping_interval: 120 * SECS,
-            good_score: false,
-            good_score_min_credit: 1,
             cost: CostModel::default(),
             charge_interference: false,
             punish_bad_checksum_score: None,
@@ -232,7 +244,14 @@ pub struct Node {
 impl Node {
     /// Creates a node from `config`.
     pub fn new(config: NodeConfig) -> Self {
-        let mut tracker = MisbehaviorTracker::new(config.core_version, config.ban_policy);
+        let ban_policy = match config.peer_policy {
+            PeerPolicy::NeverBan => BanPolicy::NeverBan,
+            PeerPolicy::Disabled => BanPolicy::Disabled,
+            PeerPolicy::Stock | PeerPolicy::GoodScore { .. } | PeerPolicy::TrustTiers => {
+                BanPolicy::Standard
+            }
+        };
+        let mut tracker = MisbehaviorTracker::new(config.core_version, ban_policy);
         tracker.threshold = config.ban_threshold;
         let banman = BanMan::with_duration(config.ban_duration);
         let mut addrman = AddrMan::new();
@@ -298,7 +317,7 @@ impl Node {
                 messages_received: p.messages_received,
                 ban_score: self.tracker.score(&p.addr),
                 good_score: self.goodscore.score(self.now, &p.addr),
-                tier: if self.config.peer_policy == PeerPolicy::TrustTiers {
+                tier: if self.tiers_active() {
                     self.reputation.tier(self.now, &p.addr)
                 } else {
                     Tier::Normal
@@ -393,84 +412,59 @@ impl Node {
         }
     }
 
-    /// Applies a tier-engine strike outcome against the connection:
-    /// telemetry for graylist entry, `BanMan` + disconnect for a hard ban.
-    /// Returns `true` when the peer was hard-banned.
-    fn apply_tier_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        addr: SockAddr,
-        outcome: &StrikeOutcome,
-    ) -> bool {
-        self.note_tier_events();
-        if outcome.graylisted() {
-            self.telemetry.graylists += 1;
-        }
-        if outcome.banned() {
-            self.telemetry.bans += 1;
-            self.banman.ban(self.now, addr);
-            self.disconnect(ctx, conn, true);
-            return true;
-        }
-        false
+    /// The one sanction: count the ban, hand the identifier to `BanMan`
+    /// for the ban duration, and drop the connection.
+    fn ban_peer(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, addr: SockAddr) {
+        self.telemetry.bans += 1;
+        self.banman.ban(self.now, addr);
+        self.disconnect(ctx, conn, true);
     }
 
-    /// Ablation hook: applies a raw score increment outside Table I (used
-    /// by `punish_bad_checksum_score`).
-    fn punish_raw(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, points: u32) {
-        let Some(peer) = self.peers.get(&conn) else {
-            return;
-        };
-        let addr = peer.addr;
-        if self.tiers_active() {
-            let outcome = self.reputation.strike_raw(self.now, addr, points);
-            self.apply_tier_outcome(ctx, conn, addr, &outcome);
-            return;
-        }
-        if self.config.good_score
-            && self
-                .goodscore
-                .is_trusted(self.now, &addr, self.config.good_score_min_credit)
-        {
-            return;
-        }
-        if let Verdict::Ban { .. } = self.tracker.penalize(self.now, addr, points) {
-            self.telemetry.bans += 1;
-            self.banman.ban(self.now, addr);
-            self.disconnect(ctx, conn, true);
-        }
-    }
-
-    /// Applies a Table-I rule against a peer; disconnects and bans when the
-    /// threshold is crossed. Returns `true` when the peer was banned.
+    /// The one strike path: applies `rule` against the peer under the
+    /// configured policy, and bans and disconnects when the policy says
+    /// so. [`Misbehavior::ChecksumCorrupt`] has no stock penalty; it is
+    /// scored with the ablation's `punish_bad_checksum_score` points.
+    /// Returns `true` when the peer was banned.
     fn misbehaving(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, rule: Misbehavior) -> bool {
         let Some(peer) = self.peers.get(&conn) else {
             return false;
         };
         let (addr, inbound) = (peer.addr, peer.inbound);
-        if self.tiers_active() {
-            let outcome = self.reputation.on_misbehavior(self.now, addr, inbound, rule);
-            return self.apply_tier_outcome(ctx, conn, addr, &outcome);
-        }
-        // Good-score shield (§VIII): peers with earned credit are exempt
-        // from identifier banning.
-        if self.config.good_score
-            && self
-                .goodscore
-                .is_trusted(self.now, &addr, self.config.good_score_min_credit)
-        {
-            return false;
-        }
-        match self.tracker.misbehaving(self.now, addr, inbound, rule) {
-            Verdict::Ban { .. } => {
-                self.telemetry.bans += 1;
-                self.banman.ban(self.now, addr);
-                self.disconnect(ctx, conn, true);
-                true
+        let raw_points = match rule {
+            Misbehavior::ChecksumCorrupt => self.config.punish_bad_checksum_score,
+            _ => None,
+        };
+        let banned = match self.config.peer_policy {
+            PeerPolicy::TrustTiers => {
+                let outcome = match raw_points {
+                    Some(points) => self.reputation.strike_raw(self.now, addr, points),
+                    None => self.reputation.on_misbehavior(self.now, addr, inbound, rule),
+                };
+                self.note_tier_events();
+                if outcome.graylisted() {
+                    self.telemetry.graylists += 1;
+                }
+                outcome.banned()
             }
-            Verdict::Scored { .. } | Verdict::Ignored => false,
+            // Good-score shield (§VIII): peers with earned credit are
+            // exempt from identifier banning.
+            PeerPolicy::GoodScore { min_credit }
+                if self.goodscore.is_trusted(self.now, &addr, min_credit) =>
+            {
+                false
+            }
+            _ => {
+                let verdict = match raw_points {
+                    Some(points) => self.tracker.penalize(self.now, addr, points),
+                    None => self.tracker.misbehaving(self.now, addr, inbound, rule),
+                };
+                matches!(verdict, Verdict::Ban { .. })
+            }
+        };
+        if banned {
+            self.ban_peer(ctx, conn, addr);
         }
+        banned
     }
 
     fn disconnect(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, local: bool) {
@@ -588,6 +582,9 @@ impl Node {
     /// messages that need no action.
     #[allow(clippy::too_many_lines)]
     fn handle_message(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Message) {
+        // One arm per `Message` variant and no wildcard arm may be added:
+        // rustc then refuses a new wire command until it is dispatched
+        // here, as `RULES_BY_COMMAND` refuses one without a rule row.
         match msg {
             // Version/Verack are consumed by the handshake path before
             // this dispatcher runs; a stray duplicate that slips through
@@ -879,7 +876,7 @@ impl Node {
                         let hash = cb.header.hash();
                         let req = btc_wire::compact::BlockTxnRequest::from_absolute(hash, &missing);
                         if let Some(p) = self.peers.get_mut(&conn) {
-                            p.pending_compact.insert(hash, cb);
+                            p.pending_compact = Some(Box::new((hash, cb)));
                         }
                         self.send_message(ctx, conn, &Message::GetBlockTxn(req));
                     }
@@ -925,10 +922,11 @@ impl Node {
                 }
             }
             Message::BlockTxn(bt) => {
-                let Some(cb) = self
+                let Some((_, cb)) = self
                     .peers
                     .get_mut(&conn)
-                    .and_then(|p| p.pending_compact.remove(&bt.block_hash))
+                    .and_then(|p| p.pending_compact.take_if(|pending| pending.0 == bt.block_hash))
+                    .map(|pending| *pending)
                 else {
                     return;
                 };
@@ -952,14 +950,15 @@ impl Node {
         match self.chain.accept_block(block) {
             BlockVerdict::Accepted { .. } => {
                 if let Some(addr) = self.peers.get(&conn).map(|p| p.addr) {
-                    if self.config.good_score {
-                        self.goodscore.credit(self.now, addr);
-                    }
-                    if self.tiers_active() {
-                        // Good behaviour: credit promotion + strike
-                        // forgiveness in the tier engine.
-                        self.reputation.on_good_block(self.now, addr);
-                        self.note_tier_events();
+                    match self.config.peer_policy {
+                        PeerPolicy::GoodScore { .. } => self.goodscore.credit(self.now, addr),
+                        PeerPolicy::TrustTiers => {
+                            // Good behaviour: credit promotion + strike
+                            // forgiveness in the tier engine.
+                            self.reputation.on_good_block(self.now, addr);
+                            self.note_tier_events();
+                        }
+                        PeerPolicy::Stock | PeerPolicy::NeverBan | PeerPolicy::Disabled => {}
                     }
                 }
                 for tx in &block.txs {
@@ -1071,7 +1070,7 @@ impl App for Node {
             // policy) the node runs CKB-style eviction instead of
             // refusing: accept, then evict the worst-standing inbound peer
             // (§IX-A).
-            if !self.config.good_score && self.config.peer_policy != PeerPolicy::TrustTiers {
+            if !self.config.peer_policy.evicts() {
                 return false;
             }
         }
@@ -1086,8 +1085,7 @@ impl App for Node {
         self.peers.insert(conn, state);
         if inbound {
             self.half_open_inbound = self.half_open_inbound.saturating_sub(1);
-            let evicting = self.config.good_score || self.tiers_active();
-            if evicting && self.inbound_count() > self.config.max_inbound {
+            if self.config.peer_policy.evicts() && self.inbound_count() > self.config.max_inbound {
                 // Slot pressure: evict the inbound peer with the least
                 // earned credit (ties broken deterministically). A fresh
                 // zero-credit connection evicts itself before it can push
@@ -1234,13 +1232,4 @@ impl App for Node {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Convenience: a default node config with the given outbound targets and
-/// a deterministic regtest setup.
-pub fn node_with_targets(targets: Vec<SockAddr>) -> Node {
-    Node::new(NodeConfig {
-        outbound_targets: targets,
-        ..NodeConfig::default()
-    })
 }

@@ -27,8 +27,8 @@
 //! `NodeConfig::recv_buffer_limit` is disconnected: a valid stream can
 //! never buffer more than one incomplete frame.
 
-use super::{Node, PeerPolicy};
-use crate::banscore::Tier;
+use super::Node;
+use crate::banscore::{Misbehavior, Tier};
 use btc_netsim::sim::Ctx;
 use btc_netsim::tcp::ConnId;
 use btc_wire::encode::{DecodeError, DecodeResult};
@@ -86,10 +86,10 @@ impl Node {
                 // BM-DoS vector 2: dropped before misbehavior tracking;
                 // the sender's score never moves.
                 self.telemetry.bad_checksum_frames += 1;
-                if let Some(points) = self.config.punish_bad_checksum_score {
+                if self.config.punish_bad_checksum_score.is_some() {
                     // Counterfactual design (ablation): treat a
                     // checksum-corrupt frame as misbehavior.
-                    self.punish_raw(ctx, conn, points);
+                    self.misbehaving(ctx, conn, Misbehavior::ChecksumCorrupt);
                 }
                 continue;
             }
@@ -97,7 +97,7 @@ impl Node {
             // flood-pressure bucket and, for graylisted peers, the service
             // rate limit — before the node pays the decode cost. A no-op
             // under the stock policy, keeping its digests bit-identical.
-            if self.config.peer_policy == PeerPolicy::TrustTiers {
+            if self.tiers_active() {
                 let Some(addr) = self.peers.get(&conn).map(|p| p.addr) else {
                     break;
                 };
@@ -107,9 +107,7 @@ impl Node {
                     self.telemetry.graylists += 1;
                 }
                 if outcome.banned() {
-                    self.telemetry.bans += 1;
-                    self.banman.ban(self.now, addr);
-                    self.disconnect(ctx, conn, true);
+                    self.ban_peer(ctx, conn, addr);
                     continue;
                 }
                 if !outcome.deliver {

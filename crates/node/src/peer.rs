@@ -7,7 +7,6 @@ use btc_wire::bloom::BloomFilter;
 use btc_wire::bytes::RecvBuffer;
 use btc_wire::message::VersionMessage;
 use btc_wire::types::Hash256;
-use std::collections::BTreeMap;
 
 /// State kept for one connected peer.
 #[derive(Clone, Debug)]
@@ -37,8 +36,11 @@ pub struct Peer {
     pub fee_filter: i64,
     /// BIP152 high-bandwidth mode requested.
     pub cmpct_announce: bool,
-    /// Compact blocks awaiting a `BLOCKTXN` answer, by block hash.
-    pub pending_compact: BTreeMap<Hash256, btc_wire::compact::CompactBlock>,
+    /// The compact block awaiting a `BLOCKTXN` answer, with its hash. Only
+    /// the newest is kept, so a peer cannot pin memory by sending compact
+    /// blocks it never completes; boxed, so the common peer that never
+    /// sends one does not carry its size inline.
+    pub pending_compact: Option<Box<(Hash256, btc_wire::compact::CompactBlock)>>,
     /// Messages received from this peer.
     pub messages_received: u64,
     /// When the transport connection was established (drives the
@@ -64,7 +66,7 @@ impl Peer {
             prefers_headers: false,
             fee_filter: 0,
             cmpct_announce: false,
-            pending_compact: BTreeMap::new(),
+            pending_compact: None,
             messages_received: 0,
             connected_at: 0,
             ping_pending: None,

@@ -7,7 +7,7 @@ use btc_netsim::sim::{App, Ctx, HostConfig, SimConfig, Simulator};
 use btc_netsim::tcp::ConnId;
 use btc_netsim::time::{MINUTES, SECS};
 use btc_node::chain::mine_child;
-use btc_node::node::{Node, NodeConfig};
+use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_wire::bloom::{BloomFilter, BloomFlags};
 use btc_wire::drain::FrameAssembler;
 use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
@@ -395,7 +395,7 @@ fn good_score_eviction_protects_peers_with_history() {
     // never the peers that earned credit.
     let mut sim = node_sim(NodeConfig {
         max_inbound: 2,
-        good_score: true,
+        peer_policy: PeerPolicy::GoodScore { min_credit: 1 },
         ..NodeConfig::default()
     });
     // Two honest peers connect and earn credit.
@@ -505,4 +505,67 @@ fn getaddr_returns_known_addresses() {
         matches!(m, Message::Addr(v) if v.iter().any(|a| a.addr.ip == C))
     });
     assert!(got, "getaddr did not return the seeded address");
+}
+
+#[test]
+fn only_the_newest_pending_compact_block_is_kept() {
+    // Regression: each CMPCTBLOCK with missing transactions used to add an
+    // entry to a per-peer map, so one peer could pin unbounded memory while
+    // its ban score stayed 0.
+    const N: usize = 50;
+    let chain = Node::new(NodeConfig::default()).chain;
+    let tip = chain.tip();
+    let hdr = chain.block(&tip).unwrap().header;
+    let blocks: Vec<btc_wire::Block> = (0..N as u64)
+        .map(|i| {
+            let mut tx = btc_wire::Transaction::coinbase(1, &i.to_le_bytes());
+            tx.inputs_mut()[0].prevout =
+                btc_wire::tx::OutPoint::new(btc_wire::Hash256::hash(&i.to_le_bytes()), 0);
+            mine_child(&hdr, tip, 100 + i, vec![tx])
+        })
+        .collect();
+    let compact: Vec<Message> = blocks
+        .iter()
+        .map(|b| Message::CmpctBlock(btc_wire::compact::CompactBlock::from_block(b, 1)))
+        .collect();
+    let blocktxn = |b: &btc_wire::Block| {
+        Message::BlockTxn(btc_wire::compact::BlockTxn {
+            block_hash: b.hash(),
+            txs: b.txs[1..].to_vec(),
+        })
+    };
+    let run = |script: Vec<Message>| {
+        let mut sim = node_sim(NodeConfig::default());
+        sim.add_host(B, Box::new(Probe::new(addr(A), script)), HostConfig::default());
+        sim.run_for(3 * SECS);
+        sim
+    };
+    let (oldest, newest) = (&blocks[0], &blocks[N - 1]);
+
+    // N compact blocks, each answered with a GETBLOCKTXN; one is retained.
+    let sim = run(compact.clone());
+    let probe: &Probe = sim.app(B).unwrap();
+    let requests = probe
+        .received
+        .iter()
+        .filter(|m| matches!(m, Message::GetBlockTxn(_)))
+        .count();
+    assert_eq!(requests, N);
+    let node: &Node = sim.app(A).unwrap();
+    let info = node.peer_infos()[0];
+    assert_eq!(info.ban_score, 0);
+    let peer = node.peer_by_addr(&info.addr).unwrap();
+    assert_eq!(peer.pending_compact.as_ref().map(|pending| pending.0), Some(newest.hash()));
+
+    // The oldest one's answer finds nothing pending; the newest one's
+    // still reconstructs its block.
+    let mut script = compact;
+    script.push(blocktxn(oldest));
+    script.push(blocktxn(newest));
+    let sim = run(script);
+    let node: &Node = sim.app(A).unwrap();
+    assert!(!node.chain.has_block(&oldest.hash()));
+    assert!(node.chain.has_block(&newest.hash()));
+    let peer = node.peer_by_addr(&node.peer_infos()[0].addr).unwrap();
+    assert!(peer.pending_compact.is_none());
 }

@@ -25,7 +25,7 @@ fi
 echo "==> release build (offline, warnings are errors)"
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace
 
-echo "==> btc-lint: determinism / panic-safety / ban-exhaustiveness gate"
+echo "==> btc-lint: determinism / panic-safety gate"
 # Same RUSTFLAGS as the build step so the release cache is reused. The gate
 # consumes the machine-readable --json output: the findings array must be
 # empty, and the call-graph stats must show the analyzer actually resolved a
@@ -85,6 +85,15 @@ if ! diff -u "$out1" "$out4"; then
   exit 1
 fi
 echo "    $(wc -l < "$out1") output lines identical across job counts OK (sha256 $(sha256sum < "$out1" | cut -d' ' -f1))"
+
+echo "==> ablate: every ablation must print byte-identical output at --jobs 1 vs --jobs 4"
+cargo run --release --offline -p btc-bench --bin ablate -- --jobs 1 > "$out1"
+cargo run --release --offline -p btc-bench --bin ablate -- --jobs 4 > "$out4"
+if ! diff -u "$out1" "$out4"; then
+  echo "ERROR: ablate output differs between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
+echo "    $(wc -l < "$out1") ablate lines identical across job counts OK (sha256 $(sha256sum < "$out1" | cut -d' ' -f1))"
 
 echo "==> serve smoke: sharded service must be byte-identical at 1, 2 and 4 shards"
 # The serve scenario prints one deterministic `digest shards=N <hex>` line

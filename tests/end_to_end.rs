@@ -10,7 +10,7 @@ use btc_netsim::shard::{ShardConfig, ShardedSim};
 use btc_netsim::sim::{HostConfig, SimConfig, Simulator};
 use btc_netsim::time::{MINUTES, SECS};
 use btc_node::banscore::CoreVersion;
-use btc_node::node::{Node, NodeConfig};
+use btc_node::node::{Node, NodeConfig, PeerPolicy};
 
 #[test]
 fn train_detect_respond_pipeline() {
@@ -101,7 +101,7 @@ fn never_ban_node_keeps_serving_the_network() {
     // §VIII: disabling banning does not affect normal operation.
     let mut tb = Testbed::build(TestbedConfig {
         node: NodeConfig {
-            ban_policy: btc_node::banscore::BanPolicy::NeverBan,
+            peer_policy: PeerPolicy::NeverBan,
             ..NodeConfig::default()
         },
         ..TestbedConfig::default()
