@@ -12,11 +12,22 @@
 //!
 //! ```
 //! use btc_attack::payload::FloodPayload;
+//! use btc_netsim::SockAddr;
+//! use btc_node::banscore::{unprotected_message_types, CoreVersion};
+//! use btc_wire::encode::DecodeError;
+//! use btc_wire::message::{read_frame, verify_checksum, FrameResult};
+//! use btc_wire::types::Network;
 //!
-//! // Vector 1: PING has no ban-score rule — it can never be punished.
-//! assert!(!FloodPayload::Ping.is_punishable());
+//! // Vector 1: PING has no ban-score rule in Table I, so it is never punished.
+//! assert!(unprotected_message_types(CoreVersion::V0_20).contains(&"ping"));
+//!
 //! // Vector 2: a corrupted checksum drops the frame before tracking.
-//! assert!(!FloodPayload::BogusChecksumBlock { payload_bytes: 1_000_000 }.is_punishable());
+//! let bogus = FloodPayload::BogusChecksumBlock { payload_bytes: 1_000 }
+//!     .build(Network::Regtest, SockAddr::default(), SockAddr::default(), 0);
+//! let Ok(FrameResult::Frame { raw, .. }) = read_frame(Network::Regtest, &bogus) else {
+//!     panic!("the frame itself is well-formed");
+//! };
+//! assert!(matches!(verify_checksum(&raw), Err(DecodeError::BadChecksum { .. })));
 //! ```
 
 #![warn(missing_docs)]

@@ -129,18 +129,6 @@ impl FloodPayload {
         self.build(network, SockAddr::default(), SockAddr::default(), 0)
             .len()
     }
-
-    /// Whether the payload triggers a ban-score rule at the victim.
-    pub fn is_punishable(&self) -> bool {
-        !matches!(
-            self,
-            FloodPayload::Ping
-                | FloodPayload::BogusChecksumBlock { .. }
-                | FloodPayload::BenignTx
-                | FloodPayload::BenignInv
-                | FloodPayload::Custom(_)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -211,15 +199,6 @@ mod tests {
             panic!()
         };
         assert_eq!(list.len() as u64, MAX_INV_SZ + 1);
-    }
-
-    #[test]
-    fn punishability_classification() {
-        assert!(!FloodPayload::Ping.is_punishable());
-        assert!(!FloodPayload::BogusChecksumBlock { payload_bytes: 10 }.is_punishable());
-        assert!(FloodPayload::InvalidPowBlock.is_punishable());
-        assert!(FloodPayload::DuplicateVersion.is_punishable());
-        assert!(FloodPayload::OversizeAddr.is_punishable());
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! curve); it times every cell at several worker counts and is therefore
 //! not part of `all`.
 //!
+//! Exits 1, after everything requested has printed, when a `serve` case or
+//! a `swarm` cell breaks its determinism contract.
+//!
 //! `--jobs N` fans each experiment's independent, deterministically-seeded
 //! points across `N` worker threads (default: available parallelism). The
 //! simulation-derived outputs are byte-identical for any job count; only
@@ -147,13 +150,21 @@ fn fig11(cfg: &ReproConfig, args: &ReproArgs) {
     );
 }
 
-fn serve(cfg: &ReproConfig, args: &ReproArgs) {
+/// Returns whether every case agrees with itself across shard counts and
+/// with the batch engine (`ServeCase::agrees`).
+fn serve(cfg: &ReproConfig, args: &ReproArgs) -> bool {
     section("Streaming service — sharded per-peer detector vs batch engine");
     let r = run_serve_jobs(cfg.serve.clone(), args.jobs);
     print!("{}", render_serve(&r));
     csv_out(args, "serve.csv", &btc_bench::csv::serve(&r));
     println!("\nDigest lines are deterministic and must be identical across shard counts;");
     println!("[wall] lines are wall-clock.");
+    let mut ok = true;
+    for c in r.cases.iter().filter(|c| !c.agrees()) {
+        eprintln!("serve: case {}: shard digests or streaming-vs-batch verdicts disagree", c.name);
+        ok = false;
+    }
+    ok
 }
 
 fn evasion(args: &ReproArgs) {
@@ -190,7 +201,8 @@ fn reputation(cfg: &ReproConfig, args: &ReproArgs) {
     println!("simulation-derived and byte-identical for any --jobs count.");
 }
 
-fn swarm(cfg: &ReproConfig, args: &ReproArgs) {
+/// Returns whether every cell's outcome is identical at every worker count.
+fn swarm(cfg: &ReproConfig, args: &ReproArgs) -> bool {
     section("Swarm scale — sharded simulator, attack testbed in a 100k+ host swarm");
     let r = btc_bench::swarm::run_swarm_bench(&cfg.swarm);
     print!("{}", btc_bench::swarm::render_swarm(&r));
@@ -198,6 +210,12 @@ fn swarm(cfg: &ReproConfig, args: &ReproArgs) {
     println!("\nDigest lines are deterministic and must be identical across worker counts;");
     println!("[wall] lines carry the hosts-vs-wall-clock curve. Speedup over workers=1");
     println!("needs a multi-core runner.");
+    let mut ok = true;
+    for p in r.points.iter().filter(|p| !p.outcomes_agree()) {
+        eprintln!("swarm: case {} at {} hosts: outcomes diverged", p.case, p.swarm_hosts);
+        ok = false;
+    }
+    ok
 }
 
 fn counter() {
@@ -230,6 +248,7 @@ fn main() {
     } else {
         args.what.clone()
     };
+    let mut contracts_hold = true;
     for w in &what {
         match w.as_str() {
             "table1" => table1(),
@@ -239,12 +258,12 @@ fn main() {
             "fig8" => fig8(&cfg, &args),
             "fig10" => fig10(&cfg, &args),
             "fig11" => fig11(&cfg, &args),
-            "serve" => serve(&cfg, &args),
+            "serve" => contracts_hold &= serve(&cfg, &args),
             "counter" => counter(),
             "evasion" => evasion(&args),
             "faults" => faults(&cfg, &args),
             "reputation" => reputation(&cfg, &args),
-            "swarm" => swarm(&cfg, &args),
+            "swarm" => contracts_hold &= swarm(&cfg, &args),
             "all" => {
                 table1();
                 table2(&cfg, &args);
@@ -253,7 +272,7 @@ fn main() {
                 fig8(&cfg, &args);
                 fig10(&cfg, &args);
                 fig11(&cfg, &args);
-                serve(&cfg, &args);
+                contracts_hold &= serve(&cfg, &args);
                 evasion(&args);
                 faults(&cfg, &args);
                 reputation(&cfg, &args);
@@ -265,5 +284,8 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+    if !contracts_hold {
+        std::process::exit(1);
     }
 }

@@ -356,7 +356,7 @@ fn innocent_exclusion(node: &Node, innocent_ips: &BTreeSet<Ipv4>) -> (usize, f64
     (excluded.len(), mean)
 }
 
-/// Runs one `(policy, case)` pair and judges it against the (shared,
+/// Runs one `(policy, case)` simulation and judges it against the (shared,
 /// immutable) clean profile — plain data out, so it can execute on a
 /// worker thread.
 fn run_case(
@@ -443,8 +443,9 @@ pub fn run_reputation(cfg: &ReputationSweepConfig) -> ReputationResult {
     run_reputation_jobs(cfg, 1)
 }
 
-/// Runs the sweep with every `(case, policy)` pair fanned across `jobs`
-/// workers. Results are byte-identical for any job count.
+/// Runs the sweep with its cases fanned across `jobs` workers. Each case
+/// simulates a stock and a trust-tier node; the detector row is the stock
+/// run relabelled. Results are byte-identical for any job count.
 ///
 /// # Panics
 ///
@@ -457,13 +458,19 @@ pub fn run_reputation_jobs(cfg: &ReputationSweepConfig, jobs: usize) -> Reputati
     let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
 
     let cases = cfg.cases();
-    let pairs: Vec<(SweepCase, Policy)> = cases
-        .iter()
-        .flat_map(|c| POLICIES.iter().map(move |p| (*c, *p)))
-        .collect();
-    let rows = btc_par::par_map(jobs, pairs, |(case, policy)| {
-        run_case(policy, case, cfg, &engine, &profile)
-    });
+    let rows = btc_par::par_map(jobs, cases.clone(), |case| {
+        let stock = run_case(Policy::Stock, case, cfg, &engine, &profile);
+        let tiers = run_case(Policy::TrustTiers, case, cfg, &engine, &profile);
+        // The detector observes the stock node: same run, another label.
+        let detector = PolicyCaseRow {
+            policy: Policy::Detector.label(),
+            ..stock.clone()
+        };
+        [stock, detector, tiers]
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let swarm = run_swarm_tiers(&cfg.swarm);
     let reference = NodeConfig::default();
     ReputationResult {
@@ -551,6 +558,7 @@ pub fn render_reputation(r: &ReputationResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     fn tiny() -> ReputationSweepConfig {
         ReputationSweepConfig {
@@ -570,9 +578,16 @@ mod tests {
         }
     }
 
+    /// The serial sweep over [`tiny`], run once and shared by the tests that
+    /// only read it.
+    fn tiny_result() -> &'static ReputationResult {
+        static RESULT: OnceLock<ReputationResult> = OnceLock::new();
+        RESULT.get_or_init(|| run_reputation(&tiny()))
+    }
+
     #[test]
     fn tiers_punish_the_flood_that_stock_ignores() {
-        let r = run_reputation(&tiny());
+        let r = tiny_result();
         let stock = r.row("stock", "bm-dos");
         let tiers = r.row("trust-tiers", "bm-dos");
         // No Table-I rule covers PING: the stock tracker never moves.
@@ -584,7 +599,7 @@ mod tests {
 
     #[test]
     fn graylist_recovers_faster_than_the_stock_ban() {
-        let r = run_reputation(&tiny());
+        let r = tiny_result();
         let (stock_rec, tiers_rec) = r.defamation_recovery();
         let stock = r.row("stock", "defamation");
         let tiers = r.row("trust-tiers", "defamation");
@@ -599,7 +614,7 @@ mod tests {
 
     #[test]
     fn honest_churn_excludes_no_innocents() {
-        let r = run_reputation(&tiny());
+        let r = tiny_result();
         for policy in POLICIES {
             let row = r.row(policy.label(), "churn=5");
             assert_eq!(row.innocents_excluded, 0, "{row:?}");

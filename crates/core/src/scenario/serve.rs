@@ -161,6 +161,21 @@ pub struct ServeCase {
     pub aggregate_batch: Detection,
 }
 
+impl ServeCase {
+    /// Whether the node-aggregate streaming and batch verdicts agree.
+    pub fn aggregates_agree(&self) -> bool {
+        self.aggregate_streaming.anomalous == self.aggregate_batch.anomalous
+            && self.aggregate_streaming.violations == self.aggregate_batch.violations
+    }
+
+    /// The case's determinism and equivalence contract: the same digest at
+    /// every shard count, every streaming verdict cell equal to the batch
+    /// engine's, and equal node-aggregate verdicts.
+    pub fn agrees(&self) -> bool {
+        self.digests_agree && self.agreement.0 == self.agreement.1 && self.aggregates_agree()
+    }
+}
+
 /// The full `serve` result.
 #[derive(Clone, Debug)]
 pub struct ServeResult {
@@ -321,13 +336,7 @@ pub fn render_serve(r: &ServeResult) -> String {
             "  node aggregate: streaming={} batch={} agree={}",
             verdict_word(&c.aggregate_streaming),
             verdict_word(&c.aggregate_batch),
-            if c.aggregate_streaming.anomalous == c.aggregate_batch.anomalous
-                && c.aggregate_streaming.violations == c.aggregate_batch.violations
-            {
-                "yes"
-            } else {
-                "NO"
-            }
+            if c.aggregates_agree() { "yes" } else { "NO" }
         )
         .unwrap();
         for run in &c.runs {
@@ -387,6 +396,7 @@ mod tests {
             assert_eq!(c.aggregate_streaming.n, c.aggregate_batch.n);
             assert_eq!(c.aggregate_streaming.c, c.aggregate_batch.c);
             assert!((c.aggregate_streaming.rho - c.aggregate_batch.rho).abs() < 1e-9);
+            assert!(c.agrees(), "{}: contract predicate disagrees", c.name);
         }
         let get = |n: &str| r.cases.iter().find(|c| c.name == n).expect("case");
         assert!(!get("normal").aggregate_streaming.anomalous);

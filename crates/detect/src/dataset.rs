@@ -1,8 +1,7 @@
 //! The Dataset component of Figure 9: a labelled collection of traffic
-//! windows with CSV import/export (for offline analysis) and a
-//! deterministic train/test split.
+//! windows with a deterministic train/test split.
 
-use crate::features::{TrafficWindow, NUM_TYPES};
+use crate::features::TrafficWindow;
 
 /// A labelled dataset of traffic windows (`0.0` normal / `1.0` anomalous).
 #[derive(Clone, Debug, Default)]
@@ -12,34 +11,6 @@ pub struct Dataset {
     /// Parallel labels.
     pub labels: Vec<f64>,
 }
-
-/// Errors from CSV parsing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CsvError {
-    /// A row had the wrong number of fields.
-    BadArity {
-        /// 1-based row number.
-        row: usize,
-    },
-    /// A field failed to parse.
-    BadField {
-        /// 1-based row number.
-        row: usize,
-        /// 0-based column.
-        col: usize,
-    },
-}
-
-impl std::fmt::Display for CsvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsvError::BadArity { row } => write!(f, "row {row}: wrong field count"),
-            CsvError::BadField { row, col } => write!(f, "row {row}, column {col}: parse error"),
-        }
-    }
-}
-
-impl std::error::Error for CsvError {}
 
 impl Dataset {
     /// Creates an empty dataset.
@@ -96,71 +67,12 @@ impl Dataset {
         }
         (train, test)
     }
-
-    /// Serializes to CSV: header row, then
-    /// `label,minutes,reconnects,count_version,…,count_reject`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("label,minutes,reconnects");
-        for cmd in btc_wire::message::ALL_COMMANDS {
-            out.push(',');
-            out.push_str(cmd);
-        }
-        out.push('\n');
-        for (w, l) in self.windows.iter().zip(&self.labels) {
-            out.push_str(&format!("{l},{},{}", w.minutes, w.reconnects));
-            for c in w.counts {
-                out.push_str(&format!(",{c}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the [`Dataset::to_csv`] format (header row required).
-    ///
-    /// # Errors
-    ///
-    /// [`CsvError`] on malformed rows.
-    pub fn from_csv(csv: &str) -> Result<Dataset, CsvError> {
-        let mut ds = Dataset::new();
-        for (i, line) in csv.lines().enumerate().skip(1) {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let row = i + 1;
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 3 + NUM_TYPES {
-                return Err(CsvError::BadArity { row });
-            }
-            let parse_f = |col: usize| {
-                fields[col]
-                    .trim()
-                    .parse::<f64>()
-                    .map_err(|_| CsvError::BadField { row, col })
-            };
-            let label = parse_f(0)?;
-            let minutes = parse_f(1)?;
-            let reconnects = fields[2]
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| CsvError::BadField { row, col: 2 })?;
-            let mut w = TrafficWindow::empty(minutes);
-            w.reconnects = reconnects;
-            for (j, slot) in w.counts.iter_mut().enumerate() {
-                *slot = fields[3 + j]
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| CsvError::BadField { row, col: 3 + j })?;
-            }
-            ds.push(w, label);
-        }
-        Ok(ds)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::NUM_TYPES;
 
     fn sample() -> Dataset {
         let mut ds = Dataset::new();
@@ -172,44 +84,6 @@ mod tests {
             ds.push(w, if i % 5 == 0 { 1.0 } else { 0.0 });
         }
         ds
-    }
-
-    #[test]
-    fn csv_roundtrip_is_lossless() {
-        let ds = sample();
-        let csv = ds.to_csv();
-        let back = Dataset::from_csv(&csv).unwrap();
-        assert_eq!(back.len(), ds.len());
-        assert_eq!(back.labels, ds.labels);
-        for (a, b) in back.windows.iter().zip(&ds.windows) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn csv_header_names_every_type() {
-        let csv = sample().to_csv();
-        let header = csv.lines().next().unwrap();
-        for cmd in btc_wire::message::ALL_COMMANDS {
-            assert!(header.contains(cmd), "missing {cmd}");
-        }
-    }
-
-    #[test]
-    fn bad_csv_reports_location() {
-        assert_eq!(
-            Dataset::from_csv("header\n1,2\n").unwrap_err(),
-            CsvError::BadArity { row: 2 }
-        );
-        let mut good_row = String::from("header\n0,10,0");
-        for _ in 0..NUM_TYPES {
-            good_row.push_str(",x");
-        }
-        good_row.push('\n');
-        assert_eq!(
-            Dataset::from_csv(&good_row).unwrap_err(),
-            CsvError::BadField { row: 2, col: 3 }
-        );
     }
 
     #[test]

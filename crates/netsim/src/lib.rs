@@ -11,8 +11,9 @@
 //!   paper's post-connection Defamation attack has genuine state to steal;
 //! * [`packet`] — TCP segments and ICMP echos (the network-layer flooding
 //!   baseline of Table III);
-//! * [`cpu`] — a cycle-accounting CPU model relating message processing to
-//!   the victim's mining rate (Figures 6–7);
+//! * [`cpu`] — a per-host counter of the cycles message processing is
+//!   charged (the victim's mining rate is modelled in `banscore::contention`,
+//!   not here);
 //! * [`faults`] — seeded, deterministic fault injection: per-link loss,
 //!   latency jitter and reordering plus a scheduled [`FaultPlan`] of
 //!   partitions and link flaps (the adverse-network model of the

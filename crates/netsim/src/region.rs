@@ -210,7 +210,7 @@ impl Region {
         self.ips.push(ip);
         self.apps.push(Some(app));
         self.tcps.push(tcp);
-        self.cpus.push(CpuMeter::new(config.capacity_hz));
+        self.cpus.push(CpuMeter::default());
         self.configs.push(config);
         self.counters.push(HostCounters::default());
         self.tick_at.push(None);

@@ -34,8 +34,6 @@ pub const DEFAULT_ICMP_COST: u64 = 4_500;
 /// Per-host configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
-    /// CPU capacity in cycles/second.
-    pub capacity_hz: u64,
     /// Cycles charged for any received packet (interrupt + IP processing).
     pub kernel_cost_per_packet: u64,
     /// Additional cycles charged for an ICMP echo request.
@@ -47,7 +45,6 @@ pub struct HostConfig {
 impl Default for HostConfig {
     fn default() -> Self {
         HostConfig {
-            capacity_hz: crate::cpu::DEFAULT_CAPACITY_HZ,
             kernel_cost_per_packet: DEFAULT_KERNEL_COST,
             icmp_echo_cost: DEFAULT_ICMP_COST,
             icmp_reply: true,
@@ -230,11 +227,6 @@ impl Ctx<'_> {
     /// Charges processing cycles to this host's CPU.
     pub fn charge_cpu(&mut self, cycles: u64) {
         self.cpu.charge(cycles);
-    }
-
-    /// Read access to the CPU meter (for mining-rate sampling).
-    pub fn cpu(&self) -> &CpuMeter {
-        self.cpu
     }
 
     /// Transport drop statistics.

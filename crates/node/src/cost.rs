@@ -1,27 +1,23 @@
 //! Processing-cost model: cycles charged to the victim's CPU for each stage
 //! of the receive path.
 //!
-//! Two tiers, matching how the paper reports costs:
+//! [`CostModel`] follows the *relative* per-query processing costs of
+//! Table II: checksum work scales with payload bytes, block validation
+//! with transaction count, and so on. These charges drive the in-simulator
+//! cycle counter ([`btc_netsim::cpu::CpuMeter`]), which the spine's
+//! `node.cost.sim_cycles_per_msg` and the bench digests read.
 //!
-//! * **Micro costs** ([`CostModel`]) follow the *relative* per-query
-//!   processing costs of Table II — checksum work scales with payload
-//!   bytes, block validation with transaction count, etc. These drive the
-//!   in-simulator CPU accounting.
-//! * **Interference costs** ([`CostModel::interference_cost`]) add the
-//!   fixed per-message overhead a real `bitcoind` pays per delivered
-//!   message (socket wake-up, lock acquisition, thread scheduling on the
-//!   paper's single-vCPU testbed). The constant is calibrated once against
-//!   Figure 6's single-connection operating points and documented in
-//!   EXPERIMENTS.md; it is what makes message *rate* — not just message
-//!   *bytes* — hurt the mining loop.
+//! The victim's mining rate under flood (Figs. 6–7, Table III) is not
+//! derived from these charges. It comes from `banscore::contention`, whose
+//! per-message interference (socket wake-up, locks, scheduling on the
+//! paper's single-vCPU testbed) is calibrated against Figure 6.
 
 use btc_wire::message::Message;
 
 /// Cycles per payload byte for the `sha256d` checksum pass (every frame
 /// pays this, including frames whose checksum turns out wrong).
 ///
-/// Like [`btc_netsim::cpu::DEFAULT_CYCLES_PER_HASH`], this is calibrated
-/// to the *paper's* testbed (a software `sha256d` on a 4 GHz core), not to
+/// This is calibrated to the *paper's* testbed (a software `sha256d` on a 4 GHz core), not to
 /// this repository's hash implementation: the pre-overhaul local software
 /// hash measured ≈20 cycles/byte (`wire/crypto sha256d_1000B`, 5 131 ns/kB)
 /// — the same order as this constant — while the SHA-NI path measures
@@ -31,8 +27,7 @@ use btc_wire::message::Message;
 pub const CHECKSUM_CYCLES_PER_BYTE: u64 = 15;
 
 /// Converts a measured bulk `sha256d` time (ns per byte hashed) into the
-/// model's cycles/byte at a given CPU capacity, floored at 1 — the
-/// checksum-path analogue of [`btc_netsim::cpu::cycles_per_hash`].
+/// model's cycles/byte at a given CPU capacity, floored at 1.
 ///
 /// Feed it `1e3 / wire.checksum_mb_per_s` from a traced run of the bench
 /// spine (`benchmark/`).
@@ -47,13 +42,6 @@ pub const FRAME_BASE_CYCLES: u64 = 2_000;
 /// Cycles per payload byte for payload deserialization.
 pub const DECODE_CYCLES_PER_BYTE: u64 = 2;
 
-/// Fixed per-message interference overhead (socket wake-up + locks on the
-/// paper's testbed); calibrated to Figure 6. See EXPERIMENTS.md.
-pub const INTERFERENCE_WAKEUP_CYCLES: u64 = 1_600_000;
-
-/// Per-byte interference cost (copy + checksum at memory bandwidth).
-pub const INTERFERENCE_CYCLES_PER_BYTE: u64 = 25;
-
 /// The victim-side processing cost model.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -63,10 +51,6 @@ pub struct CostModel {
     pub frame_base: u64,
     /// Cycles per decoded byte.
     pub decode_per_byte: u64,
-    /// Fixed per-message interference overhead.
-    pub interference_wakeup: u64,
-    /// Per-byte interference cost.
-    pub interference_per_byte: u64,
 }
 
 impl Default for CostModel {
@@ -75,8 +59,6 @@ impl Default for CostModel {
             checksum_per_byte: CHECKSUM_CYCLES_PER_BYTE,
             frame_base: FRAME_BASE_CYCLES,
             decode_per_byte: DECODE_CYCLES_PER_BYTE,
-            interference_wakeup: INTERFERENCE_WAKEUP_CYCLES,
-            interference_per_byte: INTERFERENCE_CYCLES_PER_BYTE,
         }
     }
 }
@@ -137,12 +119,6 @@ impl CostModel {
     /// Full application-layer cost of a successfully decoded message.
     pub fn full_cost(&self, msg: &Message, payload_len: usize) -> u64 {
         self.checksum_cost(payload_len) + self.decode_cost(payload_len) + self.handler_cost(msg)
-    }
-
-    /// The calibrated end-to-end interference a delivered message inflicts
-    /// on a co-located miner (see module docs).
-    pub fn interference_cost(&self, payload_len: usize) -> u64 {
-        self.interference_wakeup + self.interference_per_byte * payload_len as u64
     }
 }
 
@@ -219,13 +195,4 @@ mod tests {
         )));
     }
 
-    #[test]
-    fn interference_dominated_by_wakeup_for_small_messages() {
-        let m = CostModel::default();
-        let ping = m.interference_cost(8);
-        assert!(ping < m.interference_wakeup + 8 * m.interference_per_byte + 1);
-        // But large payloads add real cost.
-        let block = m.interference_cost(1_000_000);
-        assert!(block > 5 * ping);
-    }
 }

@@ -79,9 +79,6 @@ impl Node {
             // Stage 2: checksum. The victim pays the hash pass for every
             // frame, valid or not.
             ctx.charge_cpu(self.config.cost.checksum_cost(raw.payload.len()));
-            if self.config.charge_interference {
-                ctx.charge_cpu(self.config.cost.interference_cost(raw.payload.len()));
-            }
             if verify_checksum(&raw).is_err() {
                 // BM-DoS vector 2: dropped before misbehavior tracking;
                 // the sender's score never moves.

@@ -96,61 +96,32 @@ fi
 echo "    $(wc -l < "$out1") ablate lines identical across job counts OK (sha256 $(sha256sum < "$out1" | cut -d' ' -f1))"
 
 echo "==> serve smoke: sharded service must be byte-identical at 1, 2 and 4 shards"
-# The serve scenario prints one deterministic `digest shards=N <hex>` line
-# per (case, shard count); wall-clock lines are prefixed [wall] and are
-# not compared. A digest mismatch means the sharded per-peer service
-# diverged from the serial run — the determinism contract is broken. Two
-# shards is the count the bench spine times, and every count cuts the
-# trace into different chunks, so all three are compared, and a case that
-# lacks any of its three lines fails.
+# repro checks the contract itself and exits 1 when it breaks: every case
+# must print the same `digest shards=N` at 1, 2 and 4 shards (two is the
+# count the bench spine times, and every count cuts the trace into
+# different chunks), every streaming verdict cell must equal the batch
+# engine's, and the node-aggregate verdicts must agree. [wall] lines are
+# wall-clock and are left out of the printed sha256.
 serve_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
-  --quick --jobs 2 serve > "$serve_out"
-serve_cases=$(grep -cE '^[^ ]+ +events=[0-9]+ peers=' "$serve_out" || true)
-d1=$(grep -E '^  digest shards=1 ' "$serve_out" | awk '{print $3}' || true)
-for n in 2 4; do
-  dn=$(grep -E "^  digest shards=$n " "$serve_out" | awk '{print $3}' || true)
-  if [ "$serve_cases" -eq 0 ] || [ "$(echo "$d1" | grep -c .)" -ne "$serve_cases" ] \
-      || [ "$(echo "$dn" | grep -c .)" -ne "$serve_cases" ] || [ "$d1" != "$dn" ]; then
-    echo "ERROR: serve digests missing or different between 1 and $n shards ($serve_cases cases)" >&2
-    grep -E '^  digest' "$serve_out" >&2 || true
-    exit 1
-  fi
-done
-if grep -E '^  (streaming vs batch|node aggregate)' "$serve_out" \
-    | grep -vE 'agree=yes|([0-9]+)/\1 cells' | grep -q .; then
-  echo "ERROR: streaming verdicts disagree with the batch engine" >&2
-  grep -E '^  (streaming vs batch|node aggregate)' "$serve_out" >&2
-  exit 1
-fi
+  --quick --jobs 2 serve > "$serve_out" \
+  || { cat "$serve_out" >&2; echo "ERROR: serve contract broken (see above)" >&2; exit 1; }
 serve_sha=$(grep -v '\[wall\]' "$serve_out" | sha256sum | cut -d' ' -f1)
-echo "    $(echo "$d1" | wc -l) case digests identical across shard counts OK (sha256 without [wall] lines $serve_sha)"
+echo "    serve digests and verdicts agree OK (sha256 without [wall] lines $serve_sha)"
 
 echo "==> swarm smoke: sharded netsim must be byte-identical at 1 vs 4 workers"
-# The swarm scenario prints one deterministic `digest workers=N <hex>` line
-# per (case, worker count); wall-clock lines are prefixed [wall] and are
-# not compared. A digest mismatch means the conservative-lookahead shard
-# runtime diverged from the serial event loop — the bit-identity contract
-# of crates/netsim/src/shard.rs is broken. The quick grid times 1 and 4
-# workers on a small topology, so this doubles as the shard-matrix smoke.
+# repro exits 1 when any cell's outcome (digest and every counter) differs
+# between worker counts: the conservative-lookahead shard runtime diverged
+# from the serial event loop, breaking the bit-identity contract of
+# crates/netsim/src/shard.rs. The quick grid times 1 and 4 workers on a
+# small topology, so this doubles as the shard-matrix smoke.
 swarm_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out" "$swarm_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
-  --quick swarm > "$swarm_out"
-s1=$(grep -E '^  digest workers=1 ' "$swarm_out" | awk '{print $3}')
-s4=$(grep -E '^  digest workers=4 ' "$swarm_out" | awk '{print $3}')
-if [ -z "$s1" ] || [ "$s1" != "$s4" ]; then
-  echo "ERROR: swarm digests differ between 1 and 4 workers" >&2
-  grep -E '^  digest' "$swarm_out" >&2 || true
-  exit 1
-fi
-if grep -q 'DIVERGED' "$swarm_out"; then
-  echo "ERROR: swarm outcome counters diverged across worker counts" >&2
-  grep -E 'DIVERGED' "$swarm_out" >&2
-  exit 1
-fi
-echo "    $(echo "$s1" | wc -l) case digests identical across worker counts OK"
+  --quick swarm > "$swarm_out" \
+  || { cat "$swarm_out" >&2; echo "ERROR: swarm outcomes diverged (see above)" >&2; exit 1; }
+echo "    swarm outcomes identical across worker counts OK"
 
 echo "CI OK: hermetic build, tests green, spine digests match their goldens,"
 echo "       parallel sweeps reproduce the serial output byte for byte,"
