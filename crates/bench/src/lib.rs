@@ -36,7 +36,7 @@ pub struct ReproConfig {
     pub table2_iters: u32,
     /// The detector-robustness fault grid.
     pub faults: FaultMatrixConfig,
-    /// The swarm scale-bench grid (sharded simulator).
+    /// The swarm scale-bench grid (many-region simulator).
     pub swarm: swarm::SwarmBenchConfig,
     /// The three-way trust-tier reputation sweep.
     pub reputation: ReputationSweepConfig,

@@ -410,7 +410,7 @@ pub fn run_swarm_tiers(spec: &SwarmTierSpec) -> SwarmTierOutcome {
         innocents: spec.innocents,
         seed: spec.seed,
     };
-    let mut bed = SwarmBed::run(&swarm, Policy::TrustTiers.node(), 0);
+    let bed = SwarmBed::run(&swarm, Policy::TrustTiers.node(), 0);
     let node = bed.target_node();
     let (target_msgs, bans, graylists, graylist_dropped) = (
         node.telemetry.messages.len() as u64,

@@ -1,6 +1,6 @@
 //! `repro swarm` — the paper's attack testbed embedded in a 100k+ host
-//! background swarm, executed on the sharded simulator
-//! ([`btc_netsim::shard`]).
+//! background swarm, executed on a many-region simulator (the region
+//! rounds of [`btc_netsim::shard`]).
 //!
 //! The scenario answers the scale question the serial testbed cannot: the
 //! BM-DoS and Defamation measurements were taken against a handful of
@@ -11,7 +11,9 @@
 //! attacker's tap must see victim traffic live, and sniffing is
 //! region-local), while `swarm_hosts` additional hosts running periodic
 //! ICMP probes are spread across every region by the seed-deterministic
-//! shard assignment.
+//! region assignment. Region 0 of k regions replays a one-region run of
+//! the same hosts exactly (`tests/end_to_end.rs` checks it for a whole
+//! node under flood), so the bed measures here what it measures alone.
 //!
 //! Three cases, mirroring the fault-matrix sweep at swarm scale:
 //!
@@ -32,8 +34,7 @@ use btc_attack::defamation::PostConnDefamer;
 use btc_attack::flood::Flooder;
 use btc_netsim::faults::{FaultPlan, LinkFaults};
 use btc_netsim::packet::Ipv4;
-use btc_netsim::shard::{ShardConfig, ShardedSim};
-use btc_netsim::sim::{App, Ctx, HostConfig};
+use btc_netsim::sim::{App, Ctx, HostConfig, SimConfig, Simulator};
 use btc_netsim::time::{Nanos, MILLIS, SECS};
 use btc_node::node::{Node, NodeConfig};
 use std::any::Any;
@@ -132,11 +133,11 @@ impl App for SwarmPinger {
     }
 }
 
-/// The §V bed in region 0 of a sharded simulator, embedded in a
+/// The §V bed in region 0 of a many-region simulator, embedded in a
 /// background swarm spread over every region by the seed-deterministic
-/// shard assignment. Shared with the `reputation` scenario's swarm case.
+/// region assignment. Shared with the `reputation` scenario's swarm case.
 pub(crate) struct SwarmBed {
-    pub(crate) sim: ShardedSim,
+    pub(crate) sim: Simulator,
     /// The traffic case [`SwarmSpec::case`] names.
     pub(crate) case: Case,
     /// Total hosts simulated (bed + attacker + swarm).
@@ -173,12 +174,12 @@ impl SwarmBed {
         } else {
             (LinkFaults::NONE, FaultPlan::none())
         };
-        let mut sim = ShardedSim::new(ShardConfig {
+        let mut sim = Simulator::new(SimConfig {
             regions: spec.regions,
             workers: spec.workers,
             seed: spec.seed,
             faults,
-            ..ShardConfig::default()
+            ..SimConfig::default()
         });
         sim.set_fault_plan(fault_plan);
         let plan = BedPlan::new(node, spec.innocents, 2.min(spec.innocents), feeders);
@@ -211,7 +212,7 @@ impl SwarmBed {
     /// `[rx_packets, rx_bytes, tx_packets, tx_bytes, replies]` of every
     /// `n/32`-th swarm host — the sample keeps the reduction O(1)-ish at
     /// 100k hosts while still covering every region statistically.
-    pub(crate) fn samples(&mut self) -> Vec<[u64; 5]> {
+    pub(crate) fn samples(&self) -> Vec<[u64; 5]> {
         let stride = (self.swarm_hosts / 32).max(1);
         (0..self.swarm_hosts)
             .step_by(stride)
@@ -245,7 +246,7 @@ impl SwarmBed {
             .fold(0xCBF2_9CE4_8422_2325, |h, v| (h ^ v).wrapping_mul(0x100_0000_01B3))
     }
 
-    pub(crate) fn target_node(&mut self) -> &Node {
+    pub(crate) fn target_node(&self) -> &Node {
         self.sim.app(addrs::TARGET).expect("target is a Node")
     }
 }
@@ -257,7 +258,7 @@ impl SwarmBed {
 ///
 /// Panics on an unknown [`SwarmSpec::case`].
 pub fn run_swarm(spec: &SwarmSpec) -> SwarmOutcome {
-    let mut bed = SwarmBed::run(spec, NodeConfig::default(), 3);
+    let bed = SwarmBed::run(spec, NodeConfig::default(), 3);
     let fs = bed.sim.fault_stats();
     let delivered = bed.sim.delivered_packets();
     let node = bed.target_node();

@@ -2,11 +2,11 @@
 //! synthetic Mainnet feeders, optional innocent peers, and a reserved slot
 //! for the attacker — inside the deterministic simulator.
 //!
-//! The bed exists once. [`BedPlan`] is its checked host plan; the serial
-//! [`Testbed`] and the sharded swarm (`scenario::swarm`, region 0) both
-//! install that plan and the same three traffic [`Case`]s, and every
-//! detection study trains with [`train_profile`] and measures latency with
-//! [`first_alarm_s`].
+//! The bed exists once. [`BedPlan`] is its checked host plan; the
+//! one-region [`Testbed`] and the many-region swarm (`scenario::swarm`)
+//! both install that plan and the same three traffic [`Case`]s into
+//! region 0, and every detection study trains with [`train_profile`] and
+//! measures latency with [`first_alarm_s`].
 
 use crate::mainnet::MainnetPeer;
 use btc_attack::defamation::PostConnDefamer;
@@ -16,8 +16,7 @@ use btc_detect::engine::{AnalysisEngine, Profile};
 use btc_detect::features::TrafficWindow;
 use btc_netsim::faults::{FaultKind, FaultPlan, LinkFaults};
 use btc_netsim::packet::{Ipv4, SockAddr};
-use btc_netsim::shard::ShardedSim;
-use btc_netsim::sim::{App, HostConfig, SimConfig, Simulator, TapFilter, TapHandle};
+use btc_netsim::sim::{App, HostConfig, SimConfig, Simulator, TapFilter};
 use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
 use btc_node::node::{Node, NodeConfig};
 
@@ -96,33 +95,6 @@ impl Case {
     }
 }
 
-/// Where the bed's hosts and the attacker's tap go: the serial simulator,
-/// or region 0 of the sharded one (the Defamer drains its tap during timer
-/// callbacks and sniffing is region-local, so tap, attacker and target
-/// share a region).
-pub(crate) trait BedSim {
-    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>);
-    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle;
-}
-
-impl BedSim for Simulator {
-    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>) {
-        self.add_host(ip, app, HostConfig::default());
-    }
-    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle {
-        self.add_tap(filter)
-    }
-}
-
-impl BedSim for ShardedSim {
-    fn add_bed_host(&mut self, ip: Ipv4, app: Box<dyn App>) {
-        self.add_host_pinned(ip, app, HostConfig::default(), 0);
-    }
-    fn add_bed_tap(&mut self, filter: TapFilter) -> TapHandle {
-        self.add_tap_in(filter, 0)
-    }
-}
-
 /// The bed's checked host plan, in build order: innocents (listening
 /// before the target dials) → target → feeders.
 #[derive(Clone, Debug)]
@@ -168,28 +140,32 @@ impl BedPlan {
         self.innocent_ips.len() + 1 + self.feeder_ips.len()
     }
 
-    pub(crate) fn install(&self, sim: &mut impl BedSim) {
+    /// Adds the plan's hosts to region 0.
+    pub(crate) fn install(&self, sim: &mut Simulator) {
         for ip in &self.innocent_ips {
-            sim.add_bed_host(*ip, Box::new(Node::new(NodeConfig::default())));
+            add_bed_host(sim, *ip, Box::new(Node::new(NodeConfig::default())));
         }
-        sim.add_bed_host(addrs::TARGET, Box::new(Node::new(self.node.clone())));
+        add_bed_host(sim, addrs::TARGET, Box::new(Node::new(self.node.clone())));
         for ip in &self.feeder_ips {
-            sim.add_bed_host(*ip, Box::new(MainnetPeer::new(self.target_addr)));
+            add_bed_host(sim, *ip, Box::new(MainnetPeer::new(self.target_addr)));
         }
     }
 }
 
+/// Adds a bed host to region 0: the Defamer drains its tap during timer
+/// callbacks and sniffing is region-local, so tap, attacker and target
+/// share a region.
+fn add_bed_host(sim: &mut Simulator, ip: Ipv4, app: Box<dyn App>) {
+    sim.add_host_pinned(ip, app, HostConfig::default(), 0);
+}
+
 /// Adds `case`'s attacker — and, for Defamation of `victims`, its tap on
-/// the target — to a simulator the bed was installed in.
-pub(crate) fn install_case(
-    sim: &mut impl BedSim,
-    target: SockAddr,
-    victims: &[Ipv4],
-    case: Case,
-) {
+/// the target — to region 0 of a simulator the bed was installed in.
+pub(crate) fn install_case(sim: &mut Simulator, target: SockAddr, victims: &[Ipv4], case: Case) {
     match case {
         Case::Normal => {}
-        Case::PingFlood { sybil } => sim.add_bed_host(
+        Case::PingFlood { sybil } => add_bed_host(
+            sim,
             addrs::ATTACKER,
             Box::new(Flooder::new(FloodConfig {
                 target,
@@ -200,10 +176,10 @@ pub(crate) fn install_case(
             })),
         ),
         Case::Defamation { poll } => {
-            let tap = sim.add_bed_tap(TapFilter::Host(addrs::TARGET));
+            let tap = sim.add_tap_in(TapFilter::Host(addrs::TARGET), 0);
             let mut defamer = PostConnDefamer::new(target, victims.to_vec(), tap);
             defamer.poll = poll;
-            sim.add_bed_host(addrs::ATTACKER, Box::new(defamer));
+            add_bed_host(sim, addrs::ATTACKER, Box::new(defamer));
         }
     }
 }
@@ -284,7 +260,7 @@ impl Testbed {
 
     /// Puts `app` on the attacker host ([`addrs::ATTACKER`]).
     pub fn add_attacker(&mut self, app: impl App) {
-        self.sim.add_bed_host(addrs::ATTACKER, Box::new(app));
+        add_bed_host(&mut self.sim, addrs::ATTACKER, Box::new(app));
     }
 
     /// Installs `case`'s attacker (none for [`Case::Normal`]).

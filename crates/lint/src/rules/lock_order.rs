@@ -1,8 +1,8 @@
 //! `lock-order`: Mutex acquisitions in the lock-scope files must follow the
 //! declared total order in [`crate::scope::LOCK_ORDER`].
 //!
-//! The work-stealing pool and the sharded simulator both hold locks across
-//! real work (a region lock spans a whole event window); a second lock
+//! The work-stealing pool and the simulator's k-region rounds both hold
+//! locks across real work (a region lock spans a whole event window); a second lock
 //! acquired in the wrong order — directly, or through a callee — is a
 //! deadlock that no single-threaded test reproduces. The rule:
 //!

@@ -199,12 +199,12 @@ pub struct LockDecl {
 pub const LOCK_DECLS: &[LockDecl] = &[
     LockDecl {
         file: "crates/netsim/src/shard.rs",
-        recvs: &["regions", "reg", "r"],
+        recvs: &["regions", "reg"],
         lock: "netsim.region",
     },
     LockDecl {
         file: "crates/netsim/src/sim.rs",
-        recvs: &["self", "0"],
+        recvs: &["0"],
         lock: "netsim.tap",
     },
     LockDecl {
@@ -231,7 +231,7 @@ pub const LOCK_DECLS: &[LockDecl] = &[
 
 /// The declared total lock order: a lock may only be acquired while holding
 /// locks that appear strictly *earlier* in this list. Region locks come
-/// first (the shard runtime holds one across a whole event window), the tap
+/// first (the k-region round holds one across a whole event window), the tap
 /// inside it, and the pool's bookkeeping locks are leaves acquired alone.
 pub const LOCK_ORDER: &[&str] = &[
     "netsim.region",

@@ -5,7 +5,8 @@
 //! Tracking in Bitcoin Network"* (ICDCS 2022):
 //!
 //! * [`sim`] — hosts, apps, timers, promiscuous **taps** (sniffing) and
-//!   raw packet **injection** (spoofing), plus the serial `Simulator`;
+//!   raw packet **injection** (spoofing), plus the one `Simulator`, built
+//!   from one `SimConfig` whose `regions` field is the region count;
 //! * [`tcp`] — a TCP-lite transport with a real three-way handshake,
 //!   sequence/acknowledgment tracking and transport checksums, so the
 //!   paper's post-connection Defamation attack has genuine state to steal;
@@ -18,12 +19,11 @@
 //!   latency jitter and reordering plus a scheduled [`FaultPlan`] of
 //!   partitions and link flaps (the adverse-network model of the
 //!   detector-robustness sweep);
-//! * [`shard`] — the sharded simulator: per-region event loops under
-//!   conservative-lookahead synchronization, bit-identical at any worker
-//!   count, for 100k+ host swarm topologies. Both simulators are thin
-//!   front-ends over the crate's one event loop (`region.rs`): one region
-//!   is the same code either way, and `Simulator` is region 0 without the
-//!   lock;
+//! * [`shard`] — region assignment and the conservative-lookahead rounds
+//!   that step `regions > 1` event loops, bit-identical at any worker
+//!   count, for 100k+ host swarm topologies. Every region runs the crate's
+//!   one event loop (`region.rs`); with one region a run is a single event
+//!   window, with no thread, lock or barrier;
 //! * [`rng`] / [`time`] — deterministic randomness and virtual time.
 //!
 //! ## Example: two hosts, one tap
@@ -61,6 +61,5 @@ pub mod time;
 
 pub use faults::{FaultKind, FaultPlan, FaultStats, LinkFaults};
 pub use packet::{Ipv4, Packet, SockAddr};
-pub use shard::{ShardConfig, ShardTap, ShardedSim};
 pub use sim::{App, Ctx, HostConfig, SimConfig, Simulator, TapFilter, TapHandle};
 pub use tcp::{CloseReason, ConnId};

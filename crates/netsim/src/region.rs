@@ -2,19 +2,21 @@
 //! column-major host state, with its own RNG streams.
 //!
 //! This is the only event loop in the crate.
-//! [`Simulator`](crate::sim::Simulator) owns a single region by value;
-//! [`ShardedSim`](crate::shard::ShardedSim) owns one `Mutex<Region>` per
-//! region and adds the barrier rounds and mailboxes between them.
-//! Everything a packet meets on its way — fault edge, taps, kernel CPU
-//! charge, TCP, app callbacks, retransmission ticks — is defined here
-//! once, so the 5-host testbed and the 100k-host swarm see the same checks
-//! in the same order.
+//! [`Simulator`](crate::sim::Simulator) owns `SimConfig::regions` of them;
+//! with more than one, [`crate::shard`] adds the barrier rounds and
+//! mailboxes between them. Everything a packet meets on its way — fault
+//! edge, taps, kernel CPU charge, TCP, app callbacks, retransmission
+//! ticks — is defined here once, so the 5-host testbed and the 100k-host
+//! swarm see the same checks in the same order.
 
 use crate::cpu::CpuMeter;
-use crate::faults::{FaultPlan, FaultStats, LinkFaults};
+use crate::faults::{FaultPlan, FaultStats};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
 use crate::rng::SimRng;
-use crate::sim::{App, Ctx, HostConfig, HostCounters, Outbox, Sniffed, TapFilter, TapHandle};
+use crate::sim::{
+    App, Ctx, HostCounters, Outbox, SimConfig, Sniffed, TapFilter, TapRing, DEFAULT_ICMP_COST,
+    DEFAULT_KERNEL_COST,
+};
 use crate::tcp::{TcpEvent, TcpStack};
 use crate::time::Nanos;
 use std::cmp::Reverse;
@@ -27,8 +29,8 @@ const FAULT_RNG_SALT: u64 = 0xFA17_1A7E_0BAD_11F2;
 
 /// Seed salt separating per-region RNG streams. Region `r` draws
 /// application randomness from `seed ^ (SALT · r)` and fault randomness
-/// from `(seed ^ FAULT_RNG_SALT) ^ (SALT · r)`; region 0 — the serial
-/// simulator — therefore uses the unsalted `seed` and `seed ^
+/// from `(seed ^ FAULT_RNG_SALT) ^ (SALT · r)`; region 0 — the whole of a
+/// one-region simulator — therefore uses the unsalted `seed` and `seed ^
 /// FAULT_RNG_SALT`.
 const SHARD_STREAM_SALT: u64 = 0x5AAD_C0DE_D15C_0123;
 
@@ -85,11 +87,7 @@ impl HostIndex {
 pub(crate) struct Net<'a> {
     pub(crate) index: &'a HostIndex,
     pub(crate) plan: &'a FaultPlan,
-    /// One-way latency within a region.
-    pub(crate) latency: Nanos,
-    /// One-way latency between regions.
-    pub(crate) region_latency: Nanos,
-    pub(crate) faults: LinkFaults,
+    pub(crate) config: &'a SimConfig,
 }
 
 enum EventKind {
@@ -150,7 +148,6 @@ pub(crate) struct Region {
     pub(crate) apps: Vec<Option<Box<dyn App>>>,
     pub(crate) tcps: Vec<TcpStack>,
     pub(crate) cpus: Vec<CpuMeter>,
-    configs: Vec<HostConfig>,
     pub(crate) counters: Vec<HostCounters>,
     /// Time of each host's armed [`EventKind::TcpTick`], if any. An event
     /// whose time doesn't match is stale (superseded by an earlier
@@ -161,7 +158,7 @@ pub(crate) struct Region {
     fault_rng: SimRng,
     pub(crate) fault_stats: FaultStats,
     pub(crate) delivered_packets: u64,
-    taps: Vec<(TapFilter, TapHandle)>,
+    taps: Vec<(TapFilter, TapRing)>,
     /// Staged cross-region packets, indexed by destination region.
     pub(crate) outbound: Vec<Vec<Mail>>,
 }
@@ -178,7 +175,6 @@ impl Region {
             apps: Vec::new(),
             tcps: Vec::new(),
             cpus: Vec::new(),
-            configs: Vec::new(),
             counters: Vec::new(),
             tick_at: Vec::new(),
             rng: SimRng::new(seed ^ salt),
@@ -197,13 +193,7 @@ impl Region {
 
     /// Appends a host to the columns; its [`App::on_start`] fires at the
     /// region's current time.
-    pub(crate) fn add_host(
-        &mut self,
-        ip: Ipv4,
-        app: Box<dyn App>,
-        config: HostConfig,
-        reliable: bool,
-    ) {
+    pub(crate) fn add_host(&mut self, ip: Ipv4, app: Box<dyn App>, reliable: bool) {
         let local = self.next_local();
         let mut tcp = TcpStack::new(ip);
         tcp.set_reliable(reliable);
@@ -211,17 +201,17 @@ impl Region {
         self.apps.push(Some(app));
         self.tcps.push(tcp);
         self.cpus.push(CpuMeter::default());
-        self.configs.push(config);
         self.counters.push(HostCounters::default());
         self.tick_at.push(None);
         self.push_event(self.now, EventKind::Start(local));
     }
 
-    /// Installs a promiscuous tap on this region's deliveries.
-    pub(crate) fn add_tap(&mut self, filter: TapFilter, capacity: usize) -> TapHandle {
-        let handle = TapHandle::new(capacity);
-        self.taps.push((filter, handle.clone()));
-        handle
+    /// Installs a promiscuous tap on this region's deliveries and returns
+    /// its ring.
+    pub(crate) fn add_tap(&mut self, filter: TapFilter, capacity: usize) -> TapRing {
+        let ring = TapRing::new(capacity);
+        self.taps.push((filter, ring.clone()));
+        ring
     }
 
     /// Time of the earliest queued event.
@@ -252,15 +242,15 @@ impl Region {
     /// performs no draws at all — the clean path is byte-identical to a
     /// simulator without fault support.
     fn send_packet(&mut self, net: &Net<'_>, packet: Packet) {
-        let f = net.faults;
+        let f = net.config.faults;
         // Resolve the destination once at send time; delivery then
         // indexes the columns directly.
         let dst = net.index.lookup(packet.dst.ip);
         let remote = dst.filter(|&(r, _)| r != self.id);
         let mut delay = if remote.is_some() {
-            net.region_latency
+            net.config.region_latency
         } else {
-            net.latency
+            net.config.latency
         };
         if f.any() || !net.plan.is_none() {
             if net.plan.blocked(self.now, packet.src.ip, packet.dst.ip) {
@@ -326,9 +316,9 @@ impl Region {
     /// other region's lookahead window. It is dropped, as is a packet to
     /// an address nobody holds.
     fn deliver(&mut self, net: &Net<'_>, packet: Packet, dst: Option<LocalId>) {
-        for (filter, handle) in &self.taps {
+        for (filter, ring) in &self.taps {
             if filter.matches(&packet) {
-                handle.push(Sniffed {
+                ring.push(Sniffed {
                     time: self.now,
                     packet: packet.clone(),
                 });
@@ -343,22 +333,20 @@ impl Region {
         let i = id as usize;
         self.counters[i].rx_packets += 1;
         self.counters[i].rx_bytes += packet.wire_len() as u64;
-        self.cpus[i].charge(self.configs[i].kernel_cost_per_packet);
+        self.cpus[i].charge(DEFAULT_KERNEL_COST);
         match &packet.body {
             PacketBody::Icmp(echo) => {
                 let mut reply = None;
                 if echo.request {
-                    self.cpus[i].charge(self.configs[i].icmp_echo_cost);
-                    if self.configs[i].icmp_reply {
-                        reply = Some(Packet {
-                            src: SockAddr::new(dst_ip, 0),
-                            dst: packet.src,
-                            body: PacketBody::Icmp(IcmpEcho {
-                                request: false,
-                                ..*echo
-                            }),
-                        });
-                    }
+                    self.cpus[i].charge(DEFAULT_ICMP_COST);
+                    reply = Some(Packet {
+                        src: SockAddr::new(dst_ip, 0),
+                        dst: packet.src,
+                        body: PacketBody::Icmp(IcmpEcho {
+                            request: false,
+                            ..*echo
+                        }),
+                    });
                 }
                 let from = packet.src.ip;
                 self.with_app(net, id, |app, ctx| app.on_icmp(ctx, from, echo));

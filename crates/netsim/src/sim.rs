@@ -1,19 +1,21 @@
 //! The discrete-event simulator: the app-facing types ([`App`], [`Ctx`],
-//! host config and counters, taps) and the serial [`Simulator`] front-end.
+//! host counters, taps) and the one [`Simulator`], built from one
+//! [`SimConfig`] whose `regions` field picks how many event loops it runs.
 //!
 //! Each host runs an [`App`] (a Bitcoin node, an attacker, a traffic
 //! source) above a [`TcpStack`] and a [`CpuMeter`]. The simulator delivers
 //! packets with a configurable link latency, fires timers, lets *taps*
 //! observe traffic promiscuously (the sniffing required by post-connection
 //! Defamation) and lets any app inject raw packets with forged source
-//! addresses (spoofing). The event loop itself lives in `region.rs`;
-//! `Simulator` is its region 0 without the lock.
+//! addresses (spoofing). The event loop itself lives in `region.rs`, the
+//! rounds that step several regions in [`crate::shard`].
 
 use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats, LinkFaults};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
 use crate::region::{HostIndex, Net, Region};
 use crate::rng::SimRng;
+use crate::shard::{self, assign_region, RegionId, DEFAULT_REGION_LATENCY};
 use crate::tcp::{CloseReason, ConnId, TcpDropStats, TcpStack};
 use crate::time::{Nanos, MICROS};
 use btc_wire::bytes::Bytes;
@@ -24,33 +26,21 @@ use std::sync::{Arc, Mutex};
 /// Default one-way link latency (LAN-scale, like the paper's testbed).
 pub const DEFAULT_LATENCY: Nanos = 100 * MICROS;
 
-/// Default kernel-level cycle cost of receiving any packet.
+/// Kernel-level cycle cost every host is charged for receiving any packet
+/// (interrupt + IP processing).
 pub const DEFAULT_KERNEL_COST: u64 = 3_000;
 
-/// Default extra cycle cost of answering an ICMP echo in the "kernel"
-/// (network-layer processing only — the Table III contrast).
+/// Extra cycle cost of answering an ICMP echo in the "kernel"
+/// (network-layer processing only — the Table III contrast). Every host
+/// answers echo requests.
 pub const DEFAULT_ICMP_COST: u64 = 4_500;
 
-/// Per-host configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct HostConfig {
-    /// Cycles charged for any received packet (interrupt + IP processing).
-    pub kernel_cost_per_packet: u64,
-    /// Additional cycles charged for an ICMP echo request.
-    pub icmp_echo_cost: u64,
-    /// Whether the host answers echo requests.
-    pub icmp_reply: bool,
-}
-
-impl Default for HostConfig {
-    fn default() -> Self {
-        HostConfig {
-            kernel_cost_per_packet: DEFAULT_KERNEL_COST,
-            icmp_echo_cost: DEFAULT_ICMP_COST,
-            icmp_reply: true,
-        }
-    }
-}
+/// Per-host configuration: empty, since every host is charged the same
+/// [`DEFAULT_KERNEL_COST`]/[`DEFAULT_ICMP_COST`] and answers pings. The
+/// parameter survives only because the bench spine still passes
+/// `HostConfig::default()`; it goes when the spine is re-based.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HostConfig {}
 
 /// Per-host traffic counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,8 +61,8 @@ pub struct HostCounters {
 /// need. `as_any_mut` enables scenario code to downcast and inspect app
 /// state after (or during) a run.
 ///
-/// Apps are `Send` so a host (and its boxed app) can be owned by a shard
-/// worker thread in the sharded engine ([`crate::shard`]). Callbacks are
+/// Apps are `Send` so a host (and its boxed app) can be stepped by a
+/// worker thread of the k-region rounds ([`crate::shard`]). Callbacks are
 /// still strictly serial per host — `Send` is an ownership-transfer
 /// requirement, not a concurrency one.
 pub trait App: Send + 'static {
@@ -279,8 +269,8 @@ impl TapFilter {
 /// mirroring the BanMan history cap.
 pub const DEFAULT_TAP_CAPACITY: usize = 1 << 20;
 
-/// A tap's capture state: a bounded ring of the newest captures plus a
-/// counter of evicted (oldest-first) ones.
+/// One region's capture ring of a tap: a bounded ring of the newest
+/// captures plus a counter of evicted (oldest-first) ones.
 struct TapBuf {
     buf: VecDeque<Sniffed>,
     cap: usize,
@@ -297,75 +287,112 @@ impl TapBuf {
     }
 }
 
-/// A shared handle to a tap's capture buffer.
-///
-/// Clone it before moving an attacker app into the simulator; the attacker
-/// reads fresh captures during its timer callbacks, exactly like a `scapy`
-/// sniffer thread. The buffer is a bounded ring (capacity fixed at
-/// [`Simulator::add_tap_with_capacity`] time): when full, the oldest
-/// capture is evicted and [`TapHandle::dropped`] counts it. The handle is
-/// `Send` — in the sharded engine it may be read from a different thread
-/// than the one recording into it (never concurrently with delivery; the
-/// mutex is uncontended in practice).
+/// A tap's ring in one region, shared by the region that records into it
+/// and the [`TapHandle`] that reads it.
 #[derive(Clone)]
-pub struct TapHandle(Arc<Mutex<TapBuf>>);
+pub(crate) struct TapRing(Arc<Mutex<TapBuf>>);
 
-impl TapHandle {
+impl TapRing {
     pub(crate) fn new(cap: usize) -> Self {
-        TapHandle(Arc::new(Mutex::new(TapBuf {
+        TapRing(Arc::new(Mutex::new(TapBuf {
             buf: VecDeque::new(),
             cap: cap.max(1),
             dropped: 0,
         })))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TapBuf> {
+    fn buf(&self) -> std::sync::MutexGuard<'_, TapBuf> {
         self.0.lock().expect("tap mutex poisoned")
     }
 
     pub(crate) fn push(&self, s: Sniffed) {
-        self.lock().push(s);
+        self.buf().push(s);
+    }
+}
+
+/// A shared handle to a tap's captures: one bounded ring per region the
+/// tap covers (every region for [`Simulator::add_tap`], one for
+/// [`Simulator::add_tap_in`]).
+///
+/// Clone it before moving an attacker app into the simulator; the attacker
+/// reads fresh captures during its timer callbacks, exactly like a `scapy`
+/// sniffer thread. Each ring holds at most the capacity fixed at
+/// [`Simulator::add_tap_with_capacity`] time: when full, the oldest
+/// capture is evicted and [`TapHandle::dropped`] counts it. Reads over
+/// several rings merge them by capture time, ties broken by region order,
+/// so the view is identical at any worker count; a one-ring handle returns
+/// its ring as recorded. The handle is `Send` — a region may record on a
+/// worker thread, never concurrently with a read.
+#[derive(Clone)]
+pub struct TapHandle {
+    rings: Vec<TapRing>,
+}
+
+impl TapHandle {
+    /// Applies `take` to every ring, merging several by capture time.
+    fn merged(&self, take: impl Fn(&mut TapBuf) -> Vec<Sniffed>) -> Vec<Sniffed> {
+        if let [ring] = self.rings.as_slice() {
+            return take(&mut ring.buf());
+        }
+        let mut all: Vec<Sniffed> = self.rings.iter().flat_map(|r| take(&mut r.buf())).collect();
+        // Stable: same-time captures keep region order, and within a
+        // region the recording order.
+        all.sort_by_key(|s| s.time);
+        all
     }
 
     /// Takes all captures recorded since the last drain.
     pub fn drain(&self) -> Vec<Sniffed> {
-        self.lock().buf.drain(..).collect()
+        self.merged(|b| b.buf.drain(..).collect())
     }
 
     /// Copies the current captures without clearing.
     pub fn snapshot(&self) -> Vec<Sniffed> {
-        self.lock().buf.iter().cloned().collect()
+        self.merged(|b| b.buf.iter().cloned().collect())
     }
 
     /// Number of captured packets currently buffered.
     pub fn len(&self) -> usize {
-        self.lock().buf.len()
+        self.rings.iter().map(|r| r.buf().buf.len()).sum()
     }
 
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.lock().buf.is_empty()
+        self.rings.iter().all(|r| r.buf().buf.is_empty())
     }
 
-    /// Captures evicted because the ring was full (lifetime total).
+    /// Captures evicted because a ring was full (lifetime total).
     pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.rings.iter().map(|r| r.buf().dropped).sum()
     }
 
-    /// The ring capacity.
+    /// The capacity of each ring.
     pub fn capacity(&self) -> usize {
-        self.lock().cap
+        self.rings.first().map_or(0, |r| r.buf().cap)
     }
 }
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// One-way link latency applied to every packet.
+    /// Number of regions the hosts are partitioned into (0 is treated as
+    /// 1). The partition is part of the *experiment*: changing it changes
+    /// which RNG stream serves which host, so results stay deterministic
+    /// but are not comparable across region counts. See [`crate::shard`].
+    pub regions: u32,
+    /// Worker threads executing regions each round (0 is treated as 1).
+    /// Purely an execution knob: results are bit-identical at any value,
+    /// and more workers than regions are clamped.
+    pub workers: usize,
+    /// One-way link latency within a region.
     pub latency: Nanos,
-    /// RNG seed.
+    /// One-way link latency between regions, which is also the lookahead
+    /// window of the region rounds.
+    pub region_latency: Nanos,
+    /// RNG seed (region streams are derived from it).
     pub seed: u64,
-    /// Per-link fault model (i.i.d. loss, jitter, reordering).
+    /// Per-link fault model (i.i.d. loss, jitter, reordering), applied at
+    /// the sender's edge from the sender region's fault stream.
     /// [`LinkFaults::NONE`] touches nothing and draws no randomness.
     pub faults: LinkFaults,
     /// Forces the reliable transport (data ACKs + fixed-RTO
@@ -379,7 +406,10 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
+            regions: 1,
+            workers: 1,
             latency: DEFAULT_LATENCY,
+            region_latency: DEFAULT_REGION_LATENCY,
             seed: 0xB17C_0123,
             faults: LinkFaults::NONE,
             reliable: false,
@@ -387,62 +417,108 @@ impl Default for SimConfig {
     }
 }
 
-/// The discrete-event network simulator: region 0 of the shared event
-/// loop (`region.rs`), owned by value — no lock, no mailboxes, the
-/// unsalted `seed` app stream and `seed ^ FAULT_RNG_SALT` fault stream.
-/// A one-region [`ShardedSim`](crate::shard::ShardedSim) runs the same
-/// code behind a `Mutex`.
+/// The discrete-event network simulator: one event loop (`region.rs`) per
+/// region. With one region — the default — a run is a single event
+/// window: no thread, no lock, no barrier. With more, `run_until` steps
+/// the regions in the lookahead rounds of [`crate::shard`].
 pub struct Simulator {
-    region: Region,
+    regions: Vec<Region>,
     index: HostIndex,
     plan: FaultPlan,
     config: SimConfig,
+    now: Nanos,
 }
 
 impl Simulator {
-    /// Creates an empty simulator.
-    pub fn new(config: SimConfig) -> Self {
+    /// Creates an empty simulator. `regions`/`workers` of 0 are treated
+    /// as 1.
+    pub fn new(mut config: SimConfig) -> Self {
+        config.regions = config.regions.max(1);
+        config.workers = config.workers.max(1);
         Simulator {
-            region: Region::new(0, 1, config.seed),
+            regions: (0..config.regions)
+                .map(|r| Region::new(r, config.regions, config.seed))
+                .collect(),
             index: HostIndex::default(),
             plan: FaultPlan::none(),
             config,
+            now: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Nanos {
-        self.region.now
+        self.now
     }
 
-    /// Total packets delivered so far.
+    /// Total packets delivered so far, summed over regions.
     pub fn delivered_packets(&self) -> u64 {
-        self.region.delivered_packets
+        self.regions.iter().map(|r| r.delivered_packets).sum()
     }
 
-    /// Registers a host running `app`. Its [`App::on_start`] fires at the
-    /// current virtual time.
+    /// Registers a host running `app` in its seed-deterministic default
+    /// region. Its [`App::on_start`] fires at the current virtual time.
     ///
     /// # Panics
     ///
     /// Panics if `ip` is already in use.
     pub fn add_host(&mut self, ip: Ipv4, app: Box<dyn App>, config: HostConfig) {
-        self.index.insert(ip, (0, self.region.next_local()));
-        let reliable = self.config.reliable || self.config.faults.any() || !self.plan.is_none();
-        self.region.add_host(ip, app, config, reliable);
+        let region = assign_region(self.config.seed, ip, self.config.regions);
+        self.add_host_pinned(ip, app, config, region);
     }
 
-    /// Installs a promiscuous tap with the default ring capacity
-    /// ([`DEFAULT_TAP_CAPACITY`]) and returns its capture handle.
+    /// Registers a host in an explicit region — co-locate apps that must
+    /// share LAN latency or a live tap (e.g. the attack-core testbed of
+    /// the swarm scenario).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ip` is already in use or `region` is out of range.
+    pub fn add_host_pinned(
+        &mut self,
+        ip: Ipv4,
+        app: Box<dyn App>,
+        _config: HostConfig,
+        region: RegionId,
+    ) {
+        assert!(region < self.config.regions, "region out of range");
+        let reg = &mut self.regions[region as usize];
+        self.index.insert(ip, (region, reg.next_local()));
+        let reliable = self.config.reliable || self.config.faults.any() || !self.plan.is_none();
+        reg.add_host(ip, app, reliable);
+    }
+
+    /// Installs a promiscuous tap on every region with the default ring
+    /// capacity ([`DEFAULT_TAP_CAPACITY`]) and returns its capture handle.
     pub fn add_tap(&mut self, filter: TapFilter) -> TapHandle {
         self.add_tap_with_capacity(filter, DEFAULT_TAP_CAPACITY)
     }
 
-    /// Installs a promiscuous tap whose ring holds at most `capacity`
-    /// captures; once full, the oldest capture is evicted per new one and
-    /// [`TapHandle::dropped`] counts the evictions.
+    /// Installs a promiscuous tap on every region whose rings hold at most
+    /// `capacity` captures each; once full, the oldest capture is evicted
+    /// per new one and [`TapHandle::dropped`] counts the evictions.
     pub fn add_tap_with_capacity(&mut self, filter: TapFilter, capacity: usize) -> TapHandle {
-        self.region.add_tap(filter, capacity)
+        let rings = self
+            .regions
+            .iter_mut()
+            .map(|reg| reg.add_tap(filter, capacity));
+        TapHandle {
+            rings: rings.collect(),
+        }
+    }
+
+    /// Installs a tap in a single region — the sniffer primitive for apps
+    /// (like the post-connection Defamer) that drain captures *during* the
+    /// run. Such apps must be pinned to the same region as the traffic
+    /// they sniff: a region tap only observes packets delivered inside its
+    /// region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is out of range.
+    pub fn add_tap_in(&mut self, filter: TapFilter, region: RegionId) -> TapHandle {
+        let ring = self.regions[region as usize].add_tap(filter, DEFAULT_TAP_CAPACITY);
+        TapHandle { rings: vec![ring] }
     }
 
     /// Installs (or replaces) the scheduled-fault timeline.
@@ -453,35 +529,47 @@ impl Simulator {
     /// — faults are applied at packet-send time.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         if !plan.is_none() {
-            for tcp in &mut self.region.tcps {
+            for tcp in self.regions.iter_mut().flat_map(|r| &mut r.tcps) {
                 tcp.set_reliable(true);
             }
         }
         self.plan = plan;
     }
 
-    /// Fault-layer drop/delay counters.
+    /// Fault-layer drop/delay counters, summed over regions.
     pub fn fault_stats(&self) -> FaultStats {
-        self.region.fault_stats
+        let mut total = FaultStats::default();
+        for fs in self.regions.iter().map(|r| &r.fault_stats) {
+            total.dropped_loss += fs.dropped_loss;
+            total.dropped_partition += fs.dropped_partition;
+            total.jittered += fs.jittered;
+            total.reordered += fs.reordered;
+        }
+        total
     }
 
     /// Runs events until virtual time reaches `t` (events at exactly `t`
     /// are processed).
     pub fn run_until(&mut self, t: Nanos) {
+        let t_end = t.max(self.now);
         let net = Net {
             index: &self.index,
             plan: &self.plan,
-            latency: self.config.latency,
-            region_latency: self.config.latency,
-            faults: self.config.faults,
+            config: &self.config,
         };
-        self.region.run_window(&net, t.saturating_add(1));
-        self.region.now = self.region.now.max(t);
+        match self.regions.as_mut_slice() {
+            [region] => region.run_window(&net, t.saturating_add(1)),
+            _ => shard::run_rounds(&mut self.regions, &net, t_end),
+        }
+        for reg in &mut self.regions {
+            reg.now = reg.now.max(t_end);
+        }
+        self.now = t_end;
     }
 
     /// Runs for `d` more virtual nanoseconds.
     pub fn run_for(&mut self, d: Nanos) {
-        let t = self.now() + d;
+        let t = self.now + d;
         self.run_until(t);
     }
 
@@ -491,7 +579,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_counters(&self, ip: Ipv4) -> HostCounters {
-        self.region.counters[self.index.locate(ip).1]
+        let (r, i) = self.index.locate(ip);
+        self.regions[r].counters[i]
     }
 
     /// CPU meter of a host.
@@ -500,7 +589,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_cpu(&self, ip: Ipv4) -> &CpuMeter {
-        &self.region.cpus[self.index.locate(ip).1]
+        let (r, i) = self.index.locate(ip);
+        &self.regions[r].cpus[i]
     }
 
     /// Transport drop statistics of a host.
@@ -509,7 +599,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_tcp_drops(&self, ip: Ipv4) -> TcpDropStats {
-        self.region.tcps[self.index.locate(ip).1].drops
+        let (r, i) = self.index.locate(ip);
+        self.regions[r].tcps[i].drops
     }
 
     /// Downcasts a host's app for inspection.
@@ -518,7 +609,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn app<T: App>(&self, ip: Ipv4) -> Option<&T> {
-        self.region.apps[self.index.locate(ip).1]
+        let (r, i) = self.index.locate(ip);
+        self.regions[r].apps[i]
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
@@ -529,7 +621,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn app_mut<T: App>(&mut self, ip: Ipv4) -> Option<&mut T> {
-        self.region.apps[self.index.locate(ip).1]
+        let (r, i) = self.index.locate(ip);
+        self.regions[r].apps[i]
             .as_mut()
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
     }
@@ -796,30 +889,6 @@ mod tests {
         // ICMP).
         let busy = sim.host_cpu(SRV).cum_busy();
         assert!(busy >= 3 * (DEFAULT_KERNEL_COST + DEFAULT_ICMP_COST));
-    }
-
-    #[test]
-    fn icmp_reply_can_be_disabled() {
-        let mut sim = Simulator::new(SimConfig::default());
-        sim.add_host(
-            SRV,
-            Box::new(EchoServer::default()),
-            HostConfig {
-                icmp_reply: false,
-                ..HostConfig::default()
-            },
-        );
-        sim.add_host(
-            CLI,
-            Box::new(Pinger {
-                dst: SRV,
-                replies: 0,
-            }),
-            HostConfig::default(),
-        );
-        sim.run_for(SECS);
-        let p: &Pinger = sim.app(CLI).unwrap();
-        assert_eq!(p.replies, 0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Property tests of the sharded engine's determinism contract
+//! Property tests of the region rounds' determinism contract
 //! (`btc_netsim::shard`):
 //!
 //! 1. **Worker-count invariance** — on a random topology with random
 //!    ICMP + TCP traffic (and sometimes random link faults), counters,
 //!    merged tap captures, delivered-packet and fault-layer statistics
 //!    are bit-identical at workers ∈ {1, 2, 7}.
-//! 2. **Serial equivalence** — the same random workload on a one-region
-//!    sharded simulator reproduces the serial [`Simulator`] trace
-//!    exactly.
+//! 2. **Serial equivalence** — the same random workload with every host
+//!    pinned to one region (region 0) of k random regions reproduces the
+//!    serial, one-region trace exactly.
 //!
 //! Driven by the in-repo [`btc_netsim::prop`] harness: fixed-seed replay
 //! via `BANSCORE_PROP_SEED`, halving shrink on failure.
@@ -15,7 +15,6 @@
 use btc_netsim::faults::LinkFaults;
 use btc_netsim::packet::{IcmpEcho, Ipv4, SockAddr};
 use btc_netsim::prop::{check_sized, Gen};
-use btc_netsim::shard::{ShardConfig, ShardedSim};
 use btc_netsim::sim::{
     App, Ctx, HostConfig, HostCounters, SimConfig, Simulator, Sniffed, TapFilter,
 };
@@ -217,39 +216,23 @@ struct Trace {
     jittered: u64,
 }
 
-fn run_sharded(w: &Workload, regions: u32, workers: usize) -> Trace {
-    let mut sim = ShardedSim::new(ShardConfig {
+/// Runs `w` on `regions` regions and `workers` workers; with `pin`,
+/// every host goes to region 0 instead of its assigned region.
+fn run(w: &Workload, regions: u32, workers: usize, pin: bool) -> Trace {
+    let mut sim = Simulator::new(SimConfig {
         regions,
         workers,
-        seed: w.seed,
-        faults: w.faults,
-        ..ShardConfig::default()
-    });
-    let tap = sim.add_tap(TapFilter::All);
-    install_apps(w, |ip, app| {
-        sim.add_host(ip, app, HostConfig::default());
-    });
-    sim.run_for(w.dur);
-    let fs = sim.fault_stats();
-    Trace {
-        captures: tap.drain(),
-        counters: w.ips.iter().map(|ip| sim.host_counters(*ip)).collect(),
-        busy: w.ips.iter().map(|ip| sim.host_cpu(*ip).cum_busy()).collect(),
-        delivered: sim.delivered_packets(),
-        dropped_loss: fs.dropped_loss,
-        jittered: fs.jittered,
-    }
-}
-
-fn run_serial(w: &Workload) -> Trace {
-    let mut sim = Simulator::new(SimConfig {
         seed: w.seed,
         faults: w.faults,
         ..SimConfig::default()
     });
     let tap = sim.add_tap(TapFilter::All);
     install_apps(w, |ip, app| {
-        sim.add_host(ip, app, HostConfig::default());
+        if pin {
+            sim.add_host_pinned(ip, app, HostConfig::default(), 0);
+        } else {
+            sim.add_host(ip, app, HostConfig::default());
+        }
     });
     sim.run_for(w.dur);
     let fs = sim.fault_stats();
@@ -267,9 +250,9 @@ fn run_serial(w: &Workload) -> Trace {
 fn worker_count_never_changes_results() {
     check_sized("shard worker-count invariance", 24, |g| {
         let w = gen_workload(g);
-        let base = run_sharded(&w, w.regions, 1);
+        let base = run(&w, w.regions, 1, false);
         for workers in [2usize, 7] {
-            let other = run_sharded(&w, w.regions, workers);
+            let other = run(&w, w.regions, workers, false);
             assert_eq!(
                 base, other,
                 "trace diverged at workers={workers} (regions={})",
@@ -283,8 +266,12 @@ fn worker_count_never_changes_results() {
 fn one_region_equals_the_serial_simulator_on_random_workloads() {
     check_sized("shard serial equivalence", 24, |g| {
         let w = gen_workload(g);
-        let serial = run_serial(&w);
-        let sharded = run_sharded(&w, 1, 1);
-        assert_eq!(serial, sharded, "one-region trace diverged from serial");
+        let one = run(&w, 1, 1, false);
+        let pinned = run(&w, w.regions.max(2), 2, true);
+        assert_eq!(
+            one, pinned,
+            "region 0 of {} regions diverged from one region",
+            w.regions.max(2)
+        );
     });
 }

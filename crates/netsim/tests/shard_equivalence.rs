@@ -1,16 +1,15 @@
-//! Regression contract of the sharded engine: a one-region
-//! [`ShardedSim`] replays the serial [`Simulator`] **exactly** — same
-//! captures, same counters, same RNG draws — on the determinism fixtures
-//! the serial simulator pins (the echo pair), clean and under faults.
+//! Regression contract of the region rounds: hosts pinned to one region
+//! (region 0) of a four-region [`Simulator`] replay the serial,
+//! one-region run **exactly** — same captures, same counters, same RNG
+//! draws — on the echo-pair determinism fixture, clean and under faults.
 //!
-//! Both run the one event loop in `region.rs` (`Simulator` is region 0
-//! without the lock), so what this file guards is the front-ends: the
-//! sharded side's window/horizon arithmetic, mail exchange and `now`
-//! clamping must add nothing a single region can observe.
+//! Region 0 of any region count runs the one event loop in `region.rs`
+//! on the unsalted streams, so what this file guards is the k-region
+//! path: its window/horizon arithmetic, mail exchange and `now` clamping
+//! must add nothing a single region can observe.
 
 use btc_netsim::faults::{FaultKind, FaultPlan, LinkFaults};
 use btc_netsim::packet::{IcmpEcho, Ipv4, SockAddr};
-use btc_netsim::shard::{ShardConfig, ShardedSim};
 use btc_netsim::sim::{
     App, Ctx, HostConfig, HostCounters, SimConfig, Simulator, Sniffed, TapFilter,
 };
@@ -115,60 +114,29 @@ struct Trace {
     dropped_partition: u64,
 }
 
-fn run_serial(faults: LinkFaults, plan: FaultPlan, dur: Nanos) -> Trace {
+/// Runs the echo pair, both hosts pinned to region 0, on `regions`
+/// regions (two workers when there is more than one).
+fn run(regions: u32, faults: LinkFaults, plan: FaultPlan, dur: Nanos) -> Trace {
     let mut sim = Simulator::new(SimConfig {
+        regions,
+        workers: 2,
         faults,
         ..SimConfig::default()
     });
     if !plan.is_none() {
         sim.set_fault_plan(plan);
     }
-    sim.add_host(
+    sim.add_host_pinned(
         SRV,
         Box::new(EchoServer { port: 8333 }),
         HostConfig::default(),
+        0,
     );
-    sim.add_host(
+    sim.add_host_pinned(
         CLI,
         Box::new(Client::new(SockAddr::new(SRV, 8333))),
         HostConfig::default(),
-    );
-    let tap = sim.add_tap(TapFilter::All);
-    sim.run_for(dur);
-    let fs = sim.fault_stats();
-    Trace {
-        captures: tap.drain(),
-        srv: sim.host_counters(SRV),
-        cli: sim.host_counters(CLI),
-        srv_drops: sim.host_tcp_drops(SRV),
-        cli_drops: sim.host_tcp_drops(CLI),
-        srv_busy: sim.host_cpu(SRV).cum_busy(),
-        delivered: sim.delivered_packets(),
-        dropped_loss: fs.dropped_loss,
-        jittered: fs.jittered,
-        dropped_partition: fs.dropped_partition,
-    }
-}
-
-fn run_sharded(faults: LinkFaults, plan: FaultPlan, dur: Nanos) -> Trace {
-    let mut sim = ShardedSim::new(ShardConfig {
-        regions: 1,
-        workers: 1,
-        faults,
-        ..ShardConfig::default()
-    });
-    if !plan.is_none() {
-        sim.set_fault_plan(plan);
-    }
-    sim.add_host(
-        SRV,
-        Box::new(EchoServer { port: 8333 }),
-        HostConfig::default(),
-    );
-    sim.add_host(
-        CLI,
-        Box::new(Client::new(SockAddr::new(SRV, 8333))),
-        HostConfig::default(),
+        0,
     );
     let tap = sim.add_tap(TapFilter::All);
     sim.run_for(dur);
@@ -189,26 +157,27 @@ fn run_sharded(faults: LinkFaults, plan: FaultPlan, dur: Nanos) -> Trace {
 
 #[test]
 fn one_region_replays_the_serial_simulator_clean() {
-    let serial = run_serial(LinkFaults::NONE, FaultPlan::none(), 3 * SECS);
-    let sharded = run_sharded(LinkFaults::NONE, FaultPlan::none(), 3 * SECS);
-    assert!(!serial.captures.is_empty(), "fixture produced traffic");
-    assert_eq!(serial, sharded);
+    let one = run(1, LinkFaults::NONE, FaultPlan::none(), 3 * SECS);
+    let four = run(4, LinkFaults::NONE, FaultPlan::none(), 3 * SECS);
+    assert!(!one.captures.is_empty(), "fixture produced traffic");
+    assert_eq!(one, four);
 }
 
 #[test]
 fn one_region_replays_the_serial_simulator_under_faults() {
     // Loss + jitter force the reliable transport and exercise the fault
-    // RNG stream; the sharded engine must consume it draw for draw.
+    // RNG stream; the k-region rounds must consume it draw for draw, and
+    // jitter shrinks their lookahead window.
     let faults = LinkFaults {
         loss: 0.05,
         jitter: 2 * MILLIS,
         ..LinkFaults::NONE
     };
-    let serial = run_serial(faults, FaultPlan::none(), 3 * SECS);
-    let sharded = run_sharded(faults, FaultPlan::none(), 3 * SECS);
-    assert!(serial.dropped_loss > 0, "loss fired in the fixture");
-    assert!(serial.jittered > 0, "jitter fired in the fixture");
-    assert_eq!(serial, sharded);
+    let one = run(1, faults, FaultPlan::none(), 3 * SECS);
+    let four = run(4, faults, FaultPlan::none(), 3 * SECS);
+    assert!(one.dropped_loss > 0, "loss fired in the fixture");
+    assert!(one.jittered > 0, "jitter fired in the fixture");
+    assert_eq!(one, four);
 }
 
 #[test]
@@ -216,10 +185,10 @@ fn one_region_replays_the_serial_simulator_with_a_fault_plan() {
     let plan = FaultPlan::none()
         .with(SECS, 2 * SECS, FaultKind::HostDown(SRV))
         .with(2 * SECS + 500 * MILLIS, 3 * SECS, FaultKind::Partition(SRV, CLI));
-    let serial = run_serial(LinkFaults::NONE, plan.clone(), 4 * SECS);
-    let sharded = run_sharded(LinkFaults::NONE, plan, 4 * SECS);
-    assert!(serial.dropped_partition > 0, "plan fired in the fixture");
-    assert_eq!(serial, sharded);
+    let one = run(1, LinkFaults::NONE, plan.clone(), 4 * SECS);
+    let four = run(4, LinkFaults::NONE, plan, 4 * SECS);
+    assert!(one.dropped_partition > 0, "plan fired in the fixture");
+    assert_eq!(one, four);
 }
 
 /// Sends a single echo request to `dst` at start.
@@ -239,26 +208,18 @@ impl App for OnePing {
     }
 }
 
-/// One rule, on both front-ends, for a packet whose destination registers
-/// while it is in flight: a host that appears in the delivering region
-/// before the link latency elapses receives it. (Before the shared core,
-/// the serial loop delivered and the sharded loop dropped.) A host that
+/// One rule, at any region count, for a packet whose destination
+/// registers while it is in flight: a host that appears in the delivering
+/// region before the link latency elapses receives it. A host that
 /// appears in a *different* region does not — the packet was never staged
 /// as cross-region mail.
 #[test]
 fn destination_registered_in_flight_receives_the_packet() {
     let half = SimConfig::default().latency / 2;
-
-    let mut serial = Simulator::new(SimConfig::default());
-    serial.add_host(CLI, Box::new(OnePing { dst: SRV }), HostConfig::default());
-    serial.run_for(half);
-    serial.add_host(SRV, Box::new(EchoServer::default()), HostConfig::default());
-    serial.run_for(SECS);
-
-    let sharded_with_late_host_in = |regions: u32, region: u32| {
-        let mut sim = ShardedSim::new(ShardConfig {
+    let late_host_in = |regions: u32, region: u32| {
+        let mut sim = Simulator::new(SimConfig {
             regions,
-            ..ShardConfig::default()
+            ..SimConfig::default()
         });
         sim.add_host_pinned(CLI, Box::new(OnePing { dst: SRV }), HostConfig::default(), 0);
         sim.run_for(half);
@@ -267,15 +228,17 @@ fn destination_registered_in_flight_receives_the_packet() {
         sim
     };
 
-    let same_region = sharded_with_late_host_in(1, 0);
-    assert_eq!(serial.host_counters(SRV).rx_packets, 1);
-    assert_eq!(same_region.host_counters(SRV).rx_packets, 1);
+    let one = late_host_in(1, 0);
+    assert_eq!(one.host_counters(SRV).rx_packets, 1);
     // Request and reply.
-    assert_eq!(serial.delivered_packets(), 2);
-    assert_eq!(same_region.delivered_packets(), serial.delivered_packets());
-    assert_eq!(same_region.host_counters(CLI), serial.host_counters(CLI));
+    assert_eq!(one.delivered_packets(), 2);
 
-    let other_region = sharded_with_late_host_in(2, 1);
+    let same_region = late_host_in(2, 0);
+    assert_eq!(same_region.host_counters(SRV), one.host_counters(SRV));
+    assert_eq!(same_region.host_counters(CLI), one.host_counters(CLI));
+    assert_eq!(same_region.delivered_packets(), one.delivered_packets());
+
+    let other_region = late_host_in(2, 1);
     assert_eq!(other_region.host_counters(SRV).rx_packets, 0);
     assert_eq!(other_region.delivered_packets(), 1);
 }

@@ -110,20 +110,23 @@ cargo run --release --offline -p btc-bench --bin repro -- \
 serve_sha=$(grep -v '\[wall\]' "$serve_out" | sha256sum | cut -d' ' -f1)
 echo "    serve digests and verdicts agree OK (sha256 without [wall] lines $serve_sha)"
 
-echo "==> swarm smoke: sharded netsim must be byte-identical at 1 vs 4 workers"
+echo "==> swarm smoke: many-region netsim must be byte-identical at 1 vs 4 workers"
 # repro exits 1 when any cell's outcome (digest and every counter) differs
-# between worker counts: the conservative-lookahead shard runtime diverged
-# from the serial event loop, breaking the bit-identity contract of
-# crates/netsim/src/shard.rs. The quick grid times 1 and 4 workers on a
-# small topology, so this doubles as the shard-matrix smoke.
+# between worker counts: the k-region lookahead rounds stopped being
+# independent of how many threads step them, breaking the bit-identity
+# contract of crates/netsim/src/shard.rs. The quick grid times 1 and 4
+# workers on a small topology, so this doubles as the region-matrix
+# smoke. [wall] lines are wall-clock and are left out of the printed
+# sha256.
 swarm_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out" "$swarm_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
   --quick swarm > "$swarm_out" \
   || { cat "$swarm_out" >&2; echo "ERROR: swarm outcomes diverged (see above)" >&2; exit 1; }
-echo "    swarm outcomes identical across worker counts OK"
+swarm_sha=$(grep -v '\[wall\]' "$swarm_out" | sha256sum | cut -d' ' -f1)
+echo "    swarm outcomes identical across worker counts OK (sha256 without [wall] lines $swarm_sha)"
 
 echo "CI OK: hermetic build, tests green, spine digests match their goldens,"
 echo "       parallel sweeps reproduce the serial output byte for byte,"
 echo "       sharded streaming service reproduces the serial digests,"
-echo "       sharded netsim reproduces the serial digests at every worker count."
+echo "       many-region netsim gives the same digests at every worker count."

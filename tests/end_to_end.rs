@@ -6,11 +6,12 @@ use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
 use btc_detect::engine::AnalysisEngine;
 use btc_netsim::packet::SockAddr;
-use btc_netsim::shard::{ShardConfig, ShardedSim};
-use btc_netsim::sim::{HostConfig, SimConfig, Simulator};
-use btc_netsim::time::{MINUTES, SECS};
+use btc_netsim::sim::{HostConfig, HostCounters, SimConfig, Simulator};
+use btc_netsim::tcp::TcpDropStats;
+use btc_netsim::time::{Nanos, MINUTES, SECS};
 use btc_node::banscore::CoreVersion;
 use btc_node::node::{Node, NodeConfig, PeerPolicy};
+use std::collections::VecDeque;
 
 #[test]
 fn train_detect_respond_pipeline() {
@@ -240,68 +241,70 @@ fn detection_response_drops_and_rebuilds_connections() {
     assert_eq!(attacker.stats.messages_sent, sent_at_rebuild);
 }
 
-/// A stock `Node` under a reconnecting `Flooder` reduces to the same
-/// observables on `Simulator` and on a one-region `ShardedSim`: the two
-/// front-ends share one event loop, and a whole protocol stack on top of it
-/// cannot tell them apart. PING is the never-banned flood; duplicate
-/// VERSIONs drive the ban → reconnect-from-the-next-port cycle so the ban
-/// times are not vacuous.
-#[test]
-fn node_under_flood_is_identical_on_both_simulator_front_ends() {
-    let target = SockAddr::new(addrs::TARGET, 8333);
-    // Both front-ends expose the same method names but share no trait.
-    macro_rules! observe {
-        ($sim:expr, $payload:expr) => {{
-            let mut sim = $sim;
-            sim.add_host(
-                addrs::TARGET,
-                Box::new(Node::new(NodeConfig::default())),
-                HostConfig::default(),
-            );
-            sim.add_host(
-                addrs::ATTACKER,
-                Box::new(Flooder::new(FloodConfig {
-                    target,
-                    payload: $payload,
-                    reconnect_on_ban: true,
-                    sybil_port_start: 51_000,
-                    ..FloodConfig::default()
-                })),
-                HostConfig::default(),
-            );
-            sim.run_for(3 * SECS);
-            let transport = [addrs::TARGET, addrs::ATTACKER].map(|ip| {
-                (
-                    sim.host_counters(ip),
-                    sim.host_tcp_drops(ip),
-                    sim.host_cpu(ip).cum_busy(),
-                )
-            });
-            let delivered = sim.delivered_packets();
-            let node: &Node = sim.app(addrs::TARGET).expect("target is a Node");
+/// What a node-under-flood run reduces to.
+#[derive(Debug, PartialEq)]
+struct FloodRun {
+    counts: [u64; 26],
+    bans: u64,
+    ban_history: VecDeque<(Nanos, SockAddr)>,
+    /// Per host (target, attacker): counters, TCP drops, CPU cycles.
+    transport: [(HostCounters, TcpDropStats, u64); 2],
+    delivered: u64,
+}
+
+/// A stock `Node` under a reconnecting `Flooder` flooding `payload` for
+/// three seconds, both pinned to region 0 of `regions` regions.
+fn node_under_flood(regions: u32, workers: usize, payload: FloodPayload) -> FloodRun {
+    let mut sim = Simulator::new(SimConfig {
+        regions,
+        workers,
+        ..SimConfig::default()
+    });
+    let node = Node::new(NodeConfig::default());
+    sim.add_host_pinned(addrs::TARGET, Box::new(node), HostConfig::default(), 0);
+    let flooder = Flooder::new(FloodConfig {
+        target: SockAddr::new(addrs::TARGET, 8333),
+        payload,
+        reconnect_on_ban: true,
+        sybil_port_start: 51_000,
+        ..FloodConfig::default()
+    });
+    sim.add_host_pinned(addrs::ATTACKER, Box::new(flooder), HostConfig::default(), 0);
+    sim.run_for(3 * SECS);
+    let node: &Node = sim.app(addrs::TARGET).expect("target is a Node");
+    FloodRun {
+        counts: node.telemetry.counts_in_window(0, 3 * SECS + 1),
+        bans: node.telemetry.bans,
+        ban_history: node.banman.history().clone(),
+        transport: [addrs::TARGET, addrs::ATTACKER].map(|ip| {
             (
-                node.telemetry.counts_in_window(0, 3 * SECS + 1),
-                node.telemetry.bans,
-                node.banman.history().clone(),
-                transport,
-                delivered,
+                sim.host_counters(ip),
+                sim.host_tcp_drops(ip),
+                sim.host_cpu(ip).cum_busy(),
             )
-        }};
+        }),
+        delivered: sim.delivered_packets(),
     }
+}
+
+/// The swarm scenario's guarantee: the §V bed in region 0 of a
+/// many-region simulator measures what it measures on one region. A
+/// whole protocol stack on top of the event loop must not tell one region
+/// from region 0 of four stepped by two workers. PING is the never-banned
+/// flood; duplicate VERSIONs drive the ban → reconnect-from-the-next-port
+/// cycle so the ban times are not vacuous.
+#[test]
+fn node_under_flood_is_identical_at_one_and_four_regions() {
     for payload in [FloodPayload::Ping, FloodPayload::DuplicateVersion] {
-        let serial = observe!(Simulator::new(SimConfig::default()), payload.clone());
-        let sharded = observe!(
-            ShardedSim::new(ShardConfig {
-                regions: 1,
-                workers: 1,
-                ..ShardConfig::default()
-            }),
-            payload.clone()
+        let one = node_under_flood(1, 1, payload.clone());
+        let four = node_under_flood(4, 2, payload.clone());
+        assert!(
+            one.counts.iter().sum::<u64>() > 100,
+            "flood reached the node"
         );
-        assert!(serial.0.iter().sum::<u64>() > 100, "flood reached the node");
         if matches!(payload, FloodPayload::DuplicateVersion) {
-            assert!(serial.1 > 1, "ban and reconnect cycled: {} bans", serial.1);
+            assert!(one.bans > 1, "ban and reconnect cycled: {} bans", one.bans);
         }
-        assert_eq!(serial, sharded, "{payload:?}");
+        assert_eq!(one, four, "{payload:?}");
     }
 }
