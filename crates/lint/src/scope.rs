@@ -203,6 +203,11 @@ pub const LOCK_DECLS: &[LockDecl] = &[
         lock: "netsim.region",
     },
     LockDecl {
+        file: "crates/netsim/src/shard.rs",
+        recvs: &["mailbox"],
+        lock: "netsim.mailbox",
+    },
+    LockDecl {
         file: "crates/netsim/src/sim.rs",
         recvs: &["0"],
         lock: "netsim.tap",
@@ -227,19 +232,27 @@ pub const LOCK_DECLS: &[LockDecl] = &[
         recvs: &["first_panic"],
         lock: "par.panic-slot",
     },
+    LockDecl {
+        file: "crates/par/src/phase.rs",
+        recvs: &["sleep"],
+        lock: "par.phase",
+    },
 ];
 
 /// The declared total lock order: a lock may only be acquired while holding
 /// locks that appear strictly *earlier* in this list. Region locks come
-/// first (the k-region round holds one across a whole event window), the tap
-/// inside it, and the pool's bookkeeping locks are leaves acquired alone.
+/// first (the k-region round holds one across a whole event window), the
+/// mailboxes and the tap inside it, and the pool's bookkeeping locks and
+/// the phase rendezvous' parking lock are leaves acquired alone.
 pub const LOCK_ORDER: &[&str] = &[
     "netsim.region",
+    "netsim.mailbox",
     "netsim.tap",
     "par.deque",
     "par.pending",
     "par.slot",
     "par.panic-slot",
+    "par.phase",
 ];
 
 /// Files the `lock-order` rule scans.

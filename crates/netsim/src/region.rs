@@ -1,5 +1,5 @@
-//! The event-loop core: one [`Region`] is one `BinaryHeap` of events over
-//! column-major host state, with its own RNG streams.
+//! The event-loop core: one [`Region`] is one `BinaryHeap` of event keys
+//! over a `Vec` of [`Host`] records, with its own RNG streams.
 //!
 //! This is the only event loop in the crate.
 //! [`Simulator`](crate::sim::Simulator) owns `SimConfig::regions` of them;
@@ -17,7 +17,7 @@ use crate::sim::{
     App, Ctx, HostCounters, Outbox, SimConfig, Sniffed, TapFilter, TapRing, DEFAULT_ICMP_COST,
     DEFAULT_KERNEL_COST,
 };
-use crate::tcp::{TcpEvent, TcpStack};
+use crate::tcp::{TcpDropStats, TcpEvent, TcpStack};
 use crate::time::Nanos;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,11 +41,11 @@ const QUEUE_PREALLOC: usize = 1024;
 /// Region index.
 pub type RegionId = u32;
 
-/// Host index within its region's columns (assigned in registration
+/// Host index within its region's host records (assigned in registration
 /// order; hosts are never removed, so it is stable).
 pub(crate) type LocalId = u32;
 
-/// The global sorted ip → (region, column) index. A binary search over a
+/// The global sorted ip → (region, host record) index. A binary search over a
 /// dense sorted `Vec` instead of a `HashMap` probe: deterministic,
 /// cache-friendly, and appending ascending addresses (how swarms are
 /// built) is O(1).
@@ -93,35 +93,72 @@ pub(crate) struct Net<'a> {
 enum EventKind {
     Start(LocalId),
     /// A packet in flight within this region, carrying its destination's
-    /// column index when the destination lived here at send time (`None`
+    /// record index when the destination lived here at send time (`None`
     /// = not known then; see [`Region::deliver`]). Delivery is a direct
-    /// column index, not a per-event binary search.
+    /// index, not a per-event binary search.
     Deliver(Packet, Option<LocalId>),
     Timer(LocalId, u64),
     /// A host's earliest TCP retransmission deadline (reliable mode only).
     TcpTick(LocalId),
 }
 
-struct Event {
-    time: Nanos,
-    seq: u64,
-    kind: EventKind,
+/// A queued event as the heap sees it: `(time, seq, slot)`. `(time, seq)`
+/// orders it — `seq` is unique, so `slot` never breaks a tie — and `slot`
+/// names its [`EventKind`] in [`Region`]'s payload slab. Sifting moves
+/// these 24 bytes, not an 80-byte event with its packet inline.
+type EventKey = Reverse<(Nanos, u64, u32)>;
+
+/// One host: everything an event on it reads, in one record.
+pub(crate) struct Host {
+    pub(crate) counters: HostCounters,
+    pub(crate) cpu: CpuMeter,
+    /// Time of the host's armed [`EventKind::TcpTick`], if any. An event
+    /// whose time doesn't match is stale (superseded by an earlier
+    /// re-arm) and is ignored, so retransmission ticks never accumulate.
+    tick_at: Option<Nanos>,
+    pub(crate) ip: Ipv4,
+    /// Whether this host's stack runs the reliable transport, now or
+    /// once it is built.
+    reliable: bool,
+    /// `None` only while one of its callbacks runs.
+    pub(crate) app: Option<Box<dyn App>>,
+    /// Built by [`Host::tcp_at`] on the host's first transport use; most
+    /// swarm hosts only ping and never get one.
+    tcp: Option<Box<TcpStack>>,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Host {
+    /// The host's stack with its clock at `now`, built on first use
+    /// exactly as an eager one would have been: fresh, at the host's
+    /// address, with the host's reliable flag.
+    pub(crate) fn tcp_at(&mut self, now: Nanos) -> &mut TcpStack {
+        let (ip, reliable) = (self.ip, self.reliable);
+        let tcp = self.tcp.get_or_insert_with(|| {
+            let mut tcp = TcpStack::new(ip);
+            tcp.set_reliable(reliable);
+            Box::new(tcp)
+        });
+        tcp.set_now(now);
+        tcp
     }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// The host's stack, if it has one; "none" reads as an empty stack.
+    pub(crate) fn tcp(&self) -> Option<&TcpStack> {
+        self.tcp.as_deref()
     }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    /// The stack's drop counters; all zero without a stack.
+    pub(crate) fn tcp_drops(&self) -> TcpDropStats {
+        self.tcp()
+            .map_or_else(TcpDropStats::default, |tcp| tcp.drops)
+    }
+
+    /// Switches the host's transport to reliable mode, built or not.
+    pub(crate) fn make_reliable(&mut self) {
+        self.reliable = true;
+        if let Some(tcp) = &mut self.tcp {
+            tcp.set_reliable(true);
+        }
     }
 }
 
@@ -132,27 +169,28 @@ pub(crate) struct Mail {
     dst: LocalId,
 }
 
-/// One region: an independent event loop over column-major host state.
+/// One region: an independent event loop over one [`Host`] record per
+/// host.
 ///
-/// Hot per-host fields live in parallel columns (SoA) instead of an
-/// array-of-`Host`-structs: the event loop touches `counters`/`cpus` on
-/// every delivery and `apps`/`tcps` only on dispatch, so the columns keep
-/// the per-event working set dense.
+/// The hosts of a swarm are picked at random by its traffic, so an event
+/// costs a cache miss per host array it reads: one record keeps that to
+/// about one, where parallel columns cost one per column. A host's TCP
+/// stack is built only when the host first uses TCP: of the 20 009 hosts
+/// of the bench spine's `swarm_ping`, 20 000 never open a socket, and an
+/// eager stack (240 bytes holding four maps) would be most of a host's
+/// footprint.
 pub(crate) struct Region {
     id: RegionId,
     pub(crate) now: Nanos,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: BinaryHeap<EventKey>,
+    /// Payloads of the queued events, indexed by their key's slot.
+    slab: Vec<Option<EventKind>>,
+    /// Vacant `slab` slots, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
-    // --- SoA host columns (parallel, indexed by LocalId) ---
-    ips: Vec<Ipv4>,
-    pub(crate) apps: Vec<Option<Box<dyn App>>>,
-    pub(crate) tcps: Vec<TcpStack>,
-    pub(crate) cpus: Vec<CpuMeter>,
-    pub(crate) counters: Vec<HostCounters>,
-    /// Time of each host's armed [`EventKind::TcpTick`], if any. An event
-    /// whose time doesn't match is stale (superseded by an earlier
-    /// re-arm) and is ignored, so retransmission ticks never accumulate.
-    tick_at: Vec<Option<Nanos>>,
+    pub(crate) hosts: Vec<Host>,
+    /// The callback outputs, reused: drained after every callback.
+    outbox: Outbox,
     // --- per-region streams and stats ---
     rng: SimRng,
     fault_rng: SimRng,
@@ -161,6 +199,10 @@ pub(crate) struct Region {
     taps: Vec<(TapFilter, TapRing)>,
     /// Staged cross-region packets, indexed by destination region.
     pub(crate) outbound: Vec<Vec<Mail>>,
+    /// Earliest delivery time of the mail staged since the k-region
+    /// rounds last cleared it. That mail reaches its destinations' heaps
+    /// only in the next round, so the horizon before it must count it.
+    pub(crate) mail_due: Option<Nanos>,
 }
 
 impl Region {
@@ -170,39 +212,39 @@ impl Region {
             id,
             now: 0,
             queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
+            slab: Vec::with_capacity(QUEUE_PREALLOC),
+            free: Vec::new(),
             next_seq: 0,
-            ips: Vec::new(),
-            apps: Vec::new(),
-            tcps: Vec::new(),
-            cpus: Vec::new(),
-            counters: Vec::new(),
-            tick_at: Vec::new(),
+            hosts: Vec::new(),
+            outbox: Outbox::default(),
             rng: SimRng::new(seed ^ salt),
             fault_rng: SimRng::new((seed ^ FAULT_RNG_SALT) ^ salt),
             fault_stats: FaultStats::default(),
             delivered_packets: 0,
             taps: Vec::new(),
             outbound: (0..regions).map(|_| Vec::new()).collect(),
+            mail_due: None,
         }
     }
 
-    /// The column index the next [`add_host`](Self::add_host) will use.
+    /// The record index the next [`add_host`](Self::add_host) will use.
     pub(crate) fn next_local(&self) -> LocalId {
-        self.ips.len() as LocalId
+        self.hosts.len() as LocalId
     }
 
-    /// Appends a host to the columns; its [`App::on_start`] fires at the
-    /// region's current time.
+    /// Appends a host record, without a TCP stack; its [`App::on_start`]
+    /// fires at the region's current time.
     pub(crate) fn add_host(&mut self, ip: Ipv4, app: Box<dyn App>, reliable: bool) {
         let local = self.next_local();
-        let mut tcp = TcpStack::new(ip);
-        tcp.set_reliable(reliable);
-        self.ips.push(ip);
-        self.apps.push(Some(app));
-        self.tcps.push(tcp);
-        self.cpus.push(CpuMeter::default());
-        self.counters.push(HostCounters::default());
-        self.tick_at.push(None);
+        self.hosts.push(Host {
+            counters: HostCounters::default(),
+            cpu: CpuMeter::default(),
+            tick_at: None,
+            ip,
+            reliable,
+            app: Some(app),
+            tcp: None,
+        });
         self.push_event(self.now, EventKind::Start(local));
     }
 
@@ -214,14 +256,19 @@ impl Region {
         ring
     }
 
-    /// Time of the earliest queued event.
-    pub(crate) fn next_time(&self) -> Option<Nanos> {
-        self.queue.peek().map(|Reverse(ev)| ev.time)
+    /// Time of the earliest queued event or staged cross-region packet.
+    pub(crate) fn next_due(&self) -> Option<Nanos> {
+        let queued = self.queue.peek().map(|&Reverse((time, _, _))| time);
+        match (queued, self.mail_due) {
+            (Some(q), Some(m)) => Some(q.min(m)),
+            (q, m) => q.or(m),
+        }
     }
 
-    /// Queues mail another region staged for this one, in the given order.
-    pub(crate) fn accept_mail(&mut self, mail: Vec<Mail>) {
-        for m in mail {
+    /// Queues mail another region staged for this one, in the given
+    /// order, leaving `mail` empty with its capacity.
+    pub(crate) fn accept_mail(&mut self, mail: &mut Vec<Mail>) {
+        for m in mail.drain(..) {
             self.push_event(m.time, EventKind::Deliver(m.packet, Some(m.dst)));
         }
     }
@@ -229,7 +276,17 @@ impl Region {
     fn push_event(&mut self, time: Nanos, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue.push(Reverse((time, seq, slot)));
     }
 
     /// Schedules `packet` for delivery after the link latency, subject to
@@ -244,7 +301,7 @@ impl Region {
     fn send_packet(&mut self, net: &Net<'_>, packet: Packet) {
         let f = net.config.faults;
         // Resolve the destination once at send time; delivery then
-        // indexes the columns directly.
+        // indexes the host records directly.
         let dst = net.index.lookup(packet.dst.ip);
         let remote = dst.filter(|&(r, _)| r != self.id);
         let mut delay = if remote.is_some() {
@@ -276,7 +333,10 @@ impl Region {
         }
         let time = self.now + delay;
         match remote {
-            Some((r, dst)) => self.outbound[r as usize].push(Mail { time, packet, dst }),
+            Some((r, dst)) => {
+                self.mail_due = Some(self.mail_due.map_or(time, |due| due.min(time)));
+                self.outbound[r as usize].push(Mail { time, packet, dst });
+            }
             None => self.push_event(time, EventKind::Deliver(packet, dst.map(|(_, l)| l))),
         }
     }
@@ -284,22 +344,25 @@ impl Region {
     /// Executes every queued event with `time < hi_excl`, leaving later
     /// events (and staged cross-region mail) untouched.
     pub(crate) fn run_window(&mut self, net: &Net<'_>, hi_excl: Nanos) {
-        loop {
-            // A single peek guards each pop.
-            match self.queue.peek() {
-                Some(Reverse(ev)) if ev.time < hi_excl => {}
-                _ => break,
+        // A single peek guards each pop.
+        while let Some(&Reverse((time, _, slot))) = self.queue.peek() {
+            if time >= hi_excl {
+                break;
             }
-            let Reverse(ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(ev.time >= self.now, "region time went backwards");
-            self.now = ev.time;
-            match ev.kind {
+            self.queue.pop();
+            let kind = self.slab[slot as usize]
+                .take()
+                .expect("queued event has a payload");
+            self.free.push(slot);
+            debug_assert!(time >= self.now, "region time went backwards");
+            self.now = time;
+            match kind {
                 EventKind::Start(i) => self.with_app(net, i, |app, ctx| app.on_start(ctx)),
                 EventKind::Timer(i, token) => {
                     self.with_app(net, i, |app, ctx| app.on_timer(ctx, token));
                 }
                 EventKind::Deliver(packet, dst) => self.deliver(net, packet, dst),
-                EventKind::TcpTick(i) => self.tcp_tick(net, i, ev.time),
+                EventKind::TcpTick(i) => self.tcp_tick(net, i, time),
             }
         }
     }
@@ -331,14 +394,15 @@ impl Region {
             return; // destination unreachable: dropped
         };
         let i = id as usize;
-        self.counters[i].rx_packets += 1;
-        self.counters[i].rx_bytes += packet.wire_len() as u64;
-        self.cpus[i].charge(DEFAULT_KERNEL_COST);
+        let host = &mut self.hosts[i];
+        host.counters.rx_packets += 1;
+        host.counters.rx_bytes += packet.wire_len() as u64;
+        host.cpu.charge(DEFAULT_KERNEL_COST);
         match &packet.body {
             PacketBody::Icmp(echo) => {
                 let mut reply = None;
                 if echo.request {
-                    self.cpus[i].charge(DEFAULT_ICMP_COST);
+                    host.cpu.charge(DEFAULT_ICMP_COST);
                     reply = Some(Packet {
                         src: SockAddr::new(dst_ip, 0),
                         dst: packet.src,
@@ -353,13 +417,14 @@ impl Region {
                 self.transmit(net, i, reply);
             }
             PacketBody::Tcp(seg) => {
-                let mut app = self.apps[i].take().expect("app present");
-                self.tcps[i].set_now(self.now);
-                let (events, replies) =
-                    self.tcps[i].handle_segment(packet.src, packet.dst, seg, &mut |peer| {
-                        app.on_accept(peer)
-                    });
-                self.apps[i] = Some(app);
+                let mut app = host.app.take().expect("app present");
+                let (events, replies) = host.tcp_at(self.now).handle_segment(
+                    packet.src,
+                    packet.dst,
+                    seg,
+                    &mut |peer| app.on_accept(peer),
+                );
+                host.app = Some(app);
                 self.transmit(net, i, replies);
                 self.dispatch_tcp_events(net, id, events);
                 self.arm_tcp_tick(id);
@@ -386,61 +451,61 @@ impl Region {
     /// re-arm superseded it.
     fn tcp_tick(&mut self, net: &Net<'_>, id: LocalId, time: Nanos) {
         let i = id as usize;
-        if self.tick_at[i] != Some(time) {
+        let host = &mut self.hosts[i];
+        if host.tick_at != Some(time) {
             return; // stale tick
         }
-        self.tick_at[i] = None;
-        self.tcps[i].set_now(self.now);
-        let (events, replies) = self.tcps[i].poll();
+        host.tick_at = None;
+        let (events, replies) = host.tcp_at(self.now).poll();
         self.transmit(net, i, replies);
         self.dispatch_tcp_events(net, id, events);
         self.arm_tcp_tick(id);
     }
 
     /// (Re-)arms the host's retransmission tick at its earliest TCP
-    /// deadline. No-op for stacks without pending retransmissions — clean
-    /// non-reliable runs never see a tick event.
+    /// deadline. No-op for hosts without a stack or without pending
+    /// retransmissions — clean non-reliable runs never see a tick event.
     fn arm_tcp_tick(&mut self, id: LocalId) {
-        let i = id as usize;
-        let Some(deadline) = self.tcps[i].next_deadline() else {
+        let host = &mut self.hosts[id as usize];
+        let Some(deadline) = host.tcp().and_then(TcpStack::next_deadline) else {
             return;
         };
         let t = deadline.max(self.now);
-        if let Some(cur) = self.tick_at[i] {
+        if let Some(cur) = host.tick_at {
             if cur <= t {
                 return; // an earlier (or equal) tick will re-arm us
             }
         }
-        self.tick_at[i] = Some(t);
+        host.tick_at = Some(t);
         self.push_event(t, EventKind::TcpTick(id));
     }
 
-    /// Runs `f` with the host's app and a fresh [`Ctx`], then applies the
-    /// collected outputs (packet sends, timers).
+    /// Runs `f` with the host's app and a [`Ctx`] over the region's
+    /// reused outbox, then applies and drains the collected outputs
+    /// (packet sends, timers).
     fn with_app<F>(&mut self, net: &Net<'_>, id: LocalId, f: F)
     where
         F: FnOnce(&mut dyn App, &mut Ctx<'_>),
     {
         let i = id as usize;
-        let mut app = self.apps[i].take().expect("app present");
-        self.tcps[i].set_now(self.now);
-        let mut out = Outbox::default();
-        {
-            let mut ctx = Ctx {
+        let mut out = std::mem::take(&mut self.outbox);
+        let host = &mut self.hosts[i];
+        let mut app = host.app.take().expect("app present");
+        f(
+            app.as_mut(),
+            &mut Ctx {
                 now: self.now,
-                ip: self.ips[i],
-                tcp: &mut self.tcps[i],
-                cpu: &mut self.cpus[i],
+                host,
                 rng: &mut self.rng,
                 out: &mut out,
-            };
-            f(app.as_mut(), &mut ctx);
-        }
-        self.apps[i] = Some(app);
-        self.transmit(net, i, out.packets);
-        for (delay, token) in out.timers {
+            },
+        );
+        self.hosts[i].app = Some(app);
+        self.transmit(net, i, out.packets.drain(..));
+        for (delay, token) in out.timers.drain(..) {
             self.push_event(self.now + delay, EventKind::Timer(id, token));
         }
+        self.outbox = out;
         // The callback may have queued sends/connects that armed an RTO.
         self.arm_tcp_tick(id);
     }
@@ -448,8 +513,9 @@ impl Region {
     /// Counts `packets` against host `i`'s tx counters and sends them.
     fn transmit(&mut self, net: &Net<'_>, i: usize, packets: impl IntoIterator<Item = Packet>) {
         for p in packets {
-            self.counters[i].tx_packets += 1;
-            self.counters[i].tx_bytes += p.wire_len() as u64;
+            let counters = &mut self.hosts[i].counters;
+            counters.tx_packets += 1;
+            counters.tx_bytes += p.wire_len() as u64;
             self.send_packet(net, p);
         }
     }

@@ -3,7 +3,8 @@
 //! [`SimConfig`] whose `regions` field picks how many event loops it runs.
 //!
 //! Each host runs an [`App`] (a Bitcoin node, an attacker, a traffic
-//! source) above a [`TcpStack`] and a [`CpuMeter`]. The simulator delivers
+//! source) above a [`TcpStack`](crate::tcp::TcpStack), built on the host's
+//! first transport call, and a [`CpuMeter`]. The simulator delivers
 //! packets with a configurable link latency, fires timers, lets *taps*
 //! observe traffic promiscuously (the sniffing required by post-connection
 //! Defamation) and lets any app inject raw packets with forged source
@@ -13,10 +14,10 @@
 use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats, LinkFaults};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
-use crate::region::{HostIndex, Net, Region};
+use crate::region::{Host, HostIndex, Net, Region};
 use crate::rng::SimRng;
 use crate::shard::{self, assign_region, RegionId, DEFAULT_REGION_LATENCY};
-use crate::tcp::{CloseReason, ConnId, TcpDropStats, TcpStack};
+use crate::tcp::{CloseReason, ConnId, TcpDropStats};
 use crate::time::{Nanos, MICROS};
 use btc_wire::bytes::Bytes;
 use std::any::Any;
@@ -102,11 +103,13 @@ pub(crate) struct Outbox {
 }
 
 /// The environment handed to app callbacks.
+///
+/// The calls that open, send on or close a connection build the host's
+/// TCP stack if it has none yet; the read-only ones never do, and read a
+/// missing stack as an empty one.
 pub struct Ctx<'a> {
     pub(crate) now: Nanos,
-    pub(crate) ip: Ipv4,
-    pub(crate) tcp: &'a mut TcpStack,
-    pub(crate) cpu: &'a mut CpuMeter,
+    pub(crate) host: &'a mut Host,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) out: &'a mut Outbox,
 }
@@ -119,17 +122,17 @@ impl Ctx<'_> {
 
     /// This host's IP.
     pub fn ip(&self) -> Ipv4 {
-        self.ip
+        self.host.ip
     }
 
     /// Starts listening for inbound connections on `port`.
     pub fn listen(&mut self, port: u16) {
-        self.tcp.listen(port);
+        self.host.tcp_at(self.now).listen(port);
     }
 
     /// Opens a connection to `dst` from a fresh ephemeral port.
     pub fn connect(&mut self, dst: SockAddr) -> ConnId {
-        let (id, syn) = self.tcp.connect(dst);
+        let (id, syn) = self.host.tcp_at(self.now).connect(dst);
         self.out.packets.push(syn);
         id
     }
@@ -137,7 +140,7 @@ impl Ctx<'_> {
     /// Opens a connection from a specific local port (serial-Sybil attacks
     /// pick their identifiers deliberately). `None` when the tuple is busy.
     pub fn connect_from(&mut self, port: u16, dst: SockAddr) -> Option<ConnId> {
-        let (id, syn) = self.tcp.connect_from(port, dst)?;
+        let (id, syn) = self.host.tcp_at(self.now).connect_from(port, dst)?;
         self.out.packets.push(syn);
         Some(id)
     }
@@ -152,7 +155,7 @@ impl Ctx<'_> {
     /// refcounted slices of `data`, so a frame sent to many peers by
     /// `Bytes::clone` is never copied.
     pub fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> bool {
-        match self.tcp.send_bytes(conn, data) {
+        match self.host.tcp_at(self.now).send_bytes(conn, data) {
             Some(pkts) => {
                 self.out.packets.extend(pkts);
                 true
@@ -163,29 +166,29 @@ impl Ctx<'_> {
 
     /// Abortively closes a connection (RST).
     pub fn close(&mut self, conn: ConnId) {
-        if let Some(rst) = self.tcp.close(conn) {
+        if let Some(rst) = self.host.tcp_at(self.now).close(conn) {
             self.out.packets.push(rst);
         }
     }
 
     /// Remote address of a connection.
     pub fn peer_of(&self, conn: ConnId) -> Option<SockAddr> {
-        self.tcp.peer_of(conn)
+        self.host.tcp()?.peer_of(conn)
     }
 
     /// Local address of a connection.
     pub fn local_of(&self, conn: ConnId) -> Option<SockAddr> {
-        self.tcp.local_of(conn)
+        self.host.tcp()?.local_of(conn)
     }
 
     /// Whether the connection is established.
     pub fn is_established(&self, conn: ConnId) -> bool {
-        self.tcp.is_established(conn)
+        self.host.tcp().is_some_and(|tcp| tcp.is_established(conn))
     }
 
     /// Live `(snd_nxt, rcv_nxt)` of a connection.
     pub fn seq_state(&self, conn: ConnId) -> Option<(u32, u32)> {
-        self.tcp.seq_state(conn)
+        self.host.tcp()?.seq_state(conn)
     }
 
     /// Arms a timer `delay` from now; `token` is returned in
@@ -203,7 +206,7 @@ impl Ctx<'_> {
     /// Sends an ICMP echo request of `len` payload bytes to `dst`.
     pub fn send_icmp(&mut self, dst: Ipv4, ident: u16, seq: u16, len: usize) {
         self.out.packets.push(Packet {
-            src: SockAddr::new(self.ip, 0),
+            src: SockAddr::new(self.host.ip, 0),
             dst: SockAddr::new(dst, 0),
             body: PacketBody::Icmp(IcmpEcho {
                 request: true,
@@ -216,12 +219,12 @@ impl Ctx<'_> {
 
     /// Charges processing cycles to this host's CPU.
     pub fn charge_cpu(&mut self, cycles: u64) {
-        self.cpu.charge(cycles);
+        self.host.cpu.charge(cycles);
     }
 
     /// Transport drop statistics.
     pub fn tcp_drops(&self) -> TcpDropStats {
-        self.tcp.drops
+        self.host.tcp_drops()
     }
 
     /// Deterministic randomness.
@@ -380,7 +383,8 @@ pub struct SimConfig {
     /// which RNG stream serves which host, so results stay deterministic
     /// but are not comparable across region counts. See [`crate::shard`].
     pub regions: u32,
-    /// Worker threads executing regions each round (0 is treated as 1).
+    /// Threads executing regions each round, the calling thread counted
+    /// (0 is treated as 1): `workers − 1` are spawned per `run_until`.
     /// Purely an execution knob: results are bit-identical at any value,
     /// and more workers than regions are clamped.
     pub workers: usize,
@@ -523,14 +527,15 @@ impl Simulator {
 
     /// Installs (or replaces) the scheduled-fault timeline.
     ///
-    /// A non-empty plan switches every host's TCP stack to reliable mode:
-    /// partitions and flaps drop packets, which only a retransmitting
-    /// transport survives. Install the plan before running the simulation
-    /// — faults are applied at packet-send time.
+    /// A non-empty plan switches every host's TCP stack to reliable mode,
+    /// the stacks built later included: partitions and flaps drop
+    /// packets, which only a retransmitting transport survives. Install
+    /// the plan before running the simulation — faults are applied at
+    /// packet-send time.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         if !plan.is_none() {
-            for tcp in self.regions.iter_mut().flat_map(|r| &mut r.tcps) {
-                tcp.set_reliable(true);
+            for host in self.regions.iter_mut().flat_map(|r| &mut r.hosts) {
+                host.make_reliable();
             }
         }
         self.plan = plan;
@@ -579,8 +584,7 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_counters(&self, ip: Ipv4) -> HostCounters {
-        let (r, i) = self.index.locate(ip);
-        self.regions[r].counters[i]
+        self.host(ip).counters
     }
 
     /// CPU meter of a host.
@@ -589,18 +593,17 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn host_cpu(&self, ip: Ipv4) -> &CpuMeter {
-        let (r, i) = self.index.locate(ip);
-        &self.regions[r].cpus[i]
+        &self.host(ip).cpu
     }
 
-    /// Transport drop statistics of a host.
+    /// Transport drop statistics of a host (all zero for a host that
+    /// never used TCP).
     ///
     /// # Panics
     ///
     /// Panics for an unknown host.
     pub fn host_tcp_drops(&self, ip: Ipv4) -> TcpDropStats {
-        let (r, i) = self.index.locate(ip);
-        self.regions[r].tcps[i].drops
+        self.host(ip).tcp_drops()
     }
 
     /// Downcasts a host's app for inspection.
@@ -609,8 +612,8 @@ impl Simulator {
     ///
     /// Panics for an unknown host.
     pub fn app<T: App>(&self, ip: Ipv4) -> Option<&T> {
-        let (r, i) = self.index.locate(ip);
-        self.regions[r].apps[i]
+        self.host(ip)
+            .app
             .as_ref()
             .and_then(|a| a.as_any().downcast_ref::<T>())
     }
@@ -622,9 +625,20 @@ impl Simulator {
     /// Panics for an unknown host.
     pub fn app_mut<T: App>(&mut self, ip: Ipv4) -> Option<&mut T> {
         let (r, i) = self.index.locate(ip);
-        self.regions[r].apps[i]
+        self.regions[r].hosts[i]
+            .app
             .as_mut()
             .and_then(|a| a.as_any_mut().downcast_mut::<T>())
+    }
+
+    /// The record of a host.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an unknown host.
+    fn host(&self, ip: Ipv4) -> &Host {
+        let (r, i) = self.index.locate(ip);
+        &self.regions[r].hosts[i]
     }
 }
 
@@ -933,6 +947,176 @@ mod tests {
         assert_eq!((srv_a, cli_a), (srv_b, cli_b));
         assert_eq!(drops_a, drops_b);
         assert_eq!(n_a, n_b);
+    }
+
+    /// A stack first used after the fault plan is installed must be as
+    /// reliable as one that existed when the plan went in: the client's
+    /// SYN dies in the flap and only a retransmission gets the greeting
+    /// through.
+    #[test]
+    fn stack_first_used_after_fault_plan_is_reliable() {
+        let mut sim = build_pair();
+        sim.set_fault_plan(FaultPlan::none().with_flaps(CLI, 0, SECS, MILLIS, 1));
+        sim.run_for(2 * SECS);
+        let server: &EchoServer = sim.app(SRV).unwrap();
+        assert_eq!(server.received, vec![b"hello over tcp".to_vec()]);
+        let client: &Client = sim.app(CLI).unwrap();
+        assert_eq!(client.echoed, vec![b"hello over tcp".to_vec()]);
+        assert!(sim.fault_stats().dropped_partition >= 1, "the SYN was cut");
+        assert!(sim.host_tcp_drops(CLI).retransmits >= 1, "and resent");
+    }
+
+    /// What `peer_of`, `local_of`, `is_established`, `seq_state` and
+    /// `tcp_drops` answered.
+    type Answers = (
+        Option<SockAddr>,
+        Option<SockAddr>,
+        bool,
+        Option<(u32, u32)>,
+        TcpDropStats,
+    );
+
+    /// Pings and asks the transport about a connection it never opened.
+    #[derive(Default)]
+    struct Prober {
+        dst: Ipv4,
+        replies: u32,
+        answers: Vec<Answers>,
+    }
+
+    impl App for Prober {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let conn = ConnId(1);
+            self.answers.push((
+                ctx.peer_of(conn),
+                ctx.local_of(conn),
+                ctx.is_established(conn),
+                ctx.seq_state(conn),
+                ctx.tcp_drops(),
+            ));
+            ctx.send_icmp(self.dst, 1, 0, 56);
+        }
+        fn on_icmp(&mut self, _ctx: &mut Ctx<'_>, _from: Ipv4, echo: &IcmpEcho) {
+            if !echo.request {
+                self.replies += 1;
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Whether the host at `ip` has a transport stack yet.
+    fn has_stack(sim: &Simulator, ip: Ipv4) -> bool {
+        let (r, i) = sim.index.locate(ip);
+        sim.regions[r].hosts[i].tcp().is_some()
+    }
+
+    #[test]
+    fn icmp_only_host_reads_an_empty_transport_and_never_builds_one() {
+        let mut sim = Simulator::new(SimConfig::default());
+        sim.add_host(SRV, Box::new(Quiet), HostConfig::default());
+        sim.add_host(
+            CLI,
+            Box::new(Prober {
+                dst: SRV,
+                ..Default::default()
+            }),
+            HostConfig::default(),
+        );
+        sim.run_for(SECS);
+        let p: &Prober = sim.app(CLI).unwrap();
+        assert_eq!(p.replies, 1);
+        assert_eq!(
+            p.answers,
+            vec![(None, None, false, None, TcpDropStats::default())]
+        );
+        for ip in [SRV, CLI] {
+            assert_eq!(sim.host_tcp_drops(ip), TcpDropStats::default());
+            assert!(!has_stack(&sim, ip), "a read or a ping built a stack");
+        }
+    }
+
+    /// A SYN to a host that never listened is refused with an RST, and a
+    /// stray ACK to it counts as a segment for no socket — the same
+    /// replies and counters as a host whose stack existed from the start.
+    #[test]
+    fn never_listening_host_refuses_syn_and_counts_stray_segments() {
+        let mut sim = Simulator::new(SimConfig::default());
+        sim.add_host(SRV, Box::new(Quiet), HostConfig::default());
+        sim.add_host(
+            CLI,
+            Box::new(Client {
+                dst: SockAddr::new(SRV, 8333),
+                ..Default::default()
+            }),
+            HostConfig::default(),
+        );
+        let tap = sim.add_tap(TapFilter::Host(SRV));
+        sim.run_for(SECS);
+        let client: &Client = sim.app(CLI).unwrap();
+        assert!(client.failed && !client.connected);
+        let caps = tap.drain();
+        assert_eq!(caps.len(), 2, "SYN in, RST out");
+        let PacketBody::Tcp(rst) = &caps[1].packet.body else {
+            panic!("reply is not TCP");
+        };
+        assert_eq!(caps[1].packet.src, SockAddr::new(SRV, 8333));
+        assert!(rst.flags.has(crate::packet::TcpFlags::RST));
+        assert_eq!(sim.host_tcp_drops(SRV), TcpDropStats::default());
+        assert!(has_stack(&sim, SRV), "the SYN built the refusing stack");
+
+        // A bare ACK from nowhere: dropped, counted once.
+        let ack = crate::packet::make_segment(
+            SockAddr::new(CLI, 50_000),
+            SockAddr::new(SRV, 8333),
+            7,
+            9,
+            crate::packet::TcpFlags::ACK,
+            Bytes::new(),
+        );
+        sim.add_host(
+            [10, 0, 0, 3],
+            Box::new(Injector(Some(ack))),
+            HostConfig::default(),
+        );
+        sim.run_for(SECS);
+        assert_eq!(
+            sim.host_tcp_drops(SRV),
+            TcpDropStats {
+                no_socket: 1,
+                ..TcpDropStats::default()
+            }
+        );
+    }
+
+    struct Quiet;
+    impl App for Quiet {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Injects one raw packet at start.
+    struct Injector(Option<Packet>);
+    impl App for Injector {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(p) = self.0.take() {
+                ctx.inject(p);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
     }
 
     #[test]

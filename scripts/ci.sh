@@ -117,7 +117,10 @@ echo "==> swarm smoke: many-region netsim must be byte-identical at 1 vs 4 worke
 # contract of crates/netsim/src/shard.rs. The quick grid times 1 and 4
 # workers on a small topology, so this doubles as the region-matrix
 # smoke. [wall] lines are wall-clock and are left out of the printed
-# sha256.
+# sha256. On a 2-core runner the workers=4 cell is also the
+# oversubscription smoke: four threads share two cores, so the phase
+# rendezvous (spin briefly, then park) must hand cores over rather than
+# spin on them; a hang or a cell far slower than workers=1 shows here.
 swarm_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out" "$swarm_out"' EXIT
 cargo run --release --offline -p btc-bench --bin repro -- \
