@@ -7,7 +7,8 @@
 //! burst cost the refactor removed, and no functional test catches it — the
 //! behaviour is identical, only slower. Flagged here: `.to_vec()`,
 //! `copy_from_slice` (both the `Bytes` constructor and the slice method),
-//! `Vec::new` and a fresh wire `Writer` (`Writer::new`/`with_capacity`).
+//! `Vec::new`, `Vec::with_capacity` and a fresh wire `Writer`
+//! (`Writer::new`/`with_capacity`).
 //! Setup-time or error-path uses may be justified with
 //! `lint:allow(hot-path-alloc): <reason>`.
 
@@ -21,7 +22,7 @@ pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// whether it allocates (a slice `.copy_from_slice(..)` into an existing
 /// buffer copies but does not).
 pub struct Construct {
-    /// Chain label (`to_vec`, `Vec::new`, …).
+    /// Chain label (`to_vec`, `Vec::new`, `Vec::with_capacity`, …).
     pub label: &'static str,
     /// What the construct costs, for the finding message.
     pub what: &'static str,
@@ -49,6 +50,11 @@ pub fn alloc_construct(toks: &[Token], i: usize) -> Option<Construct> {
             ("copy_from_slice", "`copy_from_slice(..)` copies the payload", !method)
         }
         "Vec" if path_call("new") => ("Vec::new", "`Vec::new()` allocates per call", true),
+        "Vec" if path_call("with_capacity") => (
+            "Vec::with_capacity",
+            "`Vec::with_capacity(..)` allocates per call",
+            true,
+        ),
         "Writer" if path_call("new") || path_call("with_capacity") => (
             "Writer",
             "a fresh `Writer` allocates an encode buffer per call (frame once with `to_frame`)",
@@ -116,10 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn vec_new_flagged_with_capacity_not() {
-        let f = run("let a: Vec<u8> = Vec::new();\nlet b = Vec::with_capacity(8);\n");
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
+    fn vec_new_and_with_capacity_flagged() {
+        let f = run(
+            "let a: Vec<u8> = Vec::new();\nlet b = Vec::with_capacity(8);\nlet c = v.capacity();\n",
+        );
+        assert_eq!(f.len(), 2);
+        assert_eq!((f[0].line, f[1].line), (1, 2));
+        assert!(f[1].message.contains("Vec::with_capacity"));
     }
 
     #[test]

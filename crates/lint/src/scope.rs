@@ -117,6 +117,7 @@ pub fn is_recv_path(rel: &str) -> bool {
 pub const HOT_PATH_BOUNDARIES: &[&str] = &[
     "handle_message", // per-message dispatch: handlers own their allocations
     "decode",         // Message::decode builds owned payload structures
+    "decode_payload", // the same owned decode, entered by command name
     "disconnect",     // teardown path, not steady-state
     "handshake",      // once-per-connection setup, not per-frame
     "to_frame",       // send path: the frame buffer is the reply's one allocation

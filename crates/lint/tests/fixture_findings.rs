@@ -44,6 +44,8 @@ fn fixture_workspace_findings_are_exact() {
         ("crates/node/src/node/recv.rs", 4, "hot-path-alloc"),
         ("crates/node/src/node/recv.rs", 5, "hot-path-alloc"),
         ("crates/node/src/node/recv.rs", 6, "hot-path-alloc"),
+        // Vec::with_capacity allocates as surely as Vec::new.
+        ("crates/node/src/node/recv.rs", 7, "hot-path-alloc"),
         // stage_remainder allocates outside the recv-path file list but is
         // called per frame: transitive hot-path-alloc with chain.
         ("crates/node/src/staging.rs", 5, "hot-path-alloc"),

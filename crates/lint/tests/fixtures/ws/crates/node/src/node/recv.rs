@@ -4,6 +4,7 @@ pub fn per_frame(payload: &[u8], scratch: &mut [u8]) {
     let copy = payload.to_vec();
     let mut frames: Vec<u8> = Vec::new();
     scratch.copy_from_slice(&copy);
+    let sized: Vec<u8> = Vec::with_capacity(copy.len());
     frames.extend_from_slice(&copy);
     let tag = decode_extra(payload);
     stage_remainder(payload, tag);

@@ -133,33 +133,53 @@ impl Packet {
 ///
 /// A spoofed segment must compute this correctly over the *forged* source
 /// address or the victim's transport layer silently drops it.
+///
+/// The payload is summed eight bytes per step: each native-endian `u64`
+/// word adds its two 32-bit halves to a `u64` accumulator (2^32 ≡ 1 mod
+/// 0xffff, so no carry has to wrap until the fold), then the sum is folded
+/// to 16 bits and byte-swapped once into big-endian order. The
+/// ones'-complement sum does not depend on byte order (RFC 1071 §2(B)),
+/// so this equals the word-by-word big-endian sum.
 pub fn tcp_checksum(src: SockAddr, dst: SockAddr, seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut add16 = |v: u16| {
-        sum += v as u32;
-    };
-    add16(u16::from_be_bytes([src.ip[0], src.ip[1]]));
-    add16(u16::from_be_bytes([src.ip[2], src.ip[3]]));
-    add16(u16::from_be_bytes([dst.ip[0], dst.ip[1]]));
-    add16(u16::from_be_bytes([dst.ip[2], dst.ip[3]]));
-    add16(src.port);
-    add16(dst.port);
-    add16((seq >> 16) as u16);
-    add16(seq as u16);
-    add16((ack >> 16) as u16);
-    add16(ack as u16);
-    add16(flags.0 as u16);
-    let mut chunks = payload.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+    let (words, tail) = payload.as_chunks::<8>();
+    let mut acc = 0u64;
+    for w in words {
+        let w = u64::from_ne_bytes(*w);
+        acc += (w & 0xffff_ffff) + (w >> 32);
     }
-    if let [last] = chunks.remainder() {
-        sum += u16::from_be_bytes([*last, 0]) as u32;
+    let (pairs, odd) = tail.as_chunks::<2>();
+    for p in pairs {
+        acc += u64::from(u16::from_ne_bytes(*p));
     }
+    if let [last] = odd {
+        // An odd last byte sums as the big-endian word `[last, 0]`.
+        acc += u64::from(u16::from_ne_bytes([*last, 0]));
+    }
+    let payload_sum = u16::from_be_bytes(fold16(acc).to_ne_bytes());
+    let header = [
+        u16::from_be_bytes([src.ip[0], src.ip[1]]),
+        u16::from_be_bytes([src.ip[2], src.ip[3]]),
+        u16::from_be_bytes([dst.ip[0], dst.ip[1]]),
+        u16::from_be_bytes([dst.ip[2], dst.ip[3]]),
+        src.port,
+        dst.port,
+        (seq >> 16) as u16,
+        seq as u16,
+        (ack >> 16) as u16,
+        ack as u16,
+        u16::from(flags.0),
+    ];
+    let sum = header.iter().map(|&w| u64::from(w)).sum::<u64>() + u64::from(payload_sum);
+    !fold16(sum)
+}
+
+/// Folds a ones'-complement sum to 16 bits with end-around carries. A
+/// nonzero sum stays nonzero.
+fn fold16(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 /// Builds a correctly checksummed TCP segment from `src` to `dst`.
@@ -188,6 +208,7 @@ pub fn make_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prop::{check, Gen};
 
     fn sa(last: u8, port: u16) -> SockAddr {
         SockAddr::new([10, 0, 0, last], port)
@@ -243,6 +264,83 @@ mod tests {
     #[test]
     fn sockaddr_display() {
         assert_eq!(sa(7, 8333).to_string(), "10.0.0.7:8333");
+    }
+
+    /// The 16-bit big-endian reference sum the eight-byte form replaced.
+    fn checksum_oracle(
+        src: SockAddr,
+        dst: SockAddr,
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        payload: &[u8],
+    ) -> u16 {
+        let mut sum: u32 = 0;
+        let mut add16 = |v: u16| {
+            sum += v as u32;
+        };
+        add16(u16::from_be_bytes([src.ip[0], src.ip[1]]));
+        add16(u16::from_be_bytes([src.ip[2], src.ip[3]]));
+        add16(u16::from_be_bytes([dst.ip[0], dst.ip[1]]));
+        add16(u16::from_be_bytes([dst.ip[2], dst.ip[3]]));
+        add16(src.port);
+        add16(dst.port);
+        add16((seq >> 16) as u16);
+        add16(seq as u16);
+        add16((ack >> 16) as u16);
+        add16(ack as u16);
+        add16(flags.0 as u16);
+        let mut chunks = payload.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+        }
+        if let [last] = chunks.remainder() {
+            sum += u16::from_be_bytes([*last, 0]) as u32;
+        }
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    /// Both checksums over one random pseudo-header and `payload`.
+    fn both_checksums(g: &mut Gen, payload: &[u8]) -> (u16, u16) {
+        let src = SockAddr::new(g.array4(), g.u16());
+        let dst = SockAddr::new(g.array4(), g.u16());
+        let (seq, ack, flags) = (g.u32(), g.u32(), TcpFlags(g.u8() & 0x0f));
+        (
+            tcp_checksum(src, dst, seq, ack, flags, payload),
+            checksum_oracle(src, dst, seq, ack, flags, payload),
+        )
+    }
+
+    #[test]
+    fn checksum_matches_sixteen_bit_oracle_at_every_length() {
+        // Every payload length 0..=MSS, odd ones included, filled with
+        // random bytes, all zeros and all ones.
+        let mut g = Gen::new(0xC4EC_5EED, crate::tcp::MSS);
+        for len in 0..=crate::tcp::MSS {
+            for fill in [None, Some(0x00), Some(0xff)] {
+                let payload: Vec<u8> = (0..len).map(|_| fill.unwrap_or_else(|| g.u8())).collect();
+                let (fast, oracle) = both_checksums(&mut g, &payload);
+                assert_eq!(fast, oracle, "len={len} fill={fill:?}");
+            }
+        }
+        // The all-zero segment: the sum is zero, not a multiple of 0xffff.
+        let zero = SockAddr::default();
+        assert_eq!(
+            tcp_checksum(zero, zero, 0, 0, TcpFlags(0), &[0; 9]),
+            checksum_oracle(zero, zero, 0, 0, TcpFlags(0), &[0; 9])
+        );
+    }
+
+    #[test]
+    fn prop_checksum_matches_sixteen_bit_oracle() {
+        check("8-byte tcp_checksum == 16-bit oracle", |g: &mut Gen| {
+            let payload = g.vec_u8(0, crate::tcp::MSS);
+            let (fast, oracle) = both_checksums(g, &payload);
+            assert_eq!(fast, oracle, "len={}", payload.len());
+        });
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The event-loop core: one [`Region`] is one `BinaryHeap` of event keys
-//! over a `Vec` of [`Host`] records, with its own RNG streams.
+//! The event-loop core: one [`Region`] is one event queue (a `BinaryHeap`
+//! of event keys and, beside it, a FIFO lane for the constant-latency
+//! deliveries that arrive already sorted) over a `Vec` of [`Host`]
+//! records, with its own RNG streams.
 //!
 //! This is the only event loop in the crate.
 //! [`Simulator`](crate::sim::Simulator) owns `SimConfig::regions` of them;
@@ -20,7 +22,7 @@ use crate::sim::{
 use crate::tcp::{TcpDropStats, TcpEvent, TcpStack};
 use crate::time::Nanos;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Seed salt separating the fault-injection RNG stream from the
 /// application-visible one: enabling faults must not shift a single draw
@@ -102,11 +104,84 @@ enum EventKind {
     TcpTick(LocalId),
 }
 
-/// A queued event as the heap sees it: `(time, seq, slot)`. `(time, seq)`
+/// A queued event as the queue sees it: `(time, seq, slot)`. `(time, seq)`
 /// orders it — `seq` is unique, so `slot` never breaks a tie — and `slot`
 /// names its [`EventKind`] in [`Region`]'s payload slab. Sifting moves
 /// these 24 bytes, not an 80-byte event with its packet inline.
-type EventKey = Reverse<(Nanos, u64, u32)>;
+type EventKey = (Nanos, u64, u32);
+
+/// A region's pending events: a min-heap of keys plus a sorted FIFO lane.
+///
+/// Almost every event of a flood is a packet due exactly `latency` after
+/// a `now` that never decreases, so those keys are born in `(time, seq)`
+/// order: [`push_in_order`](Self::push_in_order) appends them to the lane
+/// in O(1), and they never sift. A key that would break the lane's order
+/// (a packet jitter or reordering moved earlier) falls back to the heap,
+/// as do timers, TCP ticks, starts and cross-region mail
+/// ([`push`](Self::push)). A pop takes the smaller head; `seq` is unique,
+/// so the pop order is exactly that of one heap holding every key.
+///
+/// Simpler than a calendar queue: no bucket width to tune and no resize,
+/// and the events that dominate cost O(1) either way.
+struct EventQueue {
+    heap: BinaryHeap<Reverse<EventKey>>,
+    /// Sorted ascending; only ever appended at the back and popped at the
+    /// front. Not preallocated: it grows to the peak number of packets in
+    /// flight and keeps that capacity.
+    lane: VecDeque<EventKey>,
+}
+
+impl EventQueue {
+    fn with_capacity(capacity: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            lane: VecDeque::new(),
+        }
+    }
+
+    fn push(&mut self, key: EventKey) {
+        self.heap.push(Reverse(key));
+    }
+
+    /// Appends `key` to the lane when it sorts at or after the lane's
+    /// back, and pushes it on the heap otherwise.
+    fn push_in_order(&mut self, key: EventKey) {
+        if self.lane.back().is_none_or(|&back| back <= key) {
+            self.lane.push_back(key);
+        } else {
+            self.push(key);
+        }
+    }
+
+    /// The smallest key, and whether it heads the lane.
+    fn head(&self) -> Option<(EventKey, bool)> {
+        let heap = self.heap.peek().map(|&Reverse(key)| key);
+        match (heap, self.lane.front().copied()) {
+            (Some(h), Some(l)) => Some(if l < h { (l, true) } else { (h, false) }),
+            (Some(h), None) => Some((h, false)),
+            (None, lane) => lane.map(|l| (l, true)),
+        }
+    }
+
+    /// Time of the earliest queued event.
+    fn next_time(&self) -> Option<Nanos> {
+        self.head().map(|((time, _, _), _)| time)
+    }
+
+    /// Removes and returns the smallest key if it is due before `hi_excl`.
+    fn pop_before(&mut self, hi_excl: Nanos) -> Option<EventKey> {
+        let (key, in_lane) = self.head()?;
+        if key.0 >= hi_excl {
+            return None;
+        }
+        if in_lane {
+            self.lane.pop_front();
+        } else {
+            self.heap.pop();
+        }
+        Some(key)
+    }
+}
 
 /// One host: everything an event on it reads, in one record.
 pub(crate) struct Host {
@@ -118,7 +193,8 @@ pub(crate) struct Host {
     tick_at: Option<Nanos>,
     pub(crate) ip: Ipv4,
     /// Whether this host's stack runs the reliable transport, now or
-    /// once it is built.
+    /// once it is built. Kept equal to the stack's own flag, so
+    /// [`Region::arm_tcp_tick`] can skip the deadline walk without it.
     reliable: bool,
     /// `None` only while one of its callbacks runs.
     pub(crate) app: Option<Box<dyn App>>,
@@ -182,7 +258,7 @@ pub(crate) struct Mail {
 pub(crate) struct Region {
     id: RegionId,
     pub(crate) now: Nanos,
-    queue: BinaryHeap<EventKey>,
+    queue: EventQueue,
     /// Payloads of the queued events, indexed by their key's slot.
     slab: Vec<Option<EventKind>>,
     /// Vacant `slab` slots, reused last-freed first.
@@ -191,6 +267,10 @@ pub(crate) struct Region {
     pub(crate) hosts: Vec<Host>,
     /// The callback outputs, reused: drained after every callback.
     outbox: Outbox,
+    /// Transport events and replies of one segment delivery, reused:
+    /// filled by [`TcpStack::handle_segment_into`], drained right after.
+    tcp_events: Vec<TcpEvent>,
+    tcp_replies: Vec<Packet>,
     // --- per-region streams and stats ---
     rng: SimRng,
     fault_rng: SimRng,
@@ -211,12 +291,14 @@ impl Region {
         Region {
             id,
             now: 0,
-            queue: BinaryHeap::with_capacity(QUEUE_PREALLOC),
+            queue: EventQueue::with_capacity(QUEUE_PREALLOC),
             slab: Vec::with_capacity(QUEUE_PREALLOC),
             free: Vec::new(),
             next_seq: 0,
             hosts: Vec::new(),
             outbox: Outbox::default(),
+            tcp_events: Vec::new(),
+            tcp_replies: Vec::new(),
             rng: SimRng::new(seed ^ salt),
             fault_rng: SimRng::new((seed ^ FAULT_RNG_SALT) ^ salt),
             fault_stats: FaultStats::default(),
@@ -258,8 +340,7 @@ impl Region {
 
     /// Time of the earliest queued event or staged cross-region packet.
     pub(crate) fn next_due(&self) -> Option<Nanos> {
-        let queued = self.queue.peek().map(|&Reverse((time, _, _))| time);
-        match (queued, self.mail_due) {
+        match (self.queue.next_time(), self.mail_due) {
             (Some(q), Some(m)) => Some(q.min(m)),
             (q, m) => q.or(m),
         }
@@ -274,6 +355,12 @@ impl Region {
     }
 
     fn push_event(&mut self, time: Nanos, kind: EventKind) {
+        let key = self.store(time, kind);
+        self.queue.push(key);
+    }
+
+    /// Stores `kind` in the slab and returns its key, with the next `seq`.
+    fn store(&mut self, time: Nanos, kind: EventKind) -> EventKey {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -286,7 +373,7 @@ impl Region {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.queue.push(Reverse((time, seq, slot)));
+        (time, seq, slot)
     }
 
     /// Schedules `packet` for delivery after the link latency, subject to
@@ -337,19 +424,19 @@ impl Region {
                 self.mail_due = Some(self.mail_due.map_or(time, |due| due.min(time)));
                 self.outbound[r as usize].push(Mail { time, packet, dst });
             }
-            None => self.push_event(time, EventKind::Deliver(packet, dst.map(|(_, l)| l))),
+            None => {
+                // At constant latency this key sorts after every packet
+                // already in flight: it joins the lane.
+                let key = self.store(time, EventKind::Deliver(packet, dst.map(|(_, l)| l)));
+                self.queue.push_in_order(key);
+            }
         }
     }
 
     /// Executes every queued event with `time < hi_excl`, leaving later
     /// events (and staged cross-region mail) untouched.
     pub(crate) fn run_window(&mut self, net: &Net<'_>, hi_excl: Nanos) {
-        // A single peek guards each pop.
-        while let Some(&Reverse((time, _, slot))) = self.queue.peek() {
-            if time >= hi_excl {
-                break;
-            }
-            self.queue.pop();
+        while let Some((time, _, slot)) = self.queue.pop_before(hi_excl) {
             let kind = self.slab[slot as usize]
                 .take()
                 .expect("queued event has a payload");
@@ -418,23 +505,29 @@ impl Region {
             }
             PacketBody::Tcp(seg) => {
                 let mut app = host.app.take().expect("app present");
-                let (events, replies) = host.tcp_at(self.now).handle_segment(
+                let mut events = std::mem::take(&mut self.tcp_events);
+                let mut replies = std::mem::take(&mut self.tcp_replies);
+                host.tcp_at(self.now).handle_segment_into(
                     packet.src,
                     packet.dst,
                     seg,
                     &mut |peer| app.on_accept(peer),
+                    &mut events,
+                    &mut replies,
                 );
                 host.app = Some(app);
-                self.transmit(net, i, replies);
-                self.dispatch_tcp_events(net, id, events);
+                self.transmit(net, i, replies.drain(..));
+                self.tcp_replies = replies;
+                self.dispatch_tcp_events(net, id, &mut events);
+                self.tcp_events = events;
                 self.arm_tcp_tick(id);
             }
         }
     }
 
-    /// Hands transport events to the host's app.
-    fn dispatch_tcp_events(&mut self, net: &Net<'_>, id: LocalId, events: Vec<TcpEvent>) {
-        for ev in events {
+    /// Hands transport events to the host's app, draining `events`.
+    fn dispatch_tcp_events(&mut self, net: &Net<'_>, id: LocalId, events: &mut Vec<TcpEvent>) {
+        for ev in events.drain(..) {
             self.with_app(net, id, |app, ctx| match &ev {
                 TcpEvent::Connected { id, peer, inbound } => {
                     app.on_connected(ctx, *id, *peer, *inbound)
@@ -456,17 +549,22 @@ impl Region {
             return; // stale tick
         }
         host.tick_at = None;
-        let (events, replies) = host.tcp_at(self.now).poll();
+        let (mut events, replies) = host.tcp_at(self.now).poll();
         self.transmit(net, i, replies);
-        self.dispatch_tcp_events(net, id, events);
+        self.dispatch_tcp_events(net, id, &mut events);
         self.arm_tcp_tick(id);
     }
 
     /// (Re-)arms the host's retransmission tick at its earliest TCP
     /// deadline. No-op for hosts without a stack or without pending
     /// retransmissions — clean non-reliable runs never see a tick event.
+    /// An unreliable stack never sets a deadline, so its sockets are not
+    /// walked at all.
     fn arm_tcp_tick(&mut self, id: LocalId) {
         let host = &mut self.hosts[id as usize];
+        if !host.reliable {
+            return;
+        }
         let Some(deadline) = host.tcp().and_then(TcpStack::next_deadline) else {
             return;
         };
@@ -518,5 +616,93 @@ impl Region {
             counters.tx_bytes += p.wire_len() as u64;
             self.send_packet(net, p);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drives an [`EventQueue`] and one plain heap with the same pushes
+    /// and pops: constant-latency keys (lane-eligible), jittered keys
+    /// (some below the lane's back), equal times and heap-only keys.
+    #[test]
+    fn heap_plus_lane_pops_in_single_heap_order() {
+        const LATENCY: Nanos = 100;
+        for seed in 0..32 {
+            let mut rng = SimRng::new(seed);
+            let mut queue = EventQueue::with_capacity(0);
+            let mut reference = BinaryHeap::new();
+            let (mut popped, mut expected) = (Vec::new(), Vec::new());
+            let mut now: Nanos = 0;
+            for seq in 0..2_000u64 {
+                let slot = seq as u32;
+                match rng.gen_range(6) {
+                    // Packets at constant latency, often several at one `now`.
+                    0..=2 => {
+                        let key = (now + LATENCY, seq, slot);
+                        queue.push_in_order(key);
+                        reference.push(Reverse(key));
+                    }
+                    // A jittered packet: may sort below the lane's back.
+                    3 => {
+                        let key = (now + LATENCY - 50 + rng.gen_range(101), seq, slot);
+                        queue.push_in_order(key);
+                        reference.push(Reverse(key));
+                    }
+                    // Timers and ticks: heap only, at any time from now.
+                    4 => {
+                        let key = (now + rng.gen_range(3 * LATENCY), seq, slot);
+                        queue.push(key);
+                        reference.push(Reverse(key));
+                    }
+                    // Run a window: pop everything due before a horizon.
+                    _ => {
+                        let hi = now + rng.gen_range(2 * LATENCY);
+                        while let Some(key) = queue.pop_before(hi) {
+                            now = key.0;
+                            popped.push(key);
+                        }
+                        while reference.peek().is_some_and(|Reverse(k)| k.0 < hi) {
+                            expected.extend(reference.pop().map(|Reverse(k)| k));
+                        }
+                    }
+                }
+                assert_eq!(queue.next_time(), reference.peek().map(|Reverse(k)| k.0));
+            }
+            popped.extend(std::iter::from_fn(|| queue.pop_before(Nanos::MAX)));
+            expected.extend(std::iter::from_fn(|| reference.pop().map(|Reverse(k)| k)));
+            assert_eq!(popped, expected, "seed {seed}");
+            // Every push is due at or after `now`, so the whole pop
+            // sequence is sorted by `(time, seq)`, as a simulation's is.
+            assert!(popped.windows(2).all(|w| w[0] < w[1]), "seed {seed}");
+        }
+    }
+
+    /// Pushed all at once, the mix pops sorted by `(time, seq)`.
+    #[test]
+    fn heap_plus_lane_drains_sorted() {
+        let mut rng = SimRng::new(7);
+        let mut queue = EventQueue::with_capacity(0);
+        let mut keys = Vec::new();
+        for seq in 0..5_000u64 {
+            let time = match rng.gen_range(4) {
+                0 => 1_000,                        // equal times
+                1 => 1_000 + seq,                  // ascending: the lane
+                2 => rng.gen_range(2_000),         // below the lane's back
+                _ => 1_000 + rng.gen_range(5_000), // jittered
+            };
+            let key = (time, seq, seq as u32);
+            if rng.gen_bool(0.25) {
+                queue.push(key);
+            } else {
+                queue.push_in_order(key);
+            }
+            keys.push(key);
+        }
+        assert!(!queue.lane.is_empty() && !queue.heap.is_empty());
+        keys.sort_unstable();
+        let popped: Vec<EventKey> = std::iter::from_fn(|| queue.pop_before(Nanos::MAX)).collect();
+        assert_eq!(popped, keys);
     }
 }

@@ -153,15 +153,12 @@ impl Ctx<'_> {
 
     /// [`Ctx::send`] for a buffer the caller already owns: segments are
     /// refcounted slices of `data`, so a frame sent to many peers by
-    /// `Bytes::clone` is never copied.
+    /// `Bytes::clone` is never copied, and they go straight into the
+    /// region's reused outbox.
     pub fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> bool {
-        match self.host.tcp_at(self.now).send_bytes(conn, data) {
-            Some(pkts) => {
-                self.out.packets.extend(pkts);
-                true
-            }
-            None => false,
-        }
+        self.host
+            .tcp_at(self.now)
+            .send_bytes_into(conn, data, &mut self.out.packets)
     }
 
     /// Abortively closes a connection (RST).

@@ -315,13 +315,25 @@ impl TcpStack {
     /// refcounted [`Bytes::slice`] of `data`, so the segments (and the
     /// retransmit queue) share `data`'s one allocation.
     pub fn send_bytes(&mut self, id: ConnId, data: Bytes) -> Option<Vec<Packet>> {
-        let key = *self.routes.get(&id)?;
-        let sock = self.socks.get_mut(&key)?;
+        let mut out = Vec::with_capacity(data.len().div_ceil(MSS));
+        self.send_bytes_into(id, data, &mut out).then_some(out)
+    }
+
+    /// [`TcpStack::send_bytes`] into a caller-owned buffer: appends the
+    /// segments to `out` and returns `false` (appending nothing) if the
+    /// connection is not established. The simulator sends this way into
+    /// its reused outbox, so a send allocates nothing.
+    pub fn send_bytes_into(&mut self, id: ConnId, data: Bytes, out: &mut Vec<Packet>) -> bool {
+        let Some(&key) = self.routes.get(&id) else {
+            return false;
+        };
+        let Some(sock) = self.socks.get_mut(&key) else {
+            return false;
+        };
         if sock.state != TcpState::Established {
-            return None;
+            return false;
         }
         let (local, remote) = key;
-        let mut out = Vec::with_capacity(data.len().div_ceil(MSS));
         let mut off = 0;
         while off < data.len() {
             let end = (off + MSS).min(data.len());
@@ -344,7 +356,7 @@ impl TcpStack {
         if self.reliable && sock.rto_at.is_none() && !sock.rtx.is_empty() {
             sock.rto_at = Some(self.now + self.rto);
         }
-        Some(out)
+        true
     }
 
     /// Closes `id`, producing an RST for the peer (abortive close, which is
@@ -386,12 +398,29 @@ impl TcpStack {
     ) -> (Vec<TcpEvent>, Vec<Packet>) {
         let mut events = Vec::new();
         let mut replies = Vec::new();
+        self.handle_segment_into(src, dst, seg, accept, &mut events, &mut replies);
+        (events, replies)
+    }
+
+    /// [`TcpStack::handle_segment`] into caller-owned buffers: appends the
+    /// app events to `events` and the reply packets to `replies`. The
+    /// simulator keeps one pair per region and drains it after every
+    /// delivery, so a delivered segment allocates nothing.
+    pub fn handle_segment_into(
+        &mut self,
+        src: SockAddr,
+        dst: SockAddr,
+        seg: &TcpSegment,
+        accept: &mut dyn FnMut(SockAddr) -> bool,
+        events: &mut Vec<TcpEvent>,
+        replies: &mut Vec<Packet>,
+    ) {
         // Transport checksum first: a forged segment that fails this is
         // dropped with no application-visible trace.
         let expect = tcp_checksum(src, dst, seg.seq, seg.ack, seg.flags, &seg.payload);
         if expect != seg.checksum {
             self.drops.bad_checksum += 1;
-            return (events, replies);
+            return;
         }
         let key = (dst, src);
         if let Some(sock) = self.socks.get_mut(&key) {
@@ -442,7 +471,7 @@ impl TcpStack {
                         let id = sock.id;
                         self.socks.remove(&key);
                         self.routes.remove(&id);
-                        return (events, replies);
+                        return;
                     }
                     if seg.flags.has(TcpFlags::ACK) {
                         sock.state = TcpState::Established;
@@ -577,7 +606,7 @@ impl TcpStack {
                     }
                 }
             }
-            return (events, replies);
+            return;
         }
         // No socket: maybe a new inbound connection.
         if seg.flags.has(TcpFlags::SYN) && !seg.flags.has(TcpFlags::ACK) {
@@ -592,7 +621,7 @@ impl TcpStack {
                         TcpFlags::RST,
                         Bytes::new(),
                     ));
-                    return (events, replies);
+                    return;
                 }
                 let id = ConnId(self.next_id);
                 self.next_id += 1;
@@ -630,12 +659,11 @@ impl TcpStack {
                     Bytes::new(),
                 ));
             }
-            return (events, replies);
+            return;
         }
         if !seg.flags.has(TcpFlags::RST) {
             self.drops.no_socket += 1;
         }
-        (events, replies)
     }
 
     /// Whether `id` is established.
@@ -657,7 +685,8 @@ impl TcpStack {
     }
 
     /// The earliest retransmission deadline across all sockets, if any
-    /// (always `None` in unreliable mode — the simulator arms no ticks).
+    /// (always `None` in unreliable mode, where no socket sets one; the
+    /// simulator does not ask an unreliable host).
     pub fn next_deadline(&self) -> Option<Nanos> {
         self.socks.values().filter_map(|s| s.rto_at).min()
     }

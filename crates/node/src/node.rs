@@ -562,9 +562,16 @@ impl Node {
     }
 
     /// The post-handshake message handlers; returns without effect for
-    /// messages that need no action.
+    /// messages that need no action. `checksum` is the frame's header
+    /// checksum, already verified against the payload `msg` decoded from.
     #[allow(clippy::too_many_lines)]
-    fn handle_message(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Message) {
+    fn handle_message(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        msg: Message,
+        checksum: [u8; 4],
+    ) {
         // One arm per `Message` variant and no wildcard arm may be added:
         // rustc then refuses a new wire command until it is dispatched
         // here, as `RULES_BY_COMMAND` refuses one without a rule row.
@@ -575,7 +582,10 @@ impl Node {
             // rather than panic.
             Message::Version(_) | Message::Verack => {}
             Message::Ping(n) => {
-                self.send_message(ctx, conn, &Message::Pong(n));
+                // The PONG's payload is the PING's eight bytes, so their
+                // checksums are equal: echo the verified one, hash nothing.
+                let pong = Message::Pong(n).to_frame_with_checksum(self.config.network, checksum);
+                ctx.send_bytes(conn, pong);
             }
             Message::Pong(n) => {
                 if let Some(peer) = self.peers.get_mut(&conn) {

@@ -16,9 +16,11 @@
 //!   (+ interference), verify checksum (**before** any misbehavior
 //!   tracking — BM-DoS vector 2 depends on this ordering), charge decode,
 //!   decode, charge handler, record telemetry, then handshake gate /
-//!   handler. If a frame bans or disconnects the peer mid-batch,
-//!   processing stops there, like the old loop's top-of-iteration peer
-//!   lookup — later frames (and their CPU charges) never happen.
+//!   handler. The handler receives the frame's verified header checksum,
+//!   which a PONG echoes instead of hashing the PING's payload again. If
+//!   a frame bans or disconnects the peer mid-batch, processing stops
+//!   there, like the old loop's top-of-iteration peer lookup — later
+//!   frames (and their CPU charges) never happen.
 //!
 //! A framing error found by the scan (wrong magic, oversized length)
 //! disconnects the peer after the preceding well-formed frames are
@@ -140,7 +142,7 @@ impl Node {
                 );
             }
             if !self.handshake(ctx, conn, &msg) {
-                self.handle_message(ctx, conn, msg);
+                self.handle_message(ctx, conn, msg, raw.header.checksum);
             }
         }
         self.frame_scratch = frames;

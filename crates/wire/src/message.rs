@@ -322,6 +322,20 @@ impl Message {
     /// byte equal to `RawMessage::frame(network, self).to_bytes()`, without
     /// the payload `Vec`, the second buffer and the copy between them.
     pub fn to_frame(&self, network: Network) -> Bytes {
+        self.frame_with(network, payload_checksum)
+    }
+
+    /// [`Message::to_frame`] for a payload whose checksum the caller
+    /// already holds, so no hash is computed. A PONG echoes the PING it
+    /// answers byte for byte, so the PING's verified header checksum is
+    /// the PONG's. The frame is only correct if `checksum` is the
+    /// payload's; the caller vouches for that.
+    pub fn to_frame_with_checksum(&self, network: Network, checksum: [u8; 4]) -> Bytes {
+        self.frame_with(network, |_| checksum)
+    }
+
+    /// Encodes the frame, with `checksum` applied to the encoded payload.
+    fn frame_with(&self, network: Network, checksum: impl FnOnce(&[u8]) -> [u8; 4]) -> Bytes {
         // Sized so every handshake and control reply is one allocation
         // (VERSION, the largest, carries 102 payload bytes): a regrow chain
         // per reply shifts glibc's heap layout enough to move peak RSS.
@@ -332,7 +346,9 @@ impl Message {
         let mut frame = w.into_vec();
         // The placeholder was written first, so the split always succeeds.
         if let Some((head, payload)) = frame.split_first_chunk_mut::<HEADER_SIZE>() {
-            *head = MessageHeader::for_payload(network, self.command(), payload).to_array();
+            let checksum = checksum(payload);
+            *head =
+                MessageHeader::with_checksum(network, self.command(), payload, checksum).to_array();
         }
         Bytes::from(frame)
     }
@@ -467,13 +483,18 @@ impl MessageHeader {
     /// The header of a frame carrying `payload` as `command` on `network`,
     /// with a correct checksum.
     pub fn for_payload(network: Network, command: &str, payload: &[u8]) -> Self {
+        MessageHeader::with_checksum(network, command, payload, payload_checksum(payload))
+    }
+
+    /// [`MessageHeader::for_payload`] with the checksum given, not hashed.
+    fn with_checksum(network: Network, command: &str, payload: &[u8], checksum: [u8; 4]) -> Self {
         MessageHeader {
             magic: network.magic(),
             command: MessageHeader::pad_command(command),
             // Real payloads fit u32 by the MAX_MESSAGE_SIZE cap; an
             // attack-crafted oversize payload saturates the field.
             length: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-            checksum: payload_checksum(payload),
+            checksum,
         }
     }
 
@@ -802,6 +823,27 @@ mod tests {
                 FrameResult::Incomplete => panic!("incomplete frame for {}", msg.command()),
             }
         }
+    }
+
+    #[test]
+    fn frame_with_known_checksum_equals_to_frame() {
+        for msg in sample_messages() {
+            let checksum = payload_checksum(&msg.encode_payload());
+            for net in [Network::Regtest, Network::Mainnet] {
+                assert_eq!(
+                    msg.to_frame_with_checksum(net, checksum),
+                    msg.to_frame(net),
+                    "command {}",
+                    msg.command()
+                );
+            }
+        }
+        // The PING's checksum is the PONG's: same eight payload bytes.
+        let ping = RawMessage::frame(Network::Regtest, &Message::Ping(0xdead));
+        assert_eq!(
+            Message::Pong(0xdead).to_frame_with_checksum(Network::Regtest, ping.header.checksum),
+            Message::Pong(0xdead).to_frame(Network::Regtest)
+        );
     }
 
     #[test]
