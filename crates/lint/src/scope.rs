@@ -115,13 +115,14 @@ pub fn is_recv_path(rel: &str) -> bool {
 /// (full-message handling and decode build owned values by contract), so
 /// allocations behind them are not receive-path regressions.
 pub const HOT_PATH_BOUNDARIES: &[&str] = &[
-    "handle_message", // per-message dispatch: handlers own their allocations
-    "decode",         // Message::decode builds owned payload structures
-    "decode_payload", // the same owned decode, entered by command name
-    "disconnect",     // teardown path, not steady-state
-    "handshake",      // once-per-connection setup, not per-frame
-    "to_frame",       // send path: the frame buffer is the reply's one allocation
-    "from_block",     // builds the owned CMPCTBLOCK, once per broadcast, not per peer
+    "handle_message",  // per-message dispatch: handlers own their allocations
+    "decode",          // Message::decode builds owned payload structures
+    "decode_payload",  // the same owned decode, entered by command name
+    "decode_verified", // the same owned decode, entered by command name
+    "disconnect",      // teardown path, not steady-state
+    "handshake",       // once-per-connection setup, not per-frame
+    "to_frame",        // send path: the frame buffer is the reply's one allocation
+    "from_block",      // builds the owned CMPCTBLOCK, once per broadcast, not per peer
 ];
 
 /// Directory prefix of the ban-score bookkeeping: the `score-arith` scope.

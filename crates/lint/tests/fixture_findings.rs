@@ -47,7 +47,9 @@ fn fixture_workspace_findings_are_exact() {
         // Vec::with_capacity allocates as surely as Vec::new.
         ("crates/node/src/node/recv.rs", 7, "hot-path-alloc"),
         // stage_remainder allocates outside the recv-path file list but is
-        // called per frame: transitive hot-path-alloc with chain.
+        // called per frame: transitive hot-path-alloc with chain. The
+        // per-frame call to decode_verified (wire/src/message.rs) is not
+        // reported: it is a declared boundary.
         ("crates/node/src/staging.rs", 5, "hot-path-alloc"),
         // inverted: par.deque acquired while a let-bound par.pending guard
         // is still live (direct inversion in one body).

@@ -8,6 +8,7 @@ pub fn per_frame(payload: &[u8], scratch: &mut [u8]) {
     frames.extend_from_slice(&copy);
     let tag = decode_extra(payload);
     stage_remainder(payload, tag);
+    decode_verified(payload);
 }
 
 pub fn setup() -> Vec<u8> {

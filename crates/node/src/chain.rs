@@ -133,9 +133,33 @@ impl Chain {
         HeaderVerdict::Accepted { height }
     }
 
-    /// Processes a full block (from a `BLOCK` message).
+    /// Processes a full block (from a `BLOCK` message), storing a copy
+    /// when it is accepted.
     pub fn accept_block(&mut self, block: &Block) -> BlockVerdict {
         let hash = block.hash();
+        let verdict = self.validate_block(hash, block);
+        if let BlockVerdict::Accepted { .. } = verdict {
+            self.blocks.insert(hash, block.clone());
+        }
+        verdict
+    }
+
+    /// [`Chain::accept_block`] for a block the caller hands over: an
+    /// accepted block moves into the store, and nothing is copied. Read
+    /// it back with [`Chain::block`].
+    pub fn accept_block_owned(&mut self, block: Block) -> BlockVerdict {
+        let hash = block.hash();
+        let verdict = self.validate_block(hash, &block);
+        if let BlockVerdict::Accepted { .. } = verdict {
+            self.blocks.insert(hash, block);
+        }
+        verdict
+    }
+
+    /// The checks and header-tree bookkeeping both entry points share.
+    /// On [`BlockVerdict::Accepted`] the header is linked and the tip
+    /// moved; the caller stores the block.
+    fn validate_block(&mut self, hash: Hash256, block: &Block) -> BlockVerdict {
         if self.invalid.contains(&hash) {
             return BlockVerdict::CachedInvalid;
         }
@@ -159,7 +183,6 @@ impl Chain {
             .entry(block.header.prev_block)
             .or_default()
             .push(hash);
-        self.blocks.insert(hash, block.clone());
         let new_tip = height > self.tip_height;
         if new_tip {
             self.tip = hash;
@@ -314,6 +337,26 @@ mod tests {
         extend(&mut c, 5);
         assert_eq!(c.height(), 5);
         assert_eq!(c.best_chain().len(), 6);
+    }
+
+    #[test]
+    fn owned_and_borrowed_accept_agree() {
+        let mut by_ref = Chain::new();
+        let mut by_value = Chain::new();
+        let tip = by_ref.tip();
+        let (hdr, _) = by_ref.headers[&tip];
+        let good = mine_child(&hdr, tip, 1, vec![]);
+        let mut mutated = mine_child(&good.header, good.hash(), 2, vec![]);
+        mutated.txs[0] = Transaction::coinbase(1, b"swapped!");
+        let orphan = mine_child(&hdr, Hash256::hash(b"?"), 3, vec![]);
+        for b in [good.clone(), good.clone(), mutated.clone(), mutated, orphan] {
+            assert_eq!(
+                by_ref.accept_block(&b),
+                by_value.accept_block_owned(b.clone())
+            );
+        }
+        assert_eq!(by_value.block(&good.hash()), Some(&good));
+        assert_eq!(by_ref.best_chain(), by_value.best_chain());
     }
 
     #[test]

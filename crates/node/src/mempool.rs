@@ -38,10 +38,29 @@ impl Mempool {
         }
     }
 
-    /// Runs acceptance checks and inserts on success.
+    /// Runs acceptance checks and inserts a copy on success.
     pub fn accept(&mut self, tx: &Transaction) -> TxVerdict {
-        let txid = tx.txid();
-        if self.txs.contains_key(&txid) {
+        let verdict = self.validate(tx);
+        if verdict == TxVerdict::Accepted {
+            self.txs.insert(tx.txid(), tx.clone());
+        }
+        verdict
+    }
+
+    /// [`Mempool::accept`] for a transaction the caller hands over: on
+    /// success it moves into the pool, and nothing is copied.
+    pub fn accept_owned(&mut self, tx: Transaction) -> TxVerdict {
+        let verdict = self.validate(&tx);
+        if verdict == TxVerdict::Accepted {
+            self.txs.insert(tx.txid(), tx);
+        }
+        verdict
+    }
+
+    /// The acceptance checks both entry points share;
+    /// [`TxVerdict::Accepted`] means "insert it".
+    fn validate(&self, tx: &Transaction) -> TxVerdict {
+        if self.txs.contains_key(&tx.txid()) {
             return TxVerdict::Duplicate;
         }
         if let Err(reason) = tx.check() {
@@ -56,7 +75,6 @@ impl Mempool {
         if self.txs.len() >= self.max_size {
             return TxVerdict::Full;
         }
-        self.txs.insert(txid, tx.clone());
         TxVerdict::Accepted
     }
 
@@ -128,6 +146,27 @@ mod tests {
         assert!(mp.contains(&t.txid()));
         assert_eq!(mp.get(&t.txid()), Some(&t));
         assert_eq!(mp.len(), 1);
+    }
+
+    #[test]
+    fn owned_and_borrowed_accept_agree() {
+        let mut segwit_bad = tx(2);
+        segwit_bad.inputs_mut()[0].witness = vec![vec![0u8; 521]];
+        let cases = [
+            tx(1),
+            tx(1),
+            tx(3),
+            segwit_bad,
+            Transaction::coinbase(50, b"cb"),
+        ];
+        let mut by_ref = Mempool::new(2);
+        let mut by_value = Mempool::new(2);
+        for t in cases {
+            assert_eq!(by_ref.accept(&t), by_value.accept_owned(t.clone()));
+        }
+        assert_eq!(by_value.accept_owned(tx(4)), TxVerdict::Full);
+        assert_eq!(by_ref.txids(), by_value.txids());
+        assert_eq!(by_value.get(&tx(3).txid()), Some(&tx(3)));
     }
 
     #[test]

@@ -100,7 +100,14 @@ pub struct TierChangeRecord {
 /// The full telemetry log of a node.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    /// Every accepted (checksum-valid, decodable) message.
+    /// Every accepted (checksum-valid, decodable) message, in arrival
+    /// order.
+    ///
+    /// **Invariant:** `time` never decreases along the log. Only
+    /// [`Telemetry::record_message`] appends, and the node passes its
+    /// simulation clock, which never runs backwards. The window queries
+    /// binary-search on this order, so a caller that pushes records out of
+    /// order directly gets wrong window counts.
     pub messages: Vec<MsgRecord>,
     /// Outbound reconnection events.
     pub reconnects: Vec<ReconnectRecord>,
@@ -122,8 +129,13 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Records a message arrival.
+    /// Records a message arrival. `time` must not precede the last
+    /// recorded arrival (the order invariant of [`Telemetry::messages`]).
     pub fn record_message(&mut self, time: Nanos, msg_type: MsgTypeId, size: u32, from: SockAddr) {
+        debug_assert!(
+            self.messages.last().is_none_or(|m| m.time <= time),
+            "telemetry messages recorded out of time order"
+        );
         self.messages.push(MsgRecord {
             time,
             msg_type,
@@ -155,15 +167,21 @@ impl Telemetry {
             .count() as u64
     }
 
+    /// The messages within `[start, end)`: two binary searches over the
+    /// time-ordered log. An inverted window (`start > end`) is empty.
+    fn messages_in_window(&self, start: Nanos, end: Nanos) -> &[MsgRecord] {
+        let lo = self.messages.partition_point(|m| m.time < start);
+        let hi = self.messages.partition_point(|m| m.time < end);
+        self.messages.get(lo..hi).unwrap_or_default()
+    }
+
     /// Counts messages per type within `[start, end)`, indexed by
     /// [`MsgTypeId`].
     pub fn counts_in_window(&self, start: Nanos, end: Nanos) -> [u64; 26] {
         let mut out = [0u64; 26];
-        for m in &self.messages {
-            if m.time >= start && m.time < end {
-                if let Some(slot) = out.get_mut(m.msg_type as usize) {
-                    *slot += 1;
-                }
+        for m in self.messages_in_window(start, end) {
+            if let Some(slot) = out.get_mut(m.msg_type as usize) {
+                *slot += 1;
             }
         }
         out
@@ -171,10 +189,7 @@ impl Telemetry {
 
     /// Total messages within `[start, end)`.
     pub fn total_in_window(&self, start: Nanos, end: Nanos) -> u64 {
-        self.messages
-            .iter()
-            .filter(|m| m.time >= start && m.time < end)
-            .count() as u64
+        self.messages_in_window(start, end).len() as u64
     }
 
     /// Reconnections within `[start, end)`.
@@ -188,16 +203,16 @@ impl Telemetry {
     /// The merged, time-ordered event stream within `[start, end)`: the
     /// recorded traffic a streaming detector replays message by message.
     ///
-    /// All source logs are already in arrival order (the node appends as
-    /// simulation time advances); the merge keeps that order and breaks
+    /// The message log is in arrival order (its invariant) and sliced by
+    /// binary search; reconnections and tier changes are scanned, as
+    /// nothing orders them. The merge keeps arrival order and breaks
     /// exact-timestamp ties deterministically (messages, then
     /// reconnections, then tier changes), so replaying the stream is
     /// reproducible.
     pub fn events_in_window(&self, start: Nanos, end: Nanos) -> Vec<TelemetryEvent> {
         let msgs = self
-            .messages
+            .messages_in_window(start, end)
             .iter()
-            .filter(|m| m.time >= start && m.time < end)
             .map(|m| TelemetryEvent {
                 time: m.time,
                 peer: m.from,
@@ -235,6 +250,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btc_netsim::prop::{check, Gen};
     use btc_netsim::time::SECS;
 
     fn from(last: u8) -> SockAddr {
@@ -319,5 +335,144 @@ mod tests {
         );
         assert_eq!(t.tier_changes_in_window(0, 5 * SECS), 1);
         assert_eq!(t.tier_changes_in_window(0, 6 * SECS), 2);
+    }
+
+    /// The linear-filter window queries the binary-search ones replaced,
+    /// kept as the oracle for `window_queries_match_linear_filter`.
+    mod oracle {
+        use super::*;
+
+        fn in_window(time: Nanos, start: Nanos, end: Nanos) -> bool {
+            time >= start && time < end
+        }
+
+        pub fn counts(t: &Telemetry, start: Nanos, end: Nanos) -> [u64; 26] {
+            let mut out = [0u64; 26];
+            for m in &t.messages {
+                if in_window(m.time, start, end) {
+                    if let Some(slot) = out.get_mut(m.msg_type as usize) {
+                        *slot += 1;
+                    }
+                }
+            }
+            out
+        }
+
+        pub fn total(t: &Telemetry, start: Nanos, end: Nanos) -> u64 {
+            t.messages
+                .iter()
+                .filter(|m| in_window(m.time, start, end))
+                .count() as u64
+        }
+
+        pub fn events(t: &Telemetry, start: Nanos, end: Nanos) -> Vec<TelemetryEvent> {
+            let msgs = t
+                .messages
+                .iter()
+                .filter(|m| in_window(m.time, start, end))
+                .map(|m| TelemetryEvent {
+                    time: m.time,
+                    peer: m.from,
+                    kind: TelemetryEventKind::Message(m.msg_type),
+                });
+            let recs = t
+                .reconnects
+                .iter()
+                .filter(|r| in_window(r.time, start, end))
+                .map(|r| TelemetryEvent {
+                    time: r.time,
+                    peer: r.lost,
+                    kind: TelemetryEventKind::Reconnect,
+                });
+            let tiers = t
+                .tier_changes
+                .iter()
+                .filter(|c| in_window(c.time, start, end))
+                .map(|c| TelemetryEvent {
+                    time: c.time,
+                    peer: c.peer,
+                    kind: TelemetryEventKind::TierChange {
+                        from: c.from,
+                        to: c.to,
+                    },
+                });
+            let mut out: Vec<TelemetryEvent> = msgs.chain(recs).chain(tiers).collect();
+            out.sort_by_key(|e| e.time);
+            out
+        }
+    }
+
+    /// An in-order log: empty, all one timestamp, or a walk whose steps are
+    /// often zero, so runs of ties land on the window edges. Reconnects and
+    /// tier changes are unordered, as the node may record them.
+    fn arb_log(g: &mut Gen) -> Telemetry {
+        let mut t = Telemetry::default();
+        let n = g.len_in(0, 200);
+        let shape = g.u8() % 3;
+        let mut time = g.u64_in(0, 1_000);
+        for _ in 0..n {
+            time += match shape {
+                0 => 0,
+                _ if g.bool() => 0,
+                _ => g.u64_in(1, 50),
+            };
+            let kind = (g.u8() % 26) as MsgTypeId;
+            t.record_message(time, kind, g.u32(), from(g.u8()));
+        }
+        for _ in 0..g.len_in(0, 8) {
+            t.record_reconnect(g.u64_in(0, time + 100), from(g.u8()));
+        }
+        for _ in 0..g.len_in(0, 8) {
+            let (a, b) = (Tier::Normal, Tier::Probation);
+            t.record_tier_change(g.u64_in(0, time + 100), from(g.u8()), a, b);
+        }
+        t
+    }
+
+    /// A window bound: a recorded timestamp or its neighbour (the tie
+    /// edges), before the log, after it, or anywhere.
+    fn arb_bound(g: &mut Gen, t: &Telemetry) -> Nanos {
+        let last = t.messages.last().map_or(0, |m| m.time);
+        match g.u8() % 5 {
+            0 if !t.messages.is_empty() => {
+                let m = t.messages[g.usize_in(0, t.messages.len())];
+                m.time.saturating_add(g.u64_in(0, 3)).saturating_sub(1)
+            }
+            1 => 0,
+            2 => last + g.u64_in(1, 100),
+            3 => Nanos::MAX,
+            _ => g.u64_in(0, last + 2),
+        }
+    }
+
+    #[test]
+    fn window_queries_match_linear_filter() {
+        check("window_queries_match_linear_filter", |g| {
+            let t = arb_log(g);
+            for _ in 0..16 {
+                let start = arb_bound(g, &t);
+                // Empty (`end == start`) and inverted windows included.
+                let end = match g.u8() % 4 {
+                    0 => start,
+                    1 => start.saturating_sub(g.u64_in(1, 40)),
+                    _ => arb_bound(g, &t),
+                };
+                assert_eq!(
+                    t.counts_in_window(start, end),
+                    oracle::counts(&t, start, end),
+                    "counts in [{start}, {end})"
+                );
+                assert_eq!(
+                    t.total_in_window(start, end),
+                    oracle::total(&t, start, end),
+                    "total in [{start}, {end})"
+                );
+                assert_eq!(
+                    t.events_in_window(start, end),
+                    oracle::events(&t, start, end),
+                    "events in [{start}, {end})"
+                );
+            }
+        });
     }
 }

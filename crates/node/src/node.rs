@@ -341,16 +341,14 @@ impl Node {
     fn flush_local_submissions(&mut self, ctx: &mut Ctx<'_>) {
         for block in std::mem::take(&mut self.pending_local_blocks) {
             let hash = block.hash();
-            if let BlockVerdict::Accepted { .. } = self.chain.accept_block(&block) {
-                for tx in &block.txs {
-                    self.mempool.remove(&tx.txid());
-                }
+            if let BlockVerdict::Accepted { .. } = self.chain.accept_block_owned(block) {
+                self.evict_confirmed(&hash);
                 self.broadcast_inv(ctx, Inventory::new(InvType::Block, hash), None);
             }
         }
         for tx in std::mem::take(&mut self.pending_local_txs) {
             let txid = tx.txid();
-            if self.mempool.accept(&tx) == TxVerdict::Accepted {
+            if self.mempool.accept_owned(tx) == TxVerdict::Accepted {
                 self.broadcast_inv(ctx, Inventory::new(InvType::Tx, txid), None);
             }
         }
@@ -617,25 +615,30 @@ impl Node {
                     .collect();
                 self.send_message(ctx, conn, &Message::Addr(list));
             }
-            Message::Inv(invs) => {
-                if invs.len() as u64 > MAX_INV_SZ {
+            Message::Inv(mut wanted) => {
+                if wanted.len() as u64 > MAX_INV_SZ {
                     self.misbehaving(ctx, conn, Misbehavior::InvOversize);
                     return;
                 }
-                let mut wanted = Vec::new();
-                for inv in invs {
-                    let known = match inv.kind {
-                        InvType::Tx | InvType::WitnessTx => self.mempool.contains(&inv.hash),
-                        InvType::Block | InvType::WitnessBlock | InvType::CmpctBlock => {
-                            self.chain.has_block(&inv.hash)
-                        }
-                        _ => true,
-                    };
-                    if !known {
-                        wanted.push(inv);
+                let announced = wanted.len();
+                let (mempool, chain) = (&self.mempool, &self.chain);
+                wanted.retain(|inv| match inv.kind {
+                    InvType::Tx | InvType::WitnessTx => !mempool.contains(&inv.hash),
+                    InvType::Block | InvType::WitnessBlock | InvType::CmpctBlock => {
+                        !chain.has_block(&inv.hash)
                     }
-                }
-                if !wanted.is_empty() {
+                    _ => false,
+                });
+                if wanted.len() == announced && !wanted.is_empty() {
+                    // Every item is wanted: INV and GETDATA share one
+                    // encoding and `wanted` re-encodes the decoded INV
+                    // byte for byte, so the verified checksum is the
+                    // GETDATA's. Echo it, hash nothing.
+                    let network = self.config.network;
+                    let getdata =
+                        Message::GetData(wanted).to_frame_with_checksum(network, checksum);
+                    ctx.send_bytes(conn, getdata);
+                } else if !wanted.is_empty() {
                     self.send_message(ctx, conn, &Message::GetData(wanted));
                 }
             }
@@ -780,7 +783,7 @@ impl Node {
             }
             Message::Tx(tx) => {
                 let txid = tx.txid();
-                match self.mempool.accept(&tx) {
+                match self.mempool.accept_owned(tx) {
                     TxVerdict::InvalidSegwit(_) => {
                         self.misbehaving(ctx, conn, Misbehavior::TxInvalidSegwit);
                     }
@@ -791,7 +794,7 @@ impl Node {
                 }
             }
             Message::Block(block) => {
-                self.process_block(ctx, conn, &block);
+                self.process_block(ctx, conn, block);
             }
             Message::Mempool => {
                 let invs: Vec<Inventory> = self
@@ -863,7 +866,7 @@ impl Node {
                 let mempool = &self.mempool;
                 match cb.reconstruct(&|sid| mempool.by_short_id(keys, sid)) {
                     Ok(block) => {
-                        self.process_block(ctx, conn, &block);
+                        self.process_block(ctx, conn, block);
                     }
                     Err(missing) => {
                         let hash = cb.header.hash();
@@ -932,15 +935,25 @@ impl Node {
                         .or_else(|| supplied.borrow_mut().next().cloned())
                 });
                 if let Ok(block) = reconstructed {
-                    self.process_block(ctx, conn, &block);
+                    self.process_block(ctx, conn, block);
                 }
             }
         }
     }
 
-    fn process_block(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, block: &btc_wire::Block) {
+    /// Evicts the transactions of the stored block `hash` from the
+    /// mempool: they are confirmed.
+    fn evict_confirmed(&mut self, hash: &Hash256) {
+        if let Some(block) = self.chain.block(hash) {
+            for tx in &block.txs {
+                self.mempool.remove(&tx.txid());
+            }
+        }
+    }
+
+    fn process_block(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, block: btc_wire::Block) {
         let hash = block.hash();
-        match self.chain.accept_block(block) {
+        match self.chain.accept_block_owned(block) {
             BlockVerdict::Accepted { .. } => {
                 if let Some(addr) = self.peers.get(&conn).map(|p| p.addr) {
                     match self.config.peer_policy {
@@ -954,9 +967,7 @@ impl Node {
                         PeerPolicy::Stock | PeerPolicy::NeverBan | PeerPolicy::Disabled => {}
                     }
                 }
-                for tx in &block.txs {
-                    self.mempool.remove(&tx.txid());
-                }
+                self.evict_confirmed(&hash);
                 self.broadcast_inv(ctx, Inventory::new(InvType::Block, hash), Some(conn));
             }
             BlockVerdict::Duplicate => {}

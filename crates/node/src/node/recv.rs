@@ -16,11 +16,14 @@
 //!   (+ interference), verify checksum (**before** any misbehavior
 //!   tracking — BM-DoS vector 2 depends on this ordering), charge decode,
 //!   decode, charge handler, record telemetry, then handshake gate /
-//!   handler. The handler receives the frame's verified header checksum,
-//!   which a PONG echoes instead of hashing the PING's payload again. If
-//!   a frame bans or disconnects the peer mid-batch, processing stops
-//!   there, like the old loop's top-of-iteration peer lookup — later
-//!   frames (and their CPU charges) never happen.
+//!   handler. The checksum stage hashes the payload once: the decoder
+//!   receives its full digest, which a legacy TX takes as its txid, and
+//!   the handler receives the frame's verified header checksum, which a
+//!   PONG (and a GETDATA asking for every item of an INV) echoes instead
+//!   of hashing the same payload bytes again. If a frame bans or
+//!   disconnects the peer mid-batch, processing stops there, like the old
+//!   loop's top-of-iteration peer lookup — later frames (and their CPU
+//!   charges) never happen.
 //!
 //! A framing error found by the scan (wrong magic, oversized length)
 //! disconnects the peer after the preceding well-formed frames are
@@ -81,7 +84,7 @@ impl Node {
             // Stage 2: checksum. The victim pays the hash pass for every
             // frame, valid or not.
             ctx.charge_cpu(self.config.cost.checksum_cost(raw.payload.len()));
-            if verify_checksum(&raw).is_err() {
+            let Ok(digest) = verify_checksum(&raw) else {
                 // BM-DoS vector 2: dropped before misbehavior tracking;
                 // the sender's score never moves.
                 self.telemetry.bad_checksum_frames += 1;
@@ -91,7 +94,7 @@ impl Node {
                     self.misbehaving(ctx, conn, Misbehavior::ChecksumCorrupt);
                 }
                 continue;
-            }
+            };
             // Trust-tier policy only: account the frame against the peer's
             // flood-pressure bucket and, for graylisted peers, the service
             // rate limit — before the node pays the decode cost. A no-op
@@ -116,12 +119,13 @@ impl Node {
                     continue;
                 }
             }
-            // Stage 3: decode.
+            // Stage 3: decode, reusing the verified digest (a legacy TX
+            // takes it as its txid instead of hashing the payload again).
             ctx.charge_cpu(self.config.cost.decode_cost(raw.payload.len()));
             let decoded: DecodeResult<Message> = raw
                 .header
                 .command_str()
-                .and_then(|cmd| Message::decode_payload(cmd, &raw.payload));
+                .and_then(|cmd| Message::decode_verified(cmd, &raw.payload, digest));
             let msg = match decoded {
                 Ok(m) => m,
                 Err(_) => {

@@ -1,7 +1,8 @@
-//! The PONG echo: a node answers a PING with a PONG whose header reuses
-//! the PING's verified checksum instead of hashing the payload again. The
-//! frame must be byte for byte the one `Message::Pong(n).to_frame` builds,
-//! and a PING that fails its checksum must never be answered.
+//! The checksum echoes: a node answers a PING with a PONG, and an INV
+//! whose every item it wants with a GETDATA, whose header reuses the
+//! request's verified checksum instead of hashing the same payload bytes
+//! again. Each frame must be byte for byte the one `to_frame` builds, and
+//! a request that fails its checksum must never be answered.
 
 use btc_netsim::packet::SockAddr;
 use btc_netsim::prop::Gen;
@@ -11,7 +12,7 @@ use btc_netsim::time::SECS;
 use btc_node::node::{Node, NodeConfig};
 use btc_wire::drain::FrameAssembler;
 use btc_wire::message::{Message, RawMessage, VersionMessage};
-use btc_wire::types::{NetAddr, Network};
+use btc_wire::types::{Hash256, InvType, Inventory, NetAddr, Network};
 use std::any::Any;
 
 const NODE: [u8; 4] = [10, 0, 0, 1];
@@ -37,11 +38,11 @@ impl Probe {
         }
     }
 
-    /// The PONG frames received, as wire bytes.
-    fn pongs(&self) -> Vec<Vec<u8>> {
+    /// The `command` frames received, as wire bytes.
+    fn replies(&self, command: &str) -> Vec<Vec<u8>> {
         self.received
             .iter()
-            .filter(|raw| raw.header.command_str() == Ok("pong"))
+            .filter(|raw| raw.header.command_str() == Ok(command))
             .map(|raw| raw.to_bytes().to_vec())
             .collect()
     }
@@ -90,8 +91,8 @@ impl App for Probe {
 }
 
 /// Runs one node and one probe sending `script`; returns the probe's
-/// PONGs and the node's bad-checksum count.
-fn run(script: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, u64) {
+/// `reply` frames and the node's bad-checksum count.
+fn run_for(reply: &str, script: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, u64) {
     let mut sim = Simulator::new(SimConfig::default());
     sim.add_host(
         NODE,
@@ -103,7 +104,12 @@ fn run(script: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, u64) {
     let probe: &Probe = sim.app(PROBE).expect("probe");
     assert!(probe.handshaked, "handshake did not complete");
     let node: &Node = sim.app(NODE).expect("node");
-    (probe.pongs(), node.telemetry.bad_checksum_frames)
+    (probe.replies(reply), node.telemetry.bad_checksum_frames)
+}
+
+/// [`run_for`] collecting PONGs.
+fn run(script: Vec<Vec<u8>>) -> (Vec<Vec<u8>>, u64) {
+    run_for("pong", script)
 }
 
 #[test]
@@ -135,4 +141,89 @@ fn ping_with_corrupted_checksum_gets_no_pong() {
         "the corrupted PING is counted as a bad-checksum frame"
     );
     assert_eq!(pongs, vec![Message::Pong(0x600D).to_frame(NET).to_vec()]);
+}
+
+/// Every `InvType` a node may want, each announcing a hash it cannot know.
+fn wantable(g: &mut Gen, n: usize) -> Vec<Inventory> {
+    let kinds = [
+        InvType::Tx,
+        InvType::WitnessTx,
+        InvType::Block,
+        InvType::WitnessBlock,
+        InvType::CmpctBlock,
+    ];
+    (0..n)
+        .map(|_| Inventory::new(*g.choose(&kinds), Hash256::from(g.array32())))
+        .collect()
+}
+
+#[test]
+fn getdata_for_every_announced_item_is_byte_identical_to_a_framed_one() {
+    let mut g = Gen::new(0x6E7D_A7A0, 64);
+    let invs: Vec<Vec<Inventory>> = (1..=24).map(|n| wantable(&mut g, n % 7 + 1)).collect();
+    let script = invs
+        .iter()
+        .map(|inv| Message::Inv(inv.clone()).to_frame(NET).to_vec())
+        .collect();
+    let (getdatas, bad) = run_for("getdata", script);
+    let want: Vec<Vec<u8>> = invs
+        .into_iter()
+        .map(|inv| Message::GetData(inv).to_frame(NET).to_vec())
+        .collect();
+    assert_eq!(getdatas, want);
+    assert_eq!(bad, 0);
+}
+
+#[test]
+fn getdata_for_some_announced_items_is_freshly_hashed() {
+    // The node already holds the genesis block and never fetches
+    // FILTERED_BLOCK or unknown types: the GETDATA lists only the rest,
+    // and its checksum must be the subset's, not the INV's.
+    let genesis = btc_node::chain::genesis_block().hash();
+    let mut g = Gen::new(0x5B5E_7000, 64);
+    let mut cases = Vec::new();
+    for known in [
+        Inventory::new(InvType::Block, genesis),
+        Inventory::new(InvType::FilteredBlock, Hash256::from(g.array32())),
+        Inventory::new(InvType::Error(7), Hash256::from(g.array32())),
+    ] {
+        let wanted = wantable(&mut g, 3);
+        let mut announced = wanted.clone();
+        announced.insert(1, known);
+        cases.push((announced, wanted));
+    }
+    let script = cases
+        .iter()
+        .map(|(announced, _)| Message::Inv(announced.clone()).to_frame(NET).to_vec())
+        .collect();
+    let (getdatas, bad) = run_for("getdata", script);
+    let want: Vec<Vec<u8>> = cases
+        .into_iter()
+        .map(|(_, wanted)| Message::GetData(wanted).to_frame(NET).to_vec())
+        .collect();
+    assert_eq!(getdatas, want);
+    assert_eq!(bad, 0);
+}
+
+#[test]
+fn empty_or_corrupted_inv_gets_no_getdata() {
+    let mut g = Gen::new(0xC0_4417, 64);
+    let empty = Message::Inv(Vec::new()).to_frame(NET).to_vec();
+    let mut corrupt = Message::Inv(wantable(&mut g, 2)).to_frame(NET).to_vec();
+    corrupt[20] ^= 0x5a; // first checksum byte
+    let good = wantable(&mut g, 1);
+    let script = vec![
+        empty,
+        corrupt,
+        Message::Inv(good.clone()).to_frame(NET).to_vec(),
+    ];
+    let (getdatas, bad) = run_for("getdata", script);
+    assert_eq!(
+        bad, 1,
+        "the corrupted INV is counted as a bad-checksum frame"
+    );
+    assert_eq!(
+        getdatas,
+        vec![Message::GetData(good).to_frame(NET).to_vec()]
+    );
 }

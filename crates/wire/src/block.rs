@@ -181,7 +181,8 @@ impl Block {
         if self.txs.is_empty() {
             return Err("bad-blk-length");
         }
-        if self.merkle_root() != self.header.merkle_root {
+        let mut leaves: Vec<Hash256> = self.txs.iter().map(Transaction::txid).collect();
+        if merkle_root(&leaves) != self.header.merkle_root {
             return Err("bad-txnmrklroot");
         }
         if !self.txs.first().is_some_and(Transaction::is_coinbase) {
@@ -190,10 +191,17 @@ impl Block {
         if self.txs.iter().skip(1).any(Transaction::is_coinbase) {
             return Err("bad-cb-multiple");
         }
-        // Duplicate txids would produce a malleated merkle tree (CVE-2012-2459).
-        let mut seen = std::collections::BTreeSet::new();
+        // Duplicate txids would produce a malleated merkle tree
+        // (CVE-2012-2459). Sorting the leaves finds one without a set per
+        // block; only a block that has one pays the in-order set, so the
+        // first reject reason is the one a transaction-by-transaction scan
+        // reports.
+        let n = leaves.len();
+        leaves.sort_unstable();
+        leaves.dedup();
+        let mut seen = (leaves.len() != n).then(std::collections::BTreeSet::new);
         for tx in &self.txs {
-            if !seen.insert(tx.txid()) {
+            if seen.as_mut().is_some_and(|seen| !seen.insert(tx.txid())) {
                 return Err("bad-txns-duplicate");
             }
             tx.check()?;
@@ -410,6 +418,125 @@ mod tests {
         b.header.merkle_root = b.merkle_root();
         b.header.mine();
         assert_eq!(b.check(), Err("bad-txns-duplicate"));
+    }
+
+    /// `Block::check` before the sorted duplicate scan: one set, filled
+    /// in transaction order. The oracle of the reject-reason tests.
+    fn check_in_order(b: &Block) -> Result<(), &'static str> {
+        if !b.header.check_pow() {
+            return Err("high-hash");
+        }
+        if b.txs.is_empty() {
+            return Err("bad-blk-length");
+        }
+        if b.merkle_root() != b.header.merkle_root {
+            return Err("bad-txnmrklroot");
+        }
+        if !b.txs.first().is_some_and(Transaction::is_coinbase) {
+            return Err("bad-cb-missing");
+        }
+        if b.txs.iter().skip(1).any(Transaction::is_coinbase) {
+            return Err("bad-cb-multiple");
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for tx in &b.txs {
+            if !seen.insert(tx.txid()) {
+                return Err("bad-txns-duplicate");
+            }
+            tx.check()?;
+            tx.check_witness()?;
+        }
+        Ok(())
+    }
+
+    /// A spend of `tag`'s output, distinct per tag.
+    fn spend(tag: u8) -> Transaction {
+        Transaction::new(
+            1,
+            vec![crate::tx::TxIn::new(crate::tx::OutPoint::new(
+                Hash256::hash(&[tag]),
+                0,
+            ))],
+            vec![crate::tx::TxOut::new(1, vec![0x51])],
+            0,
+        )
+    }
+
+    /// `Transaction::check` rejects it, with its own reason.
+    fn invalid(tag: u8) -> Transaction {
+        let mut t = spend(tag);
+        t.outputs_mut().clear();
+        t
+    }
+
+    /// Coinbase + `txs`, with a matching merkle root and valid PoW, so the
+    /// check reaches the per-transaction scan.
+    fn sealed(txs: Vec<Transaction>) -> Block {
+        let mut b = Block {
+            header: BlockHeader {
+                bits: REGTEST_BITS,
+                ..BlockHeader::default()
+            },
+            txs: [vec![Transaction::coinbase(1, b"seal")], txs].concat(),
+        };
+        b.header.merkle_root = b.merkle_root();
+        b.header.mine();
+        b
+    }
+
+    #[test]
+    fn reject_reasons_match_the_in_order_scan() {
+        let s = spend;
+        let mut dup_inputs = spend(50);
+        let again = dup_inputs.inputs()[0].clone();
+        dup_inputs.inputs_mut().push(again);
+        let cases: Vec<(Vec<Transaction>, Result<(), &'static str>)> = vec![
+            (vec![s(1), s(2), s(3)], Ok(())),
+            // Duplicate txid first, last, in the middle, and two pairs.
+            (vec![s(1), s(1), s(2), s(3)], Err("bad-txns-duplicate")),
+            (vec![s(1), s(2), s(3), s(3)], Err("bad-txns-duplicate")),
+            (
+                vec![s(1), s(2), s(3), s(2), s(4)],
+                Err("bad-txns-duplicate"),
+            ),
+            (
+                vec![s(4), s(1), s(2), s(4), s(1)],
+                Err("bad-txns-duplicate"),
+            ),
+            // A failing transaction before the first duplicate wins...
+            (vec![s(1), invalid(9), s(1)], Err("bad-txns-vout-empty")),
+            (
+                vec![s(2), dup_inputs.clone(), s(2)],
+                Err("bad-txns-inputs-duplicate"),
+            ),
+            // ...and one after it does not.
+            (vec![s(1), s(1), invalid(9)], Err("bad-txns-duplicate")),
+            (
+                vec![s(3), s(1), s(3), dup_inputs.clone()],
+                Err("bad-txns-duplicate"),
+            ),
+            // Duplicate inputs inside one multi-input transaction.
+            (vec![s(1), dup_inputs], Err("bad-txns-inputs-duplicate")),
+        ];
+        for (i, (txs, want)) in cases.into_iter().enumerate() {
+            let b = sealed(txs);
+            assert_eq!(check_in_order(&b), want, "case {i}: oracle");
+            assert_eq!(b.check(), want, "case {i}");
+        }
+    }
+
+    #[test]
+    fn reject_reasons_match_on_random_mutations() {
+        btc_netsim::prop::check("reject_reasons_match_on_random_mutations", |g| {
+            let mut txs: Vec<Transaction> =
+                (0..g.usize_in(1, 12)).map(|_| spend(g.u8() % 16)).collect();
+            if g.bool() {
+                let at = g.usize_in(0, txs.len() + 1);
+                txs.insert(at, invalid(g.u8()));
+            }
+            let b = sealed(txs);
+            assert_eq!(b.check(), check_in_order(&b));
+        });
     }
 
     #[test]

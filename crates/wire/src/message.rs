@@ -393,6 +393,34 @@ impl Message {
     /// [`DecodeError::UnknownCommand`] for an unrecognized command, or any
     /// payload decode error.
     pub fn decode_payload(command: &str, payload: &[u8]) -> DecodeResult<Message> {
+        Message::decode_with(command, payload, None)
+    }
+
+    /// [`Message::decode_payload`] for a payload whose checksum
+    /// [`verify_checksum`] has just verified, reusing the digest it
+    /// computed. A `tx` payload without the BIP144 marker is exactly the
+    /// legacy serialisation of the transaction it decodes to, so the
+    /// payload digest is that transaction's txid and is memoized instead
+    /// of hashed again. `digest` must be the one verified for `payload`.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Message::decode_payload`].
+    pub fn decode_verified(
+        command: &str,
+        payload: &[u8],
+        digest: PayloadDigest,
+    ) -> DecodeResult<Message> {
+        Message::decode_with(command, payload, Some(digest))
+    }
+
+    /// The one payload decoder behind [`Message::decode_payload`] and
+    /// [`Message::decode_verified`].
+    fn decode_with(
+        command: &str,
+        payload: &[u8],
+        digest: Option<PayloadDigest>,
+    ) -> DecodeResult<Message> {
         let mut r = Reader::new(payload);
         let msg = match command {
             "version" => Message::Version(VersionMessage::decode(&mut r)?),
@@ -423,7 +451,19 @@ impl Message {
                 "headers list",
                 MAX_HEADERS_RESULTS * OVERSIZE_SLACK,
             )?),
-            "tx" => Message::Tx(Transaction::decode(&mut r)?),
+            "tx" => {
+                let (tx, marked) = Transaction::decode_marked(&mut r)?;
+                // `expect_end` below rejects a payload the transaction does
+                // not span, so a message that survives it carries exactly
+                // the legacy bytes the digest was taken over. A marked
+                // payload never qualifies, even when every witness stack
+                // is empty: its bytes are not the legacy serialisation.
+                if let (false, Some(digest)) = (marked, digest) {
+                    debug_assert_eq!(Hash256::hash(payload), digest.0, "foreign digest");
+                    tx.seed_txid(digest.0);
+                }
+                Message::Tx(tx)
+            }
             "block" => Message::Block(Block::decode(&mut r)?),
             "mempool" => Message::Mempool,
             "merkleblock" => Message::MerkleBlock(MerkleBlockMsg::decode(&mut r)?),
@@ -692,20 +732,36 @@ fn frame_header(
     Ok(Some((header, total)))
 }
 
-/// Verifies a frame's checksum.
+/// The full `sha256d` of a frame payload whose header checksum matched,
+/// as [`verify_checksum`] returns it. Only this crate can build one, so a
+/// digest handed to [`Message::decode_verified`] was computed over a
+/// payload, never chosen by the caller.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PayloadDigest(Hash256);
+
+impl PayloadDigest {
+    /// The digest.
+    pub fn hash(&self) -> Hash256 {
+        self.0
+    }
+}
+
+/// Verifies a frame's checksum and returns the payload digest it was
+/// checked against.
 ///
 /// # Errors
 ///
 /// [`DecodeError::BadChecksum`] on mismatch.
-pub fn verify_checksum(raw: &RawMessage) -> DecodeResult<()> {
-    let computed = payload_checksum(&raw.payload);
+pub fn verify_checksum(raw: &RawMessage) -> DecodeResult<PayloadDigest> {
+    let digest = Hash256::hash(&raw.payload);
+    let computed = digest.0.first_chunk().copied().unwrap_or([0; 4]);
     if computed != raw.header.checksum {
         return Err(DecodeError::BadChecksum {
             declared: raw.header.checksum,
             computed,
         });
     }
-    Ok(())
+    Ok(PayloadDigest(digest))
 }
 
 /// Full receive path: checksum first, then command lookup, then payload
@@ -715,9 +771,9 @@ pub fn verify_checksum(raw: &RawMessage) -> DecodeResult<()> {
 ///
 /// Checksum, command and payload errors in that order of precedence.
 pub fn decode_frame(raw: &RawMessage) -> DecodeResult<Message> {
-    verify_checksum(raw)?;
+    let digest = verify_checksum(raw)?;
     let cmd = raw.header.command_str()?;
-    Message::decode_payload(cmd, &raw.payload)
+    Message::decode_verified(cmd, &raw.payload, digest)
 }
 
 #[cfg(test)]

@@ -359,10 +359,13 @@ impl Transaction {
                 return Err("bad-txns-txouttotal-toolarge");
             }
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for inp in &self.inputs {
-            if !seen.insert(inp.prevout) {
-                return Err("bad-txns-inputs-duplicate");
+        // One input cannot repeat itself: skip the set.
+        if self.inputs.len() > 1 {
+            let mut seen = std::collections::BTreeSet::new();
+            for inp in &self.inputs {
+                if !seen.insert(inp.prevout) {
+                    return Err("bad-txns-inputs-duplicate");
+                }
             }
         }
         if self.is_coinbase() {
@@ -430,8 +433,12 @@ impl Encodable for Transaction {
     }
 }
 
-impl Decodable for Transaction {
-    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+impl Transaction {
+    /// Decodes one transaction and reports whether it carried the BIP144
+    /// marker. Without the marker, the bytes read are exactly the legacy
+    /// serialisation: every `CompactSize` read is canonical, so
+    /// [`Transaction::encode_legacy`] reproduces them byte for byte.
+    pub(crate) fn decode_marked(r: &mut Reader<'_>) -> DecodeResult<(Self, bool)> {
         let version = r.i32_le()?;
         // Peek at the input count: 0x00 here means the BIP144 marker.
         let mark = r.u8()?;
@@ -497,7 +504,24 @@ impl Decodable for Transaction {
             }
         }
         let lock_time = r.u32_le()?;
-        Ok(Transaction::new(version, inputs, outputs, lock_time))
+        Ok((
+            Transaction::new(version, inputs, outputs, lock_time),
+            segwit,
+        ))
+    }
+
+    /// Memoizes `txid` as this transaction's txid. The caller must hold
+    /// the sha256d of this transaction's legacy serialisation: the
+    /// message decoder passes the verified digest of a payload that is
+    /// exactly that serialisation.
+    pub(crate) fn seed_txid(&self, txid: Hash256) {
+        let _ = self.ids.txid.set(txid);
+    }
+}
+
+impl Decodable for Transaction {
+    fn decode(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Transaction::decode_marked(r).map(|(tx, _)| tx)
     }
 }
 
@@ -607,6 +631,96 @@ mod tests {
         let dup = tx.inputs()[0].clone();
         tx.inputs_mut().push(dup);
         assert_eq!(tx.check(), Err("bad-txns-inputs-duplicate"));
+    }
+
+    /// `Transaction::check` before one-input transactions skipped the
+    /// duplicate-input set. The oracle of the reject-reason tests.
+    fn check_full_scan(tx: &Transaction) -> Result<(), &'static str> {
+        if tx.inputs.is_empty() {
+            return Err("bad-txns-vin-empty");
+        }
+        if tx.outputs.is_empty() {
+            return Err("bad-txns-vout-empty");
+        }
+        let mut total: i64 = 0;
+        for out in &tx.outputs {
+            if out.value < 0 {
+                return Err("bad-txns-vout-negative");
+            }
+            if out.value > MAX_MONEY {
+                return Err("bad-txns-vout-toolarge");
+            }
+            total = total.saturating_add(out.value);
+            if total > MAX_MONEY {
+                return Err("bad-txns-txouttotal-toolarge");
+            }
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for inp in &tx.inputs {
+            if !seen.insert(inp.prevout) {
+                return Err("bad-txns-inputs-duplicate");
+            }
+        }
+        if tx.is_coinbase() {
+            let len = tx.inputs.first().map_or(0, |i| i.script_sig.len());
+            if !(2..=100).contains(&len) {
+                return Err("bad-cb-length");
+            }
+        } else if tx.inputs.iter().any(|i| i.prevout.is_null()) {
+            return Err("bad-txns-prevout-null");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn reject_reasons_match_the_full_scan() {
+        let prev = |tag: u8| OutPoint::new(Hash256::hash(&[tag]), u32::from(tag % 2));
+        let cases = [
+            (vec![prev(1)], Ok(())),
+            (vec![prev(1), prev(2)], Ok(())),
+            (vec![prev(1), prev(1)], Err("bad-txns-inputs-duplicate")),
+            (
+                vec![prev(1), prev(2), prev(3), prev(2)],
+                Err("bad-txns-inputs-duplicate"),
+            ),
+            (
+                vec![prev(4), prev(5), prev(4), prev(5)],
+                Err("bad-txns-inputs-duplicate"),
+            ),
+            (
+                vec![OutPoint::NULL, OutPoint::NULL],
+                Err("bad-txns-inputs-duplicate"),
+            ),
+            (vec![prev(1), OutPoint::NULL], Err("bad-txns-prevout-null")),
+            (vec![OutPoint::NULL], Err("bad-cb-length")),
+        ];
+        for (prevouts, want) in cases {
+            let tx = Transaction::new(
+                2,
+                prevouts.into_iter().map(TxIn::new).collect(),
+                vec![TxOut::new(1, vec![0x51])],
+                0,
+            );
+            assert_eq!(check_full_scan(&tx), want, "oracle: {tx:?}");
+            assert_eq!(tx.check(), want, "{tx:?}");
+        }
+    }
+
+    #[test]
+    fn reject_reasons_match_on_random_transactions() {
+        btc_netsim::prop::check("reject_reasons_match_on_random_transactions", |g| {
+            let inputs = g.vec_with(0, 4, |g| {
+                let mut i = TxIn::new(match g.u8() % 4 {
+                    0 => OutPoint::NULL,
+                    k => OutPoint::new(Hash256::hash(&[k]), 0),
+                });
+                i.script_sig = g.vec_u8(0, 4);
+                i
+            });
+            let outputs = g.vec_with(0, 3, |g| TxOut::new(g.i64() % (2 * MAX_MONEY), vec![]));
+            let tx = Transaction::new(1, inputs, outputs, 0);
+            assert_eq!(tx.check(), check_full_scan(&tx), "{tx:?}");
+        });
     }
 
     #[test]

@@ -5,12 +5,13 @@
 use btc_netsim::prop::{check, check_sized, Gen};
 use btc_wire::block::{Block, BlockHeader, HeadersEntry};
 use btc_wire::bloom::{BloomFilter, BloomFlags, FilterAdd};
+use btc_wire::bytes::Bytes;
 use btc_wire::compact::{BlockTxn, BlockTxnRequest, CompactBlock, PrefilledTx, SendCmpct, ShortId};
 use btc_wire::constants::{MAX_ADDR_TO_SEND, MAX_HEADERS_RESULTS, MAX_INV_SZ};
-use btc_wire::encode::{Decodable, Encodable, Reader};
+use btc_wire::encode::{Decodable, Encodable, Reader, Writer};
 use btc_wire::message::{
-    decode_frame, read_frame, FrameResult, MerkleBlockMsg, Message, RawMessage, RejectMessage,
-    VersionMessage, ALL_COMMANDS,
+    decode_frame, read_frame, verify_checksum, FrameResult, MerkleBlockMsg, Message, RawMessage,
+    RejectMessage, VersionMessage, ALL_COMMANDS,
 };
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
 use btc_wire::types::{
@@ -200,6 +201,80 @@ fn txid_is_witness_independent() {
             i.witness.clear();
         }
         assert_eq!(tx.txid(), before);
+    });
+}
+
+/// Decodes a `tx` payload the way the node's receive path does (checksum,
+/// then `decode_verified` with the verified digest). Returns the decoded
+/// transaction, the txid of a copy rebuilt from its getters (hashed from
+/// scratch), and the payload digest.
+fn verified_tx(payload: Vec<u8>) -> (Transaction, Hash256, Hash256) {
+    let raw = RawMessage::frame_raw(Network::Regtest, "tx", Bytes::from(payload));
+    let digest = verify_checksum(&raw).expect("a fresh frame's checksum holds");
+    let Ok(Message::Tx(tx)) = Message::decode_verified("tx", &raw.payload, digest) else {
+        panic!("a tx payload decodes to a TX");
+    };
+    let rebuilt = Transaction::new(
+        tx.version(),
+        tx.inputs().to_vec(),
+        tx.outputs().to_vec(),
+        tx.lock_time(),
+    );
+    (tx, rebuilt.txid(), digest.hash())
+}
+
+#[test]
+fn verified_txid_equals_rebuilt_txid() {
+    check("verified_txid_equals_rebuilt_txid", |g| {
+        let mut tx = arb_tx(g);
+        if g.bool() {
+            for i in tx.inputs_mut() {
+                i.witness.clear();
+            }
+        }
+        let (decoded, rebuilt, digest) = verified_tx(tx.encode_to_vec());
+        assert_eq!(decoded.txid(), rebuilt);
+        assert_eq!(decoded.txid(), tx.txid());
+        // A legacy payload is the txid preimage; a witness one is not.
+        assert_eq!(decoded.txid() == digest, !tx.has_witness());
+    });
+}
+
+/// A BIP144 marker+flag encoding of `tx` whose witness stacks are all
+/// empty: valid on the wire, yet not the legacy serialisation.
+fn marked_without_witness(tx: &Transaction) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.i32_le(tx.version());
+    w.u8(0x00);
+    w.u8(0x01);
+    w.compact_size(tx.inputs().len() as u64);
+    for i in tx.inputs() {
+        i.encode(&mut w);
+    }
+    w.compact_size(tx.outputs().len() as u64);
+    for o in tx.outputs() {
+        o.encode(&mut w);
+    }
+    for _ in tx.inputs() {
+        w.compact_size(0);
+    }
+    w.u32_le(tx.lock_time());
+    w.into_vec()
+}
+
+#[test]
+fn marked_empty_witness_payload_is_not_its_txid() {
+    check("marked_empty_witness_payload_is_not_its_txid", |g| {
+        let mut tx = arb_tx(g);
+        for i in tx.inputs_mut() {
+            i.witness.clear();
+        }
+        let (decoded, rebuilt, digest) = verified_tx(marked_without_witness(&tx));
+        assert!(!decoded.has_witness());
+        assert_eq!(decoded, tx);
+        assert_eq!(decoded.txid(), rebuilt);
+        // The marker guard: the digest of the marked bytes is not a txid.
+        assert_ne!(decoded.txid(), digest);
     });
 }
 
