@@ -143,7 +143,7 @@ fn good_score_credit() {
 /// Detection window length: resolution vs latency of the `c` feature.
 fn detection_window() {
     section("detection window length (paper: 10 min)");
-    let engine = AnalysisEngine::default();
+    let engine = AnalysisEngine;
     // Train on clean traffic.
     let mut tb = Testbed::build(TestbedConfig::default());
     tb.sim.run_for(30 * MINUTES);

@@ -373,7 +373,7 @@ pub mod csv {
                 p.point.churn_fpm,
                 u8::from(p.false_positive()),
                 normal.detection.c,
-                normal.rho,
+                normal.detection.rho,
                 u8::from(dos.detection.anomalous),
                 dos.latency_s,
                 dos.detection.n,
@@ -414,8 +414,8 @@ pub mod csv {
                 c.events,
                 c.verdicts,
                 c.anomalous,
-                c.batch.msgs_per_sec,
-                c.batch.p99_decision_ns,
+                c.batch_msgs_per_sec,
+                c.batch_ns_per_window,
                 c.batch_digest
             ));
         }

@@ -68,7 +68,6 @@ pub fn run_point(
     index: usize,
     rate: f64,
     cfg: &EvasionConfig,
-    engine: &AnalysisEngine,
     profile: &Profile,
     model: &ContentionModel,
 ) -> EvasionPoint {
@@ -83,7 +82,7 @@ pub fn run_point(
     )));
     tb.sim.run_for(SETTLE + cfg.test);
     let window = tb.single_window(SETTLE, SETTLE + cfg.test);
-    let detection = engine.detect(profile, &window);
+    let detection = AnalysisEngine.detect(profile, &window);
     let attacker: &EvasiveFlooder = tb.sim.app(addrs::ATTACKER).expect("evasive flooder");
     let secs = as_secs_f64(cfg.test);
     let load = model.app_layer_load(
@@ -109,17 +108,16 @@ pub fn run_evasion(cfg: EvasionConfig, rates_per_min: &[f64]) -> EvasionResult {
 /// [`run_evasion`] with the per-rate testbeds fanned across `jobs`
 /// workers (training stays serial — every point needs the profile).
 pub fn run_evasion_jobs(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) -> EvasionResult {
-    let engine = AnalysisEngine::default();
     let model = ContentionModel::default();
     // Train on clean traffic.
     let clean = TestbedConfig {
         seed: 11,
         ..TestbedConfig::default()
     };
-    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
+    let (profile, _) = train_profile(clean, cfg.train, cfg.window);
     let indexed: Vec<(usize, f64)> = rates_per_min.iter().copied().enumerate().collect();
     let points = btc_par::par_map(jobs, indexed, |(i, rate)| {
-        run_point(i, rate, &cfg, &engine, &profile, &model)
+        run_point(i, rate, &cfg, &profile, &model)
     });
     EvasionResult { profile, points }
 }

@@ -32,7 +32,6 @@ use crate::testbed::{
     PACED_POLL, SETTLE,
 };
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
-use btc_detect::features::correlation;
 use btc_netsim::faults::{FaultStats, LinkFaults};
 use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
 
@@ -167,8 +166,6 @@ pub struct FaultCase {
     pub name: &'static str,
     /// Verdict over the whole measured span.
     pub detection: Detection,
-    /// Correlation of the aggregate window against the clean reference.
-    pub rho: f64,
     /// Seconds from measurement start to the end of the first anomalous
     /// window (`NaN` when no window fires).
     pub latency_s: f64,
@@ -248,7 +245,6 @@ fn run_case(
     case: Case,
     point: FaultPoint,
     cfg: &FaultMatrixConfig,
-    engine: &AnalysisEngine,
     profile: &Profile,
 ) -> FaultCase {
     let mut tb = Testbed::build(point.bed(cfg.innocents, case.seed(), cfg.test));
@@ -264,9 +260,8 @@ fn run_case(
     let windows = tb.windows(SETTLE, end, cfg.window);
     FaultCase {
         name: case.name(),
-        detection: engine.detect(profile, &aggregate),
-        rho: correlation(&aggregate.distribution(), &profile.reference),
-        latency_s: first_alarm_s(engine, profile, &windows, cfg.window),
+        detection: AnalysisEngine.detect(profile, &aggregate),
+        latency_s: first_alarm_s(profile, &windows, cfg.window),
         fault_stats: tb.sim.fault_stats(),
         retransmits,
     }
@@ -284,9 +279,8 @@ pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixResult {
 pub fn run_fault_matrix_jobs(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatrixResult {
     // Train once, on clean traffic over the same topology — the deployed
     // detector has never seen the degraded network.
-    let engine = AnalysisEngine::default();
     let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
-    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
+    let (profile, _) = train_profile(clean, cfg.train, cfg.window);
 
     let pairs: Vec<(FaultPoint, Case)> = cfg
         .grid
@@ -294,7 +288,7 @@ pub fn run_fault_matrix_jobs(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatri
         .flat_map(|p| CASES.iter().map(move |c| (*p, *c)))
         .collect();
     let runs = btc_par::par_map(jobs, pairs, |(point, case)| {
-        run_case(case, point, cfg, &engine, &profile)
+        run_case(case, point, cfg, &profile)
     });
     // `par_map` preserves input order, so the runs come back grouped by
     // grid point, cases in `CASES` order.
@@ -337,7 +331,7 @@ pub fn render_fault_matrix(r: &FaultMatrixResult) -> String {
             p.point.label(),
             if p.false_positive() { "FP" } else { "-" },
             normal.detection.c,
-            normal.rho,
+            normal.detection.rho,
             if dos.detection.anomalous { "yes" } else { "MISS" },
             dos.latency_s,
             if def.detection.anomalous { "yes" } else { "MISS" },

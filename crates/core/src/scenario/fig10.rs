@@ -4,7 +4,7 @@
 
 use crate::testbed::{train_profile, Case, Testbed, TestbedConfig, PACED_POLL, SETTLE};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
-use btc_detect::features::{correlation, TrafficWindow};
+use btc_detect::features::TrafficWindow;
 use btc_netsim::time::{Nanos, MINUTES};
 
 /// One evaluated case.
@@ -14,8 +14,6 @@ pub struct Fig10Case {
     pub name: &'static str,
     /// Aggregate test window.
     pub window: TrafficWindow,
-    /// Correlation against the trained reference.
-    pub rho: f64,
     /// Detection verdict.
     pub detection: Detection,
 }
@@ -92,8 +90,8 @@ pub fn run_case_testbed(case: Case, cfg: &Fig10Config) -> Testbed {
 /// time (seed 1 — distinct from every evaluation case). The bed comes
 /// back too, so the `serve` scenario trains its streaming detector on the
 /// exact same recorded traffic as the batch engine.
-pub fn train(engine: &AnalysisEngine, cfg: &Fig10Config) -> (Profile, Testbed) {
-    train_profile(engine, bed(0, 0, 1), cfg.train, cfg.window)
+pub fn train(cfg: &Fig10Config) -> (Profile, Testbed) {
+    train_profile(bed(0, 0, 1), cfg.train, cfg.window)
 }
 
 /// Runs the Figure-10 study.
@@ -104,14 +102,12 @@ pub fn run_fig10(cfg: Fig10Config) -> Fig10Result {
 /// [`run_fig10`] with the three evaluation cases fanned across `jobs`
 /// workers (training stays serial — every case depends on the profile).
 pub fn run_fig10_jobs(cfg: Fig10Config, jobs: usize) -> Fig10Result {
-    let engine = AnalysisEngine::default();
-    let (profile, _) = train(&engine, &cfg);
+    let (profile, _) = train(&cfg);
     let cases = btc_par::par_map(jobs, CASES.to_vec(), |c| {
         let window = run_case_testbed(c, &cfg).single_window(SETTLE, SETTLE + cfg.test);
         Fig10Case {
             name: c.name(),
-            rho: correlation(&window.distribution(), &profile.reference),
-            detection: engine.detect(&profile, &window),
+            detection: AnalysisEngine.detect(&profile, &window),
             window,
         }
     });
@@ -135,7 +131,7 @@ pub fn render_fig10(r: &Fig10Result) -> String {
             c.name,
             c.detection.n,
             c.detection.c,
-            c.rho,
+            c.detection.rho,
             if c.detection.anomalous {
                 format!("ANOMALOUS {:?}", c.detection.violations)
             } else {
@@ -185,7 +181,7 @@ mod tests {
         let get = |n: &str| r.cases.iter().find(|c| c.name == n).expect("case");
         let normal = get("normal");
         assert!(!normal.detection.anomalous, "{:?}", normal.detection);
-        assert!(normal.rho > r.profile.tau_lambda);
+        assert!(normal.detection.rho > r.profile.tau_lambda);
 
         let bmdos = get("bm-dos");
         assert!(bmdos.detection.anomalous);
@@ -194,7 +190,7 @@ mod tests {
         let ping_share = bmdos.window.distribution()
             [btc_node::metrics::msg_type_id("ping").unwrap() as usize];
         assert!(ping_share > 0.85, "ping share {ping_share}");
-        assert!(bmdos.rho < 0.3, "rho {}", bmdos.rho);
+        assert!(bmdos.detection.rho < 0.3, "rho {}", bmdos.detection.rho);
         assert!(bmdos.detection.n > 10_000.0, "n {}", bmdos.detection.n);
 
         let defam = get("defamation");
@@ -209,8 +205,12 @@ mod tests {
             "{:?}",
             defam.detection
         );
-        assert!(defam.rho > 0.5, "rho {}", defam.rho);
-        assert!(defam.rho < bmdos.rho + 1.0 && defam.rho > bmdos.rho, "defamation ρ should exceed BM-DoS ρ");
+        assert!(defam.detection.rho > 0.5, "rho {}", defam.detection.rho);
+        assert!(
+            defam.detection.rho < bmdos.detection.rho + 1.0
+                && defam.detection.rho > bmdos.detection.rho,
+            "defamation ρ should exceed BM-DoS ρ"
+        );
     }
 
     #[test]

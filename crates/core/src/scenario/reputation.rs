@@ -363,7 +363,6 @@ fn run_case(
     policy: Policy,
     case: SweepCase,
     cfg: &ReputationSweepConfig,
-    engine: &AnalysisEngine,
     profile: &Profile,
 ) -> PolicyCaseRow {
     let mut tb = Testbed::build(TestbedConfig {
@@ -386,8 +385,10 @@ fn run_case(
         tier_changes: node.telemetry.tier_changes.len() as u64,
         innocents_excluded,
         recovery_s,
-        detected: engine.detect(profile, &tb.single_window(SETTLE, end)).anomalous,
-        latency_s: first_alarm_s(engine, profile, &windows, cfg.window),
+        detected: AnalysisEngine
+            .detect(profile, &tb.single_window(SETTLE, end))
+            .anomalous,
+        latency_s: first_alarm_s(profile, &windows, cfg.window),
         target_msgs: node.telemetry.messages.len() as u64,
         outbound_at_end: node.outbound_count(),
     }
@@ -453,14 +454,13 @@ pub fn run_reputation(cfg: &ReputationSweepConfig) -> ReputationResult {
 /// training span is always long enough).
 pub fn run_reputation_jobs(cfg: &ReputationSweepConfig, jobs: usize) -> ReputationResult {
     // Train the detector once, on clean stock traffic.
-    let engine = AnalysisEngine::default();
     let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
-    let (profile, _) = train_profile(&engine, clean, cfg.train, cfg.window);
+    let (profile, _) = train_profile(clean, cfg.train, cfg.window);
 
     let cases = cfg.cases();
     let rows = btc_par::par_map(jobs, cases.clone(), |case| {
-        let stock = run_case(Policy::Stock, case, cfg, &engine, &profile);
-        let tiers = run_case(Policy::TrustTiers, case, cfg, &engine, &profile);
+        let stock = run_case(Policy::Stock, case, cfg, &profile);
+        let tiers = run_case(Policy::TrustTiers, case, cfg, &profile);
         // The detector observes the stock node: same run, another label.
         let detector = PolicyCaseRow {
             policy: Policy::Detector.label(),

@@ -1,7 +1,8 @@
 //! `repro serve` — the streaming detector as a service: replays the
 //! recorded Figure-10 traffic event by event through the sharded per-peer
 //! profile service ([`btc_detect::serve`]) and compares it against the
-//! batch [`AnalysisEngine`] pipeline on the same trace.
+//! batch [`AnalysisEngine`] pipeline on the same trace. Both score with
+//! the one scorer, `btc_detect::StreamingWindow`.
 //!
 //! Two detectors run per case:
 //!
@@ -24,7 +25,7 @@ use crate::testbed::{Case, SETTLE};
 use btc_detect::engine::{AnalysisEngine, Detection, Profile};
 use btc_detect::features::TrafficWindow;
 use btc_detect::serve::{
-    bench_batch, bench_service, run_service, verdict_agreement, verdict_digest, PeerKey,
+    batch_verdicts, bench_service, run_service, verdict_agreement, verdict_digest, PeerKey,
     ServeBench, ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
 };
 use btc_detect::streaming::StreamingEngine;
@@ -146,9 +147,10 @@ pub struct ServeCase {
     pub digests_agree: bool,
     /// The per-shard runs, in [`SHARDS`] order.
     pub runs: Vec<ShardRun>,
-    /// Wall-clock of the batch group-then-score pipeline on the same
-    /// trace.
-    pub batch: ServeBench,
+    /// Batch group-then-score throughput on the same trace (events/s).
+    pub batch_msgs_per_sec: f64,
+    /// Batch wall-clock per scored window, grouping included.
+    pub batch_ns_per_window: u64,
     /// Digest of the batch pipeline's verdicts.
     pub batch_digest: u64,
     /// Streaming-vs-batch verdict agreement `(matching, total)`.
@@ -200,21 +202,20 @@ pub fn run_serve(cfg: ServeConfig) -> ServeResult {
 /// Panics if training produces no windows (`fig10.train` shorter than a
 /// window) — a configuration error, not a runtime condition.
 pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
-    let engine = AnalysisEngine::default();
     // ---- Train both profiles on the same clean run.
-    let (node_profile, tb) = fig10::train(&engine, &cfg.fig10);
+    let (node_profile, tb) = fig10::train(&cfg.fig10);
     let train_trace = telemetry_trace(&tb.target_node().telemetry, SETTLE, cfg.fig10.train);
     let train_span = TraceSpan {
         start: SETTLE,
         end: cfg.fig10.train,
     };
-    let peer_profile = engine
+    let peer_profile = AnalysisEngine
         .train(&per_peer_windows(&train_trace, train_span, cfg.window))
         .expect("per-peer training windows");
     let streaming = StreamingEngine::new(peer_profile.clone(), cfg.window);
 
     let cases = btc_par::par_map(jobs, CASES.to_vec(), |case| {
-        serve_case(case, &cfg, &engine, &node_profile, &streaming)
+        serve_case(case, &cfg, &node_profile, &streaming)
     });
     ServeResult {
         window: cfg.window,
@@ -226,7 +227,6 @@ pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
 fn serve_case(
     case: Case,
     cfg: &ServeConfig,
-    engine: &AnalysisEngine,
     node_profile: &Profile,
     streaming: &StreamingEngine,
 ) -> ServeCase {
@@ -243,7 +243,6 @@ fn serve_case(
     let mut reference: Option<ServeOutput> = None;
     let mut digests_agree = true;
     for shards in SHARDS {
-        // lint:allow(wallclock): bench timing only; verdict digests are compared across shard counts below
         let (out, bench) = bench_service(streaming, &trace, span, shards);
         runs.push(ShardRun {
             shards,
@@ -258,8 +257,16 @@ fn serve_case(
     let reference = reference.expect("at least one shard count");
 
     // ---- The batch pipeline on the same trace.
-    // lint:allow(wallclock): bench timing only; batch verdicts feed the digest-checked agreement
-    let (batch, batch_bench) = bench_batch(&streaming.profile, engine, &trace, span, cfg.window);
+    // lint:allow(wallclock): bench timing only, here and in `bench_service` above; verdicts and digests never read it
+    let started = std::time::Instant::now();
+    let batch = batch_verdicts(
+        &streaming.profile,
+        &AnalysisEngine,
+        &trace,
+        span,
+        cfg.window,
+    );
+    let batch_ns = started.elapsed().as_nanos() as u64;
     let agreement = verdict_agreement(&reference.verdicts, &batch);
 
     // ---- Node-aggregate: one pseudo-peer, one window, Figure-10 profile.
@@ -272,7 +279,7 @@ fn serve_case(
         .expect("one aggregate window")
         .verdict
         .detection;
-    let aggregate_batch = engine.detect(node_profile, &tb.single_window(SETTLE, end));
+    let aggregate_batch = AnalysisEngine.detect(node_profile, &tb.single_window(SETTLE, end));
 
     ServeCase {
         name: case.name(),
@@ -282,7 +289,8 @@ fn serve_case(
         anomalous: reference.anomalous,
         digests_agree,
         runs,
-        batch: batch_bench,
+        batch_msgs_per_sec: reference.events as f64 * 1e9 / batch_ns.max(1) as f64,
+        batch_ns_per_window: batch_ns.checked_div(batch.len() as u64).unwrap_or(0),
         batch_digest: verdict_digest(&batch),
         agreement,
         aggregate_streaming,
@@ -353,7 +361,7 @@ pub fn render_serve(r: &ServeResult) -> String {
         writeln!(
             out,
             "  [wall] batch    {:>12.0} msg/s  {} ns/window amortized",
-            c.batch.msgs_per_sec, c.batch.p99_decision_ns
+            c.batch_msgs_per_sec, c.batch_ns_per_window
         )
         .unwrap();
     }

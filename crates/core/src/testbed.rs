@@ -340,15 +340,10 @@ pub fn churn_plan(
 /// # Panics
 ///
 /// Panics when `train` is too short to hold one window after the settle.
-pub fn train_profile(
-    engine: &AnalysisEngine,
-    cfg: TestbedConfig,
-    train: Nanos,
-    window: Nanos,
-) -> (Profile, Testbed) {
+pub fn train_profile(cfg: TestbedConfig, train: Nanos, window: Nanos) -> (Profile, Testbed) {
     let mut tb = Testbed::build(cfg);
     tb.sim.run_for(train);
-    let profile = engine
+    let profile = AnalysisEngine
         .train(&tb.windows(SETTLE, train, window))
         .expect("training windows");
     (profile, tb)
@@ -357,15 +352,10 @@ pub fn train_profile(
 /// Seconds from measurement start to the end of the first window of
 /// `windows` (each `window_len` long) the detector flags (`NaN` when none
 /// fires).
-pub fn first_alarm_s(
-    engine: &AnalysisEngine,
-    profile: &Profile,
-    windows: &[TrafficWindow],
-    window_len: Nanos,
-) -> f64 {
+pub fn first_alarm_s(profile: &Profile, windows: &[TrafficWindow], window_len: Nanos) -> f64 {
     windows
         .iter()
-        .position(|w| engine.detect(profile, w).anomalous)
+        .position(|w| AnalysisEngine.detect(profile, w).anomalous)
         .map_or(f64::NAN, |i| {
             ((i as u64 + 1) * window_len) as f64 / SECS as f64
         })

@@ -69,7 +69,7 @@ fn fault_matrix_identical_at_jobs_1_and_4() {
             // arithmetic, same order.
             assert_eq!(sc.detection.n.to_bits(), pc.detection.n.to_bits());
             assert_eq!(sc.detection.c.to_bits(), pc.detection.c.to_bits());
-            assert_eq!(sc.rho.to_bits(), pc.rho.to_bits());
+            assert_eq!(sc.detection.rho.to_bits(), pc.detection.rho.to_bits());
             assert_eq!(sc.latency_s.to_bits(), pc.latency_s.to_bits());
         }
     }

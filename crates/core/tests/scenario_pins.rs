@@ -109,9 +109,9 @@ fn serve_cases_are_pinned() {
     // (case, events, peers, verdicts, anomalous, agreement, batch digest,
     // the digest every shard count shares)
     let pins = [
-        ("normal", 1229_u64, 3_u64, 12_u64, 0_u64, (12_u64, 12_u64), 0xb0fa_7577_05d0_f060_u64, 0x4b63_03a7_79fd_0f12_u64),
-        ("bm-dos", 241_232, 4, 16, 5, (16, 16), 0x50a7_3135_8636_41d9, 0xa2db_3bc3_2237_2993),
-        ("defamation", 2393, 11, 44, 32, (44, 44), 0x4137_836e_4941_b376, 0x8e45_902b_495b_96af),
+        ("normal", 1229_u64, 3_u64, 12_u64, 0_u64, (12_u64, 12_u64), 0x1dc7_f858_cfea_95e1_u64, 0x4b63_03a7_79fd_0f12_u64),
+        ("bm-dos", 241_232, 4, 16, 5, (16, 16), 0x9519_e65c_e1fe_c290, 0xa2db_3bc3_2237_2993),
+        ("defamation", 2393, 11, 44, 32, (44, 44), 0x4902_c036_9ae3_a657, 0x8e45_902b_495b_96af),
     ];
     let got: Vec<_> = r
         .cases

@@ -8,8 +8,12 @@
 //! a single O(windows) pass — no iterative optimization — which is where
 //! the ≥4-orders-of-magnitude latency advantage over the ML baselines
 //! (Figure 11) comes from.
+//! Both engines score with [`StreamingWindow`]: the streaming engine
+//! feeds it per message, [`AnalysisEngine::detect`] per finished window,
+//! and [`AnalysisEngine::train`] measures `τ_Λ` with it.
 
-use crate::features::{correlation, TrafficWindow, NUM_TYPES};
+use crate::features::{TrafficWindow, NUM_TYPES};
+use crate::streaming::StreamingWindow;
 
 /// Which feature flagged a window.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,17 +87,48 @@ pub struct Profile {
     /// Distribution-similarity threshold `τ_Λ` (Pearson ρ).
     pub tau_lambda: f64,
     /// Mean normal message distribution (the Λ reference).
-    pub reference: [f64; NUM_TYPES],
+    reference: [f64; NUM_TYPES],
     /// Windows trained on.
     pub training_windows: usize,
+    /// Mean of the reference slots.
+    pub(crate) ref_mean: f64,
+    /// `Σ (refᵢ − mean)²`.
+    pub(crate) ref_centered_sq_sum: f64,
 }
 
 impl Profile {
-    /// Compares already-measured features against the thresholds. This is
-    /// the single verdict path shared by the batch
-    /// [`AnalysisEngine::detect`] and the streaming engine
-    /// ([`crate::streaming`]), so the two can never disagree on the
-    /// threshold logic.
+    /// A profile with the given thresholds against `reference`, whose
+    /// moments are computed here, once, for the scorer.
+    pub fn new(
+        tau_n: (f64, f64),
+        tau_c: (f64, f64),
+        tau_lambda: f64,
+        reference: [f64; NUM_TYPES],
+        training_windows: usize,
+    ) -> Self {
+        let ref_mean = reference.iter().sum::<f64>() / NUM_TYPES as f64;
+        let ref_centered_sq_sum = reference
+            .iter()
+            .map(|r| (r - ref_mean) * (r - ref_mean))
+            .sum();
+        Profile {
+            tau_n,
+            tau_c,
+            tau_lambda,
+            reference,
+            training_windows,
+            ref_mean,
+            ref_centered_sq_sum,
+        }
+    }
+
+    /// Mean normal message distribution (the Λ reference).
+    pub fn reference(&self) -> &[f64; NUM_TYPES] {
+        &self.reference
+    }
+
+    /// Compares already-measured features against the thresholds: the
+    /// verdict half of the one scorer, [`StreamingWindow::detect`].
     pub fn judge(&self, n: f64, c: f64, rho: f64) -> Detection {
         let mut violations = Violations::default();
         if n < self.tau_n.0 || n > self.tau_n.1 {
@@ -147,26 +182,17 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// The analysis engine.
-#[derive(Clone, Debug)]
-pub struct AnalysisEngine {
-    /// Slack applied outside the observed `n` band (fraction).
-    pub rate_margin: f64,
-    /// Slack added above the observed `c` maximum (absolute, per minute).
-    pub reconnect_margin: f64,
-    /// Slack below the observed worst-case training correlation.
-    pub lambda_margin: f64,
-}
+/// Slack applied outside the observed `n` band (fraction).
+const RATE_MARGIN: f64 = 0.10;
+/// Slack added above the observed `c` maximum (absolute, per minute).
+const RECONNECT_MARGIN: f64 = 0.5;
+/// Slack below the observed worst-case training correlation.
+const LAMBDA_MARGIN: f64 = 0.004;
 
-impl Default for AnalysisEngine {
-    fn default() -> Self {
-        AnalysisEngine {
-            rate_margin: 0.10,
-            reconnect_margin: 0.5,
-            lambda_margin: 0.004,
-        }
-    }
-}
+/// The analysis engine: trains a [`Profile`] and scores whole windows
+/// against it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AnalysisEngine;
 
 impl AnalysisEngine {
     /// Trains a [`Profile`] from normal-traffic windows.
@@ -188,35 +214,30 @@ impl AnalysisEngine {
         for r in reference.iter_mut() {
             *r /= windows.len() as f64;
         }
-        let mut n_min = f64::INFINITY;
-        let mut n_max = f64::NEG_INFINITY;
-        let mut c_max = 0.0f64;
-        let mut rho_min = 1.0f64;
-        for w in windows {
-            let n = w.message_rate();
-            n_min = n_min.min(n);
-            n_max = n_max.max(n);
-            c_max = c_max.max(w.reconnect_rate());
-            rho_min = rho_min.min(correlation(&w.distribution(), &reference));
-        }
-        Ok(Profile {
-            tau_n: (
-                n_min * (1.0 - self.rate_margin),
-                n_max * (1.0 + self.rate_margin),
-            ),
-            tau_c: (0.0, c_max + self.reconnect_margin),
-            tau_lambda: (rho_min - self.lambda_margin).clamp(0.0, 1.0),
+        let rates = |rate: fn(&TrafficWindow) -> f64| windows.iter().map(rate);
+        let n_min = rates(TrafficWindow::message_rate).fold(f64::INFINITY, f64::min);
+        let n_max = rates(TrafficWindow::message_rate).fold(f64::NEG_INFINITY, f64::max);
+        let c_max = rates(TrafficWindow::reconnect_rate).fold(0.0, f64::max);
+        let mut profile = Profile::new(
+            (n_min * (1.0 - RATE_MARGIN), n_max * (1.0 + RATE_MARGIN)),
+            (0.0, c_max + RECONNECT_MARGIN),
+            0.0,
             reference,
-            training_windows: windows.len(),
-        })
+            windows.len(),
+        );
+        // τ_Λ is measured by the scorer that will judge against it.
+        let rho_min = windows
+            .iter()
+            .map(|w| StreamingWindow::of(w, &profile).rho(&profile))
+            .fold(1.0f64, f64::min);
+        profile.tau_lambda = (rho_min - LAMBDA_MARGIN).clamp(0.0, 1.0);
+        Ok(profile)
     }
 
-    /// Tests one window against a trained profile.
+    /// Tests one window against a trained profile, through the same
+    /// scorer the streaming engine closes its windows with.
     pub fn detect(&self, profile: &Profile, window: &TrafficWindow) -> Detection {
-        let n = window.message_rate();
-        let c = window.reconnect_rate();
-        let rho = correlation(&window.distribution(), &profile.reference);
-        profile.judge(n, c, rho)
+        StreamingWindow::of(window, profile).detect(profile)
     }
 }
 
@@ -244,7 +265,7 @@ mod tests {
     }
 
     fn trained() -> (AnalysisEngine, Profile) {
-        let engine = AnalysisEngine::default();
+        let engine = AnalysisEngine;
         let windows: Vec<TrafficWindow> = (0..210).map(normal_window).collect();
         let profile = engine.train(&windows).unwrap();
         (engine, profile)
@@ -253,7 +274,7 @@ mod tests {
     #[test]
     fn training_requires_data() {
         assert_eq!(
-            AnalysisEngine::default().train(&[]),
+            AnalysisEngine.train(&[]),
             Err(TrainError::EmptyDataset)
         );
     }

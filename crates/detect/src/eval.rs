@@ -73,13 +73,13 @@ impl Metrics {
 
 /// Evaluates the statistical engine: trains on the training set's normal
 /// windows, tests on the test set.
-pub fn evaluate_engine(engine: &AnalysisEngine, train: &Dataset, test: &Dataset) -> (Profile, Metrics) {
-    let profile = engine
+pub fn evaluate_engine(train: &Dataset, test: &Dataset) -> (Profile, Metrics) {
+    let profile = AnalysisEngine
         .train(&train.normals())
         .expect("nonempty normal training data");
     let mut m = Metrics::default();
     for (w, l) in test.windows.iter().zip(&test.labels) {
-        let d = engine.detect(&profile, w);
+        let d = AnalysisEngine.detect(&profile, w);
         m.record(d.anomalous, *l > 0.5);
     }
     (profile, m)
@@ -117,8 +117,7 @@ pub fn compare_accuracy(dataset: &Dataset, every_kth: usize) -> Vec<AccuracyRow>
 /// job count.
 pub fn compare_accuracy_jobs(dataset: &Dataset, every_kth: usize, jobs: usize) -> Vec<AccuracyRow> {
     let (train, test) = dataset.split_every_kth(every_kth);
-    let engine = AnalysisEngine::default();
-    let (_, m) = evaluate_engine(&engine, &train, &test);
+    let (_, m) = evaluate_engine(&train, &test);
     let mut rows = vec![AccuracyRow {
         name: "Ours",
         metrics: m,
@@ -218,7 +217,7 @@ mod tests {
     fn engine_achieves_paper_accuracy_against_naive_attacker() {
         let ds = dataset();
         let (train, test) = ds.split_every_kth(4);
-        let (profile, m) = evaluate_engine(&AnalysisEngine::default(), &train, &test);
+        let (profile, m) = evaluate_engine(&train, &test);
         // The paper reports 100% against a non-evasive attacker.
         assert_eq!(m.accuracy(), 1.0, "{m:?} profile {profile:?}");
     }

@@ -49,7 +49,7 @@ pub fn compare_latencies_jobs(
 
     // Ours: single-pass statistical profile. Repeat and take the best to
     // strip allocator warm-up noise from the tiny measurement.
-    let engine = AnalysisEngine::default();
+    let engine = AnalysisEngine;
     let mut train_ns = f64::INFINITY;
     let mut profile = engine.train(&normals).expect("nonempty training set");
     for _ in 0..10 {

@@ -19,7 +19,7 @@
 //! let mut normal = TrafficWindow::empty(10.0);
 //! normal.counts[12] = 2000; // tx-dominated traffic
 //! normal.counts[4] = 300;
-//! let engine = AnalysisEngine::default();
+//! let engine = AnalysisEngine;
 //! let profile = engine.train(&[normal])?;
 //! let mut flooded = normal;
 //! flooded.counts[4] += 150_000; // ping flood
@@ -45,7 +45,7 @@ pub use eval::{compare_accuracy, Metrics};
 pub use features::{correlation, TrafficWindow, NUM_TYPES};
 pub use latency::{compare_latencies, LatencyRow};
 pub use serve::{
-    bench_batch, bench_service, run_service, verdict_agreement, verdict_digest, PeerKey,
-    PeerVerdict, ServeBench, ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
+    bench_service, run_service, verdict_agreement, verdict_digest, PeerKey, PeerVerdict,
+    ServeBench, ServeOutput, TraceEvent, TraceEventKind, TraceSpan,
 };
-pub use streaming::{EwmaRate, StreamingEngine, StreamingProfile, StreamingWindow, WindowVerdict};
+pub use streaming::{StreamingEngine, StreamingProfile, StreamingWindow, WindowVerdict};

@@ -28,14 +28,15 @@
 //!   cannot roll a peer through windows the span does not have.
 //!
 //! [`bench_service`] wraps a run with wall-clock measurement (msgs/sec
-//! ingest throughput, p50/p99 per-decision latency), and
-//! [`batch_verdicts`] runs the same trace through the batch
-//! [`AnalysisEngine`] pipeline — group, then score each window — as the
-//! comparison baseline. Its grouping is a counting sort: beside the
-//! verdicts it returns it holds one byte per event and one word per
-//! `(peer, window)` cell, never a 224-byte [`TrafficWindow`] for every
-//! cell at once. Verdicts are `Copy` (the violation set is one byte), so
-//! scoring a window allocates nothing.
+//! ingest throughput, p50/p99 per-decision latency). [`batch_verdicts`]
+//! is the comparison baseline: it groups the same trace into whole
+//! windows first, then scores each with [`AnalysisEngine::detect`] —
+//! the scorer the shards close their windows with, its sums built from
+//! the finished counts in one pass instead of per event. Its grouping is
+//! a counting sort: beside the verdicts it returns it holds one byte per
+//! event and one word per `(peer, window)` cell, never a 224-byte
+//! [`TrafficWindow`] for every cell at once. Verdicts are `Copy` (the
+//! violation set is one byte), so scoring a window allocates nothing.
 //!
 //! The decision clock is a type parameter of the shard: a plain run reads
 //! no clock at all, a bench run reads it only around the events that
@@ -129,13 +130,8 @@ pub struct ServeOutput {
 /// Wall-clock measurements of one [`bench_service`] run.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeBench {
-    /// Shard count measured.
-    pub shards: usize,
-    /// Events ingested.
-    pub events: u64,
-    /// End-to-end wall time (ingest + scoring + merge) in nanoseconds.
-    pub elapsed_ns: u64,
-    /// Ingest throughput: events per wall-clock second.
+    /// Ingest throughput: events per wall-clock second, end to end
+    /// (ingest + scoring + merge).
     pub msgs_per_sec: f64,
     /// Median per-decision (window-close scoring) latency in ns.
     pub p50_decision_ns: u64,
@@ -540,9 +536,6 @@ pub fn bench_service(
         decision_ns.get(idx).copied().unwrap_or(0)
     };
     let bench = ServeBench {
-        shards,
-        events,
-        elapsed_ns,
         msgs_per_sec: if elapsed_ns == 0 {
             0.0
         } else {
@@ -665,43 +658,6 @@ pub fn batch_verdicts(
     out
 }
 
-/// [`batch_verdicts`] timed: wall-clock for the whole group-then-score
-/// pass, reported in the same units as [`ServeBench`] so the JSON rows
-/// are directly comparable.
-pub fn bench_batch(
-    profile: &Profile,
-    engine: &AnalysisEngine,
-    trace: &[TraceEvent],
-    span: TraceSpan,
-    window_len: Nanos,
-) -> (Vec<PeerVerdict>, ServeBench) {
-    let started = Instant::now();
-    let verdicts = batch_verdicts(profile, engine, trace, span, window_len);
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    // Per-decision latency for batch: time one representative detect()
-    // per percentile slot would undercount the grouping cost, so report
-    // the amortized per-window cost for both percentiles.
-    let per_window = if verdicts.is_empty() {
-        0
-    } else {
-        elapsed_ns / verdicts.len() as u64
-    };
-    let events = trace.len() as u64;
-    let bench = ServeBench {
-        shards: 1,
-        events,
-        elapsed_ns,
-        msgs_per_sec: if elapsed_ns == 0 {
-            0.0
-        } else {
-            events as f64 * 1e9 / elapsed_ns as f64
-        },
-        p50_decision_ns: per_window,
-        p99_decision_ns: per_window,
-    };
-    (verdicts, bench)
-}
-
 /// Verdict agreement between a streaming run and the batch pipeline on
 /// the same trace: the fraction of `(peer, window)` cells where both
 /// agree on `anomalous` **and** the violation set. Returns `(matching,
@@ -755,7 +711,7 @@ mod tests {
             w.reconnects = seed % 2;
             windows.push(w);
         }
-        let profile = AnalysisEngine::default().train(&windows).unwrap();
+        let profile = AnalysisEngine.train(&windows).unwrap();
         StreamingEngine::new(profile, window_len)
     }
 
@@ -838,7 +794,7 @@ mod tests {
         let streaming = run_service(&engine, &trace, span, 4);
         let batch = batch_verdicts(
             &engine.profile,
-            &AnalysisEngine::default(),
+            &AnalysisEngine,
             &trace,
             span,
             window_len,
@@ -860,32 +816,18 @@ mod tests {
         let engine = trained_engine(window_len);
         let (trace, span) = synthetic_trace(5, 2, window_len);
         let (out, bench) = bench_service(&engine, &trace, span, 2);
-        assert_eq!(bench.events, trace.len() as u64);
+        assert_eq!(out.events, trace.len() as u64);
         assert!(bench.msgs_per_sec > 0.0);
         assert!(bench.p99_decision_ns >= bench.p50_decision_ns);
         // The measured run's deterministic half equals an unmeasured run.
         let plain = run_service(&engine, &trace, span, 4);
         assert_eq!(out.digest, plain.digest);
-        let (_, batch_bench) = bench_batch(
-            &engine.profile,
-            &AnalysisEngine::default(),
-            &trace,
-            span,
-            window_len,
-        );
-        assert!(batch_bench.msgs_per_sec > 0.0);
     }
 
     /// One verdict per violation subset, judged by a hand-set profile:
     /// bit 0 of `subset` breaks `τ_n`, bit 1 `τ_c`, bit 2 `τ_Λ`.
     fn every_violation_subset() -> Vec<PeerVerdict> {
-        let profile = Profile {
-            tau_n: (1.0, 2.0),
-            tau_c: (0.0, 1.0),
-            tau_lambda: 0.5,
-            reference: [0.0; NUM_TYPES],
-            training_windows: 1,
-        };
+        let profile = Profile::new((1.0, 2.0), (0.0, 1.0), 0.5, [0.0; NUM_TYPES], 1);
         (0..8u64)
             .map(|subset| {
                 let n = if subset & 1 == 0 { 1.5 } else { 7.25 };
@@ -1038,7 +980,7 @@ mod tests {
     fn batch_counting_sort_and_agreement_walk_equal_their_references() {
         use btc_netsim::prop::{check, Gen};
         let engine = trained_engine(MINUTE);
-        let batch_engine = AnalysisEngine::default();
+        let batch_engine = AnalysisEngine;
         check("batch_verdicts ≡ reference_batch", |g: &mut Gen| {
             let window_len = *g.choose(&[1, 7, MINUTE]);
             let start = g.u64_in(0, 3 * window_len);
@@ -1130,7 +1072,7 @@ mod tests {
             .collect();
         let batch = batch_verdicts(
             &engine.profile,
-            &AnalysisEngine::default(),
+            &AnalysisEngine,
             &trace,
             span,
             window_len,

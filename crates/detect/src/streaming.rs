@@ -1,24 +1,18 @@
-//! Streaming feature extraction: the line-rate counterpart of
-//! [`crate::features::TrafficWindow`] + [`crate::engine::AnalysisEngine`].
+//! The detector's one scorer, and the per-peer streaming state that feeds
+//! it one message at a time.
 //!
-//! The batch pipeline buffers a whole window of telemetry, then computes
-//! `n`, `c` and `Λ` in one pass. This module updates all three features
-//! **incrementally, in O(1) per message**, so one process can score very
-//! many concurrent peers without re-scanning any history:
+//! A [`StreamingWindow`] is a [`TrafficWindow`] plus the running sums
+//! `Σ countsᵢ²` and `Σ countsᵢ·refᵢ`, so every feature costs **O(1) per
+//! message** and one process can score very many concurrent peers:
+//! `n`/`c` are the window's own rates, and `Λ`'s Pearson ρ follows from
+//! the two sums and the reference moments [`Profile`] holds (ρ is
+//! invariant under the scaling that turns counts into a distribution).
+//! `EwmaRate` adds a between-window rate signal.
 //!
-//! * `n`/`c` — running counters over a tumbling window, plus EWMA
-//!   estimators ([`EwmaRate`]) for a continuous between-window signal;
-//! * `Λ` — a dense 26-slot per-command histogram (indexed exactly like
-//!   `btc_wire::message::ALL_COMMANDS`) whose Pearson correlation against
-//!   the trained reference is maintained through running sufficient
-//!   statistics (`Σ counts`, `Σ counts²`, `Σ countsᵢ·refᵢ`), exploiting
-//!   that Pearson ρ is invariant under the positive scaling that turns raw
-//!   counts into the relative distribution.
-//!
-//! Every window verdict goes through [`crate::engine::Profile::judge`] —
-//! the same threshold comparison the batch engine uses — so a
-//! [`StreamingWindow`] fed message-by-message reproduces the batch
-//! `detect()` verdict (property-tested in `tests/prop_streaming.rs`).
+//! The batch [`crate::engine::AnalysisEngine`] builds the same sums from a
+//! finished window ([`StreamingWindow::of`]), so both engines share every
+//! formula and [`Profile::judge`]; only the order ρ's cross sum is added
+//! in differs (property-tested in `tests/prop_streaming.rs`).
 
 use crate::engine::{Detection, Profile};
 use crate::features::{TrafficWindow, NUM_TYPES};
@@ -30,48 +24,17 @@ pub type Nanos = u64;
 /// One minute in [`Nanos`].
 pub const MINUTE: Nanos = 60 * 1_000_000_000;
 
-/// Precomputed centered moments of a trained reference distribution, so
-/// the per-window correlation is O(1) at decision time and O(1) per
-/// recorded message.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReferenceStats {
-    /// The reference distribution itself.
-    pub reference: [f64; NUM_TYPES],
-    /// Mean of the reference slots.
-    mean: f64,
-    /// `Σ (refᵢ − mean)²`.
-    centered_sq_sum: f64,
-}
+/// EWMA time constant, in minutes.
+const EWMA_TAU_MINUTES: f64 = 1.0;
 
-impl ReferenceStats {
-    /// Precomputes the reference moments from a trained profile's `Λ`
-    /// reference.
-    pub fn new(reference: [f64; NUM_TYPES]) -> Self {
-        let mean = reference.iter().sum::<f64>() / NUM_TYPES as f64;
-        let centered_sq_sum = reference.iter().map(|r| (r - mean) * (r - mean)).sum();
-        ReferenceStats {
-            reference,
-            mean,
-            centered_sq_sum,
-        }
-    }
-}
-
-/// One observation window maintained incrementally. The dense histogram
-/// makes [`StreamingWindow::record`] a couple of integer updates and one
-/// float add; [`StreamingWindow::rho`] and the verdict are O(1) in the
-/// number of recorded messages.
+/// One observation window with the running sums that score it. The
+/// dense histogram makes [`StreamingWindow::record`] a couple of integer
+/// updates and one float add; [`StreamingWindow::rho`] and the verdict
+/// are O(1) in the number of recorded messages.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamingWindow {
-    /// Message count per type (indexed like
-    /// `btc_wire::message::ALL_COMMANDS`).
-    counts: [u64; NUM_TYPES],
-    /// Reconnections within the window.
-    reconnects: u64,
-    /// Window length in minutes.
-    minutes: f64,
-    /// Running `Σ counts` (total messages).
-    total: u64,
+    /// Counts, reconnections and length.
+    window: TrafficWindow,
     /// Running `Σ countsᵢ²`.
     sq_sum: u64,
     /// Running `Σ countsᵢ · refᵢ`.
@@ -82,101 +45,91 @@ impl StreamingWindow {
     /// An empty window of `minutes` length.
     pub fn empty(minutes: f64) -> Self {
         StreamingWindow {
-            counts: [0; NUM_TYPES],
-            reconnects: 0,
-            minutes,
-            total: 0,
+            window: TrafficWindow::empty(minutes),
             sq_sum: 0,
             ref_dot: 0.0,
+        }
+    }
+
+    /// A finished window with its sums built in one pass over the counts
+    /// (the batch engine's way in).
+    pub fn of(window: &TrafficWindow, profile: &Profile) -> Self {
+        let mut sq_sum = 0;
+        let mut ref_dot = 0.0;
+        for (&count, weight) in window.counts.iter().zip(profile.reference()) {
+            sq_sum += count * count;
+            ref_dot += count as f64 * weight;
+        }
+        StreamingWindow {
+            window: *window,
+            sq_sum,
+            ref_dot,
         }
     }
 
     /// Records one message of type `msg_type` (index into the 26-command
     /// table; out-of-range ids are ignored, mirroring the telemetry
     /// guard). O(1).
-    pub fn record(&mut self, msg_type: u8, refs: &ReferenceStats) {
+    pub fn record(&mut self, msg_type: u8, profile: &Profile) {
         let ty = usize::from(msg_type);
-        let (Some(slot), Some(weight)) = (self.counts.get_mut(ty), refs.reference.get(ty)) else {
+        let (Some(slot), Some(weight)) =
+            (self.window.counts.get_mut(ty), profile.reference().get(ty))
+        else {
             return;
         };
         // (c+1)² − c² = 2c + 1 keeps Σ counts² current without a rescan.
         self.sq_sum += 2 * *slot + 1;
         *slot += 1;
-        self.total += 1;
         self.ref_dot += weight;
     }
 
     /// Records one outbound reconnection. O(1).
     pub fn record_reconnect(&mut self) {
-        self.reconnects += 1;
+        self.window.reconnects += 1;
     }
 
-    /// Total messages recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Feature `n`: messages per minute. Same computation as
-    /// [`TrafficWindow::message_rate`], so the two agree bit for bit.
-    pub fn message_rate(&self) -> f64 {
-        if self.minutes <= 0.0 {
-            return 0.0;
-        }
-        self.total as f64 / self.minutes
-    }
-
-    /// Feature `c`: reconnections per minute.
-    pub fn reconnect_rate(&self) -> f64 {
-        if self.minutes <= 0.0 {
-            return 0.0;
-        }
-        self.reconnects as f64 / self.minutes
+    /// The window recorded so far.
+    pub fn window(&self) -> &TrafficWindow {
+        &self.window
     }
 
     /// Feature `Λ`: Pearson ρ of the window's count distribution against
-    /// the reference, from the running sufficient statistics.
+    /// the reference, from the running sums.
     ///
-    /// The batch path correlates `counts/total` with the reference;
     /// Pearson ρ is invariant under positive scaling, so correlating the
-    /// raw counts gives the same value (up to float rounding). Degenerate
-    /// windows (no traffic, or a perfectly flat histogram) report 0,
-    /// matching `correlation`'s zero-variance guard.
-    pub fn rho(&self, refs: &ReferenceStats) -> f64 {
+    /// raw counts gives the value `correlation` gives for `counts/total`
+    /// (up to float rounding). Degenerate windows (no traffic, or a
+    /// perfectly flat histogram) and a flat reference report 0, matching
+    /// `correlation`'s zero-variance guard.
+    pub fn rho(&self, profile: &Profile) -> f64 {
         let k = NUM_TYPES as f64;
-        let mean_counts = self.total as f64 / k;
+        let mean_counts = self.window.total() as f64 / k;
         // Centered second moment of the counts: Σc² − k·mean².
         let var_counts = self.sq_sum as f64 - k * mean_counts * mean_counts;
-        if var_counts <= 0.0 || refs.centered_sq_sum <= 0.0 {
+        if var_counts <= 0.0 || profile.ref_centered_sq_sum <= 0.0 {
             return 0.0;
         }
         // Centered cross moment: Σ cᵢ·rᵢ − k·mean_c·mean_r.
-        let cov = self.ref_dot - k * mean_counts * refs.mean;
-        cov / (var_counts.sqrt() * refs.centered_sq_sum.sqrt())
+        let cov = self.ref_dot - k * mean_counts * profile.ref_mean;
+        cov / (var_counts.sqrt() * profile.ref_centered_sq_sum.sqrt())
     }
 
-    /// Verdict against a trained profile — the same
-    /// [`Profile::judge`] threshold path the batch engine uses.
-    pub fn detect(&self, profile: &Profile, refs: &ReferenceStats) -> Detection {
-        profile.judge(self.message_rate(), self.reconnect_rate(), self.rho(refs))
-    }
-
-    /// The equivalent batch window (diagnostics and tests).
-    pub fn as_traffic_window(&self) -> TrafficWindow {
-        TrafficWindow {
-            counts: self.counts,
-            reconnects: self.reconnects,
-            minutes: self.minutes,
-        }
+    /// Verdict against a trained profile: the window's `n` and `c`, this
+    /// ρ, and [`Profile::judge`].
+    pub fn detect(&self, profile: &Profile) -> Detection {
+        profile.judge(
+            self.window.message_rate(),
+            self.window.reconnect_rate(),
+            self.rho(profile),
+        )
     }
 }
 
 /// Exponentially weighted event-rate estimator: each event contributes an
-/// impulse that decays with time constant `tau`, normalized so the
-/// estimate is in events/minute. O(1) per event, no event buffer.
+/// impulse that decays with time constant [`EWMA_TAU_MINUTES`], normalized
+/// so the estimate is in events/minute. O(1) per event, no event buffer.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EwmaRate {
-    /// Time constant in minutes.
-    tau_minutes: f64,
+pub(crate) struct EwmaRate {
     /// Decayed intensity at `last`, in events/minute.
     value: f64,
     /// Time of the last update.
@@ -184,12 +137,9 @@ pub struct EwmaRate {
 }
 
 impl EwmaRate {
-    /// A zero-rate estimator with time constant `tau_minutes`.
-    pub fn new(tau_minutes: f64, start: Nanos) -> Self {
-        // lint:allow(panic-path): constructor config validation; tau comes from the profile, not a peer
-        assert!(tau_minutes > 0.0, "EWMA needs a positive time constant");
+    /// A zero-rate estimator starting at `start`.
+    pub fn new(start: Nanos) -> Self {
         EwmaRate {
-            tau_minutes,
             value: 0.0,
             last: start,
         }
@@ -198,7 +148,7 @@ impl EwmaRate {
     fn decay_to(&mut self, now: Nanos) {
         if now > self.last {
             let dt_minutes = (now - self.last) as f64 / MINUTE as f64;
-            self.value *= (-dt_minutes / self.tau_minutes).exp();
+            self.value *= (-dt_minutes / EWMA_TAU_MINUTES).exp();
             self.last = now;
         }
     }
@@ -209,7 +159,7 @@ impl EwmaRate {
         self.decay_to(now);
         // ∫₀^∞ (1/τ)·e^(−t/τ) dt = 1: each event adds total weight one,
         // so for Poisson traffic the expectation equals the true rate.
-        self.value += 1.0 / self.tau_minutes;
+        self.value += 1.0 / EWMA_TAU_MINUTES;
     }
 
     /// The rate estimate at `now`, in events/minute.
@@ -218,24 +168,19 @@ impl EwmaRate {
             return self.value;
         }
         let dt_minutes = (now - self.last) as f64 / MINUTE as f64;
-        self.value * (-dt_minutes / self.tau_minutes).exp()
+        self.value * (-dt_minutes / EWMA_TAU_MINUTES).exp()
     }
 }
 
-/// The immutable part of the streaming detector: trained thresholds,
-/// precomputed reference moments, and the window/EWMA parameters. Shared
-/// (by reference) across every per-peer [`StreamingProfile`] and every
-/// shard of the profile service.
+/// The immutable part of the streaming detector: the trained profile
+/// and the window length. Shared (by reference) across every per-peer
+/// [`StreamingProfile`] and every shard of the profile service.
 #[derive(Clone, Debug)]
 pub struct StreamingEngine {
-    /// Trained thresholds (τ_n, τ_c, τ_Λ) and the Λ reference.
+    /// Trained thresholds, the Λ reference and its moments.
     pub profile: Profile,
-    /// Precomputed reference moments.
-    pub refs: ReferenceStats,
     /// Tumbling-window length.
     pub window_len: Nanos,
-    /// EWMA time constant in minutes.
-    pub ewma_tau_minutes: f64,
 }
 
 impl StreamingEngine {
@@ -245,12 +190,9 @@ impl StreamingEngine {
     pub fn new(profile: Profile, window_len: Nanos) -> Self {
         // lint:allow(panic-path): constructor config validation; window length comes from training, not a peer
         assert!(window_len > 0, "zero window length");
-        let refs = ReferenceStats::new(profile.reference);
         StreamingEngine {
             profile,
-            refs,
             window_len,
-            ewma_tau_minutes: 1.0,
         }
     }
 
@@ -287,8 +229,6 @@ pub struct StreamingProfile {
     window_index: u64,
     ewma_msg: EwmaRate,
     ewma_reconnect: EwmaRate,
-    /// Lifetime messages seen (diagnostics).
-    pub messages_seen: u64,
 }
 
 impl StreamingProfile {
@@ -300,9 +240,8 @@ impl StreamingProfile {
             window: StreamingWindow::empty(engine.window_minutes()),
             start,
             window_index: 0,
-            ewma_msg: EwmaRate::new(engine.ewma_tau_minutes, start),
-            ewma_reconnect: EwmaRate::new(engine.ewma_tau_minutes, start),
-            messages_seen: 0,
+            ewma_msg: EwmaRate::new(start),
+            ewma_reconnect: EwmaRate::new(start),
         }
     }
 
@@ -330,7 +269,7 @@ impl StreamingProfile {
         while let Some(close_at) = self.close_at(engine).filter(|close_at| now >= *close_at) {
             out.push(WindowVerdict {
                 window_index: self.window_index,
-                detection: self.window.detect(&engine.profile, &engine.refs),
+                detection: self.window.detect(&engine.profile),
                 ewma_n: self.ewma_msg.rate(close_at),
                 ewma_c: self.ewma_reconnect.rate(close_at),
             });
@@ -349,9 +288,8 @@ impl StreamingProfile {
         out: &mut Vec<WindowVerdict>,
     ) {
         self.roll_to(engine, now, out);
-        self.window.record(msg_type, &engine.refs);
+        self.window.record(msg_type, &engine.profile);
         self.ewma_msg.observe(now);
-        self.messages_seen += 1;
     }
 
     /// Feeds one outbound-reconnection event.
@@ -396,63 +334,61 @@ mod tests {
             w.reconnects = seed % 2;
             windows.push(w);
         }
-        AnalysisEngine::default().train(&windows).unwrap()
+        AnalysisEngine.train(&windows).unwrap()
     }
 
     #[test]
     fn incremental_rho_matches_two_pass_correlation() {
         let profile = trained_profile();
-        let refs = ReferenceStats::new(profile.reference);
         let mut sw = StreamingWindow::empty(10.0);
         let mut batch = TrafficWindow::empty(10.0);
         for (t, k) in [(12u8, 900u64), (6, 750), (4, 300), (0, 7), (25, 3)] {
             for _ in 0..k {
-                sw.record(t, &refs);
+                sw.record(t, &profile);
             }
             batch.counts[t as usize] = k;
         }
-        let expect = correlation(&batch.distribution(), &profile.reference);
-        assert!((sw.rho(&refs) - expect).abs() < 1e-9, "{} vs {expect}", sw.rho(&refs));
-        assert_eq!(sw.message_rate(), batch.message_rate());
+        let expect = correlation(&batch.distribution(), profile.reference());
+        let rho = sw.rho(&profile);
+        assert!((rho - expect).abs() < 1e-9, "{rho} vs {expect}");
+        assert_eq!(sw.window(), &batch);
     }
 
     #[test]
     fn degenerate_windows_report_zero_rho() {
         let profile = trained_profile();
-        let refs = ReferenceStats::new(profile.reference);
         // Empty window.
         let sw = StreamingWindow::empty(10.0);
-        assert_eq!(sw.rho(&refs), 0.0);
+        assert_eq!(sw.rho(&profile), 0.0);
         // Perfectly flat histogram: zero count variance.
         let mut flat = StreamingWindow::empty(10.0);
         for t in 0..NUM_TYPES as u8 {
-            flat.record(t, &refs);
+            flat.record(t, &profile);
         }
-        assert_eq!(flat.rho(&refs), 0.0);
+        assert_eq!(flat.rho(&profile), 0.0);
         // Flat reference: zero reference variance (a power-of-two slot
         // value so the mean subtraction is exact).
-        let flat_refs = ReferenceStats::new([0.03125; NUM_TYPES]);
+        let flat_ref = Profile::new((0.0, 1.0), (0.0, 1.0), 0.5, [0.03125; NUM_TYPES], 1);
         let mut sw = StreamingWindow::empty(10.0);
-        sw.record(4, &flat_refs);
-        sw.record(4, &flat_refs);
-        assert_eq!(sw.rho(&flat_refs), 0.0);
+        sw.record(4, &flat_ref);
+        sw.record(4, &flat_ref);
+        assert_eq!(sw.rho(&flat_ref), 0.0);
     }
 
     #[test]
     fn out_of_range_type_is_ignored() {
-        let refs = ReferenceStats::new(trained_profile().reference);
+        let profile = trained_profile();
         let mut sw = StreamingWindow::empty(10.0);
-        sw.record(NUM_TYPES as u8, &refs);
-        sw.record(255, &refs);
-        assert_eq!(sw.total(), 0);
-        assert_eq!(sw.as_traffic_window(), TrafficWindow::empty(10.0));
+        sw.record(NUM_TYPES as u8, &profile);
+        sw.record(255, &profile);
+        assert_eq!(sw, StreamingWindow::empty(10.0));
     }
 
     #[test]
     fn ewma_estimates_a_steady_rate() {
         // 120 events/minute for five time constants: the estimate settles
         // near the true rate.
-        let mut e = EwmaRate::new(1.0, 0);
+        let mut e = EwmaRate::new(0);
         let step = MINUTE / 120;
         let mut now = 0;
         for _ in 0..600 {
@@ -515,20 +451,19 @@ mod tests {
     #[test]
     fn streaming_verdict_equals_batch_verdict() {
         let profile = trained_profile();
-        let engine = AnalysisEngine::default();
-        let sengine = StreamingEngine::new(profile.clone(), 10 * MINUTE);
         let mut sw = StreamingWindow::empty(10.0);
         let mut batch = TrafficWindow::empty(10.0);
         for (t, k) in [(4u8, 150_000u64), (12, 1200), (6, 1000)] {
             for _ in 0..k {
-                sw.record(t, &sengine.refs);
+                sw.record(t, &profile);
             }
             batch.counts[t as usize] = k;
         }
-        let streaming = sw.detect(&profile, &sengine.refs);
-        let batch_d = engine.detect(&profile, &batch);
+        let streaming = sw.detect(&profile);
+        let batch_d = AnalysisEngine.detect(&profile, &batch);
         assert_eq!(streaming.anomalous, batch_d.anomalous);
         assert_eq!(streaming.violations, batch_d.violations);
+        assert_eq!((streaming.n, streaming.c), (batch_d.n, batch_d.c));
         assert!((streaming.rho - batch_d.rho).abs() < 1e-9);
     }
 }

@@ -1,19 +1,18 @@
-//! Property tests for streaming-vs-batch equivalence, driven by the
-//! in-repo `btc_netsim::prop` harness: a [`StreamingWindow`] fed message
-//! by message must reproduce [`TrafficWindow`]'s `n`/`c`/`Λ` and the
-//! batch `detect()` verdict within float tolerance — including degenerate
-//! zero-variance windows that hit `correlation`'s guard — the sharded
-//! profile service must be bit-identical at every shard count, and
-//! `window_due` must say exactly which events pay a decision. (Chunk
-//! boundaries and the peer index are exercised next to their private
-//! constants, in `serve.rs`' unit tests.)
+//! Property tests for the one scorer, driven by the in-repo
+//! `btc_netsim::prop` harness: the batch scorer's ρ must match the
+//! two-pass `correlation` — including degenerate zero-variance windows,
+//! which must give exactly 0 — a [`StreamingWindow`] fed message by
+//! message must give the batch scorer's `n`, `c` and verdict bit for bit
+//! and its ρ within float tolerance, the sharded profile service must be
+//! bit-identical at every shard count, and `window_due` must say exactly
+//! which events pay a decision. (Chunk boundaries and the peer index are
+//! exercised next to their private constants, in `serve.rs`' unit
+//! tests.)
 
 use btc_detect::engine::AnalysisEngine;
 use btc_detect::features::{correlation, TrafficWindow, NUM_TYPES};
 use btc_detect::serve::{run_service, TraceEvent, TraceEventKind, TraceSpan};
-use btc_detect::streaming::{
-    ReferenceStats, StreamingEngine, StreamingProfile, StreamingWindow, MINUTE,
-};
+use btc_detect::streaming::{StreamingEngine, StreamingProfile, StreamingWindow, MINUTE};
 use btc_detect::Profile;
 use btc_netsim::prop::{check, Gen};
 
@@ -30,7 +29,7 @@ fn gen_profile(g: &mut Gen) -> Profile {
         w.reconnects = g.u64_in(0, 2);
         windows.push(w);
     }
-    AnalysisEngine::default().train(&windows).expect("nonempty")
+    AnalysisEngine.train(&windows).expect("nonempty")
 }
 
 /// Generates an arbitrary window — occasionally degenerate: empty, flat
@@ -58,12 +57,33 @@ fn gen_window(g: &mut Gen) -> TrafficWindow {
     w
 }
 
+/// Whether `w` has zero count variance: empty, or perfectly flat.
+fn degenerate(w: &TrafficWindow) -> bool {
+    w.counts.iter().all(|c| *c == w.counts[0])
+}
+
+#[test]
+fn batch_scorer_matches_two_pass_correlation() {
+    check("batch scorer ρ ≡ correlation", |g: &mut Gen| {
+        let profile = gen_profile(g);
+        let batch = gen_window(g);
+        let rho = StreamingWindow::of(&batch, &profile).rho(&profile);
+        let expect = correlation(&batch.distribution(), profile.reference());
+        assert!(
+            (rho - expect).abs() < 1e-9,
+            "rho {rho} vs two-pass {expect} for {batch:?}"
+        );
+        if degenerate(&batch) {
+            assert_eq!(rho, 0.0, "degenerate window must report ρ = 0");
+        }
+        assert_eq!(AnalysisEngine.detect(&profile, &batch).rho, rho);
+    });
+}
+
 #[test]
 fn streaming_window_reproduces_batch_features_and_verdict() {
-    check("StreamingWindow ≡ TrafficWindow + detect()", |g: &mut Gen| {
+    check("StreamingWindow ≡ batch scorer", |g: &mut Gen| {
         let profile = gen_profile(g);
-        let refs = ReferenceStats::new(profile.reference);
-        let engine = AnalysisEngine::default();
         let batch = gen_window(g);
 
         // Feed the same window message by message, in a generated
@@ -76,7 +96,7 @@ fn streaming_window_reproduces_batch_features_and_verdict() {
             while remaining[cursor] == 0 {
                 cursor = (cursor + 1) % NUM_TYPES;
             }
-            sw.record(cursor as u8, &refs);
+            sw.record(cursor as u8, &profile);
             remaining[cursor] -= 1;
             left -= 1;
             cursor = (cursor + g.usize_in(1, NUM_TYPES)) % NUM_TYPES;
@@ -84,24 +104,23 @@ fn streaming_window_reproduces_batch_features_and_verdict() {
         for _ in 0..batch.reconnects {
             sw.record_reconnect();
         }
+        assert_eq!(sw.window(), &batch);
 
-        // n and c are the same computation — exactly equal.
-        assert_eq!(sw.message_rate(), batch.message_rate());
-        assert_eq!(sw.reconnect_rate(), batch.reconnect_rate());
-        // Λ: incremental Pearson vs the two-pass batch correlation.
-        let batch_rho = correlation(&batch.distribution(), &profile.reference);
-        let rho = sw.rho(&refs);
+        let streaming = sw.detect(&profile);
+        let batch_d = AnalysisEngine.detect(&profile, &batch);
+        // n and c are the same computation on the same window: bit-equal.
+        assert_eq!(streaming.n.to_bits(), batch_d.n.to_bits());
+        assert_eq!(streaming.c.to_bits(), batch_d.c.to_bits());
+        // Λ: the cross sum is added per event here, per slot there.
         assert!(
-            (rho - batch_rho).abs() < 1e-9,
-            "rho {rho} vs batch {batch_rho} for {batch:?}"
+            (streaming.rho - batch_d.rho).abs() < 1e-9,
+            "rho {} vs batch {} for {batch:?}",
+            streaming.rho,
+            batch_d.rho
         );
-        // Degenerate windows must hit the same zero-variance guard.
-        if batch.total() == 0 || batch.counts.iter().all(|c| *c == batch.counts[0]) {
-            assert_eq!(rho, 0.0, "degenerate window must report ρ = 0");
+        if degenerate(&batch) {
+            assert_eq!(streaming.rho, 0.0, "degenerate window must report ρ = 0");
         }
-        // And the verdicts agree feature by feature.
-        let streaming = sw.detect(&profile, &refs);
-        let batch_d = engine.detect(&profile, &batch);
         assert_eq!(streaming.anomalous, batch_d.anomalous);
         assert_eq!(streaming.violations, batch_d.violations);
     });

@@ -33,7 +33,7 @@ fn main() {
             c.name,
             c.detection.n,
             c.detection.c,
-            c.rho,
+            c.detection.rho,
             if c.detection.anomalous {
                 format!("ANOMALOUS {:?}", c.detection.violations)
             } else {

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 fn train_detect_respond_pipeline() {
     // Train on clean traffic, then attach a flood and detect it within one
     // window — the full Monitor → Dataset → Analysis Engine path of Fig. 9.
-    let engine = AnalysisEngine::default();
+    let engine = AnalysisEngine;
     let mut tb = Testbed::build(TestbedConfig::default());
     tb.sim.run_for(21 * MINUTES);
     let windows = tb.windows(MINUTES, 21 * MINUTES, 5 * MINUTES);
@@ -210,7 +210,7 @@ fn umbrella_crate_reexports_compile() {
 fn detection_response_drops_and_rebuilds_connections() {
     // The §VII loop closed: detect the flood, alert the node, node drops
     // inbound connections — the flood stops.
-    let engine = AnalysisEngine::default();
+    let engine = AnalysisEngine;
     let mut tb = Testbed::build(TestbedConfig::default());
     tb.sim.run_for(11 * MINUTES);
     let profile = engine

@@ -154,7 +154,7 @@ fn detector_never_flags_its_own_training_windows() {
                 w
             })
             .collect();
-        let engine = AnalysisEngine::default();
+        let engine = AnalysisEngine;
         let profile = engine.train(&windows).unwrap();
         for w in &windows {
             let d = engine.detect(&profile, w);
