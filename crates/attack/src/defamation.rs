@@ -14,7 +14,7 @@
 use btc_netsim::packet::{make_segment, PacketBody, SockAddr, TcpFlags};
 use btc_netsim::sim::{App, Ctx, TapHandle};
 use btc_netsim::time::{Nanos, MILLIS};
-use btc_wire::message::{Message, RawMessage, VersionMessage};
+use btc_wire::message::{Message, VersionMessage};
 use btc_wire::types::{NetAddr, Network};
 use btc_wire::bytes::Bytes;
 use std::any::Any;
@@ -143,8 +143,8 @@ impl PreConnDefamer {
             u64::from(isn),
         );
         for frame in [
-            RawMessage::frame(self.network, &Message::Version(v)).to_bytes(),
-            RawMessage::frame(self.network, &Message::Verack).to_bytes(),
+            Message::Version(v).to_frame(self.network),
+            Message::Verack.to_frame(self.network),
         ] {
             let len = frame.len() as u32;
             ctx.inject(make_segment(spoofed, target, seq, 0, TcpFlags::ACK, frame));

@@ -21,7 +21,7 @@ use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::ConnId;
 use btc_netsim::time::from_secs_f64;
 use btc_wire::drain::FrameAssembler;
-use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
+use btc_wire::message::{decode_frame, Message, VersionMessage};
 use btc_wire::types::{NetAddr, Network};
 use std::any::Any;
 
@@ -159,8 +159,7 @@ impl App for EvasiveFlooder {
             NetAddr::new(peer.ip, peer.port),
             ctx.rng().next_u64(),
         );
-        let bytes = RawMessage::frame(self.cfg.network, &Message::Version(v)).to_bytes();
-        ctx.send(conn, &bytes);
+        ctx.send_bytes(conn, Message::Version(v).to_frame(self.cfg.network));
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: SockAddr, data: &[u8]) {
@@ -168,8 +167,7 @@ impl App for EvasiveFlooder {
         while let Some(raw) = self.frames.next_frame() {
             match decode_frame(&raw) {
                 Ok(Message::Version(_)) => {
-                    let b = RawMessage::frame(self.cfg.network, &Message::Verack).to_bytes();
-                    ctx.send(conn, &b);
+                    ctx.send_bytes(conn, Message::Verack.to_frame(self.cfg.network));
                 }
                 Ok(Message::Verack)
                     if !self.handshaked => {
@@ -192,9 +190,10 @@ impl App for EvasiveFlooder {
         let local = ctx.local_of(conn).unwrap_or_default();
         self.nonce += 1;
         let bytes = payload.build(self.cfg.network, local, self.cfg.target, self.nonce);
-        if ctx.send(conn, &bytes) {
+        let len = bytes.len();
+        if ctx.send_bytes(conn, bytes) {
             self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes.len() as u64;
+            self.stats.bytes_sent += len as u64;
         }
         self.schedule_next(ctx);
     }

@@ -12,7 +12,7 @@ use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::{CloseReason, ConnId};
 use btc_netsim::time::{Nanos, MILLIS, SECS};
 use btc_wire::drain::FrameAssembler;
-use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
+use btc_wire::message::{decode_frame, Message, VersionMessage};
 use btc_wire::types::{NetAddr, Network};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -186,12 +186,13 @@ impl Flooder {
             .cfg
             .payload
             .build(self.cfg.network, local, self.cfg.target, self.nonce);
-        let cost = build_cost_cycles(bytes.len());
+        let len = bytes.len();
+        let cost = build_cost_cycles(len);
         ctx.charge_cpu(cost);
         self.stats.build_cycles += cost;
-        if ctx.send(conn, &bytes) {
+        if ctx.send_bytes(conn, bytes) {
             self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes.len() as u64;
+            self.stats.bytes_sent += len as u64;
             if let Some(c) = self.conns.get_mut(&conn) {
                 c.sent += 1;
             }
@@ -214,8 +215,7 @@ impl App for Flooder {
             NetAddr::new(peer.ip, peer.port),
             ctx.rng().next_u64(),
         );
-        let bytes = RawMessage::frame(self.cfg.network, &Message::Version(v)).to_bytes();
-        ctx.send(conn, &bytes);
+        ctx.send_bytes(conn, Message::Version(v).to_frame(self.cfg.network));
         let local = ctx.local_of(conn).unwrap_or_default();
         self.conns.insert(
             conn,
@@ -248,8 +248,7 @@ impl App for Flooder {
                     // target's VERSION so the session is complete
                     // and flood messages aren't eaten (and scored!)
                     // by the pre-VERACK rules.
-                    let bytes = RawMessage::frame(self.cfg.network, &Message::Verack).to_bytes();
-                    ctx.send(conn, &bytes);
+                    ctx.send_bytes(conn, Message::Verack.to_frame(self.cfg.network));
                 }
                 Ok(Message::Verack) => {
                     if let Some(state) = self.conns.get_mut(&conn) {

@@ -1,5 +1,11 @@
 //! Attack payload construction: the misbehaving, bogus and benign messages
 //! the BM-DoS and Defamation attacks transmit.
+//!
+//! A flood message is framed once into the buffer that goes on the wire:
+//! [`FloodPayload::build`] returns the [`Bytes`] that
+//! [`Message::to_frame`] encoded, and the flood engine hands that handle
+//! to the transport by value, so a message is encoded once, hashed once
+//! and never copied on the attacker's side.
 
 use btc_netsim::packet::SockAddr;
 use btc_wire::block::{Block, BlockHeader};
@@ -46,11 +52,15 @@ impl FloodPayload {
     ///
     /// `from`/`to` parameterize messages that embed addresses
     /// (`VERSION`); `nonce` decorrelates messages that carry one.
+    ///
+    /// Every well-formed variant is [`Message::to_frame`]: the payload is
+    /// encoded once, straight after its header, into the one buffer the
+    /// returned [`Bytes`] owns, which a sender hands to `Ctx::send_bytes`
+    /// without a copy. Only the frames a [`Message`] cannot represent
+    /// (`BogusChecksumBlock`, `Custom`) go through [`RawMessage`].
     pub fn build(&self, network: Network, from: SockAddr, to: SockAddr, nonce: u64) -> Bytes {
         match self {
-            FloodPayload::Ping => {
-                RawMessage::frame(network, &Message::Ping(nonce)).to_bytes()
-            }
+            FloodPayload::Ping => Message::Ping(nonce).to_frame(network),
             FloodPayload::BogusChecksumBlock { payload_bytes } => {
                 // Junk payload: never decoded, so contents are irrelevant —
                 // only the checksum pass's cost matters.
@@ -70,7 +80,7 @@ impl FloodPayload {
                     txs: vec![btc_wire::Transaction::coinbase(50, &nonce.to_le_bytes())],
                 };
                 block.header.merkle_root = block.merkle_root();
-                RawMessage::frame(network, &Message::Block(block)).to_bytes()
+                Message::Block(block).to_frame(network)
             }
             FloodPayload::DuplicateVersion => {
                 let v = VersionMessage::new(
@@ -78,7 +88,7 @@ impl FloodPayload {
                     NetAddr::new(to.ip, to.port),
                     nonce,
                 );
-                RawMessage::frame(network, &Message::Version(v)).to_bytes()
+                Message::Version(v).to_frame(network)
             }
             FloodPayload::OversizeAddr => {
                 let entries = (0..=MAX_ADDR_TO_SEND as u32)
@@ -87,7 +97,7 @@ impl FloodPayload {
                         addr: NetAddr::new(i.to_le_bytes(), 8333),
                     })
                     .collect();
-                RawMessage::frame(network, &Message::Addr(entries)).to_bytes()
+                Message::Addr(entries).to_frame(network)
             }
             FloodPayload::OversizeInv => {
                 let entries = (0..=MAX_INV_SZ as u32)
@@ -95,7 +105,7 @@ impl FloodPayload {
                         Inventory::new(InvType::Tx, Hash256::hash(&i.to_le_bytes()))
                     })
                     .collect();
-                RawMessage::frame(network, &Message::Inv(entries)).to_bytes()
+                Message::Inv(entries).to_frame(network)
             }
             FloodPayload::BenignTx => {
                 let tx = btc_wire::Transaction::new(
@@ -110,14 +120,14 @@ impl FloodPayload {
                     )],
                     0,
                 );
-                RawMessage::frame(network, &Message::Tx(tx)).to_bytes()
+                Message::Tx(tx).to_frame(network)
             }
             FloodPayload::BenignInv => {
                 let inv = vec![Inventory::new(
                     InvType::Tx,
                     Hash256::hash(&nonce.wrapping_mul(0x9E37).to_le_bytes()),
                 )];
-                RawMessage::frame(network, &Message::Inv(inv)).to_bytes()
+                Message::Inv(inv).to_frame(network)
             }
             FloodPayload::Custom(raw) => raw.to_bytes(),
         }
@@ -199,6 +209,48 @@ mod tests {
             panic!()
         };
         assert_eq!(list.len() as u64, MAX_INV_SZ + 1);
+    }
+
+    #[test]
+    fn build_matches_raw_message_framing() {
+        // The oracle is the two-buffer path `build` used before it framed
+        // with `Message::to_frame`: `RawMessage::frame(..).to_bytes()` of
+        // the message the frame carries.
+        let from = SockAddr::new([9, 9, 9, 9], 50_000);
+        let to = SockAddr::new([10, 0, 0, 1], 8333);
+        let bogus = FloodPayload::BogusChecksumBlock { payload_bytes: 100 };
+        let custom = RawMessage::frame_raw(NET, "nonsense", Bytes::from(vec![1, 2, 3]));
+        let variants = [
+            FloodPayload::Ping,
+            bogus.clone(),
+            FloodPayload::InvalidPowBlock,
+            FloodPayload::DuplicateVersion,
+            FloodPayload::OversizeAddr,
+            FloodPayload::OversizeInv,
+            FloodPayload::BenignTx,
+            FloodPayload::BenignInv,
+            FloodPayload::Custom(custom.clone()),
+        ];
+        for network in [Network::Mainnet, Network::Regtest] {
+            for nonce in [0, 1, u64::MAX] {
+                for p in &variants {
+                    let built = p.build(network, from, to, nonce);
+                    let oracle = if *p == bogus {
+                        RawMessage::frame_raw(network, "block", Bytes::from(vec![0xAB; 100]))
+                            .corrupt_checksum()
+                            .to_bytes()
+                    } else if *p == FloodPayload::Custom(custom.clone()) {
+                        custom.to_bytes()
+                    } else {
+                        let Ok(FrameResult::Frame { raw, .. }) = read_frame(network, &built) else {
+                            panic!("{p:?} on {network:?} is not one frame");
+                        };
+                        RawMessage::frame(network, &decode_frame(&raw).unwrap()).to_bytes()
+                    };
+                    assert_eq!(built, oracle, "{p:?} {network:?} nonce {nonce}");
+                }
+            }
+        }
     }
 
     #[test]

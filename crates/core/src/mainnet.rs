@@ -12,7 +12,7 @@ use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::ConnId;
 use btc_netsim::time::{from_secs_f64, Nanos, MINUTES};
 use btc_wire::drain::FrameAssembler;
-use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
+use btc_wire::message::{decode_frame, Message, VersionMessage};
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
 use btc_wire::types::{Hash256, InvType, Inventory, NetAddr, Network, TimestampedAddr};
 use std::any::Any;
@@ -83,8 +83,7 @@ impl MainnetPeer {
 
     fn send_msg(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         if let Some(conn) = self.conn {
-            let bytes = RawMessage::frame(self.network, msg).to_bytes();
-            if ctx.send(conn, &bytes) {
+            if ctx.send_bytes(conn, msg.to_frame(self.network)) {
                 self.sent += 1;
             }
         }
@@ -130,8 +129,7 @@ impl App for MainnetPeer {
             NetAddr::new(peer.ip, peer.port),
             ctx.rng().next_u64(),
         );
-        let bytes = RawMessage::frame(self.network, &Message::Version(v)).to_bytes();
-        ctx.send(conn, &bytes);
+        ctx.send_bytes(conn, Message::Version(v).to_frame(self.network));
     }
 
     fn on_data(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, _peer: SockAddr, data: &[u8]) {
@@ -139,8 +137,7 @@ impl App for MainnetPeer {
         while let Some(raw) = self.frames.next_frame() {
             match decode_frame(&raw) {
                 Ok(Message::Version(_)) => {
-                    let bytes = RawMessage::frame(self.network, &Message::Verack).to_bytes();
-                    ctx.send(conn, &bytes);
+                    ctx.send_bytes(conn, Message::Verack.to_frame(self.network));
                 }
                 Ok(Message::Verack)
                     if !self.handshaked => {

@@ -455,7 +455,9 @@ impl Region {
     }
 
     /// Taps observe first, the delivered counter always ticks, then the
-    /// destination (if it lives here) processes the packet.
+    /// destination (if it lives here) processes the packet. The packet is
+    /// consumed: a TCP segment goes to the stack by value, so accepted
+    /// data reaches the app's `TcpEvent::Data` as the same handle.
     ///
     /// A packet whose destination was unknown at send time travels in the
     /// sender's region; if a host with that address has registered *in
@@ -485,7 +487,7 @@ impl Region {
         host.counters.rx_packets += 1;
         host.counters.rx_bytes += packet.wire_len() as u64;
         host.cpu.charge(DEFAULT_KERNEL_COST);
-        match &packet.body {
+        match packet.body {
             PacketBody::Icmp(echo) => {
                 let mut reply = None;
                 if echo.request {
@@ -495,12 +497,12 @@ impl Region {
                         dst: packet.src,
                         body: PacketBody::Icmp(IcmpEcho {
                             request: false,
-                            ..*echo
+                            ..echo
                         }),
                     });
                 }
                 let from = packet.src.ip;
-                self.with_app(net, id, |app, ctx| app.on_icmp(ctx, from, echo));
+                self.with_app(net, id, |app, ctx| app.on_icmp(ctx, from, &echo));
                 self.transmit(net, i, reply);
             }
             PacketBody::Tcp(seg) => {

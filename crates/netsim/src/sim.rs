@@ -146,15 +146,18 @@ impl Ctx<'_> {
     }
 
     /// Sends bytes on an established connection. Returns `false` if the
-    /// connection isn't usable. Copies `data` once; see [`Ctx::send_bytes`].
+    /// connection isn't usable. Copies `data` into a fresh buffer (two
+    /// heap allocations); an app that owns its frame as [`Bytes`], such as
+    /// one built by `Message::to_frame`, hands it to [`Ctx::send_bytes`].
     pub fn send(&mut self, conn: ConnId, data: &[u8]) -> bool {
         self.send_bytes(conn, Bytes::copy_from_slice(data))
     }
 
     /// [`Ctx::send`] for a buffer the caller already owns: segments are
-    /// refcounted slices of `data`, so a frame sent to many peers by
+    /// windows into `data`'s allocation, so a frame sent to many peers by
     /// `Bytes::clone` is never copied, and they go straight into the
-    /// region's reused outbox.
+    /// region's reused outbox. A frame of at most one `MSS` travels as
+    /// `data` itself.
     pub fn send_bytes(&mut self, conn: ConnId, data: Bytes) -> bool {
         self.host
             .tcp_at(self.now)

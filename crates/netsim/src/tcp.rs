@@ -23,6 +23,14 @@
 //! and a connection that exhausts [`MAX_RETRIES`] aborts with
 //! [`CloseReason::Timeout`]. Socket tables are `BTreeMap`s so the
 //! retransmission scan order is deterministic.
+//!
+//! ## Buffer ownership
+//!
+//! A payload has one owner per hop. [`TcpStack::send_bytes_into`] gives
+//! its last segment the caller's [`Bytes`] itself, so a send of at most
+//! one [`MSS`] moves the frame onto the wire with no refcount traffic, and
+//! [`TcpStack::handle_segment_into`] takes the arriving segment by value
+//! and moves its payload into [`TcpEvent::Data`].
 
 use crate::packet::{
     make_segment, tcp_checksum, Packet, SockAddr, TcpFlags, TcpSegment,
@@ -118,6 +126,33 @@ impl Socket {
             rto_at: None,
             retries: 0,
         }
+    }
+
+    /// Sends `chunk` as this socket's next data segment from `local` to
+    /// `remote`: stamps it at `snd_nxt`, advances `snd_nxt` past it,
+    /// queues it for retransmission when `reliable`, and appends it to
+    /// `out`.
+    fn push_data(
+        &mut self,
+        (local, remote): (SockAddr, SockAddr),
+        chunk: Bytes,
+        reliable: bool,
+        out: &mut Vec<Packet>,
+    ) {
+        let len = chunk.len() as u32;
+        let seg = make_segment(
+            local,
+            remote,
+            self.snd_nxt,
+            self.rcv_nxt,
+            TcpFlags::ACK,
+            chunk,
+        );
+        self.snd_nxt = self.snd_nxt.wrapping_add(len);
+        if reliable {
+            self.rtx.push_back((self.snd_nxt, seg.clone()));
+        }
+        out.push(seg);
     }
 }
 
@@ -312,8 +347,8 @@ impl TcpStack {
     }
 
     /// [`TcpStack::send`] without the copy: each segment's payload is a
-    /// refcounted [`Bytes::slice`] of `data`, so the segments (and the
-    /// retransmit queue) share `data`'s one allocation.
+    /// window into `data`'s one allocation, which the segments (and the
+    /// retransmit queue) share.
     pub fn send_bytes(&mut self, id: ConnId, data: Bytes) -> Option<Vec<Packet>> {
         let mut out = Vec::with_capacity(data.len().div_ceil(MSS));
         self.send_bytes_into(id, data, &mut out).then_some(out)
@@ -322,7 +357,10 @@ impl TcpStack {
     /// [`TcpStack::send_bytes`] into a caller-owned buffer: appends the
     /// segments to `out` and returns `false` (appending nothing) if the
     /// connection is not established. The simulator sends this way into
-    /// its reused outbox, so a send allocates nothing.
+    /// its reused outbox, so a send allocates nothing. Every segment but
+    /// the last is a [`Bytes::slice`] of `data`; the last one is `data`
+    /// itself, narrowed by [`Bytes::into_slice`], so a frame of at most
+    /// one [`MSS`] travels in the caller's handle with no refcount traffic.
     pub fn send_bytes_into(&mut self, id: ConnId, data: Bytes, out: &mut Vec<Packet>) -> bool {
         let Some(&key) = self.routes.get(&id) else {
             return false;
@@ -333,25 +371,13 @@ impl TcpStack {
         if sock.state != TcpState::Established {
             return false;
         }
-        let (local, remote) = key;
         let mut off = 0;
-        while off < data.len() {
-            let end = (off + MSS).min(data.len());
-            let chunk = data.slice(off..end);
-            let seg = make_segment(
-                local,
-                remote,
-                sock.snd_nxt,
-                sock.rcv_nxt,
-                TcpFlags::ACK,
-                chunk,
-            );
-            sock.snd_nxt = sock.snd_nxt.wrapping_add((end - off) as u32);
-            if self.reliable {
-                sock.rtx.push_back((sock.snd_nxt, seg.clone()));
-            }
-            out.push(seg);
-            off = end;
+        while data.len() - off > MSS {
+            sock.push_data(key, data.slice(off..off + MSS), self.reliable, out);
+            off += MSS;
+        }
+        if off < data.len() {
+            sock.push_data(key, data.into_slice(off..), self.reliable, out);
         }
         if self.reliable && sock.rto_at.is_none() && !sock.rtx.is_empty() {
             sock.rto_at = Some(self.now + self.rto);
@@ -388,7 +414,8 @@ impl TcpStack {
     /// `accept` is consulted on new inbound SYNs; returning `false` refuses
     /// the connection with an RST (the ban-list check point).
     ///
-    /// Returns app events and reply packets.
+    /// Returns app events and reply packets. Borrows `seg` and clones it
+    /// for [`TcpStack::handle_segment_into`].
     pub fn handle_segment(
         &mut self,
         src: SockAddr,
@@ -398,19 +425,21 @@ impl TcpStack {
     ) -> (Vec<TcpEvent>, Vec<Packet>) {
         let mut events = Vec::new();
         let mut replies = Vec::new();
-        self.handle_segment_into(src, dst, seg, accept, &mut events, &mut replies);
+        self.handle_segment_into(src, dst, seg.clone(), accept, &mut events, &mut replies);
         (events, replies)
     }
 
     /// [`TcpStack::handle_segment`] into caller-owned buffers: appends the
     /// app events to `events` and the reply packets to `replies`. The
     /// simulator keeps one pair per region and drains it after every
-    /// delivery, so a delivered segment allocates nothing.
+    /// delivery, so a delivered segment allocates nothing. `seg` is taken
+    /// by value: accepted data moves its payload into
+    /// [`TcpEvent::Data`], with no refcount traffic.
     pub fn handle_segment_into(
         &mut self,
         src: SockAddr,
         dst: SockAddr,
-        seg: &TcpSegment,
+        seg: TcpSegment,
         accept: &mut dyn FnMut(SockAddr) -> bool,
         events: &mut Vec<TcpEvent>,
         replies: &mut Vec<Packet>,
@@ -489,7 +518,7 @@ impl TcpStack {
                                 events.push(TcpEvent::Data {
                                     id,
                                     peer: src,
-                                    payload: seg.payload.clone(),
+                                    payload: seg.payload,
                                 });
                                 if self.reliable {
                                     replies.push(make_segment(
@@ -571,7 +600,7 @@ impl TcpStack {
                             events.push(TcpEvent::Data {
                                 id,
                                 peer: src,
-                                payload: seg.payload.clone(),
+                                payload: seg.payload,
                             });
                             if self.reliable {
                                 replies.push(make_segment(
@@ -845,6 +874,69 @@ mod tests {
                 p
             })
             .collect()
+    }
+
+    /// `send_bytes_into` as it was before the last segment took `data`
+    /// itself: every segment a refcounted `slice` of `data`. The oracle.
+    fn slicing_loop_send(s: &mut TcpStack, id: ConnId, data: Bytes, out: &mut Vec<Packet>) {
+        let key = s.routes[&id];
+        let sock = s.socks.get_mut(&key).unwrap();
+        let (local, remote) = key;
+        let mut off = 0;
+        while off < data.len() {
+            let end = (off + MSS).min(data.len());
+            let chunk = data.slice(off..end);
+            let seg = make_segment(
+                local,
+                remote,
+                sock.snd_nxt,
+                sock.rcv_nxt,
+                TcpFlags::ACK,
+                chunk,
+            );
+            sock.snd_nxt = sock.snd_nxt.wrapping_add((end - off) as u32);
+            if s.reliable {
+                sock.rtx.push_back((sock.snd_nxt, seg.clone()));
+            }
+            out.push(seg);
+            off = end;
+        }
+        if s.reliable && sock.rto_at.is_none() && !sock.rtx.is_empty() {
+            sock.rto_at = Some(s.now + s.rto);
+        }
+    }
+
+    #[test]
+    fn send_bytes_into_matches_slicing_loop() {
+        for reliable in [false, true] {
+            let (mut a, _, aid, _) = establish_with(reliable);
+            let (mut b, _, bid, _) = establish_with(reliable);
+            for len in [0, 1, MSS - 1, MSS, MSS + 1, 2 * MSS, 2 * MSS + 1] {
+                let data = Bytes::from((0..len).map(|i| (i * 7 % 253) as u8).collect::<Vec<u8>>());
+                let (mut expected, mut got) = (Vec::new(), Vec::new());
+                slicing_loop_send(&mut a, aid, data.clone(), &mut expected);
+                let last = data
+                    .as_ptr()
+                    .wrapping_add(len.saturating_sub(1) / MSS * MSS);
+                assert!(b.send_bytes_into(bid, data, &mut got));
+                assert_eq!(got, expected, "segments, reliable={reliable} len={len}");
+                let sock = |s: &TcpStack, id: ConnId| s.socks[&s.routes[&id]].clone();
+                let (sa, sb) = (sock(&a, aid), sock(&b, bid));
+                assert_eq!(sb.rtx, sa.rtx, "rtx, reliable={reliable} len={len}");
+                assert_eq!(
+                    (sb.snd_nxt, sb.rcv_nxt, sb.rto_at),
+                    (sa.snd_nxt, sa.rcv_nxt, sa.rto_at)
+                );
+                // The last segment is a window into the caller's buffer.
+                if let Some(Packet {
+                    body: PacketBody::Tcp(seg),
+                    ..
+                }) = got.last()
+                {
+                    assert!(std::ptr::eq(seg.payload.as_ptr(), last), "len={len}");
+                }
+            }
+        }
     }
 
     #[test]

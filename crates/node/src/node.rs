@@ -359,7 +359,7 @@ impl Node {
     }
 
     /// Frames `msg` once into its wire buffer and hands that buffer to the
-    /// transport, which segments it by refcounted slice.
+    /// transport, which segments it without a copy.
     fn send_message(&self, ctx: &mut Ctx<'_>, conn: ConnId, msg: &Message) {
         ctx.send_bytes(conn, msg.to_frame(self.config.network));
     }

@@ -63,6 +63,18 @@ impl Bytes {
     ///
     /// Panics when the range falls outside the buffer.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        self.clone().into_slice(range)
+    }
+
+    /// [`Bytes::slice`] of a handle the caller gives up: the window
+    /// narrows in place, so the reference count is neither raised nor
+    /// dropped. TCP-lite hands the last segment of a send its caller's
+    /// buffer this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range falls outside the buffer.
+    pub fn into_slice(mut self, range: impl RangeBounds<usize>) -> Self {
         use std::ops::Bound;
         let start = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -76,11 +88,9 @@ impl Bytes {
         };
         // lint:allow(panic-path): documented slice() contract — callers on the decode path derive ranges from already-validated lengths
         assert!(start <= end && end <= self.len, "slice {start}..{end} out of range for Bytes of length {}", self.len);
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + start,
-            len: end - start,
-        }
+        self.start += start;
+        self.len = end - start;
+        self
     }
 }
 
@@ -441,6 +451,47 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn slice_out_of_range_panics() {
         Bytes::from(vec![1, 2, 3]).slice(1..5);
+    }
+
+    #[test]
+    fn into_slice_matches_slice_on_every_range() {
+        use std::ops::Bound::{self, Excluded, Included, Unbounded};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // A window that does not start at its backing's offset 0.
+        let base = Bytes::from((0..12).collect::<Vec<u8>>()).slice(2..9);
+        let bounds = |n: usize| [Included(n), Excluded(n), Unbounded];
+        let mut panics = 0;
+        for a in 0..=base.len() + 1 {
+            for b in 0..=base.len() + 1 {
+                for range in bounds(a)
+                    .into_iter()
+                    .flat_map(|s| bounds(b).map(|e| (s, e)))
+                {
+                    let range: (Bound<usize>, Bound<usize>) = range;
+                    let shared = catch_unwind(|| base.slice(range));
+                    let owned = catch_unwind(AssertUnwindSafe(|| base.clone().into_slice(range)));
+                    match (shared, owned) {
+                        (Ok(s), Ok(o)) => {
+                            assert_eq!(s, o, "{range:?}");
+                            assert!(std::ptr::eq(s.as_ptr(), o.as_ptr()), "{range:?}");
+                        }
+                        (Err(_), Err(_)) => panics += 1,
+                        _ => panic!("slice and into_slice disagree on {range:?}"),
+                    }
+                }
+            }
+        }
+        assert!(panics > 0, "no out-of-range case was exercised");
+    }
+
+    #[test]
+    fn into_slice_keeps_the_handle() {
+        let whole = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let ptr = whole.as_ptr();
+        let tail = whole.into_slice(1..);
+        assert_eq!(&tail[..], &[2, 3, 4, 5]);
+        assert!(std::ptr::eq(tail.as_ptr(), ptr.wrapping_add(1)));
+        assert_eq!(Arc::strong_count(&tail.data), 1);
     }
 
     #[test]

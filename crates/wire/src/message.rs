@@ -538,20 +538,18 @@ impl MessageHeader {
         }
     }
 
-    /// The 24 header bytes as they go on the wire, built on the stack.
+    /// The 24 header bytes as they go on the wire, built on the stack:
+    /// the four fields destructured into one array literal, so the
+    /// compiler sees fixed offsets and emits plain stores.
     pub fn to_array(&self) -> [u8; HEADER_SIZE] {
-        let mut out = [0u8; HEADER_SIZE];
-        let fields = self
-            .magic
-            .to_le_bytes()
-            .into_iter()
-            .chain(self.command)
-            .chain(self.length.to_le_bytes())
-            .chain(self.checksum);
-        for (dst, src) in out.iter_mut().zip(fields) {
-            *dst = src;
-        }
-        out
+        let [m0, m1, m2, m3] = self.magic.to_le_bytes();
+        let [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11] = self.command;
+        let [l0, l1, l2, l3] = self.length.to_le_bytes();
+        let [k0, k1, k2, k3] = self.checksum;
+        [
+            m0, m1, m2, m3, c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, l0, l1, l2, l3, k0,
+            k1, k2, k3,
+        ]
     }
 
     /// Builds a NUL-padded command array. Commands longer than the 12-byte
@@ -559,8 +557,10 @@ impl MessageHeader {
     /// attack tooling feeds arbitrary strings through here.
     pub fn pad_command(cmd: &str) -> [u8; 12] {
         let mut out = [0u8; 12];
-        for (dst, src) in out.iter_mut().zip(cmd.bytes()) {
-            *dst = src;
+        let name = cmd.as_bytes();
+        let name = name.get(..out.len()).unwrap_or(name);
+        if let Some(dst) = out.get_mut(..name.len()) {
+            dst.copy_from_slice(name);
         }
         out
     }
@@ -1050,6 +1050,57 @@ mod tests {
             decode_frame(&raw),
             Err(DecodeError::TrailingBytes(1))
         ));
+    }
+
+    /// The header bytes as the field-by-field chained iterator built
+    /// them before `to_array` destructured the fields: the oracle.
+    fn chained_header_bytes(h: &MessageHeader) -> [u8; HEADER_SIZE] {
+        let mut out = [0u8; HEADER_SIZE];
+        let fields = h
+            .magic
+            .to_le_bytes()
+            .into_iter()
+            .chain(h.command)
+            .chain(h.length.to_le_bytes())
+            .chain(h.checksum);
+        for (dst, src) in out.iter_mut().zip(fields) {
+            *dst = src;
+        }
+        out
+    }
+
+    #[test]
+    fn to_array_matches_chained_fields() {
+        let mut rng = btc_netsim::rng::SimRng::new(0x4EAD);
+        for network in [Network::Mainnet, Network::Regtest] {
+            for command in ALL_COMMANDS {
+                for _ in 0..16 {
+                    let checksum = rng.next_u64().to_le_bytes();
+                    let h = MessageHeader {
+                        magic: network.magic(),
+                        command: MessageHeader::pad_command(command),
+                        length: rng.next_u64() as u32,
+                        checksum: [checksum[0], checksum[1], checksum[2], checksum[3]],
+                    };
+                    let bytes = h.to_array();
+                    assert_eq!(bytes, chained_header_bytes(&h), "{network:?} {command}");
+                    let mut r = Reader::new(&bytes);
+                    assert_eq!(MessageHeader::decode(&mut r).unwrap(), h);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pad_command_pads_and_truncates() {
+        assert_eq!(&MessageHeader::pad_command("ping"), b"ping\0\0\0\0\0\0\0\0");
+        assert_eq!(&MessageHeader::pad_command(""), &[0; 12]);
+        assert_eq!(&MessageHeader::pad_command("filterclear!"), b"filterclear!");
+        assert_eq!(
+            &MessageHeader::pad_command("thirteen-char"),
+            b"thirteen-cha"
+        );
+        assert_eq!(&MessageHeader::pad_command(&"x".repeat(100)), &[b'x'; 12]);
     }
 
     #[test]
