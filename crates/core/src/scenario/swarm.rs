@@ -91,8 +91,7 @@ pub struct SwarmOutcome {
     pub flood_msgs: u64,
 }
 
-/// The `i`-th background swarm host, ascending — appended to the host
-/// index in order, so building 100k hosts stays linear.
+/// The `i`-th background swarm host: 172.16.0.0 onwards, ascending.
 pub fn swarm_ip(i: usize) -> Ipv4 {
     assert!(i < 240 << 16, "swarm address plan exhausted");
     [172, 16 + (i >> 16) as u8, (i >> 8) as u8, i as u8]
@@ -149,7 +148,7 @@ impl SwarmBed {
     /// Builds `spec`'s topology around a target running `node` and runs it
     /// for `spec.dur`: the bed (with `feeders` feeders) and the case's
     /// attacker pinned into region 0, then the pingers straight into the
-    /// simulator — addresses ascend, so each index insert is an append.
+    /// simulator.
     ///
     /// # Panics
     ///

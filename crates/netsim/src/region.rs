@@ -1,7 +1,8 @@
 //! The event-loop core: one [`Region`] is one event queue (a `BinaryHeap`
-//! of event keys and, beside it, a FIFO lane for the constant-latency
-//! deliveries that arrive already sorted) over a `Vec` of [`Host`]
-//! records, with its own RNG streams.
+//! of event keys and, beside it, two sorted lanes: one for the
+//! constant-latency deliveries that arrive already sorted, one for
+//! cross-region mail) over a `Vec` of [`Host`] records, with its own RNG
+//! streams.
 //!
 //! This is the only event loop in the crate.
 //! [`Simulator`](crate::sim::Simulator) owns `SimConfig::regions` of them;
@@ -23,6 +24,7 @@ use crate::tcp::{TcpDropStats, TcpEvent, TcpStack};
 use crate::time::Nanos;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::DerefMut;
 
 /// Seed salt separating the fault-injection RNG stream from the
 /// application-visible one: enabling faults must not shift a single draw
@@ -47,20 +49,80 @@ pub type RegionId = u32;
 /// order; hosts are never removed, so it is stable).
 pub(crate) type LocalId = u32;
 
-/// The global sorted ip → (region, host record) index. A binary search over a
-/// dense sorted `Vec` instead of a `HashMap` probe: deterministic,
-/// cache-friendly, and appending ascending addresses (how swarms are
-/// built) is O(1).
-#[derive(Default)]
-pub(crate) struct HostIndex(Vec<(Ipv4, (RegionId, LocalId))>);
+/// One [`HostIndex`] slot, 12 bytes: an address and where its host lives,
+/// or an empty slot when `region` is [`VACANT`].
+#[derive(Clone, Copy)]
+struct Slot {
+    ip: u32,
+    region: RegionId,
+    local: LocalId,
+}
+
+/// The `region` of an empty [`HostIndex`] slot. No simulator has that
+/// many regions: a region id is below `SimConfig::regions`.
+const VACANT: RegionId = RegionId::MAX;
+
+const EMPTY: Slot = Slot {
+    ip: 0,
+    region: VACANT,
+    local: 0,
+};
+
+/// The global ip → (region, host record) index: an open-addressing table
+/// with Fibonacci hashing and linear probing, at most ¾ full, so a lookup
+/// costs about one probe. At that load it holds no more slots than a
+/// sorted `Vec` of the hosts grown by doubling would. Nothing walks the
+/// table — it only answers lookups — so its layout never reaches an
+/// output.
+pub(crate) struct HostIndex {
+    /// A power of two in length, never below [`Self::INITIAL_SLOTS`].
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl Default for HostIndex {
+    fn default() -> Self {
+        HostIndex {
+            slots: vec![EMPTY; Self::INITIAL_SLOTS],
+            len: 0,
+        }
+    }
+}
 
 impl HostIndex {
+    const INITIAL_SLOTS: usize = 16;
+
+    /// The slot probing starts at for `ip` in a table of `slots` slots (a
+    /// power of two): the top bits of the Fibonacci product.
+    fn home(ip: u32, slots: usize) -> usize {
+        let shift = u64::BITS - slots.trailing_zeros();
+        (u64::from(ip).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// Probes `slots` for `ip`: `Ok(at)` when it is there, otherwise
+    /// `Err(at)` with the empty slot the probe stopped at. The table is
+    /// never full, so the probe always meets one.
+    fn find(slots: &[Slot], ip: u32) -> Result<usize, usize> {
+        let mask = slots.len() - 1;
+        let mut at = Self::home(ip, slots.len());
+        loop {
+            let slot = slots[at];
+            if slot.region == VACANT {
+                return Err(at);
+            }
+            if slot.ip == ip {
+                return Ok(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
     #[inline]
     pub(crate) fn lookup(&self, ip: Ipv4) -> Option<(RegionId, LocalId)> {
-        self.0
-            .binary_search_by_key(&ip, |e| e.0)
-            .ok()
-            .map(|i| self.0[i].1)
+        let at = Self::find(&self.slots, u32::from_be_bytes(ip)).ok()?;
+        let slot = self.slots[at];
+        Some((slot.region, slot.local))
     }
 
     /// Like [`lookup`](Self::lookup), as `usize` indices.
@@ -74,13 +136,31 @@ impl HostIndex {
         (region as usize, local as usize)
     }
 
+    /// Registers `ip` at `at`, doubling the table when that takes it past
+    /// ¾ full.
+    ///
     /// # Panics
     ///
     /// Panics if `ip` is already registered.
-    pub(crate) fn insert(&mut self, ip: Ipv4, at: (RegionId, LocalId)) {
-        match self.0.binary_search_by_key(&ip, |e| e.0) {
-            Ok(_) => panic!("host {ip:?} already registered"),
-            Err(slot) => self.0.insert(slot, (ip, at)),
+    pub(crate) fn insert(&mut self, ip: Ipv4, (region, local): (RegionId, LocalId)) {
+        let key = u32::from_be_bytes(ip);
+        let Err(vacant) = Self::find(&self.slots, key) else {
+            panic!("host {ip:?} already registered");
+        };
+        self.slots[vacant] = Slot {
+            ip: key,
+            region,
+            local,
+        };
+        self.len += 1;
+        if self.len * 4 > self.slots.len() * 3 {
+            let mut slots = vec![EMPTY; self.slots.len() * 2];
+            for slot in self.slots.iter().filter(|s| s.region != VACANT) {
+                if let Err(vacant) = Self::find(&slots, slot.ip) {
+                    slots[vacant] = *slot;
+                }
+            }
+            self.slots = slots;
         }
     }
 }
@@ -97,7 +177,7 @@ enum EventKind {
     /// A packet in flight within this region, carrying its destination's
     /// record index when the destination lived here at send time (`None`
     /// = not known then; see [`Region::deliver`]). Delivery is a direct
-    /// index, not a per-event binary search.
+    /// index, not a second ip lookup.
     Deliver(Packet, Option<LocalId>),
     Timer(LocalId, u64),
     /// A host's earliest TCP retransmission deadline (reliable mode only).
@@ -110,16 +190,20 @@ enum EventKind {
 /// these 24 bytes, not an 80-byte event with its packet inline.
 type EventKey = (Nanos, u64, u32);
 
-/// A region's pending events: a min-heap of keys plus a sorted FIFO lane.
+/// A region's pending events: a min-heap of keys plus two sorted lanes.
 ///
 /// Almost every event of a flood is a packet due exactly `latency` after
 /// a `now` that never decreases, so those keys are born in `(time, seq)`
-/// order: [`push_in_order`](Self::push_in_order) appends them to the lane
-/// in O(1), and they never sift. A key that would break the lane's order
-/// (a packet jitter or reordering moved earlier) falls back to the heap,
-/// as do timers, TCP ticks, starts and cross-region mail
-/// ([`push`](Self::push)). A pop takes the smaller head; `seq` is unique,
-/// so the pop order is exactly that of one heap holding every key.
+/// order: [`push_in_order`](Self::push_in_order) appends them to the
+/// local lane in O(1), and they never sift. Cross-region mail arrives a
+/// round at a time; [`push_mail`](Self::push_mail) sorts a round's keys
+/// once and appends them to the mail lane, and at constant latency a
+/// round's mail is all due after the last round's. A key that would
+/// break either lane's order (a packet jitter or reordering moved
+/// earlier) falls back to the heap, as do timers, TCP ticks and starts
+/// ([`push`](Self::push)). A pop takes the smallest of the three heads;
+/// `seq` is unique, so the pop order is exactly that of one heap holding
+/// every key.
 ///
 /// Simpler than a calendar queue: no bucket width to tune and no resize,
 /// and the events that dominate cost O(1) either way.
@@ -129,6 +213,16 @@ struct EventQueue {
     /// front. Not preallocated: it grows to the peak number of packets in
     /// flight and keeps that capacity.
     lane: VecDeque<EventKey>,
+    /// The mail lane: sorted like `lane`, and empty in a one-region run.
+    mail: VecDeque<EventKey>,
+}
+
+/// Where [`EventQueue::head`] found the smallest key.
+#[derive(Clone, Copy)]
+enum Head {
+    Heap,
+    Lane,
+    Mail,
 }
 
 impl EventQueue {
@@ -136,6 +230,7 @@ impl EventQueue {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             lane: VecDeque::new(),
+            mail: VecDeque::new(),
         }
     }
 
@@ -143,8 +238,8 @@ impl EventQueue {
         self.heap.push(Reverse(key));
     }
 
-    /// Appends `key` to the lane when it sorts at or after the lane's
-    /// back, and pushes it on the heap otherwise.
+    /// Appends `key` to the local lane when it sorts at or after the
+    /// lane's back, and pushes it on the heap otherwise.
     fn push_in_order(&mut self, key: EventKey) {
         if self.lane.back().is_none_or(|&back| back <= key) {
             self.lane.push_back(key);
@@ -153,14 +248,34 @@ impl EventQueue {
         }
     }
 
-    /// The smallest key, and whether it heads the lane.
-    fn head(&self) -> Option<(EventKey, bool)> {
-        let heap = self.heap.peek().map(|&Reverse(key)| key);
-        match (heap, self.lane.front().copied()) {
-            (Some(h), Some(l)) => Some(if l < h { (l, true) } else { (h, false) }),
-            (Some(h), None) => Some((h, false)),
-            (None, lane) => lane.map(|l| (l, true)),
+    /// Queues a round's mail keys, leaving `keys` empty with its
+    /// capacity: sorted, each appended to the mail lane when it sorts at
+    /// or after the lane's back and pushed on the heap otherwise.
+    fn push_mail(&mut self, keys: &mut Vec<EventKey>) {
+        keys.sort_unstable();
+        for key in keys.drain(..) {
+            if self.mail.back().is_none_or(|&back| back <= key) {
+                self.mail.push_back(key);
+            } else {
+                self.push(key);
+            }
         }
+    }
+
+    /// The smallest key, and where it is.
+    fn head(&self) -> Option<(EventKey, Head)> {
+        let mut head = self.heap.peek().map(|&Reverse(key)| (key, Head::Heap));
+        for (front, at) in [
+            (self.lane.front(), Head::Lane),
+            (self.mail.front(), Head::Mail),
+        ] {
+            if let Some(&key) = front {
+                if head.is_none_or(|(best, _)| key < best) {
+                    head = Some((key, at));
+                }
+            }
+        }
+        head
     }
 
     /// Time of the earliest queued event.
@@ -170,14 +285,20 @@ impl EventQueue {
 
     /// Removes and returns the smallest key if it is due before `hi_excl`.
     fn pop_before(&mut self, hi_excl: Nanos) -> Option<EventKey> {
-        let (key, in_lane) = self.head()?;
+        let (key, at) = self.head()?;
         if key.0 >= hi_excl {
             return None;
         }
-        if in_lane {
-            self.lane.pop_front();
-        } else {
-            self.heap.pop();
+        match at {
+            Head::Heap => {
+                self.heap.pop();
+            }
+            Head::Lane => {
+                self.lane.pop_front();
+            }
+            Head::Mail => {
+                self.mail.pop_front();
+            }
         }
         Some(key)
     }
@@ -279,8 +400,11 @@ pub(crate) struct Region {
     taps: Vec<(TapFilter, TapRing)>,
     /// Staged cross-region packets, indexed by destination region.
     pub(crate) outbound: Vec<Vec<Mail>>,
+    /// The keys of the mail [`accept_mail`](Self::accept_mail) is
+    /// queueing, reused.
+    mail_keys: Vec<EventKey>,
     /// Earliest delivery time of the mail staged since the k-region
-    /// rounds last cleared it. That mail reaches its destinations' heaps
+    /// rounds last cleared it. That mail reaches its destinations' queues
     /// only in the next round, so the horizon before it must count it.
     pub(crate) mail_due: Option<Nanos>,
 }
@@ -305,6 +429,7 @@ impl Region {
             delivered_packets: 0,
             taps: Vec::new(),
             outbound: (0..regions).map(|_| Vec::new()).collect(),
+            mail_keys: Vec::new(),
             mail_due: None,
         }
     }
@@ -346,12 +471,22 @@ impl Region {
         }
     }
 
-    /// Queues mail another region staged for this one, in the given
-    /// order, leaving `mail` empty with its capacity.
-    pub(crate) fn accept_mail(&mut self, mail: &mut Vec<Mail>) {
-        for m in mail.drain(..) {
-            self.push_event(m.time, EventKind::Deliver(m.packet, Some(m.dst)));
+    /// Queues a round's mail for this region, leaving each mailbox empty
+    /// with its capacity. Sequence numbers follow the given order —
+    /// mailbox by mailbox, FIFO within one — so same-time ties break the
+    /// same way however the keys are then queued.
+    pub(crate) fn accept_mail<M>(&mut self, mailboxes: impl IntoIterator<Item = M>)
+    where
+        M: DerefMut<Target = Vec<Mail>>,
+    {
+        let mut keys = std::mem::take(&mut self.mail_keys);
+        for mut mailbox in mailboxes {
+            for m in mailbox.drain(..) {
+                keys.push(self.store(m.time, EventKind::Deliver(m.packet, Some(m.dst))));
+            }
         }
+        self.queue.push_mail(&mut keys);
+        self.mail_keys = keys;
     }
 
     fn push_event(&mut self, time: Nanos, kind: EventKind) {
@@ -624,43 +759,77 @@ impl Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    const LATENCY: Nanos = 100;
+    const REGION_LATENCY: Nanos = 1_000;
+
+    /// One round's mail for a region, as [`Region::accept_mail`] numbers
+    /// it: up to four source mailboxes, each a FIFO run of sends from
+    /// `now` on, due `REGION_LATENCY` later and moved by up to `jitter`
+    /// either way. Sends fall on a 10-ns grid, so sources share times.
+    fn mail_batch(rng: &mut SimRng, now: Nanos, seq: &mut u64, jitter: Nanos) -> Vec<EventKey> {
+        let mut keys = Vec::new();
+        for _source in 0..1 + rng.gen_range(4) {
+            let mut sent = now;
+            for _ in 0..rng.gen_range(6) {
+                sent += 10 * rng.gen_range(3);
+                let time = sent + REGION_LATENCY - jitter + rng.gen_range(2 * jitter + 1);
+                keys.push((time, *seq, *seq as u32));
+                *seq += 1;
+            }
+        }
+        keys
+    }
 
     /// Drives an [`EventQueue`] and one plain heap with the same pushes
     /// and pops: constant-latency keys (lane-eligible), jittered keys
-    /// (some below the lane's back), equal times and heap-only keys.
+    /// (some below the lane's back), heap-only keys, and rounds of mail
+    /// from several sources, clean or jittered below the mail lane's back.
     #[test]
     fn heap_plus_lane_pops_in_single_heap_order() {
-        const LATENCY: Nanos = 100;
         for seed in 0..32 {
             let mut rng = SimRng::new(seed);
             let mut queue = EventQueue::with_capacity(0);
             let mut reference = BinaryHeap::new();
             let (mut popped, mut expected) = (Vec::new(), Vec::new());
             let mut now: Nanos = 0;
-            for seq in 0..2_000u64 {
+            let mut seq = 0u64;
+            while seq < 2_000 {
                 let slot = seq as u32;
-                match rng.gen_range(6) {
+                match rng.gen_range(8) {
                     // Packets at constant latency, often several at one `now`.
                     0..=2 => {
                         let key = (now + LATENCY, seq, slot);
                         queue.push_in_order(key);
                         reference.push(Reverse(key));
+                        seq += 1;
                     }
                     // A jittered packet: may sort below the lane's back.
                     3 => {
                         let key = (now + LATENCY - 50 + rng.gen_range(101), seq, slot);
                         queue.push_in_order(key);
                         reference.push(Reverse(key));
+                        seq += 1;
                     }
                     // Timers and ticks: heap only, at any time from now.
                     4 => {
-                        let key = (now + rng.gen_range(3 * LATENCY), seq, slot);
+                        let key = (now + rng.gen_range(3 * REGION_LATENCY), seq, slot);
                         queue.push(key);
                         reference.push(Reverse(key));
+                        seq += 1;
+                    }
+                    // A round's mail, clean or jittered.
+                    5 | 6 => {
+                        let jitter = if rng.gen_bool(0.5) { 0 } else { 300 };
+                        let mut keys = mail_batch(&mut rng, now, &mut seq, jitter);
+                        reference.extend(keys.iter().copied().map(Reverse));
+                        queue.push_mail(&mut keys);
+                        assert!(keys.is_empty());
                     }
                     // Run a window: pop everything due before a horizon.
                     _ => {
-                        let hi = now + rng.gen_range(2 * LATENCY);
+                        let hi = now + rng.gen_range(2 * REGION_LATENCY);
                         while let Some(key) = queue.pop_before(hi) {
                             now = key.0;
                             popped.push(key);
@@ -681,30 +850,108 @@ mod tests {
         }
     }
 
-    /// Pushed all at once, the mix pops sorted by `(time, seq)`.
+    /// Pushed all at once, the mix pops sorted by `(time, seq)`, and both
+    /// lanes really did send keys below their backs to the heap.
     #[test]
     fn heap_plus_lane_drains_sorted() {
         let mut rng = SimRng::new(7);
         let mut queue = EventQueue::with_capacity(0);
         let mut keys = Vec::new();
-        for seq in 0..5_000u64 {
-            let time = match rng.gen_range(4) {
+        let (mut to_lane, mut to_mail) = (0, 0);
+        let mut seq = 0u64;
+        while seq < 5_000 {
+            let time = match rng.gen_range(5) {
                 0 => 1_000,                        // equal times
                 1 => 1_000 + seq,                  // ascending: the lane
                 2 => rng.gen_range(2_000),         // below the lane's back
-                _ => 1_000 + rng.gen_range(5_000), // jittered
+                3 => 1_000 + rng.gen_range(5_000), // jittered
+                _ => {
+                    let now = rng.gen_range(5_000);
+                    let jitter = if rng.gen_bool(0.5) { 0 } else { 300 };
+                    let mut batch = mail_batch(&mut rng, now, &mut seq, jitter);
+                    keys.extend_from_slice(&batch);
+                    to_mail += batch.len();
+                    queue.push_mail(&mut batch);
+                    continue;
+                }
             };
             let key = (time, seq, seq as u32);
+            seq += 1;
             if rng.gen_bool(0.25) {
                 queue.push(key);
             } else {
                 queue.push_in_order(key);
+                to_lane += 1;
             }
             keys.push(key);
         }
-        assert!(!queue.lane.is_empty() && !queue.heap.is_empty());
+        assert!(!queue.lane.is_empty() && queue.lane.len() < to_lane);
+        assert!(!queue.mail.is_empty() && queue.mail.len() < to_mail);
         keys.sort_unstable();
         let popped: Vec<EventKey> = std::iter::from_fn(|| queue.pop_before(Nanos::MAX)).collect();
         assert_eq!(popped, keys);
+    }
+
+    /// Addresses shaped like the swarm's (ascending from 172.16.0.0),
+    /// random ones, and ones that all start probing at the same slot.
+    fn index_addresses() -> Vec<Ipv4> {
+        let mut ips: Vec<Ipv4> = (0..3_000u32)
+            .map(|i| (0xAC10_0000 + i).to_be_bytes())
+            .collect();
+        let mut rng = SimRng::new(11);
+        ips.extend((0..3_000).map(|_| (rng.next_u64() as u32).to_be_bytes()));
+        // Equal top twelve bits of the Fibonacci product: one home slot
+        // in every table of up to 4096 slots.
+        let home = |ip: u32| HostIndex::home(ip, 4096);
+        let target = home(0x0A00_0001);
+        ips.extend(
+            (0x0A00_0001..)
+                .filter(|&ip| home(ip) == target)
+                .take(200)
+                .map(u32::to_be_bytes),
+        );
+        ips
+    }
+
+    /// The table answers as a `BTreeMap` holding the same hosts does,
+    /// after every insert while it grows from 16 to 16 384 slots,
+    /// including for addresses it never saw.
+    #[test]
+    fn host_index_matches_a_sorted_map() {
+        let mut index = HostIndex::default();
+        let mut oracle = BTreeMap::new();
+        let mut absent = SimRng::new(12);
+        for (k, ip) in index_addresses().into_iter().enumerate() {
+            if oracle.contains_key(&ip) {
+                continue; // a random address drawn twice
+            }
+            let at = ((k % 8) as RegionId, k as LocalId);
+            index.insert(ip, at);
+            oracle.insert(ip, at);
+            if k % 97 == 0 {
+                for (ip, at) in &oracle {
+                    assert_eq!(index.lookup(*ip), Some(*at));
+                }
+            }
+            let stranger = (absent.next_u64() as u32).to_be_bytes();
+            assert_eq!(index.lookup(stranger), oracle.get(&stranger).copied());
+        }
+        assert_eq!(index.len, oracle.len());
+        assert_eq!(index.slots.len(), 16_384);
+        for (ip, at) in &oracle {
+            assert_eq!(index.lookup(*ip), Some(*at));
+            assert_eq!(index.locate(*ip), (at.0 as usize, at.1 as usize));
+        }
+        assert_eq!(index.lookup([172, 15, 255, 255]), None);
+        assert_eq!(HostIndex::default().lookup([0, 0, 0, 0]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered")]
+    fn host_index_rejects_a_duplicate() {
+        let mut index = HostIndex::default();
+        index.insert([10, 0, 0, 1], (0, 0));
+        index.insert([10, 0, 0, 2], (1, 0));
+        index.insert([10, 0, 0, 1], (1, 1));
     }
 }

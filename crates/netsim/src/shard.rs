@@ -7,10 +7,10 @@
 //! Hosts are partitioned into **regions** — a fixed, seed-deterministic
 //! assignment (or an explicit pin via [`Simulator::add_host_pinned`]).
 //! Each region is one instance of the crate's single event loop
-//! (`region.rs`: one record per host, a `BinaryHeap` of event keys, RNG
-//! streams salted off the seed per region); this module holds only what
-//! is about several regions — the assignment, the lookahead rounds, the
-//! mailboxes and the workers.
+//! (`region.rs`: one record per host, an event queue of a `BinaryHeap` and
+//! two sorted lanes, RNG streams salted off the seed per region); this
+//! module holds only what is about several regions — the assignment, the
+//! lookahead rounds, the mailboxes and the workers.
 //!
 //! Links *within* a region have the usual LAN latency
 //! ([`SimConfig::latency`]); links *between* regions have a larger
@@ -119,15 +119,18 @@ impl Mailboxes {
     }
 
     /// Queues everything staged for `reg` (region `q`) in a round of
-    /// `parity`: source region ascending, FIFO within a mailbox. This is
-    /// the only order mail enters a heap in, so event sequence numbers —
-    /// and therefore same-time tie-breaks — are the same at any worker
-    /// count.
+    /// `parity`, in one [`Region::accept_mail`]: source region ascending,
+    /// FIFO within a mailbox. This is the only order mail is given
+    /// sequence numbers in, so same-time tie-breaks are the same at any
+    /// worker count.
     fn drain_into(&self, reg: &mut Region, q: usize, parity: usize) {
         let n = self.n;
-        for mailbox in &self.by_parity[parity][q * n..(q + 1) * n] {
-            reg.accept_mail(&mut mailbox.lock().expect("mailbox lock poisoned"));
-        }
+        let mailboxes = &self.by_parity[parity][q * n..(q + 1) * n];
+        reg.accept_mail(
+            mailboxes
+                .iter()
+                .map(|mailbox| mailbox.lock().expect("mailbox lock poisoned")),
+        );
     }
 
     /// Moves what `reg` (region `q`) staged this round into the mailboxes
@@ -155,7 +158,7 @@ fn step_region(
 ) {
     let mut reg = regions[q].lock().expect("region lock poisoned");
     mail.drain_into(&mut reg, q, parity ^ 1);
-    // What `q` staged last round is in its destinations' heaps by the end
+    // What `q` staged last round is in its destinations' queues by the end
     // of this one; the horizon after it counts only this round's mail.
     reg.mail_due = None;
     reg.run_window(net, hi);
@@ -239,7 +242,7 @@ pub(crate) fn run_rounds(owned: &mut Vec<Region>, net: &Net<'_>, t_end: Nanos) {
             phased.terminate();
         });
     }
-    // The last round's mail: into the heaps before the regions go back.
+    // The last round's mail: into the queues before the regions go back.
     for (q, reg) in regions.iter().enumerate() {
         let mut reg = reg.lock().expect("region lock poisoned");
         mail.drain_into(&mut reg, q, parity ^ 1);

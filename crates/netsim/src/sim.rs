@@ -919,7 +919,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The slab + sorted-index host table must keep the full event trace
+    /// The slab + hashed-index host table must keep the full event trace
     /// reproducible: two fresh same-seed simulators yield byte-identical
     /// packet captures (every packet, in order, with timestamps) and
     /// identical per-host counters. This is the foundation the parallel

@@ -37,7 +37,9 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Wraps a static byte slice (no allocation beyond the `Arc` header).
+    /// Copies a static byte slice into a fresh buffer, as
+    /// [`copy_from_slice`](Self::copy_from_slice) does: the buffer is an
+    /// `Arc<Vec<u8>>`, which cannot borrow `'static` bytes.
     pub fn from_static(b: &'static [u8]) -> Self {
         Bytes::from(b.to_vec())
     }
