@@ -443,27 +443,16 @@ fn measure_row(
     }
 }
 
-/// Measures Table II with `iters` iterations per row.
-pub fn measure_table2(iters: u32) -> Vec<CostRow> {
-    measure_table2_jobs(iters, 1)
-}
-
-/// [`measure_table2`] with rows fanned across `jobs` workers. The 60-block
-/// fixture chain is mined once and shared read-only by every row (it used
-/// to be rebuilt by the bogus-block row as well — see
-/// [`measure_bogus_block_with`]).
+/// Measures Table II with `iters` iterations per row, rows fanned across
+/// `jobs` workers. The [`fixtures`] chain is mined by the caller and
+/// shared read-only by every row, so a combined Table-II + bogus-block run
+/// mines it exactly once.
 ///
 /// Note: rows time *wall-clock* work, so unlike the simulation sweeps the
 /// measured numbers are not reproducible byte-for-byte — and with `jobs >
 /// 1` concurrent rows contend for cores, so use parallelism here only for
 /// smoke runs, never for calibrated measurements.
-pub fn measure_table2_jobs(iters: u32, jobs: usize) -> Vec<CostRow> {
-    measure_table2_with(&fixtures(), iters, jobs)
-}
-
-/// [`measure_table2_jobs`] against caller-provided fixtures, so a combined
-/// Table-II + bogus-block run mines the fixture chain exactly once.
-pub fn measure_table2_with(fx: &Fixtures, iters: u32, jobs: usize) -> Vec<CostRow> {
+pub fn measure_table2(fx: &Fixtures, iters: u32, jobs: usize) -> Vec<CostRow> {
     btc_par::par_map(jobs, specs(fx), |(command, mode, build)| {
         measure_row(fx, command, mode, &build, iters)
     })
@@ -472,14 +461,7 @@ pub fn measure_table2_with(fx: &Fixtures, iters: u32, jobs: usize) -> Vec<CostRo
 /// Additionally measures the *bogus* `BLOCK` (corrupted checksum) the
 /// paper's footnote 1 reports: the victim pays only the checksum pass yet
 /// the impact-cost ratio stays in the thousands.
-pub fn measure_bogus_block(iters: u32, payload_bytes: usize) -> CostRow {
-    measure_bogus_block_with(&fixtures(), iters, payload_bytes)
-}
-
-/// [`measure_bogus_block`] against caller-provided fixtures, so a combined
-/// Table-II + bogus-block run mines the fixture chain once instead of
-/// twice.
-pub fn measure_bogus_block_with(fx: &Fixtures, iters: u32, payload_bytes: usize) -> CostRow {
+pub fn measure_bogus_block(fx: &Fixtures, iters: u32, payload_bytes: usize) -> CostRow {
     let raw = RawMessage::frame_raw(NET, "block", Bytes::from(vec![0xAB; payload_bytes]))
         .corrupt_checksum();
     let cached = raw.to_bytes();
@@ -540,7 +522,7 @@ mod tests {
         // re-measurements before declaring the shape broken.
         let mut last_err = String::new();
         for _ in 0..4 {
-            match table2_shape(&measure_table2(3)) {
+            match table2_shape(&measure_table2(&fixtures(), 3, 1)) {
                 Ok(()) => return,
                 Err(e) => last_err = e,
             }
@@ -578,7 +560,7 @@ mod tests {
 
     #[test]
     fn bogus_block_still_profitable() {
-        let row = measure_bogus_block(10, 200_000);
+        let row = measure_bogus_block(&fixtures(), 10, 200_000);
         // Victim pays the checksum pass over 500 kB; attacker pays a
         // buffer clone. Ratio stays very high (paper: 2132).
         assert!(row.ratio > 100.0, "ratio {}", row.ratio);
@@ -586,7 +568,7 @@ mod tests {
 
     #[test]
     fn eighteen_plus_rows() {
-        let rows = measure_table2(1);
+        let rows = measure_table2(&fixtures(), 1, 1);
         assert!(rows.len() >= 18, "rows {}", rows.len());
         // Unique commands.
         let mut cmds: Vec<_> = rows.iter().map(|r| r.command).collect();
@@ -597,7 +579,7 @@ mod tests {
 
     #[test]
     fn render_contains_headline_rows() {
-        let rows = measure_table2(1);
+        let rows = measure_table2(&fixtures(), 1, 1);
         let t = render_table2(&rows);
         assert!(t.contains("BLOCK"));
         assert!(t.contains("PING"));

@@ -18,19 +18,19 @@
 //! the wall-clock measurements of table2/fig11 vary run to run.
 
 use banscore::countermeasure::{auth_overhead, evaluate_countermeasures, render_countermeasures};
-use banscore::scenario::evasion::{render_evasion, run_evasion_jobs, EvasionConfig};
-use banscore::scenario::fault_matrix::{render_fault_matrix, run_fault_matrix_jobs};
-use banscore::scenario::fig10::{render_fig10, run_fig10_jobs};
-use banscore::scenario::fig6::{render_fig6, run_fig6_jobs};
-use banscore::scenario::fig8::{render_fig8, run_fig8_jobs};
-use banscore::scenario::reputation::{render_reputation, run_reputation_jobs};
-use banscore::scenario::serve::{render_serve, run_serve_jobs};
-use banscore::scenario::table3::{render_table3, run_table3_jobs};
-use btc_attack::meter::{fixtures, measure_bogus_block_with, measure_table2_with, render_table2};
+use banscore::scenario::evasion::{render_evasion, run_evasion, EvasionConfig};
+use banscore::scenario::fault_matrix::{render_fault_matrix, run_fault_matrix};
+use banscore::scenario::fig10::{render_fig10, run_fig10};
+use banscore::scenario::fig6::{render_fig6, run_fig6};
+use banscore::scenario::fig8::{render_fig8, run_fig8};
+use banscore::scenario::reputation::{render_reputation, run_reputation};
+use banscore::scenario::serve::{render_serve, run_serve};
+use banscore::scenario::table3::{render_table3, run_table3};
+use btc_attack::meter::{fixtures, measure_bogus_block, measure_table2, render_table2};
 use btc_bench::{ReproArgs, ReproConfig, EXPERIMENTS};
 use btc_detect::dataset::Dataset;
-use btc_detect::eval::{compare_accuracy_jobs, render_accuracy};
-use btc_detect::latency::{compare_latencies_jobs, render_fig11};
+use btc_detect::eval::{compare_accuracy, render_accuracy};
+use btc_detect::latency::{compare_latencies, render_fig11};
 use btc_node::banscore::render_table1;
 
 fn section(title: &str) {
@@ -71,8 +71,8 @@ fn table2(cfg: &ReproConfig, args: &ReproArgs) {
     // One fixture chain serves both the 19 regular rows and the bogus
     // block (it used to be mined twice).
     let fx = fixtures();
-    let mut rows = measure_table2_with(&fx, cfg.table2_iters, args.jobs);
-    rows.push(measure_bogus_block_with(&fx, cfg.table2_iters, 200_000));
+    let mut rows = measure_table2(&fx, cfg.table2_iters, args.jobs);
+    rows.push(measure_bogus_block(&fx, cfg.table2_iters, 200_000));
     rows.sort_by(|a, b| b.ratio.partial_cmp(&a.ratio).expect("no NaN"));
     print!("{}", render_table2(&rows));
     csv_out(args, "table2.csv", &btc_bench::csv::table2(&rows));
@@ -81,7 +81,7 @@ fn table2(cfg: &ReproConfig, args: &ReproArgs) {
 
 fn fig6(cfg: &ReproConfig, args: &ReproArgs) {
     section("Figure 6 — BM-DoS impact on mining rate");
-    let points = run_fig6_jobs(cfg.flood_secs, args.jobs);
+    let points = run_fig6(cfg.flood_secs, args.jobs);
     print!("{}", render_fig6(&points));
     csv_out(args, "fig6.csv", &btc_bench::csv::fig6(&points));
     println!("\n(paper: none 9.5e5; block 3.5/2.8/2.6e5; ping 5.5/4.6/3.5e5 at 1/10/20 conns)");
@@ -89,7 +89,7 @@ fn fig6(cfg: &ReproConfig, args: &ReproArgs) {
 
 fn table3(cfg: &ReproConfig, args: &ReproArgs) {
     section("Table III / Figure 7 — BM-DoS vs network-layer flooding");
-    let rows = run_table3_jobs(cfg.flood_secs, args.jobs);
+    let rows = run_table3(cfg.flood_secs, args.jobs);
     print!("{}", render_table3(&rows));
     csv_out(args, "table3.csv", &btc_bench::csv::table3(&rows));
     println!("\n(paper: PING capped at 1e3 msg/s; ICMP reaches 1e6 pps; at equal rates the");
@@ -98,14 +98,14 @@ fn table3(cfg: &ReproConfig, args: &ReproArgs) {
 
 fn fig8(cfg: &ReproConfig, args: &ReproArgs) {
     section("Figure 8 / §VI-D — Defamation timing");
-    let r = run_fig8_jobs(cfg.fig8_secs, args.jobs);
+    let r = run_fig8(cfg.fig8_secs, args.jobs);
     print!("{}", render_fig8(&r));
     csv_out(args, "fig8_staircase.csv", &btc_bench::csv::fig8_staircase(&r));
 }
 
 fn fig10(cfg: &ReproConfig, args: &ReproArgs) {
     section("Figure 10 — anomaly detection (normal vs BM-DoS vs Defamation)");
-    let r = run_fig10_jobs(cfg.fig10, args.jobs);
+    let r = run_fig10(cfg.fig10, args.jobs);
     print!("{}", render_fig10(&r));
     println!("\n(paper: τ_n=[252,390], τ_c=[0,2.1], τ_Λ=0.993; ρ=0.05 under BM-DoS,");
     println!(" ρ=0.88 under Defamation, c=5.3/min)");
@@ -114,7 +114,7 @@ fn fig10(cfg: &ReproConfig, args: &ReproArgs) {
 fn fig11(cfg: &ReproConfig, args: &ReproArgs) {
     section("Figure 11 — detection training/testing latency vs ML baselines");
     // Build a labelled dataset from the trained scenario traffic.
-    let r = run_fig10_jobs(cfg.fig10, args.jobs);
+    let r = run_fig10(cfg.fig10, args.jobs);
     let mut windows = Vec::new();
     let mut labels = Vec::new();
     // Replicate the aggregate case windows into a training corpus.
@@ -130,7 +130,7 @@ fn fig11(cfg: &ReproConfig, args: &ReproArgs) {
             labels.push(label);
         }
     }
-    let rows = compare_latencies_jobs(&windows, &labels, args.jobs);
+    let rows = compare_latencies(&windows, &labels, args.jobs);
     print!("{}", render_fig11(&rows));
     csv_out(args, "fig11.csv", &btc_bench::csv::fig11(&rows));
     println!("\n(paper: the statistical engine is ≥4 orders of magnitude faster than the");
@@ -146,7 +146,7 @@ fn fig11(cfg: &ReproConfig, args: &ReproArgs) {
     println!("\nDetection accuracy (held-out every 4th window):");
     print!(
         "{}",
-        render_accuracy(&compare_accuracy_jobs(&ds, 4, args.jobs))
+        render_accuracy(&compare_accuracy(&ds, 4, args.jobs))
     );
 }
 
@@ -154,7 +154,7 @@ fn fig11(cfg: &ReproConfig, args: &ReproArgs) {
 /// with the batch engine (`ServeCase::agrees`).
 fn serve(cfg: &ReproConfig, args: &ReproArgs) -> bool {
     section("Streaming service — sharded per-peer detector vs batch engine");
-    let r = run_serve_jobs(cfg.serve.clone(), args.jobs);
+    let r = run_serve(cfg.serve.clone(), args.jobs);
     print!("{}", render_serve(&r));
     csv_out(args, "serve.csv", &btc_bench::csv::serve(&r));
     println!("\nDigest lines are deterministic and must be identical across shard counts;");
@@ -169,7 +169,7 @@ fn serve(cfg: &ReproConfig, args: &ReproArgs) -> bool {
 
 fn evasion(args: &ReproArgs) {
     section("Extension (§VII future work) — the intelligent/evasive attacker");
-    let r = run_evasion_jobs(
+    let r = run_evasion(
         EvasionConfig::default(),
         &[30.0, 150.0, 1_000.0, 12_000.0],
         args.jobs,
@@ -182,7 +182,7 @@ fn evasion(args: &ReproArgs) {
 
 fn faults(cfg: &ReproConfig, args: &ReproArgs) {
     section("Robustness — detector accuracy/latency under injected network faults");
-    let r = run_fault_matrix_jobs(&cfg.faults, args.jobs);
+    let r = run_fault_matrix(&cfg.faults, args.jobs);
     print!("{}", render_fault_matrix(&r));
     csv_out(args, "fault_matrix.csv", &btc_bench::csv::fault_matrix(&r));
     println!("\nThe profile is trained on a clean network; the grid shows how packet loss");
@@ -192,7 +192,7 @@ fn faults(cfg: &ReproConfig, args: &ReproArgs) {
 
 fn reputation(cfg: &ReproConfig, args: &ReproArgs) {
     section("Trust tiers — graceful degradation vs stock ban cliff vs detector");
-    let r = run_reputation_jobs(&cfg.reputation, args.jobs);
+    let r = run_reputation(&cfg.reputation, args.jobs);
     print!("{}", render_reputation(&r));
     csv_out(args, "reputation.csv", &btc_bench::csv::reputation(&r));
     println!("\nStock never scores the PING flood and 24h-bans defamed innocents; the");

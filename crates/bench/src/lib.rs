@@ -38,7 +38,7 @@ pub struct ReproConfig {
     pub faults: FaultMatrixConfig,
     /// The swarm scale-bench grid (many-region simulator).
     pub swarm: swarm::SwarmBenchConfig,
-    /// The three-way trust-tier reputation sweep.
+    /// The stock vs trust-tier reputation sweep.
     pub reputation: ReputationSweepConfig,
 }
 
@@ -454,9 +454,9 @@ pub mod csv {
         out
     }
 
-    /// The three-way reputation sweep: one row per (case, policy), then
-    /// one `swarm` row. Every column is simulation-derived and therefore
-    /// byte-identical for any `--jobs` count.
+    /// The stock vs trust-tier reputation sweep: one row per (case,
+    /// policy), then one `swarm` row. Every column is simulation-derived
+    /// and therefore byte-identical for any `--jobs` count.
     pub fn reputation(r: &banscore::scenario::reputation::ReputationResult) -> String {
         let mut out = String::from(
             "case,policy,bans,graylists,graylist_dropped,tier_changes,\

@@ -22,7 +22,7 @@
 //! ```no_run
 //! use banscore::scenario::fig8::run_fig8;
 //!
-//! let result = run_fig8(4);
+//! let result = run_fig8(4, 1);
 //! println!("time to ban: {:.3}s", result.time_to_ban_fast);
 //! ```
 

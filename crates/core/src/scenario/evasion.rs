@@ -64,7 +64,7 @@ impl Default for EvasionConfig {
 /// an evasive flooder, judged against the (shared, immutable) trained
 /// profile. The seed depends on the point's *index*, not the thread that
 /// runs it, so fan-out cannot change the result.
-pub fn run_point(
+fn run_point(
     index: usize,
     rate: f64,
     cfg: &EvasionConfig,
@@ -100,14 +100,10 @@ pub fn run_point(
     }
 }
 
-/// Runs the evasion sweep over attacker rates.
-pub fn run_evasion(cfg: EvasionConfig, rates_per_min: &[f64]) -> EvasionResult {
-    run_evasion_jobs(cfg, rates_per_min, 1)
-}
-
-/// [`run_evasion`] with the per-rate testbeds fanned across `jobs`
-/// workers (training stays serial — every point needs the profile).
-pub fn run_evasion_jobs(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) -> EvasionResult {
+/// Runs the evasion sweep over attacker rates, the per-rate testbeds
+/// fanned across `jobs` workers (training stays serial — every point
+/// needs the profile).
+pub fn run_evasion(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) -> EvasionResult {
     let model = ContentionModel::default();
     // Train on clean traffic.
     let clean = TestbedConfig {
@@ -166,7 +162,7 @@ mod tests {
             attack_weight: 0.3,
         };
         // A whisper (well inside τ_n headroom), a shout (rate violation).
-        let r = run_evasion(cfg, &[30.0, 12_000.0]);
+        let r = run_evasion(cfg, &[30.0, 12_000.0], 1);
         assert_eq!(r.points.len(), 2);
         let quiet = &r.points[0];
         let loud = &r.points[1];
@@ -186,7 +182,7 @@ mod tests {
             test: 2 * MINUTES,
             attack_weight: 0.2,
         };
-        let r = run_evasion(cfg, &[10.0]);
+        let r = run_evasion(cfg, &[10.0], 1);
         let t = render_evasion(&r);
         assert!(t.contains("τ_n"));
         assert!(t.contains("damage"));

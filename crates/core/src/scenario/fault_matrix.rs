@@ -267,16 +267,11 @@ fn run_case(
     }
 }
 
-/// Runs the sweep serially.
-pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixResult {
-    run_fault_matrix_jobs(cfg, 1)
-}
-
 /// Runs the sweep with every `(grid point, case)` pair fanned across
 /// `jobs` workers. Results are byte-identical for any job count: each pair
 /// is an independent, fully-seeded simulation, and [`btc_par::par_map`]
 /// preserves input order.
-pub fn run_fault_matrix_jobs(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatrixResult {
+pub fn run_fault_matrix(cfg: &FaultMatrixConfig, jobs: usize) -> FaultMatrixResult {
     // Train once, on clean traffic over the same topology — the deployed
     // detector has never seen the degraded network.
     let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
@@ -366,7 +361,7 @@ mod tests {
 
     #[test]
     fn clean_point_matches_detector_expectations() {
-        let r = run_fault_matrix(&tiny_cfg(vec![FaultPoint::CLEAN]));
+        let r = run_fault_matrix(&tiny_cfg(vec![FaultPoint::CLEAN]), 1);
         let p = &r.points[0];
         assert!(!p.false_positive(), "{:?}", p.case("normal").detection);
         assert_eq!(p.attacks_detected(), 2, "{:?}", p);
@@ -378,13 +373,16 @@ mod tests {
 
     #[test]
     fn loss_throttles_the_flood() {
-        let r = run_fault_matrix(&tiny_cfg(vec![
-            FaultPoint::CLEAN,
-            FaultPoint {
-                loss: 0.1,
-                ..FaultPoint::CLEAN
-            },
-        ]));
+        let r = run_fault_matrix(
+            &tiny_cfg(vec![
+                FaultPoint::CLEAN,
+                FaultPoint {
+                    loss: 0.1,
+                    ..FaultPoint::CLEAN
+                },
+            ]),
+            1,
+        );
         let clean = r.points[0].case("bm-dos").detection.n;
         let lossy_case = r.points[1].case("bm-dos");
         // The reliable transport retransmits but goodput drops: the
@@ -401,13 +399,16 @@ mod tests {
 
     #[test]
     fn churn_raises_honest_reconnect_rate() {
-        let r = run_fault_matrix(&tiny_cfg(vec![
-            FaultPoint::CLEAN,
-            FaultPoint {
-                churn_fpm: 5,
-                ..FaultPoint::CLEAN
-            },
-        ]));
+        let r = run_fault_matrix(
+            &tiny_cfg(vec![
+                FaultPoint::CLEAN,
+                FaultPoint {
+                    churn_fpm: 5,
+                    ..FaultPoint::CLEAN
+                },
+            ]),
+            1,
+        );
         let calm = r.points[0].case("normal").detection.c;
         let churned = r.points[1].case("normal").detection.c;
         assert!(
@@ -423,8 +424,8 @@ mod tests {
             jitter: 2 * MILLIS,
             churn_fpm: 5,
         }]);
-        let a = render_fault_matrix(&run_fault_matrix(&cfg));
-        let b = render_fault_matrix(&run_fault_matrix(&cfg));
+        let a = render_fault_matrix(&run_fault_matrix(&cfg, 1));
+        let b = render_fault_matrix(&run_fault_matrix(&cfg, 1));
         assert_eq!(a, b);
     }
 }

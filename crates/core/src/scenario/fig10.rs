@@ -74,7 +74,7 @@ pub const CASES: [Case; 3] = [
 /// scenario replays the same recorded traffic event by event. Each case
 /// has its own fixed seed, so the result is independent of which thread
 /// (or order) runs it.
-pub fn run_case_testbed(case: Case, cfg: &Fig10Config) -> Testbed {
+pub(crate) fn run_case_testbed(case: Case, cfg: &Fig10Config) -> Testbed {
     // Only Defamation needs outbound peers to defame.
     let (innocents, target_outbound) = match case {
         Case::Defamation { .. } => (cfg.innocents, 2),
@@ -90,18 +90,14 @@ pub fn run_case_testbed(case: Case, cfg: &Fig10Config) -> Testbed {
 /// time (seed 1 — distinct from every evaluation case). The bed comes
 /// back too, so the `serve` scenario trains its streaming detector on the
 /// exact same recorded traffic as the batch engine.
-pub fn train(cfg: &Fig10Config) -> (Profile, Testbed) {
+pub(crate) fn train(cfg: &Fig10Config) -> (Profile, Testbed) {
     train_profile(bed(0, 0, 1), cfg.train, cfg.window)
 }
 
-/// Runs the Figure-10 study.
-pub fn run_fig10(cfg: Fig10Config) -> Fig10Result {
-    run_fig10_jobs(cfg, 1)
-}
-
-/// [`run_fig10`] with the three evaluation cases fanned across `jobs`
-/// workers (training stays serial — every case depends on the profile).
-pub fn run_fig10_jobs(cfg: Fig10Config, jobs: usize) -> Fig10Result {
+/// Runs the Figure-10 study with the three evaluation cases fanned across
+/// `jobs` workers (training stays serial — every case depends on the
+/// profile).
+pub fn run_fig10(cfg: Fig10Config, jobs: usize) -> Fig10Result {
     let (profile, _) = train(&cfg);
     let cases = btc_par::par_map(jobs, CASES.to_vec(), |c| {
         let window = run_case_testbed(c, &cfg).single_window(SETTLE, SETTLE + cfg.test);
@@ -177,7 +173,7 @@ mod tests {
 
     #[test]
     fn fig10_detects_both_attacks_and_passes_normal() {
-        let r = run_fig10(quick_cfg());
+        let r = run_fig10(quick_cfg(), 1);
         let get = |n: &str| r.cases.iter().find(|c| c.name == n).expect("case");
         let normal = get("normal");
         assert!(!normal.detection.anomalous, "{:?}", normal.detection);
@@ -215,7 +211,7 @@ mod tests {
 
     #[test]
     fn render_includes_thresholds_and_cases() {
-        let r = run_fig10(quick_cfg());
+        let r = run_fig10(quick_cfg(), 1);
         let t = render_fig10(&r);
         assert!(t.contains("τ_Λ"));
         assert!(t.contains("bm-dos"));

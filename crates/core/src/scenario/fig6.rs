@@ -65,49 +65,26 @@ pub struct Fig6Point {
     pub mining_rate: f64,
 }
 
-/// Configuration of a single Figure-6 point: one attack style, one Sybil
-/// connection count. Plain data, so point lists can be fanned out across
-/// worker threads.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig6PointCfg {
-    /// The flood.
-    pub attack: Fig6Attack,
-    /// Sybil connection count (0 = idle baseline).
-    pub connections: usize,
-    /// Virtual run length in seconds.
-    pub duration_secs: u64,
-}
-
-/// The sweep's point list in presentation order: the idle baseline, then
-/// {block, ping} × {1, 10, 20} connections.
-pub fn point_list(duration_secs: u64) -> Vec<Fig6PointCfg> {
-    let mut cfgs = vec![Fig6PointCfg {
-        attack: Fig6Attack::None,
-        connections: 0,
-        duration_secs,
-    }];
+/// The sweep's points in presentation order, as (attack, Sybil
+/// connection count): the idle baseline, then {block, ping} × {1, 10, 20}
+/// connections.
+fn point_list() -> Vec<(Fig6Attack, usize)> {
+    let mut points = vec![(Fig6Attack::None, 0)];
     for attack in [Fig6Attack::Block, Fig6Attack::Ping] {
-        for connections in [1usize, 10, 20] {
-            cfgs.push(Fig6PointCfg {
-                attack,
-                connections,
-                duration_secs,
-            });
-        }
+        points.extend([1, 10, 20].map(|connections| (attack, connections)));
     }
-    cfgs
+    points
 }
 
 /// Runs one Figure-6 point: builds a fresh deterministic testbed, floods
 /// it, and reduces the measured traffic through the (shared, immutable)
 /// calibrated contention model. Pure in the fan-out sense — no global
 /// state, every simulator is constructed and consumed inside the call.
-pub fn run_point(cfg: Fig6PointCfg, model: &ContentionModel) -> Fig6Point {
-    let Fig6PointCfg {
-        attack,
-        connections,
-        duration_secs,
-    } = cfg;
+fn run_point(
+    (attack, connections): (Fig6Attack, usize),
+    duration_secs: u64,
+    model: &ContentionModel,
+) -> Fig6Point {
     let Some(payload) = attack.payload().filter(|_| connections > 0) else {
         return Fig6Point {
             attack,
@@ -143,18 +120,13 @@ pub fn run_point(cfg: Fig6PointCfg, model: &ContentionModel) -> Fig6Point {
     }
 }
 
-/// Runs the full Figure-6 sweep serially.
-pub fn run_fig6(duration_secs: u64) -> Vec<Fig6Point> {
-    run_fig6_jobs(duration_secs, 1)
-}
-
 /// Runs the full Figure-6 sweep on `jobs` worker threads. Every point is
 /// an independent, freshly-seeded simulator, so the result is identical
-/// to [`run_fig6`] for any job count.
-pub fn run_fig6_jobs(duration_secs: u64, jobs: usize) -> Vec<Fig6Point> {
+/// for any job count.
+pub fn run_fig6(duration_secs: u64, jobs: usize) -> Vec<Fig6Point> {
     let model = ContentionModel::default();
-    btc_par::par_map(jobs, point_list(duration_secs), |cfg| {
-        run_point(cfg, &model)
+    btc_par::par_map(jobs, point_list(), |point| {
+        run_point(point, duration_secs, &model)
     })
 }
 
@@ -196,7 +168,7 @@ mod tests {
 
     #[test]
     fn fig6_shape_matches_paper() {
-        let points = run_fig6(2);
+        let points = run_fig6(2, 1);
         let baseline = get(&points, Fig6Attack::None, 0).mining_rate;
         // Paper: idle ≈ 9.5e5 h/s.
         assert!((9.0e5..10.0e5).contains(&baseline), "baseline {baseline}");
@@ -227,7 +199,7 @@ mod tests {
 
     #[test]
     fn render_has_all_rows() {
-        let points = run_fig6(1);
+        let points = run_fig6(1, 1);
         assert_eq!(points.len(), 7);
         let t = render_fig6(&points);
         assert!(t.contains("block"));

@@ -37,20 +37,20 @@ pub struct Fig8Result {
 /// built *and* consumed inside [`run_point`] — nothing simulator-shaped
 /// crosses a thread boundary — so runs can execute on worker threads.
 #[derive(Clone, Debug)]
-pub struct Fig8Run {
+struct Fig8Run {
     /// Mean seconds from flood start to ban.
-    pub time_to_ban: f64,
+    time_to_ban: f64,
     /// Identifiers banned during the run.
-    pub bans: usize,
+    bans: usize,
     /// Mean seconds between a ban and the next session being established.
-    pub reconnect_latency: f64,
+    reconnect_latency: f64,
     /// Ban-score staircase of the first banned identifier.
-    pub staircase: Vec<(f64, u32)>,
+    staircase: Vec<(f64, u32)>,
 }
 
 /// Runs one serial-Sybil Defamation flood at the given pacing and reduces
 /// everything Figure 8 needs from it.
-pub fn run_point(extra_interval: Nanos, duration_secs: u64) -> Fig8Run {
+fn run_point(extra_interval: Nanos, duration_secs: u64) -> Fig8Run {
     let mut tb = Testbed::build(TestbedConfig {
         feeders: 0,
         ..TestbedConfig::default()
@@ -108,14 +108,9 @@ pub fn run_point(extra_interval: Nanos, duration_secs: u64) -> Fig8Run {
 }
 
 /// Runs the Figure-8 study: `duration_secs` of serial-Sybil Defamation at
-/// both pacings.
-pub fn run_fig8(duration_secs: u64) -> Fig8Result {
-    run_fig8_jobs(duration_secs, 1)
-}
-
-/// [`run_fig8`] with the two pacings (no delay, +1 ms) fanned across
-/// `jobs` workers. Results are identical for any job count.
-pub fn run_fig8_jobs(duration_secs: u64, jobs: usize) -> Fig8Result {
+/// both pacings (no delay, +1 ms), fanned across `jobs` workers. Results
+/// are identical for any job count.
+pub fn run_fig8(duration_secs: u64, jobs: usize) -> Fig8Result {
     let runs = btc_par::par_map(jobs, vec![0 as Nanos, MILLIS], |extra| {
         run_point(extra, duration_secs)
     });
@@ -164,7 +159,7 @@ mod tests {
 
     #[test]
     fn fig8_timings_match_paper() {
-        let r = run_fig8(4);
+        let r = run_fig8(4, 1);
         assert!((0.08..0.15).contains(&r.time_to_ban_fast), "fast {}", r.time_to_ban_fast);
         assert!((0.17..0.30).contains(&r.time_to_ban_slow), "slow {}", r.time_to_ban_slow);
         // Reconnect ≈ 0.2 s setup + SYN/handshake round-trips.
@@ -176,7 +171,7 @@ mod tests {
 
     #[test]
     fn staircase_rises_one_by_one_to_100() {
-        let r = run_fig8(2);
+        let r = run_fig8(2, 1);
         assert_eq!(r.staircase.len(), 100);
         assert_eq!(r.staircase.first().map(|(_, s)| *s), Some(1));
         assert_eq!(r.staircase.last().map(|(_, s)| *s), Some(100));
@@ -186,7 +181,7 @@ mod tests {
 
     #[test]
     fn render_mentions_key_numbers() {
-        let r = run_fig8(2);
+        let r = run_fig8(2, 1);
         let t = render_fig8(&r);
         assert!(t.contains("full-IP defamation"));
         assert!(t.contains("score 100"));

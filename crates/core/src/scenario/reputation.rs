@@ -1,17 +1,17 @@
 //! `repro reputation` — the trust-tier reputation engine versus the stock
-//! ban cliff and the paper's detector, three ways across every threat the
-//! paper raises.
+//! ban cliff across every threat the paper raises, with the paper's
+//! detector judging each run.
 //!
-//! The sweep runs the same attack cases against three peer policies:
+//! The sweep runs the same attack cases against two peer policies:
 //!
 //! * **stock** — Table-I points, 100 → 24 h hard ban (the paper's victim);
-//! * **detector** — the same node, with the §VII anomaly detector trained
-//!   on clean traffic and evaluated over the measured telemetry (the
-//!   detector *observes* but the ban mechanism is unchanged — exactly the
-//!   paper's proposal);
 //! * **trust-tiers** — the [`btc_node::banscore::ReputationEngine`]:
 //!   weighted penalties, sim-time decay, graylist soft-bans, hard ban only
 //!   from within the graylist.
+//!
+//! The §VII anomaly detector, trained on clean traffic, evaluates every
+//! row's measured telemetry (`det?`, `lat(s)`). It *observes* only: the
+//! ban mechanism is unchanged, exactly the paper's proposal.
 //!
 //! Cases: `bm-dos` (serial-Sybil PING flood — *no* Table-I rule covers it,
 //! so the stock tracker never moves), `defamation` (spoofed strikes on the
@@ -43,42 +43,18 @@ use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_node::Tier;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One compared policy — a row label of the sweep, not a node knob: the
-/// detector *observes* a stock node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// Table-I points, 100 → 24 h hard ban.
-    Stock,
-    /// A stock node whose telemetry the §VII detector evaluates.
-    Detector,
-    /// The trust-tier reputation engine.
-    TrustTiers,
-}
+/// The compared policies with their row labels, in presentation order.
+/// Both run on the hardened target (the fault-matrix sweep's resilience
+/// knobs, so the churn dimension exercises eviction and redial).
+const POLICIES: [(PeerPolicy, &str); 2] = [
+    (PeerPolicy::Stock, "stock"),
+    (PeerPolicy::TrustTiers, "trust-tiers"),
+];
 
-/// The compared policies, in presentation order.
-pub const POLICIES: [Policy; 3] = [Policy::Stock, Policy::Detector, Policy::TrustTiers];
-
-impl Policy {
-    /// Stable row label: `stock`, `detector` or `trust-tiers`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Policy::Stock => "stock",
-            Policy::Detector => "detector",
-            Policy::TrustTiers => "trust-tiers",
-        }
-    }
-
-    /// The hardened target (same resilience knobs as the fault-matrix
-    /// sweep, so the churn dimension exercises eviction and redial) under
-    /// this policy.
-    fn node(self) -> NodeConfig {
-        NodeConfig {
-            peer_policy: match self {
-                Policy::Stock | Policy::Detector => PeerPolicy::Stock,
-                Policy::TrustTiers => PeerPolicy::TrustTiers,
-            },
-            ..hardened_node()
-        }
+fn policy_node(peer_policy: PeerPolicy) -> NodeConfig {
+    NodeConfig {
+        peer_policy,
+        ..hardened_node()
     }
 }
 
@@ -160,7 +136,7 @@ pub struct SwarmTierSpec {
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct ReputationSweepConfig {
-    /// Clean-traffic training duration for the detector policy.
+    /// Clean-traffic training duration for the detector.
     pub train: Nanos,
     /// Detection window length.
     pub window: Nanos,
@@ -224,7 +200,7 @@ impl ReputationSweepConfig {
 /// One `(policy, case)` row of the sweep.
 #[derive(Clone, Debug)]
 pub struct PolicyCaseRow {
-    /// A [`Policy::label`].
+    /// The policy label: `stock` or `trust-tiers`.
     pub policy: &'static str,
     /// The case label.
     pub case: String,
@@ -277,8 +253,7 @@ pub struct ReputationResult {
     pub profile: Profile,
     /// Case labels, in presentation order.
     pub cases: Vec<String>,
-    /// One row per `(case, policy)`, grouped by case in [`POLICIES`]
-    /// order.
+    /// One row per `(case, policy)`, grouped by case, `stock` first.
     pub rows: Vec<PolicyCaseRow>,
     /// The swarm pinning outcome.
     pub swarm: SwarmTierOutcome,
@@ -360,13 +335,13 @@ fn innocent_exclusion(node: &Node, innocent_ips: &BTreeSet<Ipv4>) -> (usize, f64
 /// immutable) clean profile — plain data out, so it can execute on a
 /// worker thread.
 fn run_case(
-    policy: Policy,
+    (peer_policy, label): (PeerPolicy, &'static str),
     case: SweepCase,
     cfg: &ReputationSweepConfig,
     profile: &Profile,
 ) -> PolicyCaseRow {
     let mut tb = Testbed::build(TestbedConfig {
-        node: policy.node(),
+        node: policy_node(peer_policy),
         ..case.point().bed(cfg.innocents, case.seed(), cfg.test)
     });
     tb.attack(case.traffic());
@@ -377,7 +352,7 @@ fn run_case(
     let (innocents_excluded, recovery_s) = innocent_exclusion(node, &innocent_ips);
     let windows = tb.windows(SETTLE, end, cfg.window);
     PolicyCaseRow {
-        policy: policy.label(),
+        policy: label,
         case: case.label(),
         bans: node.telemetry.bans,
         graylists: node.telemetry.graylists,
@@ -411,7 +386,7 @@ pub fn run_swarm_tiers(spec: &SwarmTierSpec) -> SwarmTierOutcome {
         innocents: spec.innocents,
         seed: spec.seed,
     };
-    let bed = SwarmBed::run(&swarm, Policy::TrustTiers.node(), 0);
+    let bed = SwarmBed::run(&swarm, policy_node(PeerPolicy::TrustTiers), 0);
     let node = bed.target_node();
     let (target_msgs, bans, graylists, graylist_dropped) = (
         node.telemetry.messages.len() as u64,
@@ -439,34 +414,22 @@ pub fn run_swarm_tiers(spec: &SwarmTierSpec) -> SwarmTierOutcome {
     }
 }
 
-/// Runs the sweep serially.
-pub fn run_reputation(cfg: &ReputationSweepConfig) -> ReputationResult {
-    run_reputation_jobs(cfg, 1)
-}
-
 /// Runs the sweep with its cases fanned across `jobs` workers. Each case
-/// simulates a stock and a trust-tier node; the detector row is the stock
-/// run relabelled. Results are byte-identical for any job count.
+/// simulates a stock and a trust-tier node. Results are byte-identical for
+/// any job count.
 ///
 /// # Panics
 ///
 /// Panics when detector training produces no windows (the configured
 /// training span is always long enough).
-pub fn run_reputation_jobs(cfg: &ReputationSweepConfig, jobs: usize) -> ReputationResult {
+pub fn run_reputation(cfg: &ReputationSweepConfig, jobs: usize) -> ReputationResult {
     // Train the detector once, on clean stock traffic.
     let clean = FaultPoint::CLEAN.bed(cfg.innocents, 1, cfg.test);
     let (profile, _) = train_profile(clean, cfg.train, cfg.window);
 
     let cases = cfg.cases();
     let rows = btc_par::par_map(jobs, cases.clone(), |case| {
-        let stock = run_case(Policy::Stock, case, cfg, &profile);
-        let tiers = run_case(Policy::TrustTiers, case, cfg, &profile);
-        // The detector observes the stock node: same run, another label.
-        let detector = PolicyCaseRow {
-            policy: Policy::Detector.label(),
-            ..stock.clone()
-        };
-        [stock, detector, tiers]
+        POLICIES.map(|policy| run_case(policy, case, cfg, &profile))
     })
     .into_iter()
     .flatten()
@@ -489,8 +452,8 @@ pub fn render_reputation(r: &ReputationResult) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Three-way reputation sweep (detector trained clean: τ_n = [{:.0}, {:.0}]/min, \
-         τ_c ≤ {:.1}/min, τ_Λ = {:.3})",
+        "Reputation sweep, stock vs trust-tiers (detector trained clean: \
+         τ_n = [{:.0}, {:.0}]/min, τ_c ≤ {:.1}/min, τ_Λ = {:.3})",
         r.profile.tau_n.0, r.profile.tau_n.1, r.profile.tau_c.1, r.profile.tau_lambda
     );
     let _ = writeln!(
@@ -510,8 +473,8 @@ pub fn render_reputation(r: &ReputationResult) -> String {
         "out"
     );
     for case in &r.cases {
-        for policy in POLICIES {
-            let row = r.row(policy.label(), case);
+        for (_, label) in POLICIES {
+            let row = r.row(label, case);
             let _ = writeln!(
                 out,
                 "{:<12} {:<12} {:>6} {:>6} {:>9} {:>6} {:>5} {:>11.0} {:>5} {:>7.0} {:>8} {:>4}",
@@ -582,7 +545,7 @@ mod tests {
     /// only read it.
     fn tiny_result() -> &'static ReputationResult {
         static RESULT: OnceLock<ReputationResult> = OnceLock::new();
-        RESULT.get_or_init(|| run_reputation(&tiny()))
+        RESULT.get_or_init(|| run_reputation(&tiny(), 1))
     }
 
     #[test]
@@ -615,8 +578,8 @@ mod tests {
     #[test]
     fn honest_churn_excludes_no_innocents() {
         let r = tiny_result();
-        for policy in POLICIES {
-            let row = r.row(policy.label(), "churn=5");
+        for (_, label) in POLICIES {
+            let row = r.row(label, "churn=5");
             assert_eq!(row.innocents_excluded, 0, "{row:?}");
             assert_eq!(row.bans, 0, "{row:?}");
         }
@@ -636,8 +599,8 @@ mod tests {
     #[test]
     fn jobs_do_not_change_the_rendered_output() {
         let cfg = tiny();
-        let a = render_reputation(&run_reputation_jobs(&cfg, 1));
-        let b = render_reputation(&run_reputation_jobs(&cfg, 4));
+        let a = render_reputation(&run_reputation(&cfg, 1));
+        let b = render_reputation(&run_reputation(&cfg, 4));
         assert_eq!(a, b);
     }
 }

@@ -189,19 +189,15 @@ pub struct ServeResult {
     pub cases: Vec<ServeCase>,
 }
 
-/// Runs the streaming-service study serially.
-pub fn run_serve(cfg: ServeConfig) -> ServeResult {
-    run_serve_jobs(cfg, 1)
-}
-
-/// [`run_serve`] with the three cases fanned across `jobs` workers
-/// (training stays serial — every case depends on both profiles).
+/// Runs the streaming-service study with the three cases fanned across
+/// `jobs` workers (training stays serial — every case depends on both
+/// profiles).
 ///
 /// # Panics
 ///
 /// Panics if training produces no windows (`fig10.train` shorter than a
 /// window) — a configuration error, not a runtime condition.
-pub fn run_serve_jobs(cfg: ServeConfig, jobs: usize) -> ServeResult {
+pub fn run_serve(cfg: ServeConfig, jobs: usize) -> ServeResult {
     // ---- Train both profiles on the same clean run.
     let (node_profile, tb) = fig10::train(&cfg.fig10);
     let train_trace = telemetry_trace(&tb.target_node().telemetry, SETTLE, cfg.fig10.train);
@@ -386,7 +382,7 @@ mod tests {
 
     #[test]
     fn serve_matches_batch_and_shards_agree() {
-        let r = run_serve_jobs(quick_cfg(), 2);
+        let r = run_serve(quick_cfg(), 2);
         assert_eq!(r.cases.len(), 3);
         for c in &r.cases {
             assert!(c.digests_agree, "{}: shard digests diverged", c.name);
@@ -416,7 +412,7 @@ mod tests {
 
     #[test]
     fn render_separates_digest_and_wall_clock_lines() {
-        let r = run_serve(quick_cfg());
+        let r = run_serve(quick_cfg(), 1);
         let t = render_serve(&r);
         assert!(t.contains("digest shards=1"));
         assert!(t.contains("digest shards=4"));

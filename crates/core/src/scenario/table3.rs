@@ -40,47 +40,13 @@ fn attacker_mem_mb(app_layer: bool) -> f64 {
     }
 }
 
-/// Configuration of a single Table-III row: which layer floods, at what
-/// requested rate. Plain data for the parallel fan-out.
-#[derive(Clone, Copy, Debug)]
-pub struct Table3PointCfg {
-    /// `true` = application-layer Bitcoin `PING`, `false` = raw ICMP.
-    pub app_layer: bool,
-    /// Requested flooding rate (num/sec).
-    pub rate: f64,
-    /// Virtual run length in seconds.
-    pub duration_secs: u64,
-}
-
-/// The sweep's row list in table order: Bitcoin PING at {10², 10³}, then
-/// ICMP at {10², …, 10⁶}.
-pub fn point_list(duration_secs: u64) -> Vec<Table3PointCfg> {
-    let mut cfgs = Vec::new();
-    for rate in [1e2, 1e3] {
-        cfgs.push(Table3PointCfg {
-            app_layer: true,
-            rate,
-            duration_secs,
-        });
-    }
-    for rate in [1e2, 1e3, 1e4, 1e5, 1e6] {
-        cfgs.push(Table3PointCfg {
-            app_layer: false,
-            rate,
-            duration_secs,
-        });
-    }
-    cfgs
-}
-
-/// Runs one Table-III row against a fresh deterministic testbed, reducing
-/// through the shared immutable contention model.
-pub fn run_point(cfg: Table3PointCfg, model: &ContentionModel) -> Table3Row {
-    if cfg.app_layer {
-        ping_row(cfg.rate, cfg.duration_secs, model)
-    } else {
-        icmp_row(cfg.rate, cfg.duration_secs, model)
-    }
+/// The sweep's rows in table order, as (application layer?, requested
+/// rate in num/sec): Bitcoin PING at {10², 10³}, then ICMP at
+/// {10², …, 10⁶}.
+fn point_list() -> Vec<(bool, f64)> {
+    let ping = [1e2, 1e3].map(|rate| (true, rate));
+    let icmp = [1e2, 1e3, 1e4, 1e5, 1e6].map(|rate| (false, rate));
+    ping.into_iter().chain(icmp).collect()
 }
 
 fn ping_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row {
@@ -143,17 +109,18 @@ fn icmp_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row
     }
 }
 
-/// Runs the full Table III sweep (also the data behind Figure 7).
-pub fn run_table3(duration_secs: u64) -> Vec<Table3Row> {
-    run_table3_jobs(duration_secs, 1)
-}
-
-/// Runs the Table III sweep on `jobs` worker threads; row order and
-/// contents are identical to [`run_table3`] for any job count.
-pub fn run_table3_jobs(duration_secs: u64, jobs: usize) -> Vec<Table3Row> {
+/// Runs the full Table III sweep (also the data behind Figure 7) on `jobs`
+/// worker threads. Each row runs against a fresh deterministic testbed and
+/// reduces through the shared immutable contention model, so row order
+/// and contents are identical for any job count.
+pub fn run_table3(duration_secs: u64, jobs: usize) -> Vec<Table3Row> {
     let model = ContentionModel::default();
-    btc_par::par_map(jobs, point_list(duration_secs), |cfg| {
-        run_point(cfg, &model)
+    btc_par::par_map(jobs, point_list(), |(app_layer, rate)| {
+        if app_layer {
+            ping_row(rate, duration_secs, &model)
+        } else {
+            icmp_row(rate, duration_secs, &model)
+        }
     })
 }
 

@@ -6,20 +6,23 @@
 //! The container running CI may have a single core; that is fine — the
 //! pool still exercises the stealing path by time-slicing its workers.
 
+use banscore::scenario::evasion::{render_evasion, run_evasion, EvasionConfig};
 use banscore::scenario::fault_matrix::{
-    render_fault_matrix, run_fault_matrix_jobs, FaultMatrixConfig, FaultPoint,
+    render_fault_matrix, run_fault_matrix, FaultMatrixConfig, FaultPoint,
 };
-use banscore::scenario::fig6::{render_fig6, run_fig6_jobs};
+use banscore::scenario::fig10::{render_fig10, run_fig10, Fig10Config};
+use banscore::scenario::fig6::{render_fig6, run_fig6};
+use banscore::scenario::fig8::{render_fig8, run_fig8};
 use banscore::scenario::reputation::{
-    render_reputation, run_reputation_jobs, ReputationSweepConfig, SwarmTierSpec,
+    render_reputation, run_reputation, ReputationSweepConfig, SwarmTierSpec,
 };
-use banscore::scenario::table3::{render_table3, run_table3_jobs};
+use banscore::scenario::table3::{render_table3, run_table3};
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 
 #[test]
 fn fig6_identical_at_jobs_1_and_4() {
-    let serial = run_fig6_jobs(1, 1);
-    let parallel = run_fig6_jobs(1, 4);
+    let serial = run_fig6(1, 1);
+    let parallel = run_fig6(1, 4);
     assert_eq!(serial.len(), parallel.len());
     // Exact float equality is intentional: same seeds, same arithmetic,
     // same order — parallelism must not perturb anything.
@@ -35,9 +38,46 @@ fn fig6_identical_at_jobs_1_and_4() {
 
 #[test]
 fn table3_render_identical_at_jobs_1_and_3() {
-    let serial = run_table3_jobs(1, 1);
-    let parallel = run_table3_jobs(1, 3);
+    let serial = run_table3(1, 1);
+    let parallel = run_table3(1, 3);
     assert_eq!(render_table3(&serial), render_table3(&parallel));
+}
+
+#[test]
+fn fig8_render_identical_at_jobs_1_and_4() {
+    assert_eq!(render_fig8(&run_fig8(2, 1)), render_fig8(&run_fig8(2, 4)));
+}
+
+#[test]
+fn fig10_render_identical_at_jobs_1_and_4() {
+    let cfg = Fig10Config {
+        train: 6 * MINUTES,
+        window: 2 * MINUTES,
+        test: 2 * MINUTES,
+        innocents: 6,
+    };
+    assert_eq!(
+        render_fig10(&run_fig10(cfg, 1)),
+        render_fig10(&run_fig10(cfg, 4))
+    );
+}
+
+#[test]
+fn evasion_render_identical_at_jobs_1_and_4() {
+    let cfg = EvasionConfig {
+        train: 6 * MINUTES,
+        window: 2 * MINUTES,
+        test: 2 * MINUTES,
+        // Few bogus blocks: the checksum pass over them dominates a
+        // debug-build run.
+        attack_weight: 0.01,
+    };
+    // One rate inside the detector's headroom, one far above it.
+    let rates = [30.0, 3_000.0];
+    assert_eq!(
+        render_evasion(&run_evasion(cfg, &rates, 1)),
+        render_evasion(&run_evasion(cfg, &rates, 4))
+    );
 }
 
 #[test]
@@ -57,8 +97,8 @@ fn fault_matrix_identical_at_jobs_1_and_4() {
             churn_fpm: 5,
         }],
     };
-    let serial = run_fault_matrix_jobs(&cfg, 1);
-    let parallel = run_fault_matrix_jobs(&cfg, 4);
+    let serial = run_fault_matrix(&cfg, 1);
+    let parallel = run_fault_matrix(&cfg, 4);
     for (s, p) in serial.points.iter().zip(&parallel.points) {
         assert_eq!(s.point, p.point);
         for (sc, pc) in s.cases.iter().zip(&p.cases) {
@@ -99,8 +139,8 @@ fn reputation_identical_at_jobs_1_and_3() {
             seed: 7,
         },
     };
-    let serial = run_reputation_jobs(&cfg, 1);
-    let parallel = run_reputation_jobs(&cfg, 3);
+    let serial = run_reputation(&cfg, 1);
+    let parallel = run_reputation(&cfg, 3);
     for (s, p) in serial.rows.iter().zip(&parallel.rows) {
         assert_eq!((s.policy, &s.case), (p.policy, &p.case));
         assert_eq!(s.recovery_s.to_bits(), p.recovery_s.to_bits(), "{s:?}");

@@ -12,7 +12,7 @@ use banscore::scenario::fig10::Fig10Config;
 use banscore::scenario::reputation::{
     run_reputation, run_swarm_tiers, ReputationSweepConfig, SwarmTierSpec,
 };
-use banscore::scenario::serve::{run_serve_jobs, ServeConfig};
+use banscore::scenario::serve::{run_serve, ServeConfig};
 use banscore::scenario::swarm::{run_swarm, SwarmSpec};
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 
@@ -63,7 +63,7 @@ fn swarm_tiers_is_pinned() {
 
 #[test]
 fn fault_matrix_point_is_pinned() {
-    let r = run_fault_matrix(&FaultMatrixConfig {
+    let cfg = FaultMatrixConfig {
         train: 8 * MINUTES,
         window: MINUTES,
         test: 2 * MINUTES,
@@ -73,7 +73,8 @@ fn fault_matrix_point_is_pinned() {
             jitter: 2 * MILLIS,
             churn_fpm: 5,
         }],
-    });
+    };
+    let r = run_fault_matrix(&cfg, 1);
     // (case, retransmits, dropped_loss, dropped_partition, jittered, reordered)
     let pins = [
         ("normal", 825_u64, 517_u64, 181_u64, 9054_u64, 0_u64),
@@ -94,7 +95,7 @@ fn fault_matrix_point_is_pinned() {
 #[test]
 fn serve_cases_are_pinned() {
     // `repro --quick serve`'s configuration.
-    let r = run_serve_jobs(
+    let r = run_serve(
         ServeConfig {
             fig10: Fig10Config {
                 train: 20 * MINUTES,
@@ -127,24 +128,22 @@ fn serve_cases_are_pinned() {
 
 #[test]
 fn reputation_rows_are_pinned() {
-    let r = run_reputation(&ReputationSweepConfig {
+    let cfg = ReputationSweepConfig {
         train: 6 * MINUTES,
         window: MINUTES,
         test: 2 * MINUTES,
         innocents: 6,
         churn_points: vec![5],
         swarm: TIERS,
-    });
+    };
+    let r = run_reputation(&cfg, 1);
     // (case, policy, bans, graylists, target_msgs, outbound_at_end)
     let pins = [
         ("bm-dos", "stock", 0_u64, 0_u64, 180_804_u64, 2_usize),
-        ("bm-dos", "detector", 0, 0, 180_804, 2),
         ("bm-dos", "trust-tiers", 8, 9, 113_025, 2),
         ("defamation", "stock", 6, 0, 1201, 0),
-        ("defamation", "detector", 6, 0, 1201, 0),
         ("defamation", "trust-tiers", 0, 4, 1383, 2),
         ("churn=5", "stock", 0, 0, 1618, 2),
-        ("churn=5", "detector", 0, 0, 1618, 2),
         ("churn=5", "trust-tiers", 0, 0, 1618, 2),
     ];
     let got: Vec<_> = r

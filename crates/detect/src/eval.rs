@@ -105,17 +105,13 @@ pub struct AccuracyRow {
     pub metrics: Metrics,
 }
 
-/// Evaluates the engine and all baselines on a k-th split of `dataset`.
-pub fn compare_accuracy(dataset: &Dataset, every_kth: usize) -> Vec<AccuracyRow> {
-    compare_accuracy_jobs(dataset, every_kth, 1)
-}
-
-/// [`compare_accuracy`] with the seven ML baselines fitted on `jobs`
-/// worker threads. Every baseline is deterministically seeded and fits on
-/// its own model state, so row order ("Ours" first, then the baselines in
+/// Evaluates the engine and all baselines on a k-th split of `dataset`,
+/// the seven ML baselines fitted on `jobs` worker threads. Every baseline
+/// is deterministically seeded and fits on its own model state, so row
+/// order ("Ours" first, then the baselines in
 /// [`crate::ml::all_baselines`] order) and metrics are identical for any
 /// job count.
-pub fn compare_accuracy_jobs(dataset: &Dataset, every_kth: usize, jobs: usize) -> Vec<AccuracyRow> {
+pub fn compare_accuracy(dataset: &Dataset, every_kth: usize, jobs: usize) -> Vec<AccuracyRow> {
     let (train, test) = dataset.split_every_kth(every_kth);
     let (_, m) = evaluate_engine(&train, &test);
     let mut rows = vec![AccuracyRow {
@@ -225,7 +221,7 @@ mod tests {
     #[test]
     fn comparison_covers_all_methods_and_ours_leads() {
         let ds = dataset();
-        let rows = compare_accuracy(&ds, 4);
+        let rows = compare_accuracy(&ds, 4, 1);
         assert_eq!(rows.len(), 8);
         let ours = rows.iter().find(|r| r.name == "Ours").unwrap();
         assert!(ours.metrics.accuracy() >= 0.95);
@@ -235,9 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn jobs_do_not_change_the_rendered_table() {
+        let ds = dataset();
+        assert_eq!(
+            render_accuracy(&compare_accuracy(&ds, 4, 1)),
+            render_accuracy(&compare_accuracy(&ds, 4, 4))
+        );
+    }
+
+    #[test]
     fn render_has_header_and_rows() {
         let ds = dataset();
-        let rows = compare_accuracy(&ds, 4);
+        let rows = compare_accuracy(&ds, 4, 1);
         let t = render_accuracy(&rows);
         assert!(t.contains("accuracy"));
         assert!(t.contains("Ours"));

@@ -22,17 +22,14 @@ pub struct LatencyRow {
 ///
 /// `windows`/`labels` feed the ML baselines as flat feature vectors; the
 /// statistical engine trains on the normal subset, exactly as in §VII.
-pub fn compare_latencies(windows: &[TrafficWindow], labels: &[f64]) -> Vec<LatencyRow> {
-    compare_latencies_jobs(windows, labels, 1)
-}
-
-/// [`compare_latencies`] with the seven baselines timed on `jobs` worker
-/// threads. "Ours" is always timed serially first — it is the yardstick
+///
+/// The seven baselines are timed on `jobs` worker threads. "Ours" is
+/// always timed serially first — it is the yardstick
 /// every ratio in Figure 11 divides by, so it must not share a core with
 /// a fitting baseline. Note these rows time *wall clock*: with `jobs > 1`
 /// concurrent baselines contend for cores, so parallel runs are for smoke
 /// tests, not calibrated measurements.
-pub fn compare_latencies_jobs(
+pub fn compare_latencies(
     windows: &[TrafficWindow],
     labels: &[f64],
     jobs: usize,
@@ -144,7 +141,7 @@ mod tests {
     #[test]
     fn ours_is_orders_of_magnitude_faster_to_train() {
         let (windows, labels) = dataset();
-        let rows = compare_latencies(&windows, &labels);
+        let rows = compare_latencies(&windows, &labels, 1);
         let ours = rows.iter().find(|r| r.name == "Ours").unwrap().train_ns;
         for r in rows.iter().filter(|r| r.name != "Ours") {
             // The paper reports ≥4 orders of magnitude against
@@ -164,7 +161,7 @@ mod tests {
     #[test]
     fn all_eight_approaches_present() {
         let (windows, labels) = dataset();
-        let rows = compare_latencies(&windows, &labels);
+        let rows = compare_latencies(&windows, &labels, 1);
         let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["Ours", "LR", "GB", "RF", "SVM", "DNN", "OC-SVM", "AE"]);
     }
@@ -172,7 +169,7 @@ mod tests {
     #[test]
     fn render_mentions_every_method() {
         let (windows, labels) = dataset();
-        let rows = compare_latencies(&windows, &labels);
+        let rows = compare_latencies(&windows, &labels, 1);
         let t = render_fig11(&rows);
         for name in ["Ours", "LR", "GB", "RF", "SVM", "DNN", "OC-SVM", "AE"] {
             assert!(t.contains(name), "missing {name}");

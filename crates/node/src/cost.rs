@@ -115,11 +115,6 @@ impl CostModel {
             Message::Reject(_) => 100,
         }
     }
-
-    /// Full application-layer cost of a successfully decoded message.
-    pub fn full_cost(&self, msg: &Message, payload_len: usize) -> u64 {
-        self.checksum_cost(payload_len) + self.decode_cost(payload_len) + self.handler_cost(msg)
-    }
 }
 
 #[cfg(test)]
@@ -182,7 +177,8 @@ mod tests {
         let m = CostModel::default();
         let msg = block(50);
         let payload = msg.encode_payload().len();
-        assert!(m.checksum_cost(payload) < m.full_cost(&msg, payload));
+        let full = m.checksum_cost(payload) + m.decode_cost(payload) + m.handler_cost(&msg);
+        assert!(m.checksum_cost(payload) < full);
     }
 
     #[test]

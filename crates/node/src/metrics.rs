@@ -159,14 +159,6 @@ impl Telemetry {
         });
     }
 
-    /// Tier transitions within `[start, end)`.
-    pub fn tier_changes_in_window(&self, start: Nanos, end: Nanos) -> u64 {
-        self.tier_changes
-            .iter()
-            .filter(|t| t.time >= start && t.time < end)
-            .count() as u64
-    }
-
     /// The messages within `[start, end)`: two binary searches over the
     /// time-ordered log. An inverted window (`start > end`) is empty.
     fn messages_in_window(&self, start: Nanos, end: Nanos) -> &[MsgRecord] {
@@ -333,8 +325,6 @@ mod tests {
                 to: Tier::Probation,
             }
         );
-        assert_eq!(t.tier_changes_in_window(0, 5 * SECS), 1);
-        assert_eq!(t.tier_changes_in_window(0, 6 * SECS), 2);
     }
 
     /// The linear-filter window queries the binary-search ones replaced,

@@ -322,6 +322,12 @@ impl Node {
     /// The paper's detection *response* (§VII): on an anomaly alert, drop
     /// every inbound connection and rebuild the peer set. Takes effect at
     /// the next maintenance tick (≤1 s of virtual time later).
+    ///
+    /// No sweep calls it, on purpose: the paper's detector only observes,
+    /// so `repro reputation` reports its verdict as a column and leaves
+    /// who is banned to the node's policy. The reaction is kept as the
+    /// paper's §VII hook, exercised end to end by
+    /// `tests/end_to_end.rs::detection_response_drops_and_rebuilds_connections`.
     pub fn request_connection_rebuild(&mut self) {
         self.rebuild_requested = true;
     }

@@ -198,19 +198,6 @@ where
         .collect()
 }
 
-/// [`par_map`] for side-effecting work without a result value.
-///
-/// # Panics
-///
-/// Re-raises the first panic raised by any invocation of `f`.
-pub fn par_for_each<T, F>(jobs: usize, items: Vec<T>, f: F)
-where
-    T: Send,
-    F: Fn(T) + Sync,
-{
-    par_map(jobs, items, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,15 +260,6 @@ mod tests {
             par_map(1, vec![1u8], |_| -> u8 { panic!("serial boom") })
         }));
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn par_for_each_visits_everything() {
-        let sum = AtomicUsize::new(0);
-        par_for_each(3, (1..=100).collect::<Vec<usize>>(), |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
     }
 
     #[test]

@@ -66,19 +66,3 @@ fn par_map_propagates_panics_like_a_serial_map() {
         }
     });
 }
-
-#[test]
-fn par_for_each_observes_every_item_once() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    check("par_for_each coverage", |g: &mut Gen| {
-        let items = g.vec_with(0, 48, |g| g.u64_in(0, 1_000));
-        let expect: u64 = items.iter().sum();
-        for jobs in JOB_COUNTS {
-            let sum = AtomicU64::new(0);
-            btc_par::par_for_each(jobs, items.clone(), |x| {
-                sum.fetch_add(x, Ordering::Relaxed);
-            });
-            assert_eq!(sum.load(Ordering::Relaxed), expect, "jobs={jobs}");
-        }
-    });
-}

@@ -281,18 +281,6 @@ impl Transaction {
         &mut self.outputs
     }
 
-    /// Sets the version. Drops the memoized ids.
-    pub fn set_version(&mut self, version: i32) {
-        self.ids = IdCache::default();
-        self.version = version;
-    }
-
-    /// Sets the lock time. Drops the memoized ids.
-    pub fn set_lock_time(&mut self, lock_time: u32) {
-        self.ids = IdCache::default();
-        self.lock_time = lock_time;
-    }
-
     /// Whether this transaction is a coinbase.
     pub fn is_coinbase(&self) -> bool {
         matches!(self.inputs.as_slice(), [only] if only.prevout.is_null())
@@ -579,11 +567,6 @@ mod tests {
         // Any mutation path must drop the cache and change the id.
         tx.outputs_mut()[0].value += 1;
         assert_ne!(tx.txid(), id);
-        tx.set_lock_time(7);
-        let id2 = tx.txid();
-        assert_ne!(id2, id);
-        tx.set_version(3);
-        assert_ne!(tx.txid(), id2);
     }
 
     #[test]

@@ -171,15 +171,6 @@ impl Network {
             Network::Regtest => 0xDAB5_BFFA,
         }
     }
-
-    /// Looks a network up by magic.
-    pub fn from_magic(magic: u32) -> Option<Network> {
-        match magic {
-            0xD9B4_BEF9 => Some(Network::Mainnet),
-            0xDAB5_BFFA => Some(Network::Regtest),
-            _ => None,
-        }
-    }
 }
 
 /// A peer address as carried in `ADDR` payloads and `VERSION` messages
@@ -460,14 +451,6 @@ mod tests {
             assert_eq!(enc.len(), 36);
             assert_eq!(Inventory::decode_all(&enc).unwrap(), inv);
         }
-    }
-
-    #[test]
-    fn network_magic_roundtrip() {
-        for n in [Network::Mainnet, Network::Regtest] {
-            assert_eq!(Network::from_magic(n.magic()), Some(n));
-        }
-        assert_eq!(Network::from_magic(0), None);
     }
 
     #[test]

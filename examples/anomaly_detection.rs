@@ -22,7 +22,7 @@ fn main() {
         "training on {} minutes of clean traffic...",
         cfg.train / MINUTES
     );
-    let r = run_fig10(cfg);
+    let r = run_fig10(cfg, 1);
     println!(
         "profile: τ_n = [{:.0}, {:.0}] msg/min, τ_c = [0, {:.1}]/min, τ_Λ = {:.3}\n",
         r.profile.tau_n.0, r.profile.tau_n.1, r.profile.tau_c.1, r.profile.tau_lambda
@@ -57,6 +57,6 @@ fn main() {
             labels.push(if c.name == "normal" { 0.0 } else { 1.0 });
         }
     }
-    let rows = compare_latencies(&windows, &labels);
+    let rows = compare_latencies(&windows, &labels, 1);
     print!("{}", render_fig11(&rows));
 }

@@ -17,7 +17,7 @@ fn main() {
         attack_weight: 0.3,
     };
     println!("training the detector, then sweeping attacker send rates...\n");
-    let r = run_evasion(cfg, &[20.0, 60.0, 300.0, 2_000.0, 12_000.0]);
+    let r = run_evasion(cfg, &[20.0, 60.0, 300.0, 2_000.0, 12_000.0], 1);
     print!("{}", render_evasion(&r));
     println!();
     println!("Reading the table: rates inside the detector's headroom go unnoticed");

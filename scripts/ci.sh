@@ -71,7 +71,7 @@ echo "==> jobs matrix: repro output must be byte-identical at --jobs 1 vs --jobs
 # fault layer, the retransmission path or the reconnect backoff shows up
 # as a diff here. (The single-point bit-equality contract is also a
 # test: crates/core/tests/parallel_equivalence.rs.) `reputation` runs the
-# three-way trust-tier sweep, so the tier engine's decay/graylist float
+# stock vs trust-tier sweep, so the tier engine's decay/graylist float
 # arithmetic is held to the same bit-identity bar.
 out1=$(mktemp) out4=$(mktemp)
 trap 'rm -f "$out1" "$out4"' EXIT

@@ -135,7 +135,7 @@ fn flood_does_not_disturb_honest_peers() {
 #[test]
 fn impact_cost_table_shape_end_to_end() {
     // The Table II headline through the public API.
-    let rows = btc_attack::meter::measure_table2(5);
+    let rows = btc_attack::meter::measure_table2(&btc_attack::meter::fixtures(), 5, 1);
     let ratio = |cmd: &str| {
         rows.iter()
             .find(|r| r.command == cmd)
