@@ -9,7 +9,7 @@ use btc_netsim::sim::{HostConfig, SimConfig, Simulator};
 use btc_netsim::time::SECS;
 use btc_node::banscore::CoreVersion;
 use btc_node::chain::genesis_block;
-use btc_node::node::{Node, NodeConfig};
+use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_wire::block::HeadersEntry;
 use btc_wire::bloom::{BloomFilter, BloomFlags, FilterAdd};
 use btc_wire::compact::BlockTxnRequest;
@@ -20,7 +20,9 @@ use btc_wire::types::{Hash256, Network};
 const TARGET: [u8; 4] = [10, 0, 0, 1];
 const ATTACKER: [u8; 4] = [10, 0, 0, 66];
 
-fn run_one_message(msg: Message, config: NodeConfig) -> (u32, u64) {
+/// Delivers `msg` once from the attacker to a node built from `config`
+/// and hands the node, two seconds later, to `inspect`.
+fn with_target<R>(msg: Message, config: NodeConfig, inspect: impl FnOnce(&Node) -> R) -> R {
     let raw = RawMessage::frame(Network::Regtest, &msg);
     let mut sim = Simulator::new(SimConfig::default());
     sim.add_host(TARGET, Box::new(Node::new(config)), HostConfig::default());
@@ -36,14 +38,35 @@ fn run_one_message(msg: Message, config: NodeConfig) -> (u32, u64) {
         HostConfig::default(),
     );
     sim.run_for(2 * SECS);
-    let node: &Node = sim.app(TARGET).unwrap();
-    let score = node
-        .tracker
-        .events()
-        .last()
-        .map(|e| e.total)
-        .unwrap_or_else(|| node.ban_score(&SockAddr::new(ATTACKER, 50_000)));
-    (score, node.telemetry.bans)
+    inspect(sim.app(TARGET).unwrap())
+}
+
+/// The stock tracker's score for the attacker and the node's ban count.
+fn run_one_message(msg: Message, config: NodeConfig) -> (u32, u64) {
+    with_target(msg, config, |node| {
+        let score = node
+            .tracker
+            .events()
+            .last()
+            .map(|e| e.total)
+            .unwrap_or_else(|| node.ban_score(&SockAddr::new(ATTACKER, 50_000)));
+        (score, node.telemetry.bans)
+    })
+}
+
+/// The trust-tier engine's strike score for the attacker, read at its
+/// last tier transition (before any decay), and the node's ban count.
+fn run_one_message_tiers(msg: Message, core_version: CoreVersion) -> (f64, u64) {
+    let config = NodeConfig {
+        core_version,
+        peer_policy: PeerPolicy::TrustTiers,
+        ..NodeConfig::default()
+    };
+    with_target(msg, config, |node| {
+        let at = node.reputation.transitions().back().map_or(0, |t| t.time);
+        let score = node.reputation.score(at, &SockAddr::new(ATTACKER, 50_000));
+        (score, node.telemetry.bans)
+    })
 }
 
 fn segwit_invalid_tx() -> Transaction {
@@ -119,7 +142,7 @@ fn filteradd_without_filter_is_version_dependent() {
     assert_eq!(score20, 100);
     assert_eq!(bans20, 1);
     let (score21, bans21) = run_one_message(
-        Message::FilterAdd(fa),
+        Message::FilterAdd(fa.clone()),
         NodeConfig {
             core_version: CoreVersion::V0_21,
             ..NodeConfig::default()
@@ -127,6 +150,12 @@ fn filteradd_without_filter_is_version_dependent() {
     );
     assert_eq!(score21, 0, "rule deprecated in 0.21");
     assert_eq!(bans21, 0);
+    // The trust-tier engine enforces the node's rule set too: a Severe
+    // strike (40 points, no ban) at 0.20, nothing at 0.21.
+    let tiers20 = run_one_message_tiers(Message::FilterAdd(fa.clone()), CoreVersion::V0_20);
+    assert_eq!(tiers20, (40.0, 0));
+    let tiers21 = run_one_message_tiers(Message::FilterAdd(fa), CoreVersion::V0_21);
+    assert_eq!(tiers21, (0.0, 0), "rule deprecated in 0.21");
 }
 
 #[test]

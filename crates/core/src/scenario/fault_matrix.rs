@@ -416,16 +416,4 @@ mod tests {
             "flaps produced no extra reconnects: {churned} vs {calm}"
         );
     }
-
-    #[test]
-    fn same_config_is_deterministic() {
-        let cfg = tiny_cfg(vec![FaultPoint {
-            loss: 0.05,
-            jitter: 2 * MILLIS,
-            churn_fpm: 5,
-        }]);
-        let a = render_fault_matrix(&run_fault_matrix(&cfg, 1));
-        let b = render_fault_matrix(&run_fault_matrix(&cfg, 1));
-        assert_eq!(a, b);
-    }
 }

@@ -24,7 +24,7 @@
 //! The headline numbers: whether the flood is finally *punished* (tiers
 //! graylist the flooder where stock scores nothing), and the
 //! recovery-time delta for defamed innocents — a graylist expires into
-//! Probation after [`btc_node::banscore::ReputationConfig::graylist_duration`]
+//! Probation after [`btc_node::banscore::reputation::GRAYLIST_DURATION`]
 //! while a stock ban excludes the identifier for 24 hours.
 //!
 //! Everything below is deterministic: fixed per-case seeds, sim-time-only
@@ -39,6 +39,7 @@ use crate::testbed::{
 use btc_detect::engine::{AnalysisEngine, Profile};
 use btc_netsim::packet::{Ipv4, SockAddr};
 use btc_netsim::time::{Nanos, MINUTES, SECS};
+use btc_node::banscore::reputation::GRAYLIST_DURATION;
 use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_node::Tier;
 use std::collections::{BTreeMap, BTreeSet};
@@ -217,7 +218,7 @@ pub struct PolicyCaseRow {
     pub innocents_excluded: usize,
     /// Mean seconds an excluded innocent stays out of service (`NaN` when
     /// none were excluded). Stock bans run the full 24 h; graylists
-    /// measured to the observed re-entry, or the configured duration.
+    /// measured to the observed re-entry, or the full `GRAYLIST_DURATION`.
     pub recovery_s: f64,
     /// The detector's aggregate verdict over the measured span.
     pub detected: bool,
@@ -291,11 +292,11 @@ impl ReputationResult {
 /// Stock: every innocent in the ban log is out for the full ban duration
 /// (no run is 24 h long, so none recover in-run). Tiers: graylist spans
 /// measured from the telemetry tier stream — entry to observed
-/// re-admission, or the configured duration when the run ends first; a
+/// re-admission, or the full `GRAYLIST_DURATION` when the run ends first; a
 /// hard-banned innocent counts the full ban duration.
 fn innocent_exclusion(node: &Node, innocent_ips: &BTreeSet<Ipv4>) -> (usize, f64) {
     let ban_s = node.banman.ban_duration() as f64 / SECS as f64;
-    let gray_s = node.reputation.config().graylist_duration as f64 / SECS as f64;
+    let gray_s = GRAYLIST_DURATION as f64 / SECS as f64;
     let mut excluded: BTreeSet<SockAddr> = BTreeSet::new();
     let mut spans: Vec<f64> = Vec::new();
     // Hard bans (both policies) from the ban log.
@@ -442,7 +443,7 @@ pub fn run_reputation(cfg: &ReputationSweepConfig, jobs: usize) -> ReputationRes
         rows,
         swarm,
         stock_ban_s: reference.ban_duration as f64 / SECS as f64,
-        graylist_s: reference.reputation.graylist_duration as f64 / SECS as f64,
+        graylist_s: GRAYLIST_DURATION as f64 / SECS as f64,
     }
 }
 
@@ -594,13 +595,5 @@ mod tests {
         let multi = run_swarm_tiers(&spec);
         assert_eq!(base, multi, "outcome diverged across workers");
         assert!(base.target_msgs > 0, "target silent");
-    }
-
-    #[test]
-    fn jobs_do_not_change_the_rendered_output() {
-        let cfg = tiny();
-        let a = render_reputation(&run_reputation(&cfg, 1));
-        let b = render_reputation(&run_reputation(&cfg, 4));
-        assert_eq!(a, b);
     }
 }

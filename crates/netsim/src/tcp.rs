@@ -103,7 +103,6 @@ struct Socket {
     snd_nxt: u32,
     /// Next sequence number we expect to receive.
     rcv_nxt: u32,
-    inbound: bool,
     /// Unacknowledged segments awaiting retransmission (reliable mode):
     /// `(end_seq, packet)`, oldest first. A cumulative ACK covering
     /// `end_seq` retires the entry.
@@ -115,13 +114,12 @@ struct Socket {
 }
 
 impl Socket {
-    fn new(id: ConnId, state: TcpState, snd_nxt: u32, rcv_nxt: u32, inbound: bool) -> Self {
+    fn new(id: ConnId, state: TcpState, snd_nxt: u32, rcv_nxt: u32) -> Self {
         Socket {
             id,
             state,
             snd_nxt,
             rcv_nxt,
-            inbound,
             rtx: VecDeque::new(),
             rto_at: None,
             retries: 0,
@@ -327,7 +325,7 @@ impl TcpStack {
         let id = ConnId(self.next_id);
         self.next_id += 1;
         let isn = self.next_isn();
-        let mut sock = Socket::new(id, TcpState::SynSent, isn.wrapping_add(1), 0, false);
+        let mut sock = Socket::new(id, TcpState::SynSent, isn.wrapping_add(1), 0);
         let syn = make_segment(local, dst, isn, 0, TcpFlags::SYN, Bytes::new());
         if self.reliable {
             // A SYN occupies one sequence number: acked by isn+1.
@@ -660,7 +658,6 @@ impl TcpStack {
                     TcpState::SynReceived,
                     isn.wrapping_add(1),
                     seg.seq.wrapping_add(1),
-                    true,
                 );
                 let synack = make_segment(
                     dst,
@@ -701,15 +698,6 @@ impl TcpStack {
             .get(&id)
             .and_then(|k| self.socks.get(k))
             .map(|s| s.state == TcpState::Established)
-            .unwrap_or(false)
-    }
-
-    /// Whether `id` was accepted inbound.
-    pub fn is_inbound(&self, id: ConnId) -> bool {
-        self.routes
-            .get(&id)
-            .and_then(|k| self.socks.get(k))
-            .map(|s| s.inbound)
             .unwrap_or(false)
     }
 
@@ -824,8 +812,6 @@ mod tests {
         let (client, server, cid, sid) = establish();
         assert!(client.is_established(cid));
         assert!(server.is_established(sid));
-        assert!(!client.is_inbound(cid));
-        assert!(server.is_inbound(sid));
     }
 
     #[test]

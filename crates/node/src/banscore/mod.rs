@@ -6,7 +6,7 @@ pub mod rules;
 pub mod tracker;
 
 pub use reputation::{
-    MessageOutcome, PenaltyWeights, ReputationConfig, ReputationEngine, StrikeOutcome, Tier,
+    MessageOutcome, ReputationConfig, ReputationEngine, ReputationKind, StrikeOutcome, Tier,
     TierTransition,
 };
 pub use rules::{

@@ -17,19 +17,19 @@
 //!   Light 5), derived from the stock Table-I penalty of the rule, so the
 //!   relative severity of Table I is preserved while no single rule can
 //!   jump a peer past the graylist.
-//! * **Deterministic decay** — the strike score halves every
-//!   `half_life` of sim time (`score · 2^(−Δt/half_life)`), so stale
-//!   (e.g. spoofed) strikes age out instead of accumulating forever.
+//! * **Deterministic decay** — the strike score halves every ten minutes
+//!   of sim time (`score · 2^(−Δt/half_life)`), so stale (e.g. spoofed)
+//!   strikes age out instead of accumulating forever.
 //! * **Credit promotion** — good behaviour (valid blocks) feeds an
 //!   embedded [`GoodScoreTracker`]; enough credit with a clean sheet
 //!   promotes Normal → Trusted, and each credit also forgives a few strike
 //!   points.
 //! * **Hysteresis** — demotion happens at a threshold, promotion only
-//!   after the score decays a further `hysteresis` points below it, so a
-//!   peer oscillating around a boundary does not flap between tiers.
+//!   after the score decays a further 10 points below it, so a peer
+//!   oscillating around a boundary does not flap between tiers.
 //! * **Graylist soft-ban** — crossing the graylist threshold rate-limits
 //!   the peer and removes it from relay / makes it the first eviction
-//!   choice for `graylist_duration`, after which it re-enters at
+//!   choice for [`GRAYLIST_DURATION`], after which it re-enters at
 //!   Probation. A hard (BanMan, 24 h) ban can only fire from *within* the
 //!   graylist, so every peer passes through the recoverable soft-ban
 //!   before the irreversible one.
@@ -37,12 +37,14 @@
 //!   for sustained message floods, covering the 14 commands with no
 //!   Table-I rule (the paper's first BM-DoS vector, e.g. PING).
 //!
-//! Everything runs on sim time ([`Nanos`]) with pure-function state
-//! updates, so sweeps are float-bit-identical at any `--jobs` count. With
-//! [`ReputationConfig::stock_equivalent`] (decay off, stock weights,
-//! graylist/pressure/credit off) the engine reproduces the stock
-//! [`MisbehaviorTracker`](super::MisbehaviorTracker) ban decision exactly —
-//! a property pinned by fuzz tests in `crates/node/tests/reputation_props.rs`.
+//! The tuning is fixed: the constants below are the one trust-tier
+//! configuration. Everything runs on sim time ([`Nanos`]) with
+//! pure-function state updates, so sweeps are float-bit-identical at any
+//! `--jobs` count. Under [`ReputationConfig::stock_equivalent`] (decay
+//! off, stock weights, graylist/pressure/credit off) the engine reproduces
+//! the stock [`MisbehaviorTracker`](super::MisbehaviorTracker) ban decision
+//! exactly — a property pinned by fuzz tests in
+//! `crates/node/tests/reputation_props.rs`.
 
 use super::rules::{tier_weight_of_penalty, CoreVersion, Misbehavior};
 use super::tracker::GoodScoreTracker;
@@ -50,6 +52,35 @@ use btc_netsim::packet::SockAddr;
 use btc_netsim::time::{Nanos, MINUTES, SECS};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+
+/// Strikes at or above this demote Normal → Probation.
+pub const PROBATION_THRESHOLD: f64 = 30.0;
+/// Strikes at or above this enter the Graylist soft-ban. The largest
+/// weighted penalty (Severe, 40) fits between it and [`BAN_THRESHOLD`], so
+/// no single strike skips the graylist (`severe_fits_graylist_gap`).
+const GRAYLIST_THRESHOLD: f64 = 60.0;
+/// Strikes at or above this — from within the Graylist — hard-ban.
+const BAN_THRESHOLD: f64 = 100.0;
+/// Promotion needs the score this far below the demotion boundary.
+const HYSTERESIS: f64 = 10.0;
+/// Strike-score half-life.
+const HALF_LIFE: Nanos = 10 * MINUTES;
+/// How long a graylist soft-ban lasts before Probation re-entry.
+pub const GRAYLIST_DURATION: Nanos = 120 * SECS;
+/// Messages per second serviced from a graylisted peer (1-second burst).
+const GRAYLIST_MSGS_PER_SEC: f64 = 5.0;
+/// Credit needed (with a clean sheet) for Normal → Trusted.
+const TRUSTED_MIN_CREDIT: u64 = 3;
+/// Strike points forgiven per good-behaviour credit.
+const CREDIT_FORGIVENESS: f64 = 2.0;
+/// Flood bucket capacity, in messages (burst allowance).
+const PRESSURE_CAPACITY: f64 = 300.0;
+/// Flood bucket refill rate, messages per second (sustained allowance).
+const PRESSURE_REFILL_PER_SEC: f64 = 50.0;
+/// Strike points charged when the flood bucket runs dry.
+const PRESSURE_STRIKE: f64 = 5.0;
+/// Minimum spacing between two flood-pressure strikes on one peer.
+const PRESSURE_STRIKE_COOLDOWN: Nanos = SECS;
 
 /// The five trust tiers, ordered best → worst (so `Ord` compares standing).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -62,7 +93,7 @@ pub enum Tier {
     /// Strikes above the probation threshold: watched, fully serviced.
     Probation,
     /// Soft-banned: rate-limited, skipped by relay, first eviction choice.
-    /// Expires after `graylist_duration` back into Probation.
+    /// Expires after [`GRAYLIST_DURATION`] back into Probation.
     Graylist,
     /// Hard-banned: handed to `BanMan` for the stock 24 h identifier ban.
     Banned,
@@ -87,115 +118,101 @@ impl fmt::Display for Tier {
     }
 }
 
-/// How strike points per misbehavior rule are derived.
+/// Which of the engine's two configurations runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum PenaltyWeights {
-    /// Graded tier weights via [`tier_weight_of_penalty`] (the engine's
-    /// purpose: Severe 40 / Moderate 15 / Light 5).
+pub enum ReputationKind {
+    /// The five-tier lattice with the fixed tuning of this module.
     #[default]
-    Tiered,
-    /// The raw stock penalty (100/20/10/1) — the equivalence-mode knob.
-    Stock,
+    TrustTiers,
+    /// The stock tracker's ban decision, bit for bit: stock penalties, a
+    /// hard ban at `threshold`, no decay, no graylist stage, no pressure,
+    /// no credit. Integer penalty sums stay exact in `f64` (well below
+    /// 2⁵³), so the engine bans on exactly the event the stock tracker
+    /// does.
+    StockEquivalent {
+        /// Score at which the peer is hard-banned.
+        threshold: u32,
+    },
 }
 
-/// Tuning of the reputation engine. All times are sim time.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// Configuration of the reputation engine.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReputationConfig {
     /// Rule-set version: deprecation and direction gating match the stock
     /// tracker exactly.
     pub version: CoreVersion,
-    /// Strike weighting mode.
-    pub weights: PenaltyWeights,
-    /// Strikes at or above this demote Normal → Probation.
-    pub probation_threshold: f64,
-    /// Strikes at or above this enter the Graylist soft-ban.
-    pub graylist_threshold: f64,
-    /// Strikes at or above this — from within the Graylist — hard-ban.
-    pub ban_threshold: f64,
-    /// Promotion needs the score this far below the demotion boundary.
-    pub hysteresis: f64,
-    /// Strike-score half-life; `0` disables decay (equivalence mode).
-    pub half_life: Nanos,
-    /// Whether the graylist soft-ban stage exists. When `false`, crossing
-    /// `ban_threshold` bans directly (the stock shape).
-    pub graylist_enabled: bool,
-    /// How long a graylist soft-ban lasts before Probation re-entry.
-    pub graylist_duration: Nanos,
-    /// Messages per second serviced from a graylisted peer.
-    pub graylist_msgs_per_sec: f64,
-    /// Credit needed (with a clean sheet) for Normal → Trusted.
-    pub trusted_min_credit: u64,
-    /// Strike points forgiven per good-behaviour credit.
-    pub credit_forgiveness: f64,
-    /// Whether flood-pressure accounting runs.
-    pub pressure_enabled: bool,
-    /// Flood bucket capacity, in messages (burst allowance).
-    pub pressure_capacity: f64,
-    /// Flood bucket refill rate, messages per second (sustained allowance).
-    pub pressure_refill_per_sec: f64,
-    /// Strike points charged when the flood bucket runs dry.
-    pub pressure_strike: f64,
-    /// Minimum spacing between two flood-pressure strikes on one peer.
-    pub pressure_strike_cooldown: Nanos,
-}
-
-impl Default for ReputationConfig {
-    fn default() -> Self {
-        ReputationConfig {
-            version: CoreVersion::default(),
-            weights: PenaltyWeights::Tiered,
-            probation_threshold: 30.0,
-            graylist_threshold: 60.0,
-            ban_threshold: 100.0,
-            hysteresis: 10.0,
-            half_life: 10 * MINUTES,
-            graylist_enabled: true,
-            graylist_duration: 120 * SECS,
-            graylist_msgs_per_sec: 5.0,
-            trusted_min_credit: 3,
-            credit_forgiveness: 2.0,
-            pressure_enabled: true,
-            pressure_capacity: 300.0,
-            pressure_refill_per_sec: 50.0,
-            pressure_strike: 5.0,
-            pressure_strike_cooldown: SECS,
-        }
-    }
+    /// Trust tiers or the stock-equivalent reference.
+    pub kind: ReputationKind,
 }
 
 impl ReputationConfig {
-    /// The configuration under which the engine reproduces the stock
-    /// tracker's ban decision bit for bit: stock penalties, no decay, no
-    /// graylist stage, no pressure, no credit. Integer penalty sums stay
-    /// exact in `f64` (well below 2⁵³), so the engine bans on exactly the
-    /// event the stock tracker does.
+    /// The stock-equivalent engine for `version`, hard-banning at
+    /// `threshold`.
     pub fn stock_equivalent(version: CoreVersion, threshold: u32) -> Self {
         ReputationConfig {
             version,
-            weights: PenaltyWeights::Stock,
-            probation_threshold: f64::from(threshold) * 0.3,
-            graylist_threshold: f64::from(threshold) * 0.6,
-            ban_threshold: f64::from(threshold),
-            hysteresis: 0.0,
-            half_life: 0,
-            graylist_enabled: false,
-            graylist_duration: 0,
-            graylist_msgs_per_sec: f64::INFINITY,
-            trusted_min_credit: u64::MAX,
-            credit_forgiveness: 0.0,
-            pressure_enabled: false,
-            ..ReputationConfig::default()
+            kind: ReputationKind::StockEquivalent { threshold },
         }
     }
 
-    /// Strike points for `rule` under this config, or `None` when the rule
-    /// is deprecated in `version` (same gating as the stock tracker).
-    pub fn strike_points(&self, rule: Misbehavior) -> Option<f64> {
-        let stock = rule.penalty(self.version)?;
-        Some(match self.weights {
-            PenaltyWeights::Tiered => tier_weight_of_penalty(stock).points(),
-            PenaltyWeights::Stock => f64::from(stock),
-        })
+    fn tiered(&self) -> bool {
+        self.kind == ReputationKind::TrustTiers
+    }
+
+    /// Strike points for a stock penalty: its tier weight, or the stock
+    /// points themselves in stock-equivalent mode.
+    fn points(&self, stock: u32) -> f64 {
+        match self.kind {
+            ReputationKind::TrustTiers => tier_weight_of_penalty(stock).points(),
+            ReputationKind::StockEquivalent { .. } => f64::from(stock),
+        }
+    }
+
+    /// Strike points for `rule`, or `None` when the rule is deprecated in
+    /// `version` (same gating as the stock tracker).
+    fn strike_points(&self, rule: Misbehavior) -> Option<f64> {
+        rule.penalty(self.version).map(|stock| self.points(stock))
+    }
+
+    /// `score · 2^(−Δt/half_life)` — the decay law. Stock-equivalent
+    /// scores never decay.
+    fn decay(&self, strikes: f64, since: Nanos, now: Nanos) -> f64 {
+        if !self.tiered() || strikes == 0.0 {
+            return strikes;
+        }
+        let dt = now.saturating_sub(since);
+        if dt == 0 {
+            return strikes;
+        }
+        strikes * (-(dt as f64 / HALF_LIFE as f64)).exp2()
+    }
+
+    /// Tier the ladder assigns for `strikes`/`credit`, given the peer's
+    /// current standing (`cur`) — the hysteresis anchor. Graylist/Banned
+    /// entry and exit are handled by the caller; this ladder only ranks
+    /// Trusted / Normal / Probation.
+    fn ladder(&self, strikes: f64, credit: u64, cur: Tier) -> Tier {
+        // Stock-equivalent mode: Probation from 30 % of the ban
+        // threshold, no hysteresis band, no credit.
+        if let ReputationKind::StockEquivalent { threshold } = self.kind {
+            return if strikes >= f64::from(threshold) * 0.3 {
+                Tier::Probation
+            } else {
+                Tier::Normal
+            };
+        }
+        if strikes >= PROBATION_THRESHOLD {
+            return Tier::Probation;
+        }
+        // Hysteresis hold: a probation peer stays put until the score has
+        // decayed a full `HYSTERESIS` below the boundary.
+        if cur >= Tier::Probation && strikes > PROBATION_THRESHOLD - HYSTERESIS {
+            return Tier::Probation;
+        }
+        if credit >= TRUSTED_MIN_CREDIT && strikes <= PROBATION_THRESHOLD - HYSTERESIS {
+            return Tier::Trusted;
+        }
+        Tier::Normal
     }
 }
 
@@ -221,17 +238,17 @@ struct PeerRep {
 }
 
 impl PeerRep {
-    fn fresh(now: Nanos, cfg: &ReputationConfig) -> Self {
+    fn fresh(now: Nanos) -> Self {
         PeerRep {
             strikes: 0.0,
             scored_at: now,
             tier: Tier::Normal,
             graylist_until: 0,
-            tokens: cfg.pressure_capacity,
+            tokens: PRESSURE_CAPACITY,
             tokens_at: now,
             last_pressure_strike: 0,
             pressure_struck: false,
-            gray_allowance: cfg.graylist_msgs_per_sec,
+            gray_allowance: GRAYLIST_MSGS_PER_SEC,
             gray_at: now,
         }
     }
@@ -323,16 +340,8 @@ pub struct ReputationEngine {
 const TRANSITION_HISTORY_CAP: usize = 4096;
 
 impl ReputationEngine {
-    /// Creates an engine with the given tuning.
-    ///
-    /// The config is sanity-clamped rather than trusted: the degradation
-    /// ladder requires `probation ≤ graylist ≤ ban`, and the
-    /// graylist-before-ban guarantee additionally needs every single
-    /// penalty to be at most `ban − graylist` (checked by
-    /// `severe_fits_graylist_gap` below for the default tuning).
-    pub fn new(mut config: ReputationConfig) -> Self {
-        config.graylist_threshold = config.graylist_threshold.min(config.ban_threshold);
-        config.probation_threshold = config.probation_threshold.min(config.graylist_threshold);
+    /// Creates an engine running `config`.
+    pub fn new(config: ReputationConfig) -> Self {
         ReputationEngine {
             config,
             peers: BTreeMap::new(),
@@ -340,11 +349,6 @@ impl ReputationEngine {
             transitions: VecDeque::new(),
             pending: VecDeque::new(),
         }
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> &ReputationConfig {
-        &self.config
     }
 
     /// Recorded tier transitions, oldest first (bounded history).
@@ -374,7 +378,7 @@ impl ReputationEngine {
     pub fn score(&self, now: Nanos, peer: &SockAddr) -> f64 {
         self.peers
             .get(peer)
-            .map(|r| self.decayed(r.strikes, r.scored_at, now))
+            .map(|r| self.config.decay(r.strikes, r.scored_at, now))
             .unwrap_or(0.0)
     }
 
@@ -409,12 +413,6 @@ impl ReputationEngine {
         self.peers.remove(peer);
     }
 
-    /// `score · 2^(−Δt/half_life)` — the decay law. `half_life == 0`
-    /// disables decay (equivalence mode).
-    fn decayed(&self, strikes: f64, since: Nanos, now: Nanos) -> f64 {
-        Self::decay_value(&self.config, strikes, since, now)
-    }
-
     /// Settles decay, graylist expiry and decay-based promotion for
     /// `peer` at `now`, returning the tier it holds *after* settlement.
     /// Tier changes caused purely by the passage of time (expiry, decay
@@ -428,8 +426,8 @@ impl ReputationEngine {
             let rep = self
                 .peers
                 .entry(peer)
-                .or_insert_with(|| PeerRep::fresh(now, &cfg));
-            rep.strikes = Self::decay_value(&cfg, rep.strikes, rep.scored_at, now);
+                .or_insert_with(|| PeerRep::fresh(now));
+            rep.strikes = cfg.decay(rep.strikes, rep.scored_at, now);
             rep.scored_at = rep.scored_at.max(now);
             let cur = rep.tier;
             let next = match cur {
@@ -438,18 +436,19 @@ impl ReputationEngine {
                 // moderate strike is a second chance, not an instant
                 // re-graylist.
                 Tier::Graylist if now >= rep.graylist_until => {
-                    rep.strikes = rep.strikes.min(cfg.probation_threshold);
-                    Self::ladder_of(&cfg, rep.strikes, credit, Tier::Probation)
+                    rep.strikes = rep.strikes.min(PROBATION_THRESHOLD);
+                    cfg.ladder(rep.strikes, credit, Tier::Probation)
                 }
                 // BanMan owns the 24 h connection refusal; once the strikes
                 // have decayed below probation the engine's standing
                 // recovers too, so a re-admitted identifier is watched, not
-                // damned forever.
-                Tier::Banned if cfg.half_life != 0 && rep.strikes < cfg.probation_threshold => {
-                    Self::ladder_of(&cfg, rep.strikes, credit, cur)
+                // damned forever. Stock-equivalent scores never decay, so
+                // its bans stand.
+                Tier::Banned if cfg.tiered() && rep.strikes < PROBATION_THRESHOLD => {
+                    cfg.ladder(rep.strikes, credit, cur)
                 }
                 Tier::Graylist | Tier::Banned => cur,
-                _ => Self::ladder_of(&cfg, rep.strikes, credit, cur),
+                _ => cfg.ladder(rep.strikes, credit, cur),
             };
             if next != cur {
                 transition = Some((cur, next));
@@ -461,17 +460,6 @@ impl ReputationEngine {
             self.record(now, peer, from, to);
         }
         tier
-    }
-
-    fn decay_value(cfg: &ReputationConfig, strikes: f64, since: Nanos, now: Nanos) -> f64 {
-        if cfg.half_life == 0 || strikes == 0.0 {
-            return strikes;
-        }
-        let dt = now.saturating_sub(since);
-        if dt == 0 {
-            return strikes;
-        }
-        strikes * (-(dt as f64 / cfg.half_life as f64)).exp2()
     }
 
     fn record(&mut self, time: Nanos, peer: SockAddr, from: Tier, to: Tier) {
@@ -487,27 +475,6 @@ impl ReputationEngine {
             }
             log.push_back(t);
         }
-    }
-
-    /// Tier the ladder assigns for `strikes`/`credit`, given the peer's
-    /// current standing (`cur`) — the hysteresis anchor. Graylist/Banned
-    /// entry and exit are handled by the caller; this ladder only ranks
-    /// Trusted / Normal / Probation.
-    fn ladder_of(cfg: &ReputationConfig, strikes: f64, credit: u64, cur: Tier) -> Tier {
-        if strikes >= cfg.probation_threshold {
-            return Tier::Probation;
-        }
-        // Hysteresis hold: a probation peer stays put until the score has
-        // decayed a full `hysteresis` below the boundary.
-        if cur >= Tier::Probation && strikes > cfg.probation_threshold - cfg.hysteresis {
-            return Tier::Probation;
-        }
-        if credit >= cfg.trusted_min_credit
-            && strikes <= (cfg.probation_threshold - cfg.hysteresis).max(0.0)
-        {
-            return Tier::Trusted;
-        }
-        Tier::Normal
     }
 
     /// Applies `points` of strike to `peer` and reclassifies. The common
@@ -533,38 +500,26 @@ impl ReputationEngine {
             }
         };
         let mut enter_graylist = false;
-        let to = match before {
-            Tier::Banned => Tier::Banned,
-            Tier::Graylist => {
-                if score >= cfg.ban_threshold {
-                    Tier::Banned
-                } else {
-                    Tier::Graylist
-                }
+        let to = match (before, cfg.kind) {
+            (Tier::Banned, _) => Tier::Banned,
+            (Tier::Graylist, _) if score >= BAN_THRESHOLD => Tier::Banned,
+            (Tier::Graylist, _) => Tier::Graylist,
+            (_, ReputationKind::TrustTiers) if score >= GRAYLIST_THRESHOLD => {
+                // Every path to a hard ban leads through the graylist: even
+                // an over-threshold score only soft-bans on entry.
+                enter_graylist = true;
+                Tier::Graylist
             }
-            _ => {
-                if cfg.graylist_enabled {
-                    if score >= cfg.graylist_threshold {
-                        // Every path to a hard ban leads through the
-                        // graylist: even an over-threshold score only
-                        // soft-bans on entry.
-                        enter_graylist = true;
-                        Tier::Graylist
-                    } else {
-                        Self::ladder_of(&cfg, score, credit, before)
-                    }
-                } else if score >= cfg.ban_threshold {
-                    Tier::Banned
-                } else {
-                    Self::ladder_of(&cfg, score, credit, before)
-                }
+            (_, ReputationKind::StockEquivalent { threshold }) if score >= f64::from(threshold) => {
+                Tier::Banned
             }
+            _ => cfg.ladder(score, credit, before),
         };
         if let Some(rep) = self.peers.get_mut(&peer) {
             rep.tier = to;
             if enter_graylist {
-                rep.graylist_until = now.saturating_add(cfg.graylist_duration);
-                rep.gray_allowance = cfg.graylist_msgs_per_sec;
+                rep.graylist_until = now.saturating_add(GRAYLIST_DURATION);
+                rep.gray_allowance = GRAYLIST_MSGS_PER_SEC;
                 rep.gray_at = now;
             }
         }
@@ -580,8 +535,8 @@ impl ReputationEngine {
     }
 
     /// Records a Table-I misbehavior by `peer`. Direction and deprecation
-    /// gating match the stock tracker; the points are weighted per
-    /// [`ReputationConfig::strike_points`].
+    /// gating match the stock tracker; the points are the rule's tier
+    /// weight (its stock penalty in stock-equivalent mode).
     pub fn on_misbehavior(
         &mut self,
         now: Nanos,
@@ -613,10 +568,7 @@ impl ReputationEngine {
     /// Applies a raw strike outside Table I (the checksum-ablation hook),
     /// graded through the same weight classes as rule strikes.
     pub fn strike_raw(&mut self, now: Nanos, peer: SockAddr, stock_points: u32) -> StrikeOutcome {
-        let points = match self.config.weights {
-            PenaltyWeights::Tiered => tier_weight_of_penalty(stock_points).points(),
-            PenaltyWeights::Stock => f64::from(stock_points),
-        };
+        let points = self.config.points(stock_points);
         if points == 0.0 {
             let t = self.tier(now, &peer);
             return StrikeOutcome {
@@ -638,11 +590,11 @@ impl ReputationEngine {
         let mut pressure_due = false;
         let mut deliver = true;
         if let Some(rep) = self.peers.get_mut(&peer) {
-            if cfg.pressure_enabled {
+            if cfg.tiered() {
                 let dt = now.saturating_sub(rep.tokens_at);
                 // lint:allow(score-arith): f64 token refill clamped by the min() to the bucket capacity
-                rep.tokens = (rep.tokens + dt as f64 / SECS as f64 * cfg.pressure_refill_per_sec)
-                    .min(cfg.pressure_capacity);
+                rep.tokens = (rep.tokens + dt as f64 / SECS as f64 * PRESSURE_REFILL_PER_SEC)
+                    .min(PRESSURE_CAPACITY);
                 rep.tokens_at = now;
                 if rep.tokens >= 1.0 {
                     // lint:allow(score-arith): guarded by the >= 1.0 branch; cannot underflow
@@ -650,7 +602,7 @@ impl ReputationEngine {
                 } else {
                     let cooled = !rep.pressure_struck
                         || now.saturating_sub(rep.last_pressure_strike)
-                            >= cfg.pressure_strike_cooldown;
+                            >= PRESSURE_STRIKE_COOLDOWN;
                     if cooled {
                         rep.last_pressure_strike = now;
                         rep.pressure_struck = true;
@@ -660,10 +612,10 @@ impl ReputationEngine {
             }
             if rep.tier == Tier::Graylist {
                 let dt = now.saturating_sub(rep.gray_at);
-                // lint:allow(score-arith): f64 refill clamped by the min() to the configured ceiling
+                // lint:allow(score-arith): f64 refill clamped by the min() to the service rate
                 rep.gray_allowance = (rep.gray_allowance
-                    + dt as f64 / SECS as f64 * cfg.graylist_msgs_per_sec)
-                    .min(cfg.graylist_msgs_per_sec.max(1.0));
+                    + dt as f64 / SECS as f64 * GRAYLIST_MSGS_PER_SEC)
+                    .min(GRAYLIST_MSGS_PER_SEC);
                 rep.gray_at = now;
                 if rep.gray_allowance >= 1.0 {
                     // lint:allow(score-arith): guarded by the >= 1.0 branch; cannot underflow
@@ -674,7 +626,7 @@ impl ReputationEngine {
             }
         }
         let to = if pressure_due {
-            self.strike(now, peer, cfg.pressure_strike).to
+            self.strike(now, peer, PRESSURE_STRIKE).to
         } else {
             self.peers.get(&peer).map(|r| r.tier).unwrap_or(before)
         };
@@ -687,23 +639,25 @@ impl ReputationEngine {
     }
 
     /// Credits `peer` for good behaviour (a valid block): feeds the
-    /// embedded [`GoodScoreTracker`] and forgives `credit_forgiveness`
-    /// strike points, possibly promoting the peer.
+    /// embedded [`GoodScoreTracker`] and forgives `CREDIT_FORGIVENESS`
+    /// strike points (none in stock-equivalent mode), possibly promoting
+    /// the peer.
     pub fn on_good_block(&mut self, now: Nanos, peer: SockAddr) -> StrikeOutcome {
         let before = self.settle(now, peer);
         self.credit.credit(now, peer);
         let cfg = self.config;
+        let forgiveness = if cfg.tiered() { CREDIT_FORGIVENESS } else { 0.0 };
         let credit = self.credit.score(now, &peer);
         let mut score = 0.0;
         if let Some(rep) = self.peers.get_mut(&peer) {
             // lint:allow(score-arith): f64 strikes clamped at 0.0 by the max(); floats cannot wrap
-            rep.strikes = (rep.strikes - cfg.credit_forgiveness).max(0.0);
+            rep.strikes = (rep.strikes - forgiveness).max(0.0);
             score = rep.strikes;
         }
         // Credits never demote and never touch graylist/ban standing.
         let to = match before {
             Tier::Banned | Tier::Graylist => before,
-            _ => Self::ladder_of(&cfg, score, credit, before),
+            _ => cfg.ladder(score, credit, before),
         };
         if let Some(rep) = self.peers.get_mut(&peer) {
             rep.tier = to;
@@ -712,7 +666,7 @@ impl ReputationEngine {
             self.record(now, peer, before, to);
         }
         StrikeOutcome {
-            applied: -cfg.credit_forgiveness,
+            applied: -forgiveness,
             score,
             from: before,
             to,
@@ -735,13 +689,13 @@ mod tests {
     #[test]
     fn severe_fits_graylist_gap() {
         // The graylist-before-ban guarantee: no single weighted penalty
-        // may exceed ban_threshold - graylist_threshold.
+        // may exceed BAN_THRESHOLD - GRAYLIST_THRESHOLD.
         let cfg = ReputationConfig::default();
         let max = super::super::rules::ALL_MISBEHAVIORS
             .into_iter()
             .filter_map(|m| cfg.strike_points(m))
             .fold(0.0f64, f64::max);
-        assert!(max <= cfg.ban_threshold - cfg.graylist_threshold);
+        assert!(max <= BAN_THRESHOLD - GRAYLIST_THRESHOLD);
     }
 
     #[test]
@@ -765,11 +719,10 @@ mod tests {
         let mut e = engine();
         let p = peer(2);
         e.on_misbehavior(0, p, true, Misbehavior::BlockMutated);
-        let half_life = e.config().half_life;
         assert_eq!(e.score(0, &p), 40.0);
-        assert_eq!(e.score(half_life, &p), 20.0);
-        assert_eq!(e.score(2 * half_life, &p), 10.0);
-        assert!(e.score(100 * half_life, &p) < 1e-9);
+        assert_eq!(e.score(HALF_LIFE, &p), 20.0);
+        assert_eq!(e.score(2 * HALF_LIFE, &p), 10.0);
+        assert!(e.score(100 * HALF_LIFE, &p) < 1e-9);
     }
 
     #[test]
@@ -779,14 +732,14 @@ mod tests {
         e.on_misbehavior(0, p, true, Misbehavior::BlockMutated);
         e.on_misbehavior(1, p, true, Misbehavior::BlockMutated);
         assert_eq!(e.tier(1, &p), Tier::Graylist);
-        let until = 1 + e.config().graylist_duration;
+        let until = 1 + GRAYLIST_DURATION;
         assert_eq!(e.tier(until - 1, &p), Tier::Graylist);
         assert_eq!(e.tier(until, &p), Tier::Probation);
         // The settled score is clamped to the probation boundary.
         let o = e.on_message(until, p);
         assert!(o.deliver, "served sentence still rate-limited");
         assert_eq!(o.from, Tier::Probation);
-        assert!(e.score(until, &p) <= e.config().probation_threshold);
+        assert!(e.score(until, &p) <= PROBATION_THRESHOLD);
     }
 
     #[test]
@@ -803,7 +756,7 @@ mod tests {
                 delivered += 1;
             }
         }
-        assert_eq!(delivered, e.config().graylist_msgs_per_sec as usize);
+        assert_eq!(delivered, GRAYLIST_MSGS_PER_SEC as usize);
         // Allowance refills with sim time.
         assert!(e.on_message(1 + SECS, p).deliver);
     }
@@ -823,7 +776,7 @@ mod tests {
         let p = peer(6);
         // Burst far past the bucket capacity at t=0: the bucket drains and
         // exactly one strike fires (cooldown gates the rest).
-        let cap = e.config().pressure_capacity as usize;
+        let cap = PRESSURE_CAPACITY as usize;
         let mut strikes = 0;
         for _ in 0..cap + 50 {
             if e.on_message(0, p).pressure_strike {
@@ -831,12 +784,12 @@ mod tests {
             }
         }
         assert_eq!(strikes, 1);
-        assert_eq!(e.score(0, &p), e.config().pressure_strike);
+        assert_eq!(e.score(0, &p), PRESSURE_STRIKE);
         // A sustained flood keeps striking once per cooldown and
         // eventually graylists the flooder.
         let mut t = 0;
         for _ in 0..1000 {
-            t += e.config().pressure_strike_cooldown;
+            t += PRESSURE_STRIKE_COOLDOWN;
             for _ in 0..200 {
                 e.on_message(t, p);
             }
@@ -853,7 +806,7 @@ mod tests {
         let p = peer(7);
         e.on_misbehavior(0, p, true, Misbehavior::AddrOversize); // 15 points
         assert_eq!(e.tier(0, &p), Tier::Normal);
-        for _ in 0..e.config().trusted_min_credit {
+        for _ in 0..TRUSTED_MIN_CREDIT {
             e.on_good_block(0, p);
         }
         // 15 - 3*2 = 9 strikes, credit 3 → Trusted.
@@ -869,8 +822,7 @@ mod tests {
         e.on_misbehavior(0, p, true, Misbehavior::AddrOversize);
         assert_eq!(e.tier(0, &p), Tier::Probation); // 30 points
         // Decay to just inside the hysteresis band: still Probation.
-        let cfg = *e.config();
-        let hl = cfg.half_life;
+        let hl = HALF_LIFE;
         // 30 → 21.2 after ~half a half-life: > 20 (= 30 - 10) → held.
         let t = hl / 2;
         let o = e.on_message(t, p);
@@ -892,7 +844,7 @@ mod tests {
         // 120 strikes decay to 15 after three half-lives — below the
         // probation threshold AND the hysteresis band, so the standing
         // recovers all the way to Normal (BanMan still gates reconnects).
-        let t = 2 + 3 * e.config().half_life;
+        let t = 2 + 3 * HALF_LIFE;
         e.on_message(t, p);
         assert_eq!(e.tier(t, &p), Tier::Normal);
         // Within the hysteresis band ((20, 30): ~2.2 half-lives) the
@@ -901,7 +853,7 @@ mod tests {
         for t in 0..3 {
             e2.on_misbehavior(t, p, true, Misbehavior::BlockMutated);
         }
-        let t2 = 2 + (2 * e2.config().half_life + e2.config().half_life / 4);
+        let t2 = 2 + (2 * HALF_LIFE + HALF_LIFE / 4);
         e2.on_message(t2, p);
         assert_eq!(e2.tier(t2, &p), Tier::Probation);
     }

@@ -318,9 +318,9 @@ pub enum TierWeight {
 
 impl TierWeight {
     /// Strike points of the class. The maximum (Severe) is deliberately
-    /// no larger than `ban_threshold - graylist_threshold` of the default
-    /// [`super::reputation::ReputationConfig`], so a peer always passes
-    /// through the graylist soft-ban before any hard ban.
+    /// no larger than the trust-tier engine's gap between its graylist
+    /// and ban thresholds (60 and 100), so a peer always passes through
+    /// the graylist soft-ban before any hard ban.
     pub fn points(self) -> f64 {
         match self {
             TierWeight::Severe => 40.0,

@@ -92,10 +92,6 @@ pub struct NodeConfig {
     pub core_version: CoreVersion,
     /// Which mechanism handles misbehavior.
     pub peer_policy: PeerPolicy,
-    /// Tuning for the trust-tier engine (used only under
-    /// [`PeerPolicy::TrustTiers`]; its `version` field is overridden with
-    /// [`NodeConfig::core_version`] at node construction).
-    pub reputation: ReputationConfig,
     /// Ban threshold (default 100).
     pub ban_threshold: u32,
     /// Ban duration (default 24 h).
@@ -118,8 +114,6 @@ pub struct NodeConfig {
     /// this — its checksum check runs before misbehavior tracking, which
     /// is exactly what BM-DoS vector 2 exploits. `None` = stock behaviour.
     pub punish_bad_checksum_score: Option<u32>,
-    /// User agent advertised in `VERSION`.
-    pub user_agent: String,
     /// Disconnect peers whose version handshake has not completed after
     /// this long (0 disables — the default, matching the pre-hardening
     /// node; Bitcoin Core uses 60 s).
@@ -147,7 +141,6 @@ impl Default for NodeConfig {
             network: Network::Regtest,
             core_version: CoreVersion::V0_20,
             peer_policy: PeerPolicy::Stock,
-            reputation: ReputationConfig::default(),
             ban_threshold: btc_wire::constants::DEFAULT_BANSCORE_THRESHOLD,
             ban_duration: btc_wire::constants::DEFAULT_BANTIME_SECS * SECS,
             listen_port: btc_wire::types::DEFAULT_PORT,
@@ -157,7 +150,6 @@ impl Default for NodeConfig {
             ping_interval: 120 * SECS,
             cost: CostModel::default(),
             punish_bad_checksum_score: None,
-            user_agent: "/Satoshi:0.20.0/".to_owned(),
             handshake_timeout: 0,
             ping_timeout: 0,
             reconnect_backoff_base: 0,
@@ -244,7 +236,7 @@ impl Node {
         }
         let reputation = ReputationEngine::new(ReputationConfig {
             version: config.core_version,
-            ..config.reputation
+            ..ReputationConfig::default()
         });
         Node {
             tracker,
@@ -380,7 +372,6 @@ impl Node {
             NetAddr::new(peer_addr.ip, peer_addr.port),
             self.version_nonce,
         );
-        v.user_agent = self.config.user_agent.clone();
         v.start_height = self.chain.height() as i32;
         v.timestamp = (self.now / SECS) as i64;
         self.send_message(ctx, conn, &Message::Version(v));

@@ -6,6 +6,7 @@
 use btc_netsim::packet::SockAddr;
 use btc_netsim::prop::{check, Gen};
 use btc_netsim::time::{Nanos, MINUTES, SECS};
+use btc_node::banscore::reputation::{GRAYLIST_DURATION, PROBATION_THRESHOLD};
 use btc_node::banscore::rules::ALL_MISBEHAVIORS;
 use btc_node::banscore::{
     BanPolicy, CoreVersion, MisbehaviorTracker, ReputationConfig, ReputationEngine, Tier, Verdict,
@@ -89,8 +90,7 @@ fn hysteresis_prevents_single_event_oscillation() {
 #[test]
 fn graylist_expiry_reenters_at_probation() {
     check("graylist_expiry_reenters_at_probation", |g: &mut Gen| {
-        let cfg = ReputationConfig::default();
-        let mut engine = ReputationEngine::new(cfg);
+        let mut engine = ReputationEngine::new(ReputationConfig::default());
         let p = peer(3);
         let t0 = g.u64_in(0, MINUTES);
         // Severe strikes until the peer lands in the graylist.
@@ -104,7 +104,7 @@ fn graylist_expiry_reenters_at_probation() {
         assert!(entered, "severe strikes never graylisted the peer");
         assert!(engine.is_graylisted(t0, &p));
         // Serve the sentence (plus a random margin), then one message.
-        let t1 = t0 + cfg.graylist_duration + g.u64_in(0, 2 * cfg.graylist_duration);
+        let t1 = t0 + GRAYLIST_DURATION + g.u64_in(0, 2 * GRAYLIST_DURATION);
         let out = engine.on_message(t1, p);
         assert!(out.deliver, "post-expiry message was rate-limited");
         let reentry = engine
@@ -120,7 +120,7 @@ fn graylist_expiry_reenters_at_probation() {
         let t = engine.tier(t1, &p);
         assert!(t != Tier::Graylist && t != Tier::Banned, "still soft/hard banned: {t:?}");
         assert!(
-            engine.score(t1, &p) <= cfg.probation_threshold + 1e-9,
+            engine.score(t1, &p) <= PROBATION_THRESHOLD + 1e-9,
             "score not clamped to the probation boundary"
         );
     });

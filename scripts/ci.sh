@@ -48,7 +48,17 @@ fi
 echo "    lint clean: call graph $fn_count functions / $edge_count edges OK"
 
 echo "==> tests (offline)"
-cargo test -q --offline --workspace
+# The harness runs quiet (`-- -q`) while cargo still names each binary it
+# starts, so the log pairs every `Running`/`Doc-tests` line with the
+# `finished in` of its result line. The table below only reports.
+test_log="target/test.log"
+cargo test --offline --workspace -- -q 2>&1 | tee "$test_log"
+echo "    test binaries by wall time, slowest first:"
+awk '/^ *Running /   { bin = $NF; sub(/\)$/, "", bin); sub(/.*\//, "", bin); sub(/-[0-9a-f]+$/, "", bin)
+                       src = $0; sub(/^ *Running /, "", src); sub(/ \(.*/, "", src); name = bin " (" src ")" }
+     /^ *Doc-tests / { name = $2 " (doc-tests)" }
+     /^test result:/ { t = $NF; sub(/s$/, "", t); printf "    %9.2fs  %s\n", t, name }' "$test_log" \
+  | sort -rn
 
 echo "==> timing tests (offline): wall-clock-ratio assertions, kept out of tier-1"
 cargo test -q --offline --workspace -- --ignored
