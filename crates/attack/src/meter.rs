@@ -87,13 +87,13 @@ pub fn fixtures() -> Fixtures {
     // A 60-block chain so GETHEADERS has something to serve.
     for i in 0..60u64 {
         let tip = chain.tip();
-        let hdr = chain.block(&tip).unwrap().header;
+        let hdr = *chain.header(&tip).unwrap();
         let b = mine_child(&hdr, tip, i, vec![]);
         chain.accept_block(&b);
     }
     // The measurement block: 100 transactions, like a busy (small) block.
     let tip = chain.tip();
-    let hdr = chain.block(&tip).unwrap().header;
+    let hdr = *chain.header(&tip).unwrap();
     let txs: Vec<Transaction> = (0..100u8).map(sample_tx).collect();
     let block = mine_child(&hdr, tip, 999, txs);
     let compact = CompactBlock::from_block(&block, 0x1234);
@@ -160,7 +160,7 @@ fn victim_process(fx: &Fixtures, bytes: &[u8]) {
         Message::GetData(list) => {
             let mut nf = Vec::new();
             for inv in list {
-                if fx.chain.block(&inv.hash).is_none() {
+                if !fx.chain.has_block(&inv.hash) {
                     nf.push(*inv);
                 }
             }

@@ -45,7 +45,7 @@ fn run_defamation_under(policy: PeerPolicy, name: &'static str) -> CounterOutcom
         tb.sim.run_for(2 * SECS);
         let innocent: &mut btc_node::Node = tb.sim.app_mut(innocent_ip).expect("innocent node");
         let tip = innocent.chain.tip();
-        let hdr = innocent.chain.block(&tip).expect("genesis").header;
+        let hdr = *innocent.chain.header(&tip).expect("genesis");
         innocent.submit_block(mine_child(&hdr, tip, 777, vec![]));
         tb.sim.run_for(3 * SECS);
     }

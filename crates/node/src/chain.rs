@@ -1,10 +1,21 @@
 //! Chain state: header tree, block store, invalid-block cache and the
 //! acceptance verdicts the `BLOCK` ban-score rules key off.
+//!
+//! A stored block is its wire frame, as Bitcoin Core keeps blocks
+//! serialized: one exact-size [`Bytes`] per accepted block, holding the
+//! `BLOCK` message for the chain's network. No decoded [`Block`] outlives
+//! its acceptance. Headers are read from the header tree
+//! ([`Chain::header`]), a `GETDATA` for a block is answered with a
+//! refcount of its frame ([`Chain::block_frame`]), and the rare readers of
+//! a body decode the frame on demand ([`Chain::block`]).
 
 use btc_wire::block::{Block, BlockHeader};
+use btc_wire::bytes::Bytes;
 use btc_wire::constants::REGTEST_BITS;
+use btc_wire::encode::{Decodable, Encodable};
+use btc_wire::message::{Message, RawMessage, HEADER_SIZE};
 use btc_wire::tx::Transaction;
-use btc_wire::types::Hash256;
+use btc_wire::types::{Hash256, Network};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Why a block was (or wasn't) accepted — each variant maps onto a Table-I
@@ -50,9 +61,11 @@ pub enum HeaderVerdict {
 /// The node's view of the block chain.
 #[derive(Clone, Debug)]
 pub struct Chain {
+    network: Network,
     genesis: Hash256,
     headers: BTreeMap<Hash256, (BlockHeader, u64)>,
-    blocks: BTreeMap<Hash256, Block>,
+    /// Accepted blocks as `BLOCK` frames for `network`.
+    blocks: BTreeMap<Hash256, Bytes>,
     children: BTreeMap<Hash256, Vec<Hash256>>,
     invalid: BTreeSet<Hash256>,
     tip: Hash256,
@@ -60,15 +73,22 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// Creates a chain rooted at the deterministic regtest genesis block.
+    /// Creates a regtest chain rooted at the deterministic genesis block.
     pub fn new() -> Self {
+        Chain::with_network(Network::Regtest)
+    }
+
+    /// Creates a chain rooted at the deterministic genesis block whose
+    /// stored frames carry `network`'s magic.
+    pub fn with_network(network: Network) -> Self {
         let genesis = genesis_block();
         let gh = genesis.hash();
         let mut headers = BTreeMap::new();
         headers.insert(gh, (genesis.header, 0));
         let mut blocks = BTreeMap::new();
-        blocks.insert(gh, genesis);
+        blocks.insert(gh, Message::Block(genesis).to_frame(network));
         Chain {
+            network,
             genesis: gh,
             headers,
             blocks,
@@ -99,14 +119,29 @@ impl Chain {
         self.headers.contains_key(hash)
     }
 
+    /// A known header.
+    pub fn header(&self, hash: &Hash256) -> Option<&BlockHeader> {
+        self.headers.get(hash).map(|(header, _)| header)
+    }
+
     /// Whether the full block for `hash` is stored.
     pub fn has_block(&self, hash: &Hash256) -> bool {
         self.blocks.contains_key(hash)
     }
 
-    /// Fetches a stored block.
-    pub fn block(&self, hash: &Hash256) -> Option<&Block> {
+    /// A stored block's `BLOCK` frame, byte for byte what
+    /// `Message::Block(block).to_frame(network)` builds. Serving it is a
+    /// `Bytes::clone`.
+    pub fn block_frame(&self, hash: &Hash256) -> Option<&Bytes> {
         self.blocks.get(hash)
+    }
+
+    /// A stored block, decoded from its frame on each call. For the rare
+    /// readers of a body; [`Chain::header`] and [`Chain::block_frame`]
+    /// decode nothing.
+    pub fn block(&self, hash: &Hash256) -> Option<Block> {
+        let payload = self.blocks.get(hash)?.get(HEADER_SIZE..)?;
+        Block::decode_all(payload).ok()
     }
 
     /// Processes a standalone header (from a `HEADERS` message).
@@ -133,32 +168,43 @@ impl Chain {
         HeaderVerdict::Accepted { height }
     }
 
-    /// Processes a full block (from a `BLOCK` message), storing a copy
-    /// when it is accepted.
+    /// Processes a full block that came without a frame, storing the frame
+    /// `Message::Block(..).to_frame` builds for it when it is accepted.
     pub fn accept_block(&mut self, block: &Block) -> BlockVerdict {
+        self.accept_block_framed(block, None)
+    }
+
+    /// Processes a full block, storing its frame when it is accepted.
+    /// `received` is the frame `block` was decoded from, its checksum
+    /// already verified, so the stored frame is a copy of it and nothing
+    /// is encoded or hashed. One wire form decodes but does not re-encode
+    /// to itself: a transaction with the BIP144 marker and every witness
+    /// stack empty. A block holding one decodes to an encoding shorter
+    /// than its payload and stores the re-encoded frame, as a block
+    /// without a received frame does.
+    pub fn accept_block_framed(
+        &mut self,
+        block: &Block,
+        received: Option<&RawMessage>,
+    ) -> BlockVerdict {
         let hash = block.hash();
         let verdict = self.validate_block(hash, block);
         if let BlockVerdict::Accepted { .. } = verdict {
-            self.blocks.insert(hash, block.clone());
+            let frame = match received {
+                Some(raw) if raw.payload.len() == block.encoded_len() => {
+                    debug_assert_eq!(raw.header.magic, self.network.magic(), "foreign frame");
+                    raw.to_bytes()
+                }
+                _ => Message::Block(block.clone()).to_frame(self.network),
+            };
+            self.blocks.insert(hash, frame);
         }
         verdict
     }
 
-    /// [`Chain::accept_block`] for a block the caller hands over: an
-    /// accepted block moves into the store, and nothing is copied. Read
-    /// it back with [`Chain::block`].
-    pub fn accept_block_owned(&mut self, block: Block) -> BlockVerdict {
-        let hash = block.hash();
-        let verdict = self.validate_block(hash, &block);
-        if let BlockVerdict::Accepted { .. } = verdict {
-            self.blocks.insert(hash, block);
-        }
-        verdict
-    }
-
-    /// The checks and header-tree bookkeeping both entry points share.
-    /// On [`BlockVerdict::Accepted`] the header is linked and the tip
-    /// moved; the caller stores the block.
+    /// The checks and header-tree bookkeeping of a block. On
+    /// [`BlockVerdict::Accepted`] the header is linked and the tip moved;
+    /// the caller stores the frame.
     fn validate_block(&mut self, hash: Hash256, block: &Block) -> BlockVerdict {
         if self.invalid.contains(&hash) {
             return BlockVerdict::CachedInvalid;
@@ -339,24 +385,76 @@ mod tests {
         assert_eq!(c.best_chain().len(), 6);
     }
 
+    fn received(block: &Block) -> RawMessage {
+        RawMessage::frame(Network::Regtest, &Message::Block(block.clone()))
+    }
+
     #[test]
-    fn owned_and_borrowed_accept_agree() {
-        let mut by_ref = Chain::new();
-        let mut by_value = Chain::new();
-        let tip = by_ref.tip();
-        let (hdr, _) = by_ref.headers[&tip];
+    fn received_and_built_frames_agree() {
+        let mut built = Chain::new();
+        let mut copied = Chain::new();
+        let tip = built.tip();
+        let hdr = *built.header(&tip).unwrap();
         let good = mine_child(&hdr, tip, 1, vec![]);
         let mut mutated = mine_child(&good.header, good.hash(), 2, vec![]);
         mutated.txs[0] = Transaction::coinbase(1, b"swapped!");
         let orphan = mine_child(&hdr, Hash256::hash(b"?"), 3, vec![]);
-        for b in [good.clone(), good.clone(), mutated.clone(), mutated, orphan] {
+        for b in [&good, &good, &mutated, &mutated, &orphan] {
             assert_eq!(
-                by_ref.accept_block(&b),
-                by_value.accept_block_owned(b.clone())
+                built.accept_block(b),
+                copied.accept_block_framed(b, Some(&received(b)))
             );
         }
-        assert_eq!(by_value.block(&good.hash()), Some(&good));
-        assert_eq!(by_ref.best_chain(), by_value.best_chain());
+        let frame = Message::Block(good.clone()).to_frame(Network::Regtest);
+        assert_eq!(built.block_frame(&good.hash()), Some(&frame));
+        assert_eq!(copied.block_frame(&good.hash()), Some(&frame));
+        assert_eq!(copied.block(&good.hash()), Some(good.clone()));
+        assert_eq!(copied.header(&good.hash()), Some(&good.header));
+        assert!(!copied.has_block(&mutated.hash()) && !copied.has_block(&orphan.hash()));
+        assert_eq!(built.best_chain(), copied.best_chain());
+    }
+
+    #[test]
+    fn a_marked_empty_witness_block_stores_its_re_encoding() {
+        let mut c = Chain::new();
+        let tip = c.tip();
+        let mut tx = Transaction::coinbase(1, b"marked");
+        tx.inputs_mut()[0].prevout = btc_wire::tx::OutPoint::new(Hash256::hash(b"in"), 0);
+        let block = mine_child(c.header(&tip).unwrap(), tip, 5, vec![tx]);
+        // The BIP144 marker and flag on the second transaction, then one
+        // empty witness stack for its one input: it decodes to `block`.
+        let legacy = Message::Block(block.clone()).encode_payload();
+        let coinbase_end = legacy.len() - block.txs[1].encoded_len();
+        let (head, second) = legacy.split_at(coinbase_end);
+        let (version, body) = second.split_at(4);
+        let (body, lock_time) = body.split_at(body.len() - 4);
+        let payload = [head, version, &[0x00, 0x01], body, &[0x00], lock_time].concat();
+        let raw = RawMessage::frame_raw(Network::Regtest, "block", Bytes::from(payload));
+        let decoded = Message::decode_payload("block", &raw.payload).unwrap();
+        assert_eq!(decoded, Message::Block(block.clone()));
+
+        let verdict = c.accept_block_framed(&block, Some(&raw));
+        assert!(matches!(verdict, BlockVerdict::Accepted { .. }));
+        let stored = c.block_frame(&block.hash()).unwrap();
+        assert_eq!(stored, &decoded.to_frame(Network::Regtest));
+        assert_ne!(stored, &raw.to_bytes());
+    }
+
+    #[test]
+    fn frames_carry_the_chain_network() {
+        let main = Chain::with_network(Network::Mainnet);
+        let genesis = main.block_frame(&main.genesis_hash()).unwrap();
+        assert_eq!(
+            genesis,
+            &Message::Block(genesis_block()).to_frame(Network::Mainnet)
+        );
+        assert_eq!(main.block(&main.genesis_hash()), Some(genesis_block()));
+        let regtest = Chain::new();
+        assert_eq!(regtest.genesis_hash(), main.genesis_hash());
+        assert_eq!(
+            regtest.block_frame(&regtest.genesis_hash()),
+            Some(&Message::Block(genesis_block()).to_frame(Network::Regtest))
+        );
     }
 
     #[test]

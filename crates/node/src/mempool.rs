@@ -103,7 +103,7 @@ impl Mempool {
         self.txs.is_empty()
     }
 
-    /// All txids (unordered).
+    /// All txids, in ascending key order.
     pub fn txids(&self) -> Vec<Hash256> {
         self.txs.keys().copied().collect()
     }

@@ -27,7 +27,7 @@ use btc_netsim::packet::SockAddr;
 use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::{CloseReason, ConnId};
 use btc_netsim::time::{Nanos, SECS};
-use btc_wire::block::HeadersEntry;
+use btc_wire::block::{Block, HeadersEntry};
 use btc_wire::compact::short_id_keys;
 use btc_wire::constants::{
     MAX_ADDR_TO_SEND, MAX_HEADERS_RESULTS, MAX_INBOUND_CONNECTIONS, MAX_INV_SZ,
@@ -243,7 +243,7 @@ impl Node {
             banman,
             goodscore: GoodScoreTracker::new(),
             reputation,
-            chain: Chain::new(),
+            chain: Chain::with_network(config.network),
             mempool: Mempool::default(),
             telemetry: Telemetry::default(),
             peers: BTreeMap::new(),
@@ -338,16 +338,16 @@ impl Node {
 
     fn flush_local_submissions(&mut self, ctx: &mut Ctx<'_>) {
         for block in std::mem::take(&mut self.pending_local_blocks) {
-            let hash = block.hash();
-            if let BlockVerdict::Accepted { .. } = self.chain.accept_block_owned(block) {
-                self.evict_confirmed(&hash);
-                self.broadcast_inv(ctx, Inventory::new(InvType::Block, hash), None);
+            if let BlockVerdict::Accepted { .. } = self.chain.accept_block(&block) {
+                self.evict_confirmed(&block);
+                let inv = Inventory::new(InvType::Block, block.hash());
+                self.broadcast_inv(ctx, inv, Some(&block), None);
             }
         }
         for tx in std::mem::take(&mut self.pending_local_txs) {
             let txid = tx.txid();
             if self.mempool.accept_owned(tx) == TxVerdict::Accepted {
-                self.broadcast_inv(ctx, Inventory::new(InvType::Tx, txid), None);
+                self.broadcast_inv(ctx, Inventory::new(InvType::Tx, txid), None, None);
             }
         }
     }
@@ -521,7 +521,16 @@ impl Node {
         }
     }
 
-    fn broadcast_inv(&self, ctx: &mut Ctx<'_>, inv: Inventory, except: Option<ConnId>) {
+    /// Announces `inv` to every relaying peer but `except`. `block` is the
+    /// block a block `inv` names, in hand: BIP152 high-bandwidth peers get
+    /// it pushed as CMPCTBLOCK instead of the INV.
+    fn broadcast_inv(
+        &self,
+        ctx: &mut Ctx<'_>,
+        inv: Inventory,
+        block: Option<&Block>,
+        except: Option<ConnId>,
+    ) {
         let tiers = self.tiers_active();
         let network = self.config.network;
         let relays_to = |p: &Peer| {
@@ -533,17 +542,18 @@ impl Node {
         };
         // BIP152 high-bandwidth mode: peers that negotiated it get new
         // blocks pushed as CMPCTBLOCK instead of announced via INV.
-        let compact = if matches!(inv.kind, InvType::Block)
-            && self.peers.values().any(|p| p.cmpct_announce && relays_to(p))
-        {
-            self.chain.block(&inv.hash).map(|b| {
-                let [nonce_seed, ..] = inv.hash.0;
-                let cb = btc_wire::compact::CompactBlock::from_block(b, u64::from(nonce_seed) | 0x100);
-                Message::CmpctBlock(cb).to_frame(network)
+        let compact = block
+            .filter(|_| {
+                self.peers
+                    .values()
+                    .any(|p| p.cmpct_announce && relays_to(p))
             })
-        } else {
-            None
-        };
+            .map(|b| {
+                let [nonce_seed, ..] = inv.hash.0;
+                let cb =
+                    btc_wire::compact::CompactBlock::from_block(b, u64::from(nonce_seed) | 0x100);
+                Message::CmpctBlock(cb).to_frame(network)
+            });
         // Each distinct frame is encoded once, on first use, and every
         // target gets a refcounted clone of it.
         let mut inv_frame = None;
@@ -557,16 +567,11 @@ impl Node {
     }
 
     /// The post-handshake message handlers; returns without effect for
-    /// messages that need no action. `checksum` is the frame's header
-    /// checksum, already verified against the payload `msg` decoded from.
+    /// messages that need no action. `raw` is the frame `msg` was decoded
+    /// from, its checksum already verified against its payload.
     #[allow(clippy::too_many_lines)]
-    fn handle_message(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        conn: ConnId,
-        msg: Message,
-        checksum: [u8; 4],
-    ) {
+    fn handle_message(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: Message, raw: &RawMessage) {
+        let checksum = raw.header.checksum;
         // One arm per `Message` variant and no wildcard arm may be added:
         // rustc then refuses a new wire command until it is dispatched
         // here, as `RULES_BY_COMMAND` refuses one without a rule row.
@@ -648,8 +653,9 @@ impl Node {
                 for inv in invs {
                     match inv.kind {
                         InvType::Block | InvType::WitnessBlock => {
-                            if let Some(b) = self.chain.block(&inv.hash).cloned() {
-                                self.send_message(ctx, conn, &Message::Block(b));
+                            // The stored frame is the reply: a refcount.
+                            if let Some(frame) = self.chain.block_frame(&inv.hash) {
+                                ctx.send_bytes(conn, frame.clone());
                             } else {
                                 not_found.push(inv);
                             }
@@ -662,7 +668,7 @@ impl Node {
                             }
                         }
                         InvType::CmpctBlock => {
-                            if let Some(b) = self.chain.block(&inv.hash).cloned() {
+                            if let Some(b) = self.chain.block(&inv.hash) {
                                 let nonce = ctx.rng().next_u64();
                                 let cb = btc_wire::compact::CompactBlock::from_block(&b, nonce);
                                 self.send_message(ctx, conn, &Message::CmpctBlock(cb));
@@ -674,13 +680,14 @@ impl Node {
                             // BIP37: serve a MERKLEBLOCK plus the matching
                             // transactions, filtered by the peer's loaded
                             // bloom filter.
-                            let block = self.chain.block(&inv.hash).cloned();
                             let filter = self
                                 .peers
                                 .get(&conn)
                                 .and_then(|p| p.filter.clone());
-                            match (block, filter) {
-                                (Some(b), Some(f)) => {
+                            let block =
+                                filter.and_then(|f| self.chain.block(&inv.hash).map(|b| (b, f)));
+                            match block {
+                                Some((b, f)) => {
                                     let mut matched = Vec::new();
                                     let mut flags = Vec::new();
                                     for (i, tx) in b.txs.iter().enumerate() {
@@ -702,7 +709,7 @@ impl Node {
                                         self.send_message(ctx, conn, &Message::Tx(tx));
                                     }
                                 }
-                                _ => not_found.push(inv),
+                                None => not_found.push(inv),
                             }
                         }
                         _ => not_found.push(inv),
@@ -785,13 +792,14 @@ impl Node {
                         self.misbehaving(ctx, conn, Misbehavior::TxInvalidSegwit);
                     }
                     TxVerdict::Accepted => {
-                        self.broadcast_inv(ctx, Inventory::new(InvType::Tx, txid), Some(conn));
+                        let inv = Inventory::new(InvType::Tx, txid);
+                        self.broadcast_inv(ctx, inv, None, Some(conn));
                     }
                     _ => {}
                 }
             }
             Message::Block(block) => {
-                self.process_block(ctx, conn, block);
+                self.process_block(ctx, conn, block, Some(raw));
             }
             Message::Mempool => {
                 let invs: Vec<Inventory> = self
@@ -863,7 +871,7 @@ impl Node {
                 let mempool = &self.mempool;
                 match cb.reconstruct(&|sid| mempool.by_short_id(keys, sid)) {
                     Ok(block) => {
-                        self.process_block(ctx, conn, block);
+                        self.process_block(ctx, conn, block, None);
                     }
                     Err(missing) => {
                         let hash = cb.header.hash();
@@ -876,7 +884,7 @@ impl Node {
                 }
             }
             Message::GetBlockTxn(req) => {
-                let Some(block) = self.chain.block(&req.block_hash).cloned() else {
+                let Some(block) = self.chain.block(&req.block_hash) else {
                     return;
                 };
                 match req.absolute_indices(block.txs.len() as u64) {
@@ -932,25 +940,31 @@ impl Node {
                         .or_else(|| supplied.borrow_mut().next().cloned())
                 });
                 if let Ok(block) = reconstructed {
-                    self.process_block(ctx, conn, block);
+                    self.process_block(ctx, conn, block, None);
                 }
             }
         }
     }
 
-    /// Evicts the transactions of the stored block `hash` from the
-    /// mempool: they are confirmed.
-    fn evict_confirmed(&mut self, hash: &Hash256) {
-        if let Some(block) = self.chain.block(hash) {
-            for tx in &block.txs {
-                self.mempool.remove(&tx.txid());
-            }
+    /// Evicts the transactions of an accepted block from the mempool: they
+    /// are confirmed.
+    fn evict_confirmed(&mut self, block: &Block) {
+        for tx in &block.txs {
+            self.mempool.remove(&tx.txid());
         }
     }
 
-    fn process_block(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, block: btc_wire::Block) {
-        let hash = block.hash();
-        match self.chain.accept_block_owned(block) {
+    /// Accepts `block` into the chain, which stores `received`, the frame
+    /// it was decoded from, when there is one (else a frame it builds),
+    /// and acts on the verdict with the block in hand.
+    fn process_block(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        block: Block,
+        received: Option<&RawMessage>,
+    ) {
+        match self.chain.accept_block_framed(&block, received) {
             BlockVerdict::Accepted { .. } => {
                 if let Some(addr) = self.peers.get(&conn).map(|p| p.addr) {
                     match self.config.peer_policy {
@@ -964,8 +978,9 @@ impl Node {
                         PeerPolicy::Stock | PeerPolicy::NeverBan | PeerPolicy::Disabled => {}
                     }
                 }
-                self.evict_confirmed(&hash);
-                self.broadcast_inv(ctx, Inventory::new(InvType::Block, hash), Some(conn));
+                self.evict_confirmed(&block);
+                let inv = Inventory::new(InvType::Block, block.hash());
+                self.broadcast_inv(ctx, inv, Some(&block), Some(conn));
             }
             BlockVerdict::Duplicate => {}
             BlockVerdict::Mutated(_) => {

@@ -18,9 +18,10 @@
 //!   decode, charge handler, record telemetry, then handshake gate /
 //!   handler. The checksum stage hashes the payload once: the decoder
 //!   receives its full digest, which a legacy TX takes as its txid, and
-//!   the handler receives the frame's verified header checksum, which a
-//!   PONG (and a GETDATA asking for every item of an INV) echoes instead
-//!   of hashing the same payload bytes again. If a frame bans or
+//!   the handler receives the verified frame: a PONG (and a GETDATA asking
+//!   for every item of an INV) echoes its header checksum instead of
+//!   hashing the same payload bytes again, and an accepted BLOCK is stored
+//!   as a copy of it, neither encoded nor hashed. If a frame bans or
 //!   disconnects the peer mid-batch, processing stops there, like the old
 //!   loop's top-of-iteration peer lookup — later frames (and their CPU
 //!   charges) never happen.
@@ -146,7 +147,7 @@ impl Node {
                 );
             }
             if !self.handshake(ctx, conn, &msg) {
-                self.handle_message(ctx, conn, msg, raw.header.checksum);
+                self.handle_message(ctx, conn, msg, &raw);
             }
         }
         self.frame_scratch = frames;

@@ -69,7 +69,7 @@ fn block_propagates_between_nodes() {
     {
         let a: &mut Node = sim.app_mut(A).unwrap();
         let tip = a.chain.tip();
-        let hdr = *a.chain.block(&tip).map(|b| &b.header).unwrap();
+        let hdr = *a.chain.header(&tip).unwrap();
         let block = mine_child(&hdr, tip, 42, vec![]);
         a.submit_block(block);
     }
@@ -113,7 +113,7 @@ fn chain_sync_on_connect() {
     let mut node_a = Node::new(NodeConfig::default());
     let mut tip = node_a.chain.tip();
     for i in 0..5u64 {
-        let hdr = node_a.chain.block(&tip).unwrap().header;
+        let hdr = *node_a.chain.header(&tip).unwrap();
         let block = mine_child(&hdr, tip, 100 + i, vec![]);
         tip = block.hash();
         assert!(matches!(
@@ -165,7 +165,7 @@ fn three_nodes_relay_transitively() {
     {
         let c: &mut Node = sim.app_mut(C).unwrap();
         let tip = c.chain.tip();
-        let hdr = c.chain.block(&tip).unwrap().header;
+        let hdr = *c.chain.header(&tip).unwrap();
         c.submit_block(mine_child(&hdr, tip, 7, vec![]));
     }
     sim.run_for(6 * SECS);

@@ -3,12 +3,13 @@
 //! manager's role in outbound selection.
 
 use btc_netsim::packet::SockAddr;
-use btc_netsim::sim::{App, Ctx, HostConfig, SimConfig, Simulator};
+use btc_netsim::sim::{App, Ctx, HostConfig, SimConfig, Simulator, TapFilter};
 use btc_netsim::tcp::ConnId;
 use btc_netsim::time::{MINUTES, SECS};
 use btc_node::chain::mine_child;
 use btc_node::node::{Node, NodeConfig, PeerPolicy};
 use btc_wire::bloom::{BloomFilter, BloomFlags};
+use btc_wire::bytes::Bytes;
 use btc_wire::drain::FrameAssembler;
 use btc_wire::message::{decode_frame, Message, RawMessage, VersionMessage};
 use btc_wire::types::{InvType, Inventory, NetAddr, Network};
@@ -23,11 +24,13 @@ fn addr(ip: [u8; 4]) -> SockAddr {
 }
 
 /// A scriptable light client: performs the handshake, then sends a fixed
-/// sequence of messages and records everything it receives.
+/// sequence of frames and records everything it receives, decoded and as
+/// the bytes that arrived.
 struct Probe {
     target: SockAddr,
-    script: Vec<Message>,
+    script: Vec<RawMessage>,
     received: Vec<Message>,
+    received_frames: Vec<Bytes>,
     conn: Option<ConnId>,
     frames: FrameAssembler,
     handshaked: bool,
@@ -35,10 +38,21 @@ struct Probe {
 
 impl Probe {
     fn new(target: SockAddr, script: Vec<Message>) -> Self {
+        let script = script
+            .iter()
+            .map(|m| RawMessage::frame(Network::Regtest, m))
+            .collect();
+        Probe::raw(target, script)
+    }
+
+    /// A probe whose script is frames, so it can send payloads no
+    /// `Message` encodes to.
+    fn raw(target: SockAddr, script: Vec<RawMessage>) -> Self {
         Probe {
             target,
             script,
             received: Vec::new(),
+            received_frames: Vec::new(),
             conn: None,
             frames: FrameAssembler::new(Network::Regtest),
             handshaked: false,
@@ -46,9 +60,12 @@ impl Probe {
     }
 
     fn send(&self, ctx: &mut Ctx<'_>, msg: &Message) {
+        self.send_raw(ctx, &RawMessage::frame(Network::Regtest, msg));
+    }
+
+    fn send_raw(&self, ctx: &mut Ctx<'_>, raw: &RawMessage) {
         if let Some(conn) = self.conn {
-            let bytes = RawMessage::frame(Network::Regtest, msg).to_bytes();
-            ctx.send(conn, &bytes);
+            ctx.send(conn, &raw.to_bytes());
         }
     }
 }
@@ -81,13 +98,14 @@ impl App for Probe {
                     Message::Verack
                         if !self.handshaked => {
                             self.handshaked = true;
-                            for m in self.script.clone() {
-                                self.send(ctx, &m);
+                            for raw in &self.script {
+                                self.send_raw(ctx, raw);
                             }
                         }
                     _ => {}
                 }
                 self.received.push(msg);
+                self.received_frames.push(raw.to_bytes());
             }
         }
     }
@@ -109,7 +127,7 @@ fn node_sim(cfg: NodeConfig) -> Simulator {
 fn submit_one_block(sim: &mut Simulator) -> btc_wire::Hash256 {
     let node: &mut Node = sim.app_mut(A).unwrap();
     let tip = node.chain.tip();
-    let hdr = node.chain.block(&tip).unwrap().header;
+    let hdr = *node.chain.header(&tip).unwrap();
     let tx = {
         let mut t = btc_wire::Transaction::coinbase(1, &[9, 9, 9]);
         t.inputs_mut()[0].prevout = btc_wire::tx::OutPoint::new(btc_wire::Hash256::hash(b"f"), 0);
@@ -515,7 +533,7 @@ fn only_the_newest_pending_compact_block_is_kept() {
     const N: usize = 50;
     let chain = Node::new(NodeConfig::default()).chain;
     let tip = chain.tip();
-    let hdr = chain.block(&tip).unwrap().header;
+    let hdr = *chain.header(&tip).unwrap();
     let blocks: Vec<btc_wire::Block> = (0..N as u64)
         .map(|i| {
             let mut tx = btc_wire::Transaction::coinbase(1, &i.to_le_bytes());
@@ -568,4 +586,235 @@ fn only_the_newest_pending_compact_block_is_kept() {
     assert!(node.chain.has_block(&newest.hash()));
     let peer = node.peer_by_addr(&node.peer_infos()[0].addr).unwrap();
     assert!(peer.pending_compact.is_none());
+}
+
+/// A spendable-looking transaction, distinct per `tag`.
+fn spend(tag: u8) -> btc_wire::Transaction {
+    let mut t = btc_wire::Transaction::coinbase(1, &[tag; 3]);
+    t.inputs_mut()[0].prevout = btc_wire::tx::OutPoint::new(btc_wire::Hash256::hash(&[tag]), 0);
+    t
+}
+
+/// `block`'s BLOCK frame with its last transaction (one input) in the
+/// BIP144 marked form with an empty witness stack: it decodes to `block`,
+/// yet is not the frame `block` encodes to.
+fn marked_frame(block: &btc_wire::Block) -> RawMessage {
+    use btc_wire::encode::Encodable;
+    let last = block.txs.last().unwrap();
+    assert_eq!(last.inputs().len(), 1);
+    let legacy = Message::Block(block.clone()).encode_payload();
+    let (head, tx) = legacy.split_at(legacy.len() - last.encoded_len());
+    let (version, body) = tx.split_at(4);
+    let (body, lock_time) = body.split_at(body.len() - 4);
+    let payload = [head, version, &[0x00, 0x01], body, &[0x00], lock_time].concat();
+    RawMessage::frame_raw(Network::Regtest, "block", Bytes::from(payload))
+}
+
+#[test]
+fn getdata_block_is_a_refcount_of_the_stored_frame() {
+    const K: usize = 4;
+    let mut sim = node_sim(NodeConfig::default());
+    sim.run_for(SECS);
+    // One block arrives without a frame (mined locally), one as a frame
+    // whose marked transaction does not re-encode to itself.
+    let local = submit_one_block(&mut sim);
+    sim.run_for(2 * SECS);
+    let (local_block, wire_block) = {
+        let node: &Node = sim.app(A).unwrap();
+        let local_block = node.chain.block(&local).unwrap();
+        let wire_block = mine_child(&local_block.header, local, 32, vec![spend(7)]);
+        (local_block, wire_block)
+    };
+    let wire = wire_block.hash();
+    let marked = marked_frame(&wire_block);
+    assert_eq!(
+        decode_frame(&marked).unwrap(),
+        Message::Block(wire_block.clone())
+    );
+    let mut script = vec![marked.clone()];
+    for _ in 0..K {
+        for inv in [
+            Inventory::new(InvType::Block, local),
+            Inventory::new(InvType::WitnessBlock, wire),
+        ] {
+            script.push(RawMessage::frame(
+                Network::Regtest,
+                &Message::GetData(vec![inv]),
+            ));
+        }
+    }
+    let tap = sim.add_tap(TapFilter::Pair(A, B));
+    sim.add_host(
+        B,
+        Box::new(Probe::raw(addr(A), script)),
+        HostConfig::default(),
+    );
+    sim.run_for(3 * SECS);
+
+    let node: &Node = sim.app(A).unwrap();
+    let probe: &Probe = sim.app(B).unwrap();
+    let served: Vec<&Bytes> = probe
+        .received
+        .iter()
+        .zip(&probe.received_frames)
+        .filter(|(m, _)| matches!(m, Message::Block(_)))
+        .map(|(_, f)| f)
+        .collect();
+    assert_eq!(served.len(), 2 * K);
+    let segments: Vec<Bytes> = tap
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.packet.src.ip == A)
+        .filter_map(|s| match s.packet.body {
+            btc_netsim::packet::PacketBody::Tcp(seg) => Some(seg.payload),
+            btc_netsim::packet::PacketBody::Icmp(_) => None,
+        })
+        .collect();
+    for (hash, block) in [(local, &local_block), (wire, &wire_block)] {
+        // Byte identity: every reply is the frame the block encodes to,
+        // including the block that arrived in a form that does not.
+        let want = Message::Block(block.clone()).to_frame(Network::Regtest);
+        let stored = node.chain.block_frame(&hash).unwrap();
+        assert_eq!(stored, &want);
+        assert_eq!(served.iter().filter(|f| ***f == want).count(), K);
+        // Refcount: the K replies went out as windows of the one stored
+        // buffer, not as K frames encoded apart.
+        let base = stored.as_ptr() as usize;
+        let within: usize = segments
+            .iter()
+            .filter(|p| {
+                (p.as_ptr() as usize) >= base && (p.as_ptr() as usize) < base + stored.len()
+            })
+            .map(|p| p.len())
+            .sum();
+        assert_eq!(within, K * stored.len());
+    }
+    assert_ne!(node.chain.block_frame(&wire).unwrap(), &marked.to_bytes());
+}
+
+#[test]
+fn body_readers_answer_from_the_decoded_frame() {
+    let mut sim = node_sim(NodeConfig::default());
+    sim.run_for(SECS);
+    let block = {
+        let node: &mut Node = sim.app_mut(A).unwrap();
+        let tip = node.chain.tip();
+        let block = mine_child(
+            node.chain.header(&tip).unwrap(),
+            tip,
+            33,
+            vec![spend(1), spend(2)],
+        );
+        node.submit_block(block.clone());
+        block
+    };
+    sim.run_for(2 * SECS);
+    let hash = block.hash();
+    let mut filter = BloomFilter::new(4, 0.0001, 99, BloomFlags::All);
+    filter.insert(block.txs[2].txid().as_bytes());
+    let script = vec![
+        Message::GetBlockTxn(btc_wire::compact::BlockTxnRequest::from_absolute(
+            hash,
+            &[0, 2],
+        )),
+        Message::GetData(vec![Inventory::new(InvType::CmpctBlock, hash)]),
+        Message::FilterLoad(filter),
+        Message::GetData(vec![Inventory::new(InvType::FilteredBlock, hash)]),
+    ];
+    sim.add_host(
+        B,
+        Box::new(Probe::new(addr(A), script)),
+        HostConfig::default(),
+    );
+    sim.run_for(3 * SECS);
+    let probe: &Probe = sim.app(B).unwrap();
+    let replies: Vec<&Message> = probe
+        .received
+        .iter()
+        .filter(|m| {
+            matches!(
+                m,
+                Message::BlockTxn(_)
+                    | Message::CmpctBlock(_)
+                    | Message::MerkleBlock(_)
+                    | Message::Tx(_)
+            )
+        })
+        .collect();
+    let [Message::BlockTxn(bt), Message::CmpctBlock(cb), Message::MerkleBlock(mb), Message::Tx(tx)] =
+        replies.as_slice()
+    else {
+        panic!(
+            "replies: {:?}",
+            replies.iter().map(|m| m.command()).collect::<Vec<_>>()
+        );
+    };
+    assert_eq!(
+        bt,
+        &btc_wire::compact::BlockTxn {
+            block_hash: hash,
+            txs: vec![block.txs[0].clone(), block.txs[2].clone()],
+        }
+    );
+    assert_eq!(
+        cb,
+        &btc_wire::compact::CompactBlock::from_block(&block, cb.nonce)
+    );
+    assert_eq!(
+        mb,
+        &btc_wire::message::MerkleBlockMsg {
+            header: block.header,
+            total_txs: 3,
+            hashes: vec![block.txs[2].txid()],
+            flags: vec![0, 0, 1],
+        }
+    );
+    assert_eq!(tx, &block.txs[2]);
+    let node: &Node = sim.app(A).unwrap();
+    assert_eq!(node.peer_infos()[0].ban_score, 0);
+}
+
+#[test]
+fn an_accepted_block_confirms_its_mempool_transactions() {
+    let (kept, mined) = (spend(20), spend(21));
+    // Local path: both transactions pool, a submitted block confirms one.
+    let mut sim = node_sim(NodeConfig::default());
+    sim.run_for(SECS);
+    let block = {
+        let node: &mut Node = sim.app_mut(A).unwrap();
+        node.submit_tx(kept.clone());
+        node.submit_tx(mined.clone());
+        let tip = node.chain.tip();
+        mine_child(
+            node.chain.header(&tip).unwrap(),
+            tip,
+            34,
+            vec![mined.clone()],
+        )
+    };
+    sim.run_for(2 * SECS);
+    assert_eq!(sim.app::<Node>(A).unwrap().mempool.len(), 2);
+    sim.app_mut::<Node>(A).unwrap().submit_block(block.clone());
+    sim.run_for(2 * SECS);
+    let node: &Node = sim.app(A).unwrap();
+    assert!(node.chain.has_block(&block.hash()));
+    assert_eq!(node.mempool.txids(), vec![kept.txid()]);
+
+    // Wire path: a peer relays both transactions, then the block.
+    let mut sim = node_sim(NodeConfig::default());
+    let script = vec![
+        Message::Tx(kept.clone()),
+        Message::Tx(mined.clone()),
+        Message::Block(block.clone()),
+    ];
+    sim.add_host(
+        B,
+        Box::new(Probe::new(addr(A), script)),
+        HostConfig::default(),
+    );
+    sim.run_for(3 * SECS);
+    let node: &Node = sim.app(A).unwrap();
+    assert!(node.chain.has_block(&block.hash()));
+    assert_eq!(node.mempool.txids(), vec![kept.txid()]);
+    assert_eq!(node.peer_infos()[0].ban_score, 0);
 }

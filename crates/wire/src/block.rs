@@ -5,7 +5,7 @@
 
 use crate::crypto::sha256::{sha256d_pair, Midstate};
 use crate::encode::{
-    decode_vec, encode_vec, Decodable, DecodeResult, Encodable, Reader, Writer,
+    compact_size_len, decode_vec, encode_vec, Decodable, DecodeResult, Encodable, Reader, Writer,
 };
 use crate::tx::Transaction;
 use crate::types::Hash256;
@@ -215,6 +215,12 @@ impl Encodable for Block {
     fn encode(&self, w: &mut Writer) {
         self.header.encode(w);
         encode_vec(w, &self.txs);
+    }
+
+    /// Counted from the transactions, without encoding.
+    fn encoded_len(&self) -> usize {
+        80 + compact_size_len(self.txs.len())
+            + self.txs.iter().map(Encodable::encoded_len).sum::<usize>()
     }
 }
 

@@ -414,6 +414,22 @@ pub fn decode_vec<T: Decodable>(
     Ok(out)
 }
 
+/// Length in bytes of the canonical `CompactSize` encoding of `n`, as
+/// [`Writer::compact_size`] writes it.
+pub(crate) fn compact_size_len(n: usize) -> usize {
+    match n as u64 {
+        0..=0xfc => 1,
+        0xfd..=0xffff => 3,
+        0x1_0000..=0xffff_ffff => 5,
+        _ => 9,
+    }
+}
+
+/// Length in bytes of a `CompactSize`-prefixed byte string of `n` bytes.
+pub(crate) fn var_bytes_len(n: usize) -> usize {
+    compact_size_len(n) + n
+}
+
 /// Encodes a list as `CompactSize` count followed by the elements.
 pub fn encode_vec<T: Encodable>(w: &mut Writer, items: &[T]) {
     w.compact_size(items.len() as u64);

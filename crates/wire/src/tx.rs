@@ -12,7 +12,8 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::encode::{
-    decode_vec, encode_vec, Decodable, DecodeError, DecodeResult, Encodable, Reader, Writer,
+    compact_size_len, decode_vec, encode_vec, var_bytes_len, Decodable, DecodeError, DecodeResult,
+    Encodable, Reader, Writer,
 };
 use crate::types::Hash256;
 
@@ -418,6 +419,39 @@ impl Encodable for Transaction {
             }
         }
         w.u32_le(self.lock_time);
+    }
+
+    /// Counted from the fields, without encoding.
+    fn encoded_len(&self) -> usize {
+        let inputs: usize = self
+            .inputs
+            .iter()
+            .map(|i| 36 + var_bytes_len(i.script_sig.len()) + 4)
+            .sum();
+        let outputs: usize = self
+            .outputs
+            .iter()
+            .map(|o| 8 + var_bytes_len(o.script_pubkey.len()))
+            .sum();
+        let legacy = 4
+            + compact_size_len(self.inputs.len())
+            + inputs
+            + compact_size_len(self.outputs.len())
+            + outputs
+            + 4;
+        if !self.has_witness() {
+            return legacy;
+        }
+        let witness: usize = self
+            .inputs
+            .iter()
+            .map(|i| {
+                let items: usize = i.witness.iter().map(|e| var_bytes_len(e.len())).sum();
+                compact_size_len(i.witness.len()) + items
+            })
+            .sum();
+        // Marker and flag, then the stacks.
+        legacy + 2 + witness
     }
 }
 

@@ -298,6 +298,39 @@ fn block_roundtrip() {
 }
 
 #[test]
+fn encoded_len_counts_the_encoding() {
+    check("encoded_len_counts_the_encoding", |g| {
+        let mut txs = g.vec_with(1, 4, arb_tx);
+        if g.bool() {
+            // Past 252 bytes a length prefix takes three bytes.
+            let long = g.vec_u8(253, 600);
+            txs[0].outputs_mut()[0].script_pubkey = long.clone();
+            txs[0].inputs_mut()[0].witness.push(long);
+        }
+        for tx in &txs {
+            assert_eq!(tx.encoded_len(), tx.encode_to_vec().len());
+        }
+        // A marked transaction whose stacks are all empty re-encodes
+        // without the marker, flag and stack counts: shorter than it came.
+        let mut bare = txs[0].clone();
+        for i in bare.inputs_mut() {
+            i.witness.clear();
+        }
+        let marked = marked_without_witness(&bare);
+        let decoded = Transaction::decode_all(&marked).unwrap();
+        assert_eq!(
+            decoded.encoded_len() + 2 + bare.inputs().len(),
+            marked.len()
+        );
+        let b = Block {
+            header: arb_header(g),
+            txs,
+        };
+        assert_eq!(b.encoded_len(), b.encode_to_vec().len());
+    });
+}
+
+#[test]
 fn compact_size_reader_never_panics() {
     check("compact_size_reader_never_panics", |g| {
         let bytes = g.vec_u8(0, 16);

@@ -71,6 +71,18 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
   run --all --seconds 1
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> heap RSS under a fixed mmap threshold (report only, gates nothing)"
+# glibc's dynamic mmap threshold lets peak_rss_mb of the node workloads
+# follow allocation layout (struct sizes, even the checkout's path), not
+# only the memory a run keeps. With the threshold pinned the reading moves
+# with the heap alone; compare it before and after a change.
+for w in relay_mix sybil_churn; do
+  rss=$(MALLOC_MMAP_THRESHOLD_=131072 cargo run --release --offline --quiet \
+          --manifest-path benchmark/Cargo.toml -- run --workload "$w" --seconds 1 2>/dev/null \
+        | grep -o '"peak_rss_mb": {"value": [0-9.]*' | grep -o '[0-9.]*$' || true)
+  echo "    $w peak_rss_mb with MALLOC_MMAP_THRESHOLD_=131072: ${rss:-?} MB"
+done
+
 echo "==> jobs matrix: repro output must be byte-identical at --jobs 1 vs --jobs 4"
 # Only the simulation-derived experiments are gated: table2/fig11 time
 # wall-clock costs and differ between ANY two runs, serial or not. The
