@@ -69,6 +69,16 @@ pub struct DefamationRecord {
     pub spoofed: SockAddr,
 }
 
+/// Pace between the pre-connection defamer's ports (models the attacker's
+/// per-connection setup latency; the paper measures ≈0.1 s + 0.2 s per
+/// identifier).
+const PACE: Nanos = 300 * MILLIS;
+
+/// Minimum bytes the post-connection defamer sniffs from a connection
+/// before striking (lets the Bitcoin handshake finish so the forged frame
+/// is processed post-handshake).
+const MIN_BYTES_BEFORE_STRIKE: u64 = 100;
+
 /// Pre-connection Defamation: preemptively ban identifiers of `victim_ip`
 /// at the target, one port per tick.
 pub struct PreConnDefamer {
@@ -80,9 +90,6 @@ pub struct PreConnDefamer {
     pub ports: Vec<u16>,
     /// Network magic.
     pub network: Network,
-    /// Pace between ports (models the attacker's per-connection setup
-    /// latency; the paper measures ≈0.1 s + 0.2 s per identifier).
-    pub pace: Nanos,
     /// What to deliver.
     pub payload: DefamationPayload,
     /// Strikes performed.
@@ -99,7 +106,6 @@ impl PreConnDefamer {
             victim_ip,
             ports,
             network: Network::Regtest,
-            pace: 300 * MILLIS,
             payload: DefamationPayload::InvalidBlock,
             records: Vec::new(),
             next: 0,
@@ -165,7 +171,7 @@ impl PreConnDefamer {
 
 impl App for PreConnDefamer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.pace, 1);
+        ctx.set_timer(PACE, 1);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
@@ -176,7 +182,7 @@ impl App for PreConnDefamer {
         self.next += 1;
         self.strike(ctx, port);
         if !self.done() {
-            ctx.set_timer(self.pace, 1);
+            ctx.set_timer(PACE, 1);
         }
     }
 
@@ -221,10 +227,6 @@ pub struct PostConnDefamer {
     pub start_after: Nanos,
     /// What to deliver.
     pub payload: DefamationPayload,
-    /// Minimum bytes sniffed from a connection before striking (lets the
-    /// Bitcoin handshake finish so the forged frame is processed
-    /// post-handshake).
-    pub min_bytes_before_strike: u64,
     /// Strikes performed.
     pub records: Vec<DefamationRecord>,
     conns: BTreeMap<SockAddr, SniffedConn>,
@@ -242,7 +244,6 @@ impl PostConnDefamer {
             poll: 10 * MILLIS,
             start_after: 0,
             payload: DefamationPayload::InvalidBlock,
-            min_bytes_before_strike: 100,
             records: Vec::new(),
             conns: BTreeMap::new(),
             strike_nonce: 0x5000,
@@ -287,7 +288,7 @@ impl PostConnDefamer {
         let ready: Vec<SockAddr> = self
             .conns
             .iter()
-            .filter(|(_, c)| !c.struck && c.bytes_seen >= self.min_bytes_before_strike)
+            .filter(|(_, c)| !c.struck && c.bytes_seen >= MIN_BYTES_BEFORE_STRIKE)
             .map(|(a, _)| *a)
             .collect();
         for spoofed in ready {

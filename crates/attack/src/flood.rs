@@ -6,7 +6,7 @@
 //! An [`IcmpFlooder`] provides the network-layer baseline of Table III.
 
 use crate::payload::FloodPayload;
-use crate::socket_model::SocketModel;
+use crate::socket_model;
 use btc_netsim::packet::{IcmpEcho, SockAddr};
 use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::{CloseReason, ConnId};
@@ -75,8 +75,6 @@ pub struct FloodConfig {
     pub sybil_port_start: u16,
     /// Stop after this many messages in total (None = flood forever).
     pub max_messages: Option<u64>,
-    /// The socket model limiting send rates.
-    pub socket_model: SocketModel,
 }
 
 impl Default for FloodConfig {
@@ -91,7 +89,6 @@ impl Default for FloodConfig {
             connect_setup_delay: 200 * MILLIS,
             sybil_port_start: 0,
             max_messages: None,
-            socket_model: SocketModel::default(),
         }
     }
 }
@@ -146,10 +143,7 @@ impl Flooder {
     }
 
     fn interval(&self) -> Nanos {
-        self.cfg
-            .socket_model
-            .min_interval(self.cfg.connections, self.msg_size)
-            + self.cfg.extra_interval
+        socket_model::min_interval(self.cfg.connections, self.msg_size) + self.cfg.extra_interval
     }
 
     fn open_connection(&mut self, ctx: &mut Ctx<'_>) {
@@ -339,7 +333,7 @@ impl IcmpFlooder {
     pub fn new(target: [u8; 4], rate: f64) -> Self {
         IcmpFlooder {
             target,
-            rate: rate.min(crate::socket_model::NETWORK_LAYER_RATE_CAP),
+            rate: rate.min(socket_model::NETWORK_LAYER_RATE_CAP),
             payload_len: 56,
             stats: IcmpStats::default(),
             seq: 0,
@@ -431,7 +425,7 @@ mod tests {
     #[test]
     fn icmp_rate_capped_at_network_layer_limit() {
         let f = IcmpFlooder::new([1, 2, 3, 4], 1e9);
-        assert_eq!(f.rate, crate::socket_model::NETWORK_LAYER_RATE_CAP);
+        assert_eq!(f.rate, socket_model::NETWORK_LAYER_RATE_CAP);
     }
 
     #[test]

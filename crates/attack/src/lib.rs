@@ -45,4 +45,3 @@ pub use evasive::{EvasiveConfig, EvasiveFlooder};
 pub use flood::{FloodConfig, Flooder, IcmpFlooder};
 pub use payload::FloodPayload;
 pub use reset::TcpResetAttacker;
-pub use socket_model::SocketModel;

@@ -9,6 +9,10 @@
 //! (3) the NIC/link bandwidth, which is what actually limits megabyte
 //! `BLOCK` floods. Network-layer tools (`hping`) bypass (1) and reach 10⁶
 //! packets per second.
+//!
+//! The caps are one calibration of the paper's attacker, held fixed for
+//! every experiment, so the model is the `const`s below and the free
+//! functions that read them ([`aggregate_rate`], [`min_interval`]).
 
 use btc_netsim::time::{Nanos, SECS};
 
@@ -28,48 +32,25 @@ pub const THREAD_EFFICIENCY_EXP: f64 = 0.35;
 /// `hping` ceiling of 10⁶.
 pub const NETWORK_LAYER_RATE_CAP: f64 = 1_000_000.0;
 
-/// The socket model of an application-layer flooding attacker.
-#[derive(Clone, Copy, Debug)]
-pub struct SocketModel {
-    /// Per-socket rate cap (msg/s).
-    pub app_rate_cap: f64,
-    /// Link bandwidth (bits/s).
-    pub bandwidth_bps: f64,
-    /// Thread-efficiency exponent.
-    pub thread_exp: f64,
+/// Aggregate achievable message rate (msg/s) over `n` connections for
+/// messages of `msg_bytes` on the wire.
+pub fn aggregate_rate(n: usize, msg_bytes: usize) -> f64 {
+    let n = n.max(1) as f64;
+    let thread_rate = APP_LAYER_RATE_CAP * n.powf(THREAD_EFFICIENCY_EXP);
+    let bw_rate = LINK_BANDWIDTH_BPS / 8.0 / msg_bytes.max(1) as f64;
+    thread_rate.min(bw_rate)
 }
 
-impl Default for SocketModel {
-    fn default() -> Self {
-        SocketModel {
-            app_rate_cap: APP_LAYER_RATE_CAP,
-            bandwidth_bps: LINK_BANDWIDTH_BPS,
-            thread_exp: THREAD_EFFICIENCY_EXP,
-        }
-    }
+/// Per-connection achievable rate (msg/s).
+pub fn per_conn_rate(n: usize, msg_bytes: usize) -> f64 {
+    aggregate_rate(n, msg_bytes) / n.max(1) as f64
 }
 
-impl SocketModel {
-    /// Aggregate achievable message rate (msg/s) over `n` connections for
-    /// messages of `msg_bytes` on the wire.
-    pub fn aggregate_rate(&self, n: usize, msg_bytes: usize) -> f64 {
-        let n = n.max(1) as f64;
-        let thread_rate = self.app_rate_cap * n.powf(self.thread_exp);
-        let bw_rate = self.bandwidth_bps / 8.0 / msg_bytes.max(1) as f64;
-        thread_rate.min(bw_rate)
-    }
-
-    /// Per-connection achievable rate (msg/s).
-    pub fn per_conn_rate(&self, n: usize, msg_bytes: usize) -> f64 {
-        self.aggregate_rate(n, msg_bytes) / n.max(1) as f64
-    }
-
-    /// Minimum inter-message interval for one of `n` connections, in
-    /// virtual nanoseconds.
-    pub fn min_interval(&self, n: usize, msg_bytes: usize) -> Nanos {
-        let rate = self.per_conn_rate(n, msg_bytes);
-        (SECS as f64 / rate).ceil() as Nanos
-    }
+/// Minimum inter-message interval for one of `n` connections, in virtual
+/// nanoseconds.
+pub fn min_interval(n: usize, msg_bytes: usize) -> Nanos {
+    let rate = per_conn_rate(n, msg_bytes);
+    (SECS as f64 / rate).ceil() as Nanos
 }
 
 #[cfg(test)]
@@ -78,27 +59,24 @@ mod tests {
 
     #[test]
     fn small_messages_hit_the_app_cap() {
-        let m = SocketModel::default();
         // A ~100-byte ping from one socket: limited by the 10³ cap, not
         // bandwidth.
-        assert!((m.aggregate_rate(1, 100) - 1000.0).abs() < 1.0);
-        assert_eq!(m.min_interval(1, 100), 1_000_000); // 1 ms
+        assert!((aggregate_rate(1, 100) - 1000.0).abs() < 1.0);
+        assert_eq!(min_interval(1, 100), 1_000_000); // 1 ms
     }
 
     #[test]
     fn megabyte_blocks_hit_the_bandwidth_cap() {
-        let m = SocketModel::default();
         // 1 MB messages: 2 Gbps / 8 Mbit = 250 msg/s ≪ 1000 msg/s.
-        let rate = m.aggregate_rate(1, 1_000_000);
+        let rate = aggregate_rate(1, 1_000_000);
         assert!((rate - 250.0).abs() < 1.0, "rate {rate}");
     }
 
     #[test]
     fn thread_scaling_is_sublinear() {
-        let m = SocketModel::default();
-        let r1 = m.aggregate_rate(1, 100);
-        let r10 = m.aggregate_rate(10, 100);
-        let r20 = m.aggregate_rate(20, 100);
+        let r1 = aggregate_rate(1, 100);
+        let r10 = aggregate_rate(10, 100);
+        let r20 = aggregate_rate(20, 100);
         assert!(r10 > r1 && r20 > r10, "monotone");
         assert!(r10 < 10.0 * r1, "sublinear at 10");
         assert!(r20 < 2.0 * r10, "diminishing returns");
@@ -106,18 +84,16 @@ mod tests {
 
     #[test]
     fn bandwidth_cap_shared_across_connections() {
-        let m = SocketModel::default();
         // 1 MB blocks: total stays ~250/s no matter how many sockets.
-        let r20 = m.aggregate_rate(20, 1_000_000);
+        let r20 = aggregate_rate(20, 1_000_000);
         assert!((r20 - 250.0).abs() < 1.0, "rate {r20}");
-        assert!(m.per_conn_rate(20, 1_000_000) < 15.0);
+        assert!(per_conn_rate(20, 1_000_000) < 15.0);
     }
 
     #[test]
     fn interval_is_inverse_of_rate() {
-        let m = SocketModel::default();
-        let rate = m.per_conn_rate(4, 100);
-        let ival = m.min_interval(4, 100);
+        let rate = per_conn_rate(4, 100);
+        let ival = min_interval(4, 100);
         let recon = SECS as f64 / ival as f64;
         assert!((recon - rate).abs() / rate < 0.01);
     }

@@ -3,8 +3,11 @@
 //! credit requirement, and detection window length.
 //!
 //! ```text
-//! ablate [--jobs N] [threshold|check-order|duration|good-score|window|reconnect|all]
+//! ablate [--jobs N] [threshold|check-order|duration|good-score|window|reconnect|all]...
 //! ```
+//!
+//! Each named ablation runs in the order given; no name means `all`.
+//! `--quick` and `--csv` are `repro` flags and exit 2 here.
 //!
 //! The simulator-driven sweeps (threshold, reconnect pacing) run their
 //! independently-seeded points on `N` workers; rows are collected first
@@ -201,7 +204,14 @@ fn usage() -> String {
 }
 
 fn main() {
-    let args = match ReproArgs::parse(std::env::args().skip(1), ABLATIONS) {
+    let args = ReproArgs::parse(std::env::args().skip(1), ABLATIONS).and_then(|a| {
+        if a.quick || a.csv {
+            Err("--quick and --csv are repro flags: ablate has one size and writes no CSV".into())
+        } else {
+            Ok(a)
+        }
+    });
+    let args = match args {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -209,26 +219,32 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let what = args.what.first().map(String::as_str).unwrap_or("all");
-    match what {
-        "threshold" => threshold_sweep(args.jobs),
-        "check-order" => check_order(),
-        "duration" => ban_duration(),
-        "good-score" => good_score_credit(),
-        "window" => detection_window(),
-        "reconnect" => reconnect_pacing(args.jobs),
-        "all" => {
-            threshold_sweep(args.jobs);
-            check_order();
-            ban_duration();
-            good_score_credit();
-            detection_window();
-            reconnect_pacing(args.jobs);
-        }
-        other => {
-            eprintln!("unknown ablation {other:?}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
+    let what: Vec<&str> = if args.what.is_empty() {
+        vec!["all"]
+    } else {
+        args.what.iter().map(String::as_str).collect()
+    };
+    for w in what {
+        match w {
+            "threshold" => threshold_sweep(args.jobs),
+            "check-order" => check_order(),
+            "duration" => ban_duration(),
+            "good-score" => good_score_credit(),
+            "window" => detection_window(),
+            "reconnect" => reconnect_pacing(args.jobs),
+            "all" => {
+                threshold_sweep(args.jobs);
+                check_order();
+                ban_duration();
+                good_score_credit();
+                detection_window();
+                reconnect_pacing(args.jobs);
+            }
+            other => {
+                eprintln!("unknown ablation {other:?}");
+                eprintln!("{}", usage());
+                std::process::exit(2);
+            }
         }
     }
 }

@@ -13,13 +13,15 @@
 //! mining   = R0 · (1 − steal)
 //! ```
 //!
-//! with per-message interference `wakeup + per_byte × payload`. The four
-//! constants are calibrated once against the paper's two single-connection
-//! operating points (bogus-`BLOCK` → 3.5·10⁵ h/s, `PING` → 5.5·10⁵ h/s)
-//! and held fixed for every other prediction; Sybil scaling, the bandwidth
+//! with `R0` = [`BASELINE_HASH_RATE`] and per-message interference
+//! `WAKEUP_CYCLES + PER_BYTE_CYCLES × payload`. The four constants are
+//! calibrated once against the paper's two single-connection operating
+//! points (bogus-`BLOCK` → 3.5·10⁵ h/s, `PING` → 5.5·10⁵ h/s) and held
+//! fixed for every other prediction, so the model is a set of `const`s and
+//! the free functions that read them ([`app_layer_load`],
+//! [`network_layer_load`], [`mining_rate`]); Sybil scaling, the bandwidth
 //! cap and the ICMP comparison all then *emerge* from measured simulator
 //! traffic. EXPERIMENTS.md tabulates predicted vs. paper values.
-
 
 /// Idle mining rate of the victim (hashes/second) — the paper's 9.5·10⁵.
 pub const BASELINE_HASH_RATE: f64 = 950_000.0;
@@ -41,63 +43,31 @@ pub const PER_BYTE_CYCLES: f64 = 25.0;
 /// process wake-up).
 pub const ICMP_CYCLES: f64 = 7.5e3;
 
-/// The contention model.
-#[derive(Clone, Copy, Debug)]
-pub struct ContentionModel {
-    /// Idle hash rate `R0`.
-    pub baseline_hash_rate: f64,
-    /// Curve ceiling.
-    pub s_max: f64,
-    /// Half-saturation point (cycles/s).
-    pub c_half: f64,
-    /// Per-message fixed cycles.
-    pub wakeup: f64,
-    /// Per-byte cycles.
-    pub per_byte: f64,
-    /// Per-ICMP-packet cycles.
-    pub icmp: f64,
+/// Interference load of an application-layer flood measured as
+/// `messages` totalling `bytes` of payload over `secs` seconds.
+pub fn app_layer_load(messages: u64, bytes: u64, secs: f64) -> f64 {
+    if secs <= 0.0 {
+        return 0.0;
+    }
+    (messages as f64 * WAKEUP_CYCLES + bytes as f64 * PER_BYTE_CYCLES) / secs / C_HALF
 }
 
-impl Default for ContentionModel {
-    fn default() -> Self {
-        ContentionModel {
-            baseline_hash_rate: BASELINE_HASH_RATE,
-            s_max: S_MAX,
-            c_half: C_HALF,
-            wakeup: WAKEUP_CYCLES,
-            per_byte: PER_BYTE_CYCLES,
-            icmp: ICMP_CYCLES,
-        }
+/// Interference load of a network-layer (ICMP) flood.
+pub fn network_layer_load(packets: u64, secs: f64) -> f64 {
+    if secs <= 0.0 {
+        return 0.0;
     }
+    packets as f64 * ICMP_CYCLES / secs / C_HALF
 }
 
-impl ContentionModel {
-    /// Interference load of an application-layer flood measured as
-    /// `messages` totalling `bytes` of payload over `secs` seconds.
-    pub fn app_layer_load(&self, messages: u64, bytes: u64, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        (messages as f64 * self.wakeup + bytes as f64 * self.per_byte) / secs / self.c_half
-    }
+/// The stolen mining fraction for load `l`.
+pub fn steal(l: f64) -> f64 {
+    S_MAX * l / (1.0 + l)
+}
 
-    /// Interference load of a network-layer (ICMP) flood.
-    pub fn network_layer_load(&self, packets: u64, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        packets as f64 * self.icmp / secs / self.c_half
-    }
-
-    /// The stolen mining fraction for load `l`.
-    pub fn steal(&self, l: f64) -> f64 {
-        self.s_max * l / (1.0 + l)
-    }
-
-    /// Mining rate under load `l` (hashes/second).
-    pub fn mining_rate(&self, l: f64) -> f64 {
-        self.baseline_hash_rate * (1.0 - self.steal(l))
-    }
+/// Mining rate under load `l` (hashes/second).
+pub fn mining_rate(l: f64) -> f64 {
+    BASELINE_HASH_RATE * (1.0 - steal(l))
 }
 
 #[cfg(test)]
@@ -106,36 +76,32 @@ mod tests {
 
     #[test]
     fn idle_node_mines_at_baseline() {
-        let m = ContentionModel::default();
-        assert_eq!(m.mining_rate(0.0), BASELINE_HASH_RATE);
+        assert_eq!(mining_rate(0.0), BASELINE_HASH_RATE);
     }
 
     #[test]
     fn calibration_point_bogus_block_single_connection() {
         // 1 connection, 200 kB bogus blocks at the 1000 msg/s socket cap.
-        let m = ContentionModel::default();
-        let l = m.app_layer_load(1000, 1000 * 200_000, 1.0);
-        let rate = m.mining_rate(l);
+        let l = app_layer_load(1000, 1000 * 200_000, 1.0);
+        let rate = mining_rate(l);
         // Paper: 3.5e5 h/s.
         assert!((3.2e5..3.9e5).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn calibration_point_ping_single_connection() {
-        let m = ContentionModel::default();
         // 1000 ping/s, ~8-byte payloads.
-        let l = m.app_layer_load(1000, 8000, 1.0);
-        let rate = m.mining_rate(l);
+        let l = app_layer_load(1000, 8000, 1.0);
+        let rate = mining_rate(l);
         // Paper: 5.5e5 h/s.
         assert!((5.2e5..5.9e5).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn icmp_megaflood_matches_paper() {
-        let m = ContentionModel::default();
         // 10⁶ packets/s network-layer flood.
-        let l = m.network_layer_load(1_000_000, 1.0);
-        let rate = m.mining_rate(l);
+        let l = network_layer_load(1_000_000, 1.0);
+        let rate = mining_rate(l);
         // Paper Table III: 3.59e5 h/s at 10⁶ pps.
         assert!((3.1e5..4.1e5).contains(&rate), "rate {rate}");
     }
@@ -144,27 +110,24 @@ mod tests {
     fn bm_dos_beats_icmp_at_equal_rate() {
         // Figure 7's claim: at the same packet rate, the application-layer
         // flood hurts mining far more than the network-layer flood.
-        let m = ContentionModel::default();
         for rate in [100u64, 1000] {
-            let app = m.mining_rate(m.app_layer_load(rate, rate * 8, 1.0));
-            let net = m.mining_rate(m.network_layer_load(rate, 1.0));
+            let app = mining_rate(app_layer_load(rate, rate * 8, 1.0));
+            let net = mining_rate(network_layer_load(rate, 1.0));
             assert!(app < net, "rate {rate}: app {app} net {net}");
         }
     }
 
     #[test]
     fn steal_never_exceeds_smax() {
-        let m = ContentionModel::default();
-        assert!(m.steal(1e12) <= S_MAX + 1e-12);
-        assert!(m.mining_rate(1e12) >= BASELINE_HASH_RATE * (1.0 - S_MAX) - 1.0);
+        assert!(steal(1e12) <= S_MAX + 1e-12);
+        assert!(mining_rate(1e12) >= BASELINE_HASH_RATE * (1.0 - S_MAX) - 1.0);
     }
 
     #[test]
     fn monotone_in_load() {
-        let m = ContentionModel::default();
-        let mut prev = m.mining_rate(0.0);
+        let mut prev = mining_rate(0.0);
         for i in 1..100 {
-            let r = m.mining_rate(i as f64 * 0.5);
+            let r = mining_rate(i as f64 * 0.5);
             assert!(r < prev);
             prev = r;
         }
@@ -172,8 +135,7 @@ mod tests {
 
     #[test]
     fn zero_duration_is_safe() {
-        let m = ContentionModel::default();
-        assert_eq!(m.app_layer_load(100, 100, 0.0), 0.0);
-        assert_eq!(m.network_layer_load(100, 0.0), 0.0);
+        assert_eq!(app_layer_load(100, 100, 0.0), 0.0);
+        assert_eq!(network_layer_load(100, 0.0), 0.0);
     }
 }

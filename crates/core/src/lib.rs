@@ -35,6 +35,5 @@ pub mod scenario;
 pub mod testbed;
 pub mod windows;
 
-pub use contention::ContentionModel;
 pub use countermeasure::{auth_overhead, evaluate_countermeasures};
 pub use testbed::{Testbed, TestbedConfig};

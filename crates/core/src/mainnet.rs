@@ -10,7 +10,7 @@
 use btc_netsim::packet::SockAddr;
 use btc_netsim::sim::{App, Ctx};
 use btc_netsim::tcp::ConnId;
-use btc_netsim::time::{from_secs_f64, Nanos, MINUTES};
+use btc_netsim::time::from_secs_f64;
 use btc_wire::drain::FrameAssembler;
 use btc_wire::message::{decode_frame, Message, VersionMessage};
 use btc_wire::tx::{OutPoint, Transaction, TxIn, TxOut};
@@ -18,29 +18,16 @@ use btc_wire::types::{Hash256, InvType, Inventory, NetAddr, Network, Timestamped
 use std::any::Any;
 use std::collections::BTreeMap;
 
-/// Per-feeder message rates (events per minute).
-#[derive(Clone, Copy, Debug)]
-pub struct TrafficMix {
-    /// Transaction announcements per minute (each produces an `INV` and,
-    /// after the target's `GETDATA`, a `TX`).
-    pub tx_per_min: f64,
-    /// Pings per minute.
-    pub ping_per_min: f64,
-    /// `ADDR` gossip messages per minute.
-    pub addr_per_min: f64,
-}
+// Per-feeder message rates (events per minute): 3 feeders × (2×40 + 15 +
+// 5) = 300 msg/min at the target, inside the paper's observed 252–390 band.
 
-impl Default for TrafficMix {
-    fn default() -> Self {
-        // 3 feeders × (2×40 + 15 + 5) = 300 msg/min at the target — inside
-        // the paper's observed 252–390 band.
-        TrafficMix {
-            tx_per_min: 40.0,
-            ping_per_min: 15.0,
-            addr_per_min: 5.0,
-        }
-    }
-}
+/// Transaction announcements per minute (each produces an `INV` and, after
+/// the target's `GETDATA`, a `TX`).
+const TX_PER_MIN: f64 = 40.0;
+/// Pings per minute.
+const PING_PER_MIN: f64 = 15.0;
+/// `ADDR` gossip messages per minute.
+const ADDR_PER_MIN: f64 = 5.0;
 
 mod timers {
     pub const TX: u64 = 1;
@@ -52,8 +39,6 @@ mod timers {
 pub struct MainnetPeer {
     /// Who to feed.
     pub target: SockAddr,
-    /// Message mix.
-    pub mix: TrafficMix,
     /// Network magic.
     pub network: Network,
     /// Messages sent so far.
@@ -70,7 +55,6 @@ impl MainnetPeer {
     pub fn new(target: SockAddr) -> Self {
         MainnetPeer {
             target,
-            mix: TrafficMix::default(),
             network: Network::Regtest,
             sent: 0,
             conn: None,
@@ -142,9 +126,9 @@ impl App for MainnetPeer {
                 Ok(Message::Verack)
                     if !self.handshaked => {
                         self.handshaked = true;
-                        self.schedule(ctx, timers::TX, self.mix.tx_per_min);
-                        self.schedule(ctx, timers::PING, self.mix.ping_per_min);
-                        self.schedule(ctx, timers::ADDR, self.mix.addr_per_min);
+                        self.schedule(ctx, timers::TX, TX_PER_MIN);
+                        self.schedule(ctx, timers::PING, PING_PER_MIN);
+                        self.schedule(ctx, timers::ADDR, ADDR_PER_MIN);
                     }
                 Ok(Message::GetData(invs)) => {
                     // Serve the transactions we announced.
@@ -177,12 +161,12 @@ impl App for MainnetPeer {
                     self.txs.remove(&drop_key);
                 }
                 self.send_msg(ctx, &Message::Inv(vec![Inventory::new(InvType::Tx, txid)]));
-                self.schedule(ctx, timers::TX, self.mix.tx_per_min);
+                self.schedule(ctx, timers::TX, TX_PER_MIN);
             }
             timers::PING => {
                 let n = ctx.rng().next_u64();
                 self.send_msg(ctx, &Message::Ping(n));
-                self.schedule(ctx, timers::PING, self.mix.ping_per_min);
+                self.schedule(ctx, timers::PING, PING_PER_MIN);
             }
             timers::ADDR => {
                 let count = 1 + ctx.rng().gen_range(10) as u32;
@@ -197,7 +181,7 @@ impl App for MainnetPeer {
                     })
                     .collect();
                 self.send_msg(ctx, &Message::Addr(addrs));
-                self.schedule(ctx, timers::ADDR, self.mix.addr_per_min);
+                self.schedule(ctx, timers::ADDR, ADDR_PER_MIN);
             }
             _ => {}
         }
@@ -211,9 +195,6 @@ impl App for MainnetPeer {
         self
     }
 }
-
-/// The virtual time the paper spends training (≈35 hours).
-pub const PAPER_TRAINING_DURATION: Nanos = 35 * 60 * MINUTES;
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! reduces the traffic amount for the attack would have a smaller impact
 //! on the victim"*.
 
-use crate::contention::ContentionModel;
+use crate::contention;
 use crate::testbed::{addrs, train_profile, Testbed, TestbedConfig, SETTLE};
 use btc_attack::evasive::{EvasiveConfig, EvasiveFlooder};
 use btc_detect::engine::{AnalysisEngine, Profile};
@@ -64,13 +64,7 @@ impl Default for EvasionConfig {
 /// an evasive flooder, judged against the (shared, immutable) trained
 /// profile. The seed depends on the point's *index*, not the thread that
 /// runs it, so fan-out cannot change the result.
-fn run_point(
-    index: usize,
-    rate: f64,
-    cfg: &EvasionConfig,
-    profile: &Profile,
-    model: &ContentionModel,
-) -> EvasionPoint {
+fn run_point(index: usize, rate: f64, cfg: &EvasionConfig, profile: &Profile) -> EvasionPoint {
     let mut tb = Testbed::build(TestbedConfig {
         seed: 100 + index as u64,
         ..TestbedConfig::default()
@@ -85,18 +79,18 @@ fn run_point(
     let detection = AnalysisEngine.detect(profile, &window);
     let attacker: &EvasiveFlooder = tb.sim.app(addrs::ATTACKER).expect("evasive flooder");
     let secs = as_secs_f64(cfg.test);
-    let load = model.app_layer_load(
+    let load = contention::app_layer_load(
         attacker.stats.messages_sent,
         attacker.stats.bytes_sent,
         secs,
     );
-    let mining_rate = model.mining_rate(load);
+    let mining_rate = contention::mining_rate(load);
     EvasionPoint {
         rate_per_min: rate,
         sent: attacker.stats.messages_sent,
         detected: detection.anomalous,
         mining_rate,
-        damage: 1.0 - mining_rate / model.baseline_hash_rate,
+        damage: 1.0 - mining_rate / contention::BASELINE_HASH_RATE,
     }
 }
 
@@ -104,7 +98,6 @@ fn run_point(
 /// fanned across `jobs` workers (training stays serial — every point
 /// needs the profile).
 pub fn run_evasion(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) -> EvasionResult {
-    let model = ContentionModel::default();
     // Train on clean traffic.
     let clean = TestbedConfig {
         seed: 11,
@@ -112,9 +105,7 @@ pub fn run_evasion(cfg: EvasionConfig, rates_per_min: &[f64], jobs: usize) -> Ev
     };
     let (profile, _) = train_profile(clean, cfg.train, cfg.window);
     let indexed: Vec<(usize, f64)> = rates_per_min.iter().copied().enumerate().collect();
-    let points = btc_par::par_map(jobs, indexed, |(i, rate)| {
-        run_point(i, rate, &cfg, &profile, &model)
-    });
+    let points = btc_par::par_map(jobs, indexed, |(i, rate)| run_point(i, rate, &cfg, &profile));
     EvasionResult { profile, points }
 }
 

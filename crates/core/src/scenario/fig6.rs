@@ -4,10 +4,10 @@
 //! The flood itself runs live in the simulator (socket caps, handshakes,
 //! Sybil connections and bandwidth sharing all emerge there); the mining
 //! rate is computed from the *measured* delivered traffic through the
-//! calibrated [`ContentionModel`] (see that module's docs and
+//! calibrated [`crate::contention`] model (see that module's docs and
 //! EXPERIMENTS.md).
 
-use crate::contention::ContentionModel;
+use crate::contention;
 use crate::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
@@ -77,21 +77,17 @@ fn point_list() -> Vec<(Fig6Attack, usize)> {
 }
 
 /// Runs one Figure-6 point: builds a fresh deterministic testbed, floods
-/// it, and reduces the measured traffic through the (shared, immutable)
-/// calibrated contention model. Pure in the fan-out sense — no global
-/// state, every simulator is constructed and consumed inside the call.
-fn run_point(
-    (attack, connections): (Fig6Attack, usize),
-    duration_secs: u64,
-    model: &ContentionModel,
-) -> Fig6Point {
+/// it, and reduces the measured traffic through the calibrated contention
+/// model. Pure in the fan-out sense — no global state, every simulator is
+/// constructed and consumed inside the call.
+fn run_point((attack, connections): (Fig6Attack, usize), duration_secs: u64) -> Fig6Point {
     let Some(payload) = attack.payload().filter(|_| connections > 0) else {
         return Fig6Point {
             attack,
             connections,
             msgs_per_sec: 0.0,
             mbits_per_sec: 0.0,
-            mining_rate: model.mining_rate(0.0),
+            mining_rate: contention::mining_rate(0.0),
         };
     };
     let mut tb = Testbed::build(TestbedConfig {
@@ -110,13 +106,13 @@ fn run_point(
     let secs = as_secs_f64(duration);
     let msgs = attacker.stats.messages_sent;
     let bytes = attacker.stats.bytes_sent;
-    let load = model.app_layer_load(msgs, bytes, secs);
+    let load = contention::app_layer_load(msgs, bytes, secs);
     Fig6Point {
         attack,
         connections,
         msgs_per_sec: msgs as f64 / secs,
         mbits_per_sec: bytes as f64 * 8.0 / secs / 1e6,
-        mining_rate: model.mining_rate(load),
+        mining_rate: contention::mining_rate(load),
     }
 }
 
@@ -124,10 +120,7 @@ fn run_point(
 /// an independent, freshly-seeded simulator, so the result is identical
 /// for any job count.
 pub fn run_fig6(duration_secs: u64, jobs: usize) -> Vec<Fig6Point> {
-    let model = ContentionModel::default();
-    btc_par::par_map(jobs, point_list(), |point| {
-        run_point(point, duration_secs, &model)
-    })
+    btc_par::par_map(jobs, point_list(), |point| run_point(point, duration_secs))
 }
 
 /// Renders Figure 6 as text.

@@ -2,7 +2,7 @@
 //! ICMP flooding — attacker cost, victim bandwidth and victim mining rate
 //! across flooding rates.
 
-use crate::contention::ContentionModel;
+use crate::contention;
 use crate::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder, IcmpFlooder};
 use btc_attack::payload::FloodPayload;
@@ -49,7 +49,7 @@ fn point_list() -> Vec<(bool, f64)> {
     ping.into_iter().chain(icmp).collect()
 }
 
-fn ping_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row {
+fn ping_row(rate: f64, duration_secs: u64) -> Table3Row {
     let mut tb = Testbed::build(TestbedConfig {
         feeders: 0,
         ..TestbedConfig::default()
@@ -81,11 +81,11 @@ fn ping_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row
         attacker_cpu_pct: attacker_busy as f64 / secs / DEFAULT_CAPACITY_HZ as f64 * 100.0,
         attacker_mem_mb: attacker_mem_mb(true),
         bandwidth_kbits: victim_rx as f64 * 8.0 / secs / 1000.0,
-        mining_rate: model.mining_rate(model.app_layer_load(msgs, bytes, secs)),
+        mining_rate: contention::mining_rate(contention::app_layer_load(msgs, bytes, secs)),
     }
 }
 
-fn icmp_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row {
+fn icmp_row(rate: f64, duration_secs: u64) -> Table3Row {
     let mut tb = Testbed::build(TestbedConfig {
         feeders: 0,
         ..TestbedConfig::default()
@@ -105,21 +105,20 @@ fn icmp_row(rate: f64, duration_secs: u64, model: &ContentionModel) -> Table3Row
         attacker_cpu_pct: attacker_busy as f64 / secs / DEFAULT_CAPACITY_HZ as f64 * 100.0,
         attacker_mem_mb: attacker_mem_mb(false),
         bandwidth_kbits: victim_rx as f64 * 8.0 / secs / 1000.0,
-        mining_rate: model.mining_rate(model.network_layer_load(sent, secs)),
+        mining_rate: contention::mining_rate(contention::network_layer_load(sent, secs)),
     }
 }
 
 /// Runs the full Table III sweep (also the data behind Figure 7) on `jobs`
 /// worker threads. Each row runs against a fresh deterministic testbed and
-/// reduces through the shared immutable contention model, so row order
+/// reduces through the calibrated contention model, so row order
 /// and contents are identical for any job count.
 pub fn run_table3(duration_secs: u64, jobs: usize) -> Vec<Table3Row> {
-    let model = ContentionModel::default();
     btc_par::par_map(jobs, point_list(), |(app_layer, rate)| {
         if app_layer {
-            ping_row(rate, duration_secs, &model)
+            ping_row(rate, duration_secs)
         } else {
-            icmp_row(rate, duration_secs, &model)
+            icmp_row(rate, duration_secs)
         }
     })
 }
@@ -154,14 +153,6 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ping_row(rate: f64, duration_secs: u64) -> Table3Row {
-        super::ping_row(rate, duration_secs, &ContentionModel::default())
-    }
-
-    fn icmp_row(rate: f64, duration_secs: u64) -> Table3Row {
-        super::icmp_row(rate, duration_secs, &ContentionModel::default())
-    }
 
     #[test]
     fn bm_dos_rate_capped_at_1e3() {

@@ -19,6 +19,7 @@ use btc_netsim::packet::{Ipv4, SockAddr};
 use btc_netsim::sim::{App, HostConfig, SimConfig, Simulator, TapFilter};
 use btc_netsim::time::{Nanos, MILLIS, MINUTES, SECS};
 use btc_node::node::{Node, NodeConfig};
+use btc_wire::types::DEFAULT_PORT;
 
 /// Well-known testbed addresses.
 pub mod addrs {
@@ -128,7 +129,7 @@ impl BedPlan {
             .map(|ip| SockAddr::new(*ip, 8333))
             .collect();
         BedPlan {
-            target_addr: SockAddr::new(addrs::TARGET, node.listen_port),
+            target_addr: SockAddr::new(addrs::TARGET, DEFAULT_PORT),
             innocent_ips,
             feeder_ips: (0..feeders).map(addrs::feeder).collect(),
             node,

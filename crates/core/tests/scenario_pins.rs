@@ -1,4 +1,5 @@
-//! Integer facts of the swarm, fault-matrix and reputation scenarios,
+//! Integer facts (and, for the fault matrix, float bits and rendered text)
+//! of the swarm, fault-matrix and reputation scenarios,
 //! recorded before the bed, its traffic cases and the train → fan-out →
 //! first-alarm study were folded into one implementation, of the serve
 //! study, recorded before the detector's verdicts stopped allocating, and
@@ -7,7 +8,9 @@
 //! pin with it.
 
 use banscore::countermeasure::evaluate_countermeasures;
-use banscore::scenario::fault_matrix::{run_fault_matrix, FaultMatrixConfig, FaultPoint};
+use banscore::scenario::fault_matrix::{
+    render_fault_matrix, run_fault_matrix, FaultMatrixConfig, FaultPoint,
+};
 use banscore::scenario::fig10::Fig10Config;
 use banscore::scenario::reputation::{
     run_reputation, run_swarm_tiers, ReputationSweepConfig, SwarmTierSpec,
@@ -74,7 +77,11 @@ fn fault_matrix_point_is_pinned() {
             churn_fpm: 5,
         }],
     };
-    let r = run_fault_matrix(&cfg, 1);
+    // Run at 4 jobs against values recorded at 1 job: this is also the
+    // fault layer's determinism contract (a faulty point reduces to the
+    // same counters, bits and rendered text however its cases are
+    // scheduled).
+    let r = run_fault_matrix(&cfg, 4);
     // (case, retransmits, dropped_loss, dropped_partition, jittered, reordered)
     let pins = [
         ("normal", 825_u64, 517_u64, 181_u64, 9054_u64, 0_u64),
@@ -90,6 +97,51 @@ fn fault_matrix_point_is_pinned() {
         })
         .collect();
     assert_eq!(got, pins);
+    // Jobs-1 values. (case, detection.n, detection.c, detection.rho,
+    // latency_s) as `f64::to_bits`: exact equality on purpose (same seeds,
+    // same arithmetic, same order).
+    let bits = [
+        (
+            "normal",
+            0x4081_5c00_0000_0000_u64,
+            0x4008_0000_0000_0000_u64,
+            0x3fef_fa3b_265f_1087_u64,
+            0x404e_0000_0000_0000_u64,
+        ),
+        (
+            "bm-dos",
+            0x4086_f800_0000_0000,
+            0x4008_0000_0000_0000,
+            0x3fec_6e28_2dfe_81e0,
+            0x404e_0000_0000_0000,
+        ),
+        (
+            "defamation",
+            0x407b_9000_0000_0000,
+            0x4008_0000_0000_0000,
+            0x3fed_3d2b_0a1a_fe9e,
+            0x404e_0000_0000_0000,
+        ),
+    ];
+    let got: Vec<_> = r.points[0]
+        .cases
+        .iter()
+        .map(|c| {
+            let d = &c.detection;
+            (c.name, d.n.to_bits(), d.c.to_bits(), d.rho.to_bits(), c.latency_s.to_bits())
+        })
+        .collect();
+    assert_eq!(got, bits);
+    assert_eq!(
+        render_fault_matrix(&r),
+        "Detector robustness under injected faults (profile trained clean: \
+         τ_n = [476, 659]/min, τ_c ≤ 0.5/min, τ_Λ = 0.995)\n\
+         point                           FP?    norm-c  norm-ρ |   dos?  lat(s) \
+         |   def?  lat(s) |  dropped      rtx\n\
+         loss=0.05 jit=2ms churn=5        FP      3.00   0.999 |    yes      60 \
+         |    yes      60 |   657469    22298\n\
+         attack recall 1.00  false-positive rate 1.00 over 1 grid points\n"
+    );
 }
 
 #[test]

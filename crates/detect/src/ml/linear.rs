@@ -17,11 +17,12 @@ pub struct LogisticRegression {
     w: Vec<f64>,
     b: f64,
     scaler: Scaler,
-    /// Gradient-descent epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
 }
+
+/// Logistic regression's gradient-descent epochs.
+const LOGREG_EPOCHS: usize = 400;
+/// Logistic regression's learning rate.
+const LOGREG_LR: f64 = 0.5;
 
 impl LogisticRegression {
     /// Creates an untrained model.
@@ -30,8 +31,6 @@ impl LogisticRegression {
             w: Vec::new(),
             b: 0.0,
             scaler: Scaler::default(),
-            epochs: 400,
-            lr: 0.5,
         }
     }
 }
@@ -54,7 +53,7 @@ impl Classifier for LogisticRegression {
         self.w = vec![0.0; d];
         self.b = 0.0;
         let n = rows.len().max(1) as f64;
-        for _ in 0..self.epochs {
+        for _ in 0..LOGREG_EPOCHS {
             let mut gw = vec![0.0; d];
             let mut gb = 0.0;
             for (row, label) in rows.iter().zip(y) {
@@ -65,9 +64,9 @@ impl Classifier for LogisticRegression {
                 gb += err;
             }
             for (w, g) in self.w.iter_mut().zip(&gw) {
-                *w -= self.lr * g / n;
+                *w -= LOGREG_LR * g / n;
             }
-            self.b -= self.lr * gb / n;
+            self.b -= LOGREG_LR * gb / n;
         }
     }
 
@@ -83,13 +82,14 @@ pub struct LinearSvm {
     w: Vec<f64>,
     b: f64,
     scaler: Scaler,
-    /// Epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// L2 regularization strength.
-    pub lambda: f64,
 }
+
+/// The SVM's epochs.
+const SVM_EPOCHS: usize = 400;
+/// The SVM's learning rate.
+const SVM_LR: f64 = 0.1;
+/// The SVM's L2 regularization strength.
+const SVM_LAMBDA: f64 = 1e-3;
 
 impl LinearSvm {
     /// Creates an untrained model.
@@ -98,9 +98,6 @@ impl LinearSvm {
             w: Vec::new(),
             b: 0.0,
             scaler: Scaler::default(),
-            epochs: 400,
-            lr: 0.1,
-            lambda: 1e-3,
         }
     }
 }
@@ -123,8 +120,8 @@ impl Classifier for LinearSvm {
         self.w = vec![0.0; d];
         self.b = 0.0;
         let n = rows.len().max(1) as f64;
-        for _ in 0..self.epochs {
-            let mut gw: Vec<f64> = self.w.iter().map(|w| self.lambda * w).collect();
+        for _ in 0..SVM_EPOCHS {
+            let mut gw: Vec<f64> = self.w.iter().map(|w| SVM_LAMBDA * w).collect();
             let mut gb = 0.0;
             for (row, label) in rows.iter().zip(y) {
                 let t = if *label > 0.5 { 1.0 } else { -1.0 };
@@ -137,9 +134,9 @@ impl Classifier for LinearSvm {
                 }
             }
             for (w, g) in self.w.iter_mut().zip(&gw) {
-                *w -= self.lr * g;
+                *w -= SVM_LR * g;
             }
-            self.b -= self.lr * gb;
+            self.b -= SVM_LR * gb;
         }
     }
 
@@ -160,13 +157,14 @@ pub struct OneClassSvm {
     w: Vec<f64>,
     rho: f64,
     scaler: Scaler,
-    /// Epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// ν: fraction of training data allowed outside.
-    pub nu: f64,
 }
+
+/// The one-class SVM's epochs.
+const OCSVM_EPOCHS: usize = 400;
+/// The one-class SVM's learning rate.
+const OCSVM_LR: f64 = 0.05;
+/// ν: fraction of training data allowed outside.
+const OCSVM_NU: f64 = 0.05;
 
 impl OneClassSvm {
     /// Creates an untrained model.
@@ -175,9 +173,6 @@ impl OneClassSvm {
             w: Vec::new(),
             rho: 0.0,
             scaler: Scaler::default(),
-            epochs: 400,
-            lr: 0.05,
-            nu: 0.05,
         }
     }
 }
@@ -218,8 +213,8 @@ impl Classifier for OneClassSvm {
         self.w = vec![0.1; d];
         self.rho = 0.0;
         let n = rows.len().max(1) as f64;
-        let inv_nu_n = 1.0 / (self.nu * n);
-        for _ in 0..self.epochs {
+        let inv_nu_n = 1.0 / (OCSVM_NU * n);
+        for _ in 0..OCSVM_EPOCHS {
             let mut gw: Vec<f64> = self.w.clone(); // d/dw of ||w||²/2
             let mut grho = -1.0;
             for row in &rows {
@@ -231,9 +226,9 @@ impl Classifier for OneClassSvm {
                 }
             }
             for (w, g) in self.w.iter_mut().zip(&gw) {
-                *w -= self.lr * g / n.sqrt();
+                *w -= OCSVM_LR * g / n.sqrt();
             }
-            self.rho -= self.lr * grho;
+            self.rho -= OCSVM_LR * grho;
         }
     }
 

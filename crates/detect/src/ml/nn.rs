@@ -112,12 +112,13 @@ impl Mlp {
 pub struct DeepNet {
     net: Option<Mlp>,
     scaler: Scaler,
-    /// Training epochs over the dataset.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
     seed: u64,
 }
+
+/// The DNN's training epochs over the dataset.
+const DNN_EPOCHS: usize = 300;
+/// The DNN's learning rate.
+const DNN_LR: f64 = 0.01;
 
 impl DeepNet {
     /// Creates an untrained network.
@@ -125,8 +126,6 @@ impl DeepNet {
         DeepNet {
             net: None,
             scaler: Scaler::default(),
-            epochs: 300,
-            lr: 0.01,
             seed,
         }
     }
@@ -143,9 +142,9 @@ impl Classifier for DeepNet {
         let d = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut rng = MlRng::new(self.seed);
         let mut net = Mlp::new(&[d, 32, 16, 1], &mut rng);
-        for _ in 0..self.epochs {
+        for _ in 0..DNN_EPOCHS {
             for (row, label) in rows.iter().zip(y) {
-                net.step(row, &[*label], self.lr);
+                net.step(row, &[*label], DNN_LR);
             }
         }
         self.net = Some(net);
@@ -167,14 +166,15 @@ pub struct AutoEncoder {
     net: Option<Mlp>,
     scaler: Scaler,
     threshold: f64,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Learning rate.
-    pub lr: f64,
-    /// Bottleneck width.
-    pub bottleneck: usize,
     seed: u64,
 }
+
+/// The autoencoder's training epochs.
+const AE_EPOCHS: usize = 300;
+/// The autoencoder's learning rate.
+const AE_LR: f64 = 0.005;
+/// The autoencoder's bottleneck width.
+const AE_BOTTLENECK: usize = 8;
 
 impl AutoEncoder {
     /// Creates an untrained autoencoder.
@@ -183,9 +183,6 @@ impl AutoEncoder {
             net: None,
             scaler: Scaler::default(),
             threshold: f64::INFINITY,
-            epochs: 300,
-            lr: 0.005,
-            bottleneck: 8,
             seed,
         }
     }
@@ -220,10 +217,10 @@ impl Classifier for AutoEncoder {
         let rows: Vec<Vec<f64>> = normals.iter().map(|r| self.scaler.transform(r)).collect();
         let d = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut rng = MlRng::new(self.seed);
-        let mut net = Mlp::new(&[d, self.bottleneck, d], &mut rng);
-        for _ in 0..self.epochs {
+        let mut net = Mlp::new(&[d, AE_BOTTLENECK, d], &mut rng);
+        for _ in 0..AE_EPOCHS {
             for row in &rows {
-                net.step(row, row, self.lr);
+                net.step(row, row, AE_LR);
             }
         }
         self.net = Some(net);

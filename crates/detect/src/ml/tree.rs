@@ -84,12 +84,13 @@ impl Stump {
 pub struct GradientBoosting {
     stumps: Vec<Stump>,
     base: f64,
-    /// Boosting rounds.
-    pub rounds: usize,
-    /// Shrinkage.
-    pub learning_rate: f64,
     _seed: u64,
 }
+
+/// Gradient boosting's rounds.
+const GB_ROUNDS: usize = 120;
+/// Gradient boosting's shrinkage.
+const GB_LEARNING_RATE: f64 = 0.3;
 
 impl GradientBoosting {
     /// Creates an untrained booster.
@@ -97,8 +98,6 @@ impl GradientBoosting {
         GradientBoosting {
             stumps: Vec::new(),
             base: 0.0,
-            rounds: 120,
-            learning_rate: 0.3,
             _seed: seed,
         }
     }
@@ -108,7 +107,7 @@ impl GradientBoosting {
             + self
                 .stumps
                 .iter()
-                .map(|s| self.learning_rate * s.predict(x))
+                .map(|s| GB_LEARNING_RATE * s.predict(x))
                 .sum::<f64>()
     }
 }
@@ -122,11 +121,11 @@ impl Classifier for GradientBoosting {
         self.base = y.iter().sum::<f64>() / y.len().max(1) as f64;
         self.stumps.clear();
         let mut preds: Vec<f64> = vec![self.base; y.len()];
-        for _ in 0..self.rounds {
+        for _ in 0..GB_ROUNDS {
             let residuals: Vec<f64> = y.iter().zip(&preds).map(|(t, p)| t - p).collect();
             let stump = Stump::fit(x, &residuals);
             for (p, row) in preds.iter_mut().zip(x) {
-                *p += self.learning_rate * stump.predict(row);
+                *p += GB_LEARNING_RATE * stump.predict(row);
             }
             self.stumps.push(stump);
         }
@@ -263,20 +262,19 @@ impl Cart {
 #[derive(Clone, Debug)]
 pub struct RandomForest {
     trees: Vec<Cart>,
-    /// Number of trees.
-    pub n_trees: usize,
-    /// Maximum depth per tree.
-    pub max_depth: usize,
     seed: u64,
 }
+
+/// The forest's number of trees.
+const RF_TREES: usize = 60;
+/// The forest's maximum depth per tree.
+const RF_MAX_DEPTH: usize = 6;
 
 impl RandomForest {
     /// Creates an untrained forest.
     pub fn new(seed: u64) -> Self {
         RandomForest {
             trees: Vec::new(),
-            n_trees: 60,
-            max_depth: 6,
             seed,
         }
     }
@@ -291,9 +289,9 @@ impl Classifier for RandomForest {
         let mut rng = MlRng::new(self.seed);
         self.trees.clear();
         let n = x.len();
-        for _ in 0..self.n_trees {
+        for _ in 0..RF_TREES {
             let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(n)).collect();
-            self.trees.push(Cart::fit(x, y, &idx, self.max_depth, &mut rng));
+            self.trees.push(Cart::fit(x, y, &idx, RF_MAX_DEPTH, &mut rng));
         }
     }
 

@@ -16,6 +16,7 @@ use crate::cpu::CpuMeter;
 use crate::faults::{FaultPlan, FaultStats};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
 use crate::rng::SimRng;
+use crate::shard::DEFAULT_REGION_LATENCY;
 use crate::sim::{
     App, Ctx, HostCounters, Outbox, SimConfig, Sniffed, TapFilter, TapRing, DEFAULT_ICMP_COST,
     DEFAULT_KERNEL_COST,
@@ -527,7 +528,7 @@ impl Region {
         let dst = net.index.lookup(packet.dst.ip);
         let remote = dst.filter(|&(r, _)| r != self.id);
         let mut delay = if remote.is_some() {
-            net.config.region_latency
+            DEFAULT_REGION_LATENCY
         } else {
             net.config.latency
         };

@@ -14,7 +14,7 @@
 //!
 //! Links *within* a region have the usual LAN latency
 //! ([`SimConfig::latency`]); links *between* regions have a larger
-//! WAN-scale latency ([`SimConfig::region_latency`]) which doubles as
+//! WAN-scale latency ([`DEFAULT_REGION_LATENCY`]) which doubles as
 //! the **lookahead window**: a cross-region packet sent at time `t`
 //! cannot arrive before `t + L` where `L` is the minimum cross-region
 //! delay, so every region may safely run to `T_min + L` (`T_min` = the
@@ -59,9 +59,9 @@ use crate::time::{Nanos, MILLIS};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Default one-way latency between hosts in *different* regions
-/// (WAN-scale, continental). This is also the default lookahead window,
-/// so larger values mean fewer synchronization rounds.
+/// One-way latency between hosts in *different* regions (WAN-scale,
+/// continental). This is also the lookahead window, so a larger value
+/// would mean fewer synchronization rounds.
 pub const DEFAULT_REGION_LATENCY: Nanos = 30 * MILLIS;
 
 /// The simulator under its former sharded name. Kept only for the bench
@@ -183,8 +183,7 @@ pub(crate) fn run_rounds(owned: &mut Vec<Region>, net: &Net<'_>, t_end: Nanos) {
     // packet can experience. Jitter can shave up to `faults.jitter` off the
     // base cross-region latency; loss/partition only remove packets and
     // reordering only adds delay.
-    let lookahead = config
-        .region_latency
+    let lookahead = DEFAULT_REGION_LATENCY
         .saturating_sub(config.faults.jitter)
         .max(1);
     let mail = Mailboxes::new(n);

@@ -16,7 +16,7 @@ use crate::faults::{FaultPlan, FaultStats, LinkFaults};
 use crate::packet::{IcmpEcho, Ipv4, Packet, PacketBody, SockAddr};
 use crate::region::{Host, HostIndex, Net, Region};
 use crate::rng::SimRng;
-use crate::shard::{self, assign_region, RegionId, DEFAULT_REGION_LATENCY};
+use crate::shard::{self, assign_region, RegionId};
 use crate::tcp::{CloseReason, ConnId, TcpDropStats};
 use crate::time::{Nanos, MICROS};
 use btc_wire::bytes::Bytes;
@@ -390,9 +390,6 @@ pub struct SimConfig {
     pub workers: usize,
     /// One-way link latency within a region.
     pub latency: Nanos,
-    /// One-way link latency between regions, which is also the lookahead
-    /// window of the region rounds.
-    pub region_latency: Nanos,
     /// RNG seed (region streams are derived from it).
     pub seed: u64,
     /// Per-link fault model (i.i.d. loss, jitter, reordering), applied at
@@ -413,7 +410,6 @@ impl Default for SimConfig {
             regions: 1,
             workers: 1,
             latency: DEFAULT_LATENCY,
-            region_latency: DEFAULT_REGION_LATENCY,
             seed: 0xB17C_0123,
             faults: LinkFaults::NONE,
             reliable: false,

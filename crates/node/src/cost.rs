@@ -7,6 +7,10 @@
 //! cycle counter ([`btc_netsim::cpu::CpuMeter`]), which the spine's
 //! `node.cost.sim_cycles_per_msg` and the bench digests read.
 //!
+//! There is one cost table, calibrated once to the paper's testbed: its
+//! per-byte and per-frame rates are the `const`s below and `CostModel` is
+//! a field-less type whose methods read them.
+//!
 //! The victim's mining rate under flood (Figs. 6–7, Table III) is not
 //! derived from these charges. It comes from `banscore::contention`, whose
 //! per-message interference (socket wake-up, locks, scheduling on the
@@ -21,20 +25,8 @@ use btc_wire::message::Message;
 /// this repository's hash implementation: the pre-overhaul local software
 /// hash measured ≈20 cycles/byte (`wire/crypto sha256d_1000B`, 5 131 ns/kB)
 /// — the same order as this constant — while the SHA-NI path measures
-/// ≈3 cycles/byte (821 ns/kB; see EXPERIMENTS.md, "Hash path"). Use
-/// [`checksum_cycles_per_byte`] to re-derive the constant from a measured
-/// bulk-hash throughput when modeling different victim hardware.
+/// ≈3 cycles/byte (821 ns/kB; see EXPERIMENTS.md, "Hash path").
 pub const CHECKSUM_CYCLES_PER_BYTE: u64 = 15;
-
-/// Converts a measured bulk `sha256d` time (ns per byte hashed) into the
-/// model's cycles/byte at a given CPU capacity, floored at 1.
-///
-/// Feed it `1e3 / wire.checksum_mb_per_s` from a traced run of the bench
-/// spine (`benchmark/`).
-pub fn checksum_cycles_per_byte(capacity_hz: u64, ns_per_byte: f64) -> u64 {
-    let cycles = (capacity_hz as f64 * ns_per_byte / 1e9).round();
-    (cycles as u64).max(1)
-}
 
 /// Fixed cycles for header parsing + checksum finalization.
 pub const FRAME_BASE_CYCLES: u64 = 2_000;
@@ -43,37 +35,20 @@ pub const FRAME_BASE_CYCLES: u64 = 2_000;
 pub const DECODE_CYCLES_PER_BYTE: u64 = 2;
 
 /// The victim-side processing cost model.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Cycles per checksum byte.
-    pub checksum_per_byte: u64,
-    /// Fixed frame cost.
-    pub frame_base: u64,
-    /// Cycles per decoded byte.
-    pub decode_per_byte: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            checksum_per_byte: CHECKSUM_CYCLES_PER_BYTE,
-            frame_base: FRAME_BASE_CYCLES,
-            decode_per_byte: DECODE_CYCLES_PER_BYTE,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CostModel;
 
 impl CostModel {
     /// Cycles to verify a frame's checksum over `payload_len` bytes. Paid
     /// by *every* arriving frame — this is all a bogus-checksum message
     /// costs the victim at the application layer, and all it ever pays.
     pub fn checksum_cost(&self, payload_len: usize) -> u64 {
-        self.frame_base + self.checksum_per_byte * payload_len as u64
+        FRAME_BASE_CYCLES + CHECKSUM_CYCLES_PER_BYTE * payload_len as u64
     }
 
     /// Cycles to deserialize a payload of `payload_len` bytes.
     pub fn decode_cost(&self, payload_len: usize) -> u64 {
-        self.decode_per_byte * payload_len as u64
+        DECODE_CYCLES_PER_BYTE * payload_len as u64
     }
 
     /// Cycles for the type-specific handler, mirroring Table II's ordering:
@@ -149,19 +124,6 @@ mod tests {
         // Paper Table II: BLOCK ~617k clocks vs PING ~96 vs PONG ~10.
         assert!(block_cost > 1000 * ping_cost);
         assert!(ping_cost > pong_cost);
-    }
-
-    #[test]
-    fn checksum_cycles_rederivation() {
-        // Pre-overhaul software hash: 5131 ns/kB at 4 GHz ≈ 21 cycles/B,
-        // the same order as the paper-calibrated default.
-        assert_eq!(checksum_cycles_per_byte(4_000_000_000, 5.131), 21);
-        // Post-overhaul SHA-NI: 821 ns/kB ≈ 3 cycles/B.
-        assert_eq!(checksum_cycles_per_byte(4_000_000_000, 0.821), 3);
-        // Degenerate measurements still yield a usable per-byte cost
-        // (the model requires it to stay positive).
-        assert_eq!(checksum_cycles_per_byte(4_000_000_000, 0.0), 1);
-        assert!(CHECKSUM_CYCLES_PER_BYTE as f64 > 0.2);
     }
 
     #[test]

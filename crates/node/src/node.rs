@@ -19,7 +19,6 @@ use crate::banscore::{
     ReputationEngine, Tier, Verdict,
 };
 use crate::chain::{BlockVerdict, Chain, HeaderVerdict};
-use crate::cost::CostModel;
 use crate::mempool::{Mempool, TxVerdict};
 use crate::metrics::Telemetry;
 use crate::peer::Peer;
@@ -35,7 +34,7 @@ use btc_wire::constants::{
 };
 use btc_wire::message::{MerkleBlockMsg, Message, RawMessage, VersionMessage};
 use btc_wire::types::{
-    BlockLocator, Hash256, InvType, Inventory, NetAddr, Network, TimestampedAddr,
+    BlockLocator, Hash256, InvType, Inventory, NetAddr, Network, TimestampedAddr, DEFAULT_PORT,
 };
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -96,8 +95,6 @@ pub struct NodeConfig {
     pub ban_threshold: u32,
     /// Ban duration (default 24 h).
     pub ban_duration: Nanos,
-    /// TCP port to listen on.
-    pub listen_port: u16,
     /// Inbound connection slots.
     pub max_inbound: usize,
     /// Outbound connections to maintain.
@@ -107,8 +104,6 @@ pub struct NodeConfig {
     /// Keepalive ping round interval (0 disables; Bitcoin pings every
     /// 2 minutes).
     pub ping_interval: Nanos,
-    /// Processing cost model.
-    pub cost: CostModel,
     /// Ablation (DESIGN.md §5): score bad-checksum frames with this many
     /// points instead of silently dropping them. Bitcoin Core does NOT do
     /// this — its checksum check runs before misbehavior tracking, which
@@ -143,12 +138,10 @@ impl Default for NodeConfig {
             peer_policy: PeerPolicy::Stock,
             ban_threshold: btc_wire::constants::DEFAULT_BANSCORE_THRESHOLD,
             ban_duration: btc_wire::constants::DEFAULT_BANTIME_SECS * SECS,
-            listen_port: btc_wire::types::DEFAULT_PORT,
             max_inbound: MAX_INBOUND_CONNECTIONS,
             target_outbound: MAX_OUTBOUND_CONNECTIONS,
             outbound_targets: Vec::new(),
             ping_interval: 120 * SECS,
-            cost: CostModel::default(),
             punish_bad_checksum_score: None,
             handshake_timeout: 0,
             ping_timeout: 0,
@@ -353,7 +346,7 @@ impl Node {
     }
 
     fn our_netaddr(&self, ctx: &Ctx<'_>) -> NetAddr {
-        NetAddr::new(ctx.ip(), self.config.listen_port)
+        NetAddr::new(ctx.ip(), DEFAULT_PORT)
     }
 
     /// Frames `msg` once into its wire buffer and hands that buffer to the
@@ -1063,7 +1056,7 @@ impl Node {
 impl App for Node {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.now = ctx.now();
-        ctx.listen(self.config.listen_port);
+        ctx.listen(DEFAULT_PORT);
         self.fill_outbound(ctx);
         ctx.set_timer(SECS, timers::MAINTAIN);
         if self.config.ping_interval > 0 {

@@ -35,6 +35,7 @@
 
 use super::Node;
 use crate::banscore::{Misbehavior, Tier};
+use crate::cost::CostModel;
 use btc_netsim::sim::Ctx;
 use btc_netsim::tcp::ConnId;
 use btc_wire::encode::{DecodeError, DecodeResult};
@@ -84,7 +85,7 @@ impl Node {
             }
             // Stage 2: checksum. The victim pays the hash pass for every
             // frame, valid or not.
-            ctx.charge_cpu(self.config.cost.checksum_cost(raw.payload.len()));
+            ctx.charge_cpu(CostModel.checksum_cost(raw.payload.len()));
             let Ok(digest) = verify_checksum(&raw) else {
                 // BM-DoS vector 2: dropped before misbehavior tracking;
                 // the sender's score never moves.
@@ -122,7 +123,7 @@ impl Node {
             }
             // Stage 3: decode, reusing the verified digest (a legacy TX
             // takes it as its txid instead of hashing the payload again).
-            ctx.charge_cpu(self.config.cost.decode_cost(raw.payload.len()));
+            ctx.charge_cpu(CostModel.decode_cost(raw.payload.len()));
             let decoded: DecodeResult<Message> = raw
                 .header
                 .command_str()
@@ -137,7 +138,7 @@ impl Node {
                 }
             };
             // Stage 4: handler + misbehavior tracking.
-            ctx.charge_cpu(self.config.cost.handler_cost(&msg));
+            ctx.charge_cpu(CostModel.handler_cost(&msg));
             if let Some(p) = self.peers.get(&conn) {
                 self.telemetry.record_message(
                     self.now,

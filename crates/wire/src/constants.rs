@@ -43,6 +43,3 @@ pub const MAX_INBOUND_CONNECTIONS: usize = 117;
 
 /// Maximum outbound peer slots of a default node.
 pub const MAX_OUTBOUND_CONNECTIONS: usize = 8;
-
-/// Feeler/total connection budget (117 inbound + 8 outbound + overhead).
-pub const MAX_TOTAL_CONNECTIONS: usize = 128;

@@ -17,9 +17,6 @@ use crate::encode::{
 };
 use crate::types::Hash256;
 
-/// Maximum serialized transaction weight Bitcoin accepts (BIP141).
-pub const MAX_TX_WEIGHT: usize = 400_000;
-
 /// Maximum script element size in bytes.
 pub const MAX_SCRIPT_ELEMENT_SIZE: u64 = 520;
 

@@ -7,10 +7,6 @@ use std::fmt;
 /// The protocol version the paper's testbed speaks (Bitcoin Core 0.20.0).
 pub const PROTOCOL_VERSION: u32 = 70015;
 
-/// Protocol version at which BIP37 `FILTERADD`/`FILTERLOAD` became
-/// disallowed without `NODE_BLOOM` (the 0.20.0 rule keys off `>= 70011`).
-pub const NO_BLOOM_VERSION: u32 = 70011;
-
 /// Default P2P port.
 pub const DEFAULT_PORT: u16 = 8333;
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example bmdos_attack
 //! ```
 
-use banscore::contention::ContentionModel;
+use banscore::contention;
 use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
@@ -27,8 +27,7 @@ fn flood(payload: FloodPayload, connections: usize, reconnect: bool, secs: u64) 
     tb.sim.run_for(secs * SECS);
     let attacker: &Flooder = tb.sim.app(addrs::ATTACKER).expect("flooder");
     let node = tb.target_node();
-    let model = ContentionModel::default();
-    let load = model.app_layer_load(
+    let load = contention::app_layer_load(
         attacker.stats.messages_sent,
         attacker.stats.bytes_sent,
         as_secs_f64(secs * SECS),
@@ -39,13 +38,13 @@ fn flood(payload: FloodPayload, connections: usize, reconnect: bool, secs: u64) 
         attacker.stats.bytes_sent as f64 * 8.0 / 1e6,
         node.telemetry.bad_checksum_frames,
         node.telemetry.bans,
-        model.mining_rate(load),
+        contention::mining_rate(load),
     );
 }
 
 fn main() {
     let secs = 5;
-    println!("baseline mining rate: {:.0} h/s\n", ContentionModel::default().mining_rate(0.0));
+    println!("baseline mining rate: {:.0} h/s\n", contention::mining_rate(0.0));
 
     println!("vector 1 — PING flood (no ban-score rule exists):");
     flood(FloodPayload::Ping, 1, false, secs);

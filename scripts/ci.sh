@@ -59,6 +59,9 @@ awk '/^ *Running /   { bin = $NF; sub(/\)$/, "", bin); sub(/.*\//, "", bin); sub
      /^ *Doc-tests / { name = $2 " (doc-tests)" }
      /^test result:/ { t = $NF; sub(/s$/, "", t); printf "    %9.2fs  %s\n", t, name }' "$test_log" \
   | sort -rn
+awk '/^test result:/ { t = $NF; sub(/s$/, "", t); sum += t }
+     END { printf "    %9.2fs  summed over all test binaries (ROADMAP item 21 target: 40 s warm; report only)\n", sum }' \
+  "$test_log"
 
 echo "==> timing tests (offline): wall-clock-ratio assertions, kept out of tier-1"
 cargo test -q --offline --workspace -- --ignored

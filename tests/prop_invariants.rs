@@ -1,7 +1,8 @@
 //! Property-based invariants across the suite's core data structures.
 //! Driven by the in-repo `btc_netsim::prop` harness.
 
-use btc_attack::socket_model::SocketModel;
+use banscore::contention;
+use btc_attack::socket_model;
 use btc_detect::engine::AnalysisEngine;
 use btc_detect::features::{correlation, TrafficWindow, NUM_TYPES};
 use btc_netsim::packet::SockAddr;
@@ -168,16 +169,15 @@ fn socket_model_rates_respect_caps() {
     check("socket_model_rates_respect_caps", |g| {
         let n = g.usize_in(1, 64);
         let msg_bytes = g.usize_in(1, 4_000_000);
-        let m = SocketModel::default();
-        let agg = m.aggregate_rate(n, msg_bytes);
+        let agg = socket_model::aggregate_rate(n, msg_bytes);
         // Never exceeds the thread cap nor the line rate.
-        assert!(agg <= m.app_rate_cap * (n as f64) + 1e-9);
-        assert!(agg * (msg_bytes as f64) * 8.0 <= m.bandwidth_bps + 1e-3);
+        assert!(agg <= socket_model::APP_LAYER_RATE_CAP * (n as f64) + 1e-9);
+        assert!(agg * (msg_bytes as f64) * 8.0 <= socket_model::LINK_BANDWIDTH_BPS + 1e-3);
         // Monotone in n.
-        let agg2 = m.aggregate_rate(n + 1, msg_bytes);
+        let agg2 = socket_model::aggregate_rate(n + 1, msg_bytes);
         assert!(agg2 + 1e-9 >= agg);
         // Per-connection interval inverts the rate.
-        let ival = m.min_interval(n, msg_bytes);
+        let ival = socket_model::min_interval(n, msg_bytes);
         assert!(ival >= 1);
     });
 }
@@ -187,10 +187,9 @@ fn contention_model_is_monotone_and_bounded() {
     check("contention_model_is_monotone_and_bounded", |g| {
         let msgs = g.u64_in(0, 10_000_000);
         let bytes = g.u64_in(0, 10_000_000_000);
-        let m = banscore::ContentionModel::default();
-        let l = m.app_layer_load(msgs, bytes, 10.0);
-        let rate = m.mining_rate(l);
-        assert!(rate <= m.baseline_hash_rate + 1e-6);
-        assert!(rate >= m.baseline_hash_rate * (1.0 - m.s_max) - 1e-6);
+        let l = contention::app_layer_load(msgs, bytes, 10.0);
+        let rate = contention::mining_rate(l);
+        assert!(rate <= contention::BASELINE_HASH_RATE + 1e-6);
+        assert!(rate >= contention::BASELINE_HASH_RATE * (1.0 - contention::S_MAX) - 1e-6);
     });
 }
