@@ -42,7 +42,7 @@ pub trait Classifier: Send {
 pub fn all_baselines() -> Vec<Box<dyn Classifier>> {
     vec![
         Box::new(LogisticRegression::new()),
-        Box::new(GradientBoosting::new(42)),
+        Box::new(GradientBoosting::new()),
         Box::new(RandomForest::new(42)),
         Box::new(LinearSvm::new()),
         Box::new(DeepNet::new(42)),

@@ -80,11 +80,10 @@ impl Stump {
 }
 
 /// L2 gradient boosting over regression stumps.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GradientBoosting {
     stumps: Vec<Stump>,
     base: f64,
-    _seed: u64,
 }
 
 /// Gradient boosting's rounds.
@@ -94,11 +93,10 @@ const GB_LEARNING_RATE: f64 = 0.3;
 
 impl GradientBoosting {
     /// Creates an untrained booster.
-    pub fn new(seed: u64) -> Self {
+    pub fn new() -> Self {
         GradientBoosting {
             stumps: Vec::new(),
             base: 0.0,
-            _seed: seed,
         }
     }
 
@@ -310,7 +308,7 @@ mod tests {
 
     #[test]
     fn gradient_boosting_learns() {
-        assert_learns(Box::new(GradientBoosting::new(1)));
+        assert_learns(Box::new(GradientBoosting::new()));
     }
 
     #[test]
@@ -327,6 +325,19 @@ mod tests {
         assert!(s.left < 0.0 && s.right > 0.0);
         assert!(s.predict(&[0.5]) < 0.0);
         assert!(s.predict(&[10.5]) > 0.0);
+    }
+
+    #[test]
+    fn boosting_fits_deterministically() {
+        let x = vec![vec![0.0, 1.0], vec![1.0, 0.0], vec![5.0, 5.0], vec![6.0, 6.0]];
+        let y = vec![0.0, 0.0, 1.0, 1.0];
+        let mut a = GradientBoosting::new();
+        let mut b = GradientBoosting::new();
+        a.fit(&x, &y);
+        b.fit(&x, &y);
+        for row in &x {
+            assert_eq!(a.score(row).to_bits(), b.score(row).to_bits());
+        }
     }
 
     #[test]

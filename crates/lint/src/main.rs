@@ -28,8 +28,8 @@ fn main() -> ExitCode {
                     "usage: btc-lint [--root <workspace-dir>] [--json]\n\n\
                      Multi-pass analyzer: lexes, parses and call-graph-links the workspace,\n\
                      then checks determinism, panic-safety, narrowing casts, score arithmetic,\n\
-                     RNG stream discipline, lock ordering, ban-rule exhaustiveness and stale\n\
-                     exemptions. Exits non-zero on findings.\n\n\
+                     RNG stream discipline, lock ordering and stale exemptions. Exits non-zero\n\
+                     on findings.\n\n\
                      --json   emit {{\"findings\": [...], \"callgraph\": {{...}}}} on stdout"
                 );
                 return ExitCode::SUCCESS;

@@ -13,30 +13,34 @@
 //! `lint:allow(unordered-map): <reason>` on (or above) the line.
 
 use crate::findings::Finding;
-use crate::lexer::{SourceFile, TokKind};
+use crate::lexer::{SourceFile, TokKind, Token};
 
 /// Rule name for wall-clock findings.
 pub const WALLCLOCK: &str = "wallclock";
 /// Rule name for unordered-map findings.
 pub const UNORDERED_MAP: &str = "unordered-map";
 
+/// Whether token `i` reads the wall clock or the hasher's randomness:
+/// `Instant::now`, `SystemTime::now` or `RandomState`. Shared by the
+/// per-file rule and the transitive pass.
+pub fn wallclock_read(toks: &[Token], i: usize) -> bool {
+    let Some(t) = toks.get(i) else { return false };
+    let text = |k: usize| toks.get(k).map(|a| a.text.as_str());
+    t.kind == TokKind::Ident
+        && match t.text.as_str() {
+            "Instant" | "SystemTime" => {
+                text(i + 1) == Some(":") && text(i + 2) == Some(":") && text(i + 3) == Some("now")
+            }
+            "RandomState" => true,
+            _ => false,
+        }
+}
+
 /// Flags wall-clock time and hasher-randomness sources.
 pub fn wallclock(sf: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &sf.tokens;
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            "Instant" | "SystemTime" => {
-                toks.get(i + 1).map(|a| a.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|a| a.text.as_str()) == Some(":")
-                    && toks.get(i + 3).map(|a| a.text.as_str()) == Some("now")
-            }
-            "RandomState" => true,
-            _ => false,
-        };
-        if !flagged || sf.in_test(t.line) {
+        if !wallclock_read(toks, i) || sf.in_test(t.line) {
             continue;
         }
         let what = if t.text == "RandomState" {

@@ -1,10 +1,10 @@
 //! `lock-order`: Mutex acquisitions in the lock-scope files must follow the
 //! declared total order in [`crate::scope::LOCK_ORDER`].
 //!
-//! The work-stealing pool and the simulator's k-region rounds both hold
-//! locks across real work (a region lock spans a whole event window); a second lock
-//! acquired in the wrong order — directly, or through a callee — is a
-//! deadlock that no single-threaded test reproduces. The rule:
+//! The simulator's k-region rounds hold locks across real work (a region
+//! lock spans a whole event window); a second lock acquired in the wrong
+//! order — directly, or through a callee — is a deadlock that no
+//! single-threaded test reproduces. The rule:
 //!
 //! * maps every `.lock()` receiver to a declared lock name (an undeclared
 //!   receiver in a scope file is itself a finding — every lock needs a
@@ -50,11 +50,10 @@ pub fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
         let sf = &ws.files[fi];
         let mut acqs: Vec<Acq> = Vec::new();
 
-        for (item, f) in ws.parsed[fi].fns.iter().enumerate() {
+        for f in &ws.parsed[fi].fns {
             if f.is_test {
                 continue;
             }
-            let def = ws.index.def_id(fi, item);
             // Direct acquisitions in this fn.
             for call in &f.calls {
                 if call.name != "lock" {
@@ -81,7 +80,6 @@ pub fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
             }
 
             // Edges: for each acquisition, anything acquired inside its span.
-            let _ = def;
             for call in &f.calls {
                 // Interprocedural: a call inside a held span pulls in the
                 // callee's transitive lock summary.

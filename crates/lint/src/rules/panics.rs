@@ -9,7 +9,7 @@
 //! `lint:allow(panic-path): <reason>`.
 
 use crate::findings::Finding;
-use crate::lexer::{SourceFile, TokKind};
+use crate::lexer::{SourceFile, TokKind, Token};
 
 /// Rule name for panic-path findings.
 pub const PANIC_PATH: &str = "panic-path";
@@ -33,36 +33,48 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "yield", "true", "false",
 ];
 
+/// The panicking construct at token `i`, as its chain label: `unwrap`,
+/// `expect` (method calls) or `panic!` (any of [`PANIC_MACROS`]). Shared
+/// by the per-file rule and the transitive pass; bare indexing is matched
+/// by the per-file rule only.
+pub fn panic_construct(toks: &[Token], i: usize) -> Option<&'static str> {
+    let t = toks.get(i)?;
+    if t.kind != TokKind::Ident {
+        return None;
+    }
+    let text = |k: usize| toks.get(k).map(|n| n.text.as_str());
+    let method = i > 0 && text(i - 1) == Some(".");
+    match t.text.as_str() {
+        "unwrap" if method && text(i + 1) == Some("(") => Some("unwrap"),
+        "expect" if method && text(i + 1) == Some("(") => Some("expect"),
+        m if PANIC_MACROS.contains(&m) && text(i + 1) == Some("!") && !method => Some("panic!"),
+        _ => None,
+    }
+}
+
 /// Flags panicking constructs on the peer-input path.
 pub fn panic_path(sf: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &sf.tokens;
     for (i, t) in toks.iter().enumerate() {
-        let msg: Option<String> = match (t.kind, t.text.as_str()) {
-            (TokKind::Ident, "unwrap" | "expect")
-                if i > 0
-                    && toks[i - 1].text == "."
-                    && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") =>
-            {
-                Some(format!(
-                    "`.{}(..)` can panic on peer input; return a typed error (e.g. DecodeError) instead",
-                    t.text
-                ))
-            }
-            (TokKind::Ident, m)
-                if PANIC_MACROS.contains(&m)
-                    && toks.get(i + 1).map(|n| n.text.as_str()) == Some("!")
-                    && (i == 0 || toks[i - 1].text != ".") =>
-            {
-                Some(format!(
-                    "`{m}!` aborts the node on peer input; drop the message and penalize the peer instead"
-                ))
-            }
-            (TokKind::Punct, "[") if i > 0 && is_indexable(toks, i - 1) => Some(
+        let bare_index =
+            t.kind == TokKind::Punct && t.text == "[" && i > 0 && is_indexable(toks, i - 1);
+        let msg: Option<String> = match panic_construct(toks, i) {
+            Some("panic!") => Some(format!(
+                "`{}!` aborts the node on peer input; drop the message and penalize the peer \
+                 instead",
+                t.text
+            )),
+            Some(_) => Some(format!(
+                "`.{}(..)` can panic on peer input; return a typed error (e.g. DecodeError) \
+                 instead",
+                t.text
+            )),
+            None if bare_index => Some(
                 "bare indexing can panic on peer input; use `.get(..)`/`split_at` bounds checks, \
                  or justify a structurally-bounded index with `lint:allow(panic-path): <reason>`"
                     .to_owned(),
             ),
-            _ => None,
+            None => None,
         };
         let Some(message) = msg else { continue };
         // Marker suppression happens in the driver (which tracks marker
@@ -76,7 +88,7 @@ pub fn panic_path(sf: &SourceFile, out: &mut Vec<Finding>) {
 
 /// Whether the token at `i` can be the base expression of an index
 /// (identifier that is not a keyword, a closing bracket, `?`, or a number).
-fn is_indexable(toks: &[crate::lexer::Token], i: usize) -> bool {
+fn is_indexable(toks: &[Token], i: usize) -> bool {
     let t = &toks[i];
     match t.kind {
         TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&t.text.as_str()),

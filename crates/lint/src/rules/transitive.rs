@@ -14,12 +14,12 @@
 //! edges, so a panic behind a name shared by several defs is not chased.
 
 use crate::findings::Finding;
-use crate::lexer::{SourceFile, TokKind};
+use crate::lexer::{SourceFile, Token};
 use crate::parse::FnItem;
 use crate::rules::Workspace;
 use crate::rules::alloc::{self, HOT_PATH_ALLOC};
-use crate::rules::determinism::WALLCLOCK;
-use crate::rules::panics::PANIC_PATH;
+use crate::rules::determinism::{self, WALLCLOCK};
+use crate::rules::panics::{self, PANIC_PATH};
 use crate::scope::{self, Allowlist};
 use std::collections::BTreeSet;
 
@@ -108,7 +108,7 @@ pub fn wallclock_transitive(ws: &Workspace, allow: &Allowlist, out: &mut Vec<Fin
                 continue;
             }
             if let Some(d) = ws.index.def_id(fi, item) {
-                if !wallclock_hits(&ws.files[fi], f).is_empty() {
+                if reads_wallclock(&ws.files[fi], f) {
                     targets.push(d);
                 }
             }
@@ -172,46 +172,28 @@ pub fn wallclock_transitive(ws: &Workspace, allow: &Allowlist, out: &mut Vec<Fin
 /// Panicking constructs inside `f`'s body: `.unwrap()`/`.expect(`, panic
 /// macro family. Bare indexing is deliberately not chased transitively.
 fn panic_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
-    const MACROS: &[&str] =
-        &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
-    let toks = &sf.tokens;
     let mut hits = Vec::new();
-    for i in f.body_start..=f.body_end.min(toks.len().saturating_sub(1)) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || sf.in_test(t.line) {
+    for (i, t) in body(sf, f) {
+        let Some(construct) = panics::panic_construct(&sf.tokens, i) else {
+            continue;
+        };
+        if sf.in_test(t.line) {
             continue;
         }
-        match t.text.as_str() {
-            "unwrap" | "expect"
-                if i > 0
-                    && toks[i - 1].text == "."
-                    && toks.get(i + 1).map(|n| n.text.as_str()) == Some("(") =>
-            {
-                hits.push(Hit {
-                    line: t.line,
-                    construct: if t.text == "unwrap" { "unwrap" } else { "expect" },
-                    message: format!(
-                        "`.{}(..)` reachable from the peer-input path can panic on a crafted \
-                         message; return a typed error instead",
-                        t.text
-                    ),
-                });
-            }
-            m if MACROS.contains(&m)
-                && toks.get(i + 1).map(|n| n.text.as_str()) == Some("!")
-                && (i == 0 || toks[i - 1].text != ".") =>
-            {
-                hits.push(Hit {
-                    line: t.line,
-                    construct: "panic!",
-                    message: format!(
-                        "`{m}!` reachable from the peer-input path aborts the node on a crafted \
-                         message; drop the message and penalize the peer instead"
-                    ),
-                });
-            }
-            _ => {}
-        }
+        let message = if construct == "panic!" {
+            format!(
+                "`{}!` reachable from the peer-input path aborts the node on a crafted \
+                 message; drop the message and penalize the peer instead",
+                t.text
+            )
+        } else {
+            format!(
+                "`.{}(..)` reachable from the peer-input path can panic on a crafted \
+                 message; return a typed error instead",
+                t.text
+            )
+        };
+        hits.push(Hit { line: t.line, construct, message });
     }
     hits
 }
@@ -221,8 +203,7 @@ fn panic_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
 /// (a hash kernel, a fixed-size read) makes by design.
 fn alloc_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
     let mut hits = Vec::new();
-    let body = sf.tokens.iter().enumerate().take(f.body_end + 1).skip(f.body_start);
-    for (i, t) in body {
+    for (i, t) in body(sf, f) {
         let Some(c) = alloc::alloc_construct(&sf.tokens, i) else {
             continue;
         };
@@ -243,28 +224,13 @@ fn alloc_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
     hits
 }
 
-/// Direct wall-clock reads inside `f`'s body (same set as the per-file
-/// `wallclock` rule).
-fn wallclock_hits(sf: &SourceFile, f: &FnItem) -> Vec<Hit> {
-    let toks = &sf.tokens;
-    let mut hits = Vec::new();
-    for i in f.body_start..=f.body_end.min(toks.len().saturating_sub(1)) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || sf.in_test(t.line) {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            "Instant" | "SystemTime" => {
-                toks.get(i + 1).map(|a| a.text.as_str()) == Some(":")
-                    && toks.get(i + 2).map(|a| a.text.as_str()) == Some(":")
-                    && toks.get(i + 3).map(|a| a.text.as_str()) == Some("now")
-            }
-            "RandomState" => true,
-            _ => false,
-        };
-        if flagged {
-            hits.push(Hit { line: t.line, construct: "wallclock", message: String::new() });
-        }
-    }
-    hits
+/// Whether `f`'s body reads the wall clock directly (the per-file
+/// `wallclock` rule's construct, outside test code).
+fn reads_wallclock(sf: &SourceFile, f: &FnItem) -> bool {
+    body(sf, f).any(|(i, t)| determinism::wallclock_read(&sf.tokens, i) && !sf.in_test(t.line))
+}
+
+/// The tokens of `f`'s body, with their indices.
+fn body<'a>(sf: &'a SourceFile, f: &FnItem) -> impl Iterator<Item = (usize, &'a Token)> {
+    sf.tokens.iter().enumerate().take(f.body_end + 1).skip(f.body_start)
 }

@@ -216,23 +216,8 @@ pub const LOCK_DECLS: &[LockDecl] = &[
     },
     LockDecl {
         file: "crates/par/src/lib.rs",
-        recvs: &["deques"],
-        lock: "par.deque",
-    },
-    LockDecl {
-        file: "crates/par/src/lib.rs",
-        recvs: &["pending"],
-        lock: "par.pending",
-    },
-    LockDecl {
-        file: "crates/par/src/lib.rs",
-        recvs: &["slots"],
-        lock: "par.slot",
-    },
-    LockDecl {
-        file: "crates/par/src/lib.rs",
-        recvs: &["first_panic"],
-        lock: "par.panic-slot",
+        recvs: &["queue"],
+        lock: "par.queue",
     },
     LockDecl {
         file: "crates/par/src/phase.rs",
@@ -244,16 +229,13 @@ pub const LOCK_DECLS: &[LockDecl] = &[
 /// The declared total lock order: a lock may only be acquired while holding
 /// locks that appear strictly *earlier* in this list. Region locks come
 /// first (the k-region round holds one across a whole event window), the
-/// mailboxes and the tap inside it, and the pool's bookkeeping locks and
-/// the phase rendezvous' parking lock are leaves acquired alone.
+/// mailboxes and the tap inside it, and the pool's queue lock and the
+/// phase rendezvous' parking lock are leaves acquired alone.
 pub const LOCK_ORDER: &[&str] = &[
     "netsim.region",
     "netsim.mailbox",
     "netsim.tap",
-    "par.deque",
-    "par.pending",
-    "par.slot",
-    "par.panic-slot",
+    "par.queue",
     "par.phase",
 ];
 

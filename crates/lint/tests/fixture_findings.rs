@@ -34,6 +34,14 @@ fn fixture_workspace_findings_are_exact() {
         // measure_window -> latency.rs:probe, whose wallclock read is
         // allowlisted at the read site but escapes into sim-determinism here.
         ("crates/netsim/src/shard.rs", 27, "wallclock"),
+        // inverted: netsim.region acquired while a let-bound
+        // netsim.mailbox guard is still live (direct inversion in one body).
+        ("crates/netsim/src/shard.rs", 41, "lock-order"),
+        // held_into_callee: same inversion, but the region acquisition sits
+        // in grab_region and is found through the callee's lock summary.
+        ("crates/netsim/src/shard.rs", 47, "lock-order"),
+        // rogue: `.lock()` on a receiver no LockDecl names.
+        ("crates/netsim/src/shard.rs", 57, "lock-order"),
         // Bare += / + on score and deadline fields; the saturating_add and
         // the marker-justified float op below them stay quiet.
         ("crates/node/src/banscore/tracker.rs", 5, "score-arith"),
@@ -51,13 +59,6 @@ fn fixture_workspace_findings_are_exact() {
         // per-frame call to decode_verified (wire/src/message.rs) is not
         // reported: it is a declared boundary.
         ("crates/node/src/staging.rs", 5, "hot-path-alloc"),
-        // inverted: par.deque acquired while a let-bound par.pending guard
-        // is still live (direct inversion in one body).
-        ("crates/par/src/lib.rs", 12, "lock-order"),
-        // held_into_callee: same inversion, but the deque acquisition sits
-        // in grab_deque and is found through the callee's lock summary.
-        ("crates/par/src/lib.rs", 18, "lock-order"),
-        ("crates/par/src/lib.rs", 28, "lock-order"),
         ("crates/wire/src/clean.rs", 12, "stale-allow"),
         ("crates/wire/src/encode.rs", 3, "unordered-map"),
         ("crates/wire/src/encode.rs", 6, "panic-path"),
@@ -107,10 +108,10 @@ fn fixture_workspace_findings_are_exact() {
     // The inversion found through the callee names the function it hides in.
     let via = findings
         .iter()
-        .find(|f| f.file == "crates/par/src/lib.rs" && f.line == 18)
+        .find(|f| f.file == "crates/netsim/src/shard.rs" && f.line == 47)
         .expect("interprocedural lock-order finding");
     assert!(
-        via.message.contains("via `lib.rs:grab_deque`"),
+        via.message.contains("via `shard.rs:grab_region`"),
         "message: {}",
         via.message
     );

@@ -1,6 +1,6 @@
-//! Fixture: shard-runtime code is sim-deterministic — the wallclock and
-//! unordered-map rules both apply; a justified marker and test code stay
-//! exempt. Mirrors the hot paths of the real `btc_netsim::shard`.
+//! Fixture: shard-runtime code is sim-deterministic and lock-scoped — the
+//! wallclock, unordered-map and lock-order rules apply; a justified marker
+//! and test code stay exempt. Mirrors the real `btc_netsim::shard`.
 
 use std::collections::HashMap;
 
@@ -25,6 +25,37 @@ pub fn host_stream(seed: u64) -> SimRng {
 
 pub fn measure_window() -> std::time::Instant {
     probe()
+}
+
+// Lock-order seeds over the declared shard locks (netsim.region <
+// netsim.mailbox in the total order).
+
+pub fn ordered(regions: &Lk, mailbox: &Lk) {
+    let r = regions.lock();
+    let m = mailbox.lock();
+    let _ = (r, m);
+}
+
+pub fn inverted(regions: &Lk, mailbox: &Lk) {
+    let m = mailbox.lock();
+    let r = regions.lock();
+    let _ = (r, m);
+}
+
+pub fn held_into_callee(mailbox: &Lk, reg: &Lk) {
+    let m = mailbox.lock();
+    grab_region(reg);
+    let _ = m;
+}
+
+pub fn grab_region(reg: &Lk) {
+    let r = reg.lock();
+    let _ = r;
+}
+
+pub fn rogue(mystery: &Lk) {
+    let g = mystery.lock();
+    let _ = g;
 }
 
 #[cfg(test)]

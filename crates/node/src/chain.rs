@@ -13,7 +13,7 @@ use btc_wire::block::{Block, BlockHeader};
 use btc_wire::bytes::Bytes;
 use btc_wire::constants::REGTEST_BITS;
 use btc_wire::encode::{Decodable, Encodable};
-use btc_wire::message::{Message, RawMessage, HEADER_SIZE};
+use btc_wire::message::{RawMessage, HEADER_SIZE};
 use btc_wire::tx::Transaction;
 use btc_wire::types::{Hash256, Network};
 use std::collections::{BTreeMap, BTreeSet};
@@ -86,7 +86,7 @@ impl Chain {
         let mut headers = BTreeMap::new();
         headers.insert(gh, (genesis.header, 0));
         let mut blocks = BTreeMap::new();
-        blocks.insert(gh, Message::Block(genesis).to_frame(network));
+        blocks.insert(gh, genesis.to_frame(network));
         Chain {
             network,
             genesis: gh,
@@ -130,8 +130,7 @@ impl Chain {
     }
 
     /// A stored block's `BLOCK` frame, byte for byte what
-    /// `Message::Block(block).to_frame(network)` builds. Serving it is a
-    /// `Bytes::clone`.
+    /// [`Block::to_frame`] builds. Serving it is a `Bytes::clone`.
     pub fn block_frame(&self, hash: &Hash256) -> Option<&Bytes> {
         self.blocks.get(hash)
     }
@@ -169,7 +168,7 @@ impl Chain {
     }
 
     /// Processes a full block that came without a frame, storing the frame
-    /// `Message::Block(..).to_frame` builds for it when it is accepted.
+    /// [`Block::to_frame`] builds for it when it is accepted.
     pub fn accept_block(&mut self, block: &Block) -> BlockVerdict {
         self.accept_block_framed(block, None)
     }
@@ -195,7 +194,7 @@ impl Chain {
                     debug_assert_eq!(raw.header.magic, self.network.magic(), "foreign frame");
                     raw.to_bytes()
                 }
-                _ => Message::Block(block.clone()).to_frame(self.network),
+                _ => block.to_frame(self.network),
             };
             self.blocks.insert(hash, frame);
         }
@@ -353,6 +352,7 @@ pub fn mine_child(prev: &BlockHeader, prev_hash: Hash256, tag: u64, extra_txs: V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btc_wire::message::Message;
 
     fn extend(chain: &mut Chain, n: u64) -> Vec<Block> {
         let mut out = Vec::new();

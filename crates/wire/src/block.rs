@@ -3,12 +3,14 @@
 //! The `BLOCK` ban-score rules ("block data was mutated", "previous block is
 //! invalid/missing") hang off exactly the checks implemented here.
 
+use crate::bytes::Bytes;
 use crate::crypto::sha256::{sha256d_pair, Midstate};
 use crate::encode::{
     compact_size_len, decode_vec, encode_vec, Decodable, DecodeResult, Encodable, Reader, Writer,
 };
+use crate::message::{frame_with, payload_checksum};
 use crate::tx::Transaction;
-use crate::types::Hash256;
+use crate::types::{Hash256, Network};
 
 /// Maximum transactions we will decode in a block (sanity bound).
 const MAX_BLOCK_TXS: u64 = 1_000_000;
@@ -164,6 +166,13 @@ impl Block {
     /// Block hash (the header hash).
     pub fn hash(&self) -> Hash256 {
         self.header.hash()
+    }
+
+    /// Frames the block as a `BLOCK` message for `network`: byte for byte
+    /// `Message::Block(block).to_frame(network)`, encoded by reference so
+    /// no transaction is cloned.
+    pub fn to_frame(&self, network: Network) -> Bytes {
+        frame_with(network, "block", |w| self.encode(w), payload_checksum)
     }
 
     /// Full validation as run on a received `BLOCK` message: PoW, merkle

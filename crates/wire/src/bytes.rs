@@ -7,11 +7,8 @@
 //!   `Arc<Vec<u8>>` plus an offset/length window, so clones and slices are
 //!   reference-count bumps, never copies. Message payloads cached by the
 //!   attack meter and replayed thousands of times rely on that.
-//! * [`BytesMut`]: a `Vec<u8>`-backed builder that [`BytesMut::freeze`]s
-//!   into a [`Bytes`] without copying — the `Arc` adopts the builder's
-//!   allocation as-is.
-//! * [`BufMut`]: the little-endian/big-endian integer writer trait the
-//!   wire encoder drives.
+//!   `From<Vec<u8>>` adopts the vector's allocation as-is, which is how
+//!   the wire encoder's `Writer::into_bytes` freezes without copying.
 //! * [`RecvBuffer`]: the per-peer reassembly cursor buffer of the
 //!   zero-copy receive path. Deliveries append, framing advances a read
 //!   cursor, and decoded payloads are [`Bytes`] windows into the same
@@ -162,120 +159,6 @@ fn fmt_hex_prefix(bytes: &[u8], f: &mut fmt::Formatter<'_>) -> fmt::Result {
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt_hex_prefix(self, f)
-    }
-}
-
-/// A growable byte builder; [`BytesMut::freeze`] converts it into an
-/// immutable [`Bytes`] without copying.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    buf: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// Creates an empty builder with `cap` bytes preallocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`], reusing the allocation.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
-    }
-
-    /// Hands back the underlying `Vec` as-is: no copy, no new allocation.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.buf
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_hex_prefix(self, f)
-    }
-}
-
-/// Byte-sink trait: appends raw slices and fixed-width integers in the
-/// endianness the Bitcoin wire format needs.
-pub trait BufMut {
-    /// Appends a raw slice.
-    fn put_slice(&mut self, b: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a `u16`, little-endian.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u16`, big-endian (network order — port numbers).
-    fn put_u16(&mut self, v: u16) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i32`, little-endian.
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`, little-endian.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, b: &[u8]) {
-        self.extend_from_slice(b);
     }
 }
 
@@ -519,48 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_writes_every_width() {
-        let mut m = BytesMut::with_capacity(64);
-        m.put_u8(0x01);
-        m.put_u16_le(0x0302);
-        m.put_u16(0x0405); // big-endian
-        m.put_u32_le(0x0908_0706);
-        m.put_u64_le(0x1111_1010_0f0e_0d0c);
-        m.put_i32_le(-2);
-        m.put_i64_le(-3);
-        m.put_slice(&[0xAA, 0xBB]);
-        let frozen = m.freeze();
-        let mut expect = vec![0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09];
-        expect.extend_from_slice(&0x1111_1010_0f0e_0d0cu64.to_le_bytes());
-        expect.extend_from_slice(&(-2i32).to_le_bytes());
-        expect.extend_from_slice(&(-3i64).to_le_bytes());
-        expect.extend_from_slice(&[0xAA, 0xBB]);
-        assert_eq!(&frozen[..], &expect[..]);
-    }
-
-    #[test]
-    fn vec_is_also_a_bufmut() {
-        let mut v: Vec<u8> = Vec::new();
-        v.put_u32_le(7);
-        v.put_slice(b"ok");
-        assert_eq!(v, [7, 0, 0, 0, b'o', b'k']);
-    }
-
-    #[test]
     fn debug_elides_long_buffers() {
         let short = format!("{:?}", Bytes::from(vec![0xAB; 2]));
         assert_eq!(short, "b\"\\xab\\xab\"");
         let long = format!("{:?}", Bytes::from(vec![0u8; 40]));
         assert!(long.contains("…+8"), "{long}");
-    }
-
-    #[test]
-    fn freeze_is_zero_copy() {
-        let mut m = BytesMut::with_capacity(8);
-        m.put_slice(&[1, 2, 3]);
-        let before = m.as_ref().as_ptr();
-        let frozen = m.freeze();
-        assert!(std::ptr::eq(before, frozen.as_ref().as_ptr()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! are all errors — several ban-score rules depend on spotting exactly these
 //! conditions.
 
-use crate::bytes::{BufMut, Bytes, BytesMut};
+use crate::bytes::Bytes;
 use std::fmt;
 
 /// Maximum payload size a node accepts (Bitcoin's `MAX_PROTOCOL_MESSAGE_LENGTH`).
@@ -237,19 +237,19 @@ impl<'a> Reader<'a> {
 /// A growable output buffer being encoded into.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Writer { buf: BytesMut::new() }
+        Writer::default()
     }
 
     /// Creates a writer with `cap` bytes of capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -263,54 +263,55 @@ impl Writer {
         self.buf.is_empty()
     }
 
-    /// Consumes the writer, returning the encoded bytes.
+    /// Consumes the writer, returning the encoded bytes: the [`Bytes`]
+    /// adopts the writer's allocation as-is, no copy.
     pub fn into_bytes(self) -> Bytes {
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 
     /// Consumes the writer, returning the `Vec` it encoded into (no copy).
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.into_vec()
+        self.buf
     }
 
     /// Appends raw bytes.
     pub fn bytes(&mut self, b: &[u8]) {
-        self.buf.put_slice(b);
+        self.buf.extend_from_slice(b);
     }
 
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
     pub fn u16_le(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a big-endian `u16`.
     pub fn u16_be(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.bytes(&v.to_be_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32_le(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64_le(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i32`.
     pub fn i32_le(&mut self, v: i32) {
-        self.buf.put_i32_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i64`.
     pub fn i64_le(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a canonical `CompactSize`.
@@ -515,6 +516,35 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.var_string(256).unwrap(), "/Satoshi:0.20.0/");
+    }
+
+    #[test]
+    fn writer_writes_every_width() {
+        let mut w = Writer::with_capacity(64);
+        w.u8(0x01);
+        w.u16_le(0x0302);
+        w.u16_be(0x0405);
+        w.u32_le(0x0908_0706);
+        w.u64_le(0x1111_1010_0f0e_0d0c);
+        w.i32_le(-2);
+        w.i64_le(-3);
+        w.bytes(&[0xAA, 0xBB]);
+        let frozen = w.into_bytes();
+        let mut expect = vec![0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09];
+        expect.extend_from_slice(&0x1111_1010_0f0e_0d0cu64.to_le_bytes());
+        expect.extend_from_slice(&(-2i32).to_le_bytes());
+        expect.extend_from_slice(&(-3i64).to_le_bytes());
+        expect.extend_from_slice(&[0xAA, 0xBB]);
+        assert_eq!(&frozen[..], &expect[..]);
+    }
+
+    #[test]
+    fn into_bytes_is_zero_copy() {
+        let mut w = Writer::with_capacity(8);
+        w.bytes(&[1, 2, 3]);
+        let before = w.buf.as_ptr();
+        let frozen = w.into_bytes();
+        assert!(std::ptr::eq(before, frozen.as_ref().as_ptr()));
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl Message {
     /// byte equal to `RawMessage::frame(network, self).to_bytes()`, without
     /// the payload `Vec`, the second buffer and the copy between them.
     pub fn to_frame(&self, network: Network) -> Bytes {
-        self.frame_with(network, payload_checksum)
+        frame_with(network, self.command(), |w| self.encode_payload_into(w), payload_checksum)
     }
 
     /// [`Message::to_frame`] for a payload whose checksum the caller
@@ -331,26 +331,7 @@ impl Message {
     /// the PONG's. The frame is only correct if `checksum` is the
     /// payload's; the caller vouches for that.
     pub fn to_frame_with_checksum(&self, network: Network, checksum: [u8; 4]) -> Bytes {
-        self.frame_with(network, |_| checksum)
-    }
-
-    /// Encodes the frame, with `checksum` applied to the encoded payload.
-    fn frame_with(&self, network: Network, checksum: impl FnOnce(&[u8]) -> [u8; 4]) -> Bytes {
-        // Sized so every handshake and control reply is one allocation
-        // (VERSION, the largest, carries 102 payload bytes): a regrow chain
-        // per reply shifts glibc's heap layout enough to move peak RSS.
-        // Frames carrying blocks or transactions grow as they encode.
-        let mut w = Writer::with_capacity(HEADER_SIZE + 128);
-        w.bytes(&[0; HEADER_SIZE]);
-        self.encode_payload_into(&mut w);
-        let mut frame = w.into_vec();
-        // The placeholder was written first, so the split always succeeds.
-        if let Some((head, payload)) = frame.split_first_chunk_mut::<HEADER_SIZE>() {
-            let checksum = checksum(payload);
-            *head =
-                MessageHeader::with_checksum(network, self.command(), payload, checksum).to_array();
-        }
-        Bytes::from(frame)
+        frame_with(network, self.command(), |w| self.encode_payload_into(w), |_| checksum)
     }
 
     /// Appends the payload encoding to `w` — the one encoder behind both
@@ -581,6 +562,33 @@ impl Decodable for MessageHeader {
             checksum: r.array()?,
         })
     }
+}
+
+/// Frames one payload for `network` into one wire buffer: a header
+/// placeholder, the payload `encode` writes straight after it, then magic,
+/// `command`, length and `checksum` of the encoded payload patched into the
+/// placeholder. The one framer behind [`Message::to_frame`] and
+/// [`Block::to_frame`].
+pub(crate) fn frame_with(
+    network: Network,
+    command: &str,
+    encode: impl FnOnce(&mut Writer),
+    checksum: impl FnOnce(&[u8]) -> [u8; 4],
+) -> Bytes {
+    // Sized so every handshake and control reply is one allocation
+    // (VERSION, the largest, carries 102 payload bytes): a regrow chain
+    // per reply shifts glibc's heap layout enough to move peak RSS.
+    // Frames carrying blocks or transactions grow as they encode.
+    let mut w = Writer::with_capacity(HEADER_SIZE + 128);
+    w.bytes(&[0; HEADER_SIZE]);
+    encode(&mut w);
+    let mut frame = w.into_vec();
+    // The placeholder was written first, so the split always succeeds.
+    if let Some((head, payload)) = frame.split_first_chunk_mut::<HEADER_SIZE>() {
+        let checksum = checksum(payload);
+        *head = MessageHeader::with_checksum(network, command, payload, checksum).to_array();
+    }
+    Bytes::from(frame)
 }
 
 /// Computes the header checksum over a payload.
@@ -892,6 +900,9 @@ mod tests {
                     "command {}",
                     msg.command()
                 );
+                if let Message::Block(block) = &msg {
+                    assert_eq!(block.to_frame(net), msg.to_frame(net));
+                }
             }
         }
         // The PING's checksum is the PONG's: same eight payload bytes.

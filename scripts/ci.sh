@@ -46,6 +46,11 @@ if [ -z "$fn_count" ] || [ "$fn_count" -lt 100 ] || [ "$edge_count" -lt 100 ]; t
   exit 1
 fi
 echo "    lint clean: call graph $fn_count functions / $edge_count edges OK"
+# Exemption counts, report only: both should trend down.
+inline_allows=$(grep -rn 'lint:allow(' --include='*.rs' crates src tests examples \
+  | grep -vc '^crates/lint/' || true)
+allowlist_entries=$(grep -vcE '^[[:space:]]*(#|$)' crates/lint/lint-allow.txt || true)
+echo "    lint exemptions (report only): $inline_allows inline lint:allow markers outside crates/lint/, $allowlist_entries lint-allow.txt entries"
 
 echo "==> tests (offline)"
 # The harness runs quiet (`-- -q`) while cargo still names each binary it
@@ -89,7 +94,7 @@ done
 echo "==> jobs matrix: repro output must be byte-identical at --jobs 1 vs --jobs 4"
 # Only the simulation-derived experiments are gated: table2/fig11 time
 # wall-clock costs and differ between ANY two runs, serial or not. The
-# job count 4 is fixed (not nproc) so the pool's stealing path is
+# job count 4 is fixed (not nproc) so the pool's shared queue is
 # exercised even on a single-core runner. `faults` doubles as the
 # fault-matrix smoke: the quick grid re-runs every attack under packet
 # loss, jitter and churn with fixed seeds, so any nondeterminism in the
