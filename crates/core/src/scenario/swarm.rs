@@ -26,8 +26,8 @@
 //! Everything in [`SwarmOutcome`] is deterministic and independent of
 //! [`SwarmSpec::workers`] — the worker count only decides which OS thread
 //! executes which region. The wall-clock benchmarking around this
-//! scenario lives in `btc-bench` (`crates/bench/src/swarm.rs`), keeping
-//! this crate free of wall-clock reads per the lint contract.
+//! scenario lives in the `repro` binary (`src/bin/repro/swarm.rs`),
+//! keeping this crate free of wall-clock reads per the lint contract.
 
 use crate::testbed::{addrs, churn_plan, install_case, BedPlan, Case};
 use btc_attack::defamation::PostConnDefamer;

@@ -4,7 +4,7 @@
 //! so `--jobs N` is a pure scheduling decision.
 //!
 //! The container running CI may have a single core; that is fine — the
-//! pool still exercises the stealing path by time-slicing its workers.
+//! pool still exercises the shared queue by time-slicing its workers.
 //!
 //! The fault matrix's contract lives in
 //! `scenario_pins::fault_matrix_point_is_pinned`, which runs a faulty

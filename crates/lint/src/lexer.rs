@@ -77,19 +77,6 @@ impl SourceFile {
     pub fn in_test(&self, line: u32) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= line && line <= b)
     }
-
-    /// Whether a finding of `rule` at `line` is suppressed by a marker on
-    /// the same line or the line directly above.
-    pub fn allowed(&self, rule: &str, line: u32) -> bool {
-        self.markers
-            .iter()
-            .any(|m| m.rule == rule && (m.line == line || m.line + 1 == line))
-    }
-
-    /// Shorthand: a finding of `rule` at `line` should be reported.
-    pub fn reportable(&self, rule: &str, line: u32) -> bool {
-        !self.in_test(line) && !self.allowed(rule, line)
-    }
 }
 
 /// Lexes `src`, recording allow markers and test-item spans.
@@ -597,11 +584,7 @@ mod tests {
         assert_eq!(sf.markers.len(), 1);
         assert_eq!(sf.markers[0].rule, "unordered-map");
         assert_eq!(sf.markers[0].reason, "membership only");
-        assert!(sf.allowed("unordered-map", 1));
-        // Marker on the line above also suppresses.
-        assert!(sf.allowed("unordered-map", 2));
-        assert!(!sf.allowed("unordered-map", 3));
-        assert!(!sf.allowed("panic-path", 1));
+        assert_eq!(sf.markers[0].line, 1);
     }
 
     #[test]

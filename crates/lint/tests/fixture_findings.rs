@@ -1,7 +1,7 @@
 //! End-to-end self-test: run the full lint over the fixture workspace under
 //! `tests/fixtures/ws` and assert the exact findings — including that the
-//! justified inline marker, the allowlist entry, and test code suppress
-//! theirs, while the unjustified marker, the malformed allowlist line, and
+//! justified inline marker (on the finding's line or the line above), the
+//! allowlist entry, and test code suppress theirs, while the unjustified marker, the malformed allowlist line, and
 //! the stale exemptions produce findings of their own. Each call-graph rule
 //! family is exercised end to end: transitive panic-path / hot-path-alloc /
 //! wallclock chains, score arithmetic, RNG stream discipline (cross-stream
@@ -42,6 +42,14 @@ fn fixture_workspace_findings_are_exact() {
         ("crates/netsim/src/shard.rs", 47, "lock-order"),
         // rogue: `.lock()` on a receiver no LockDecl names.
         ("crates/netsim/src/shard.rs", 57, "lock-order"),
+        // Marker reach: the same-line marker at 74 suppresses its line
+        // (as `seen`'s suppresses the line below it); a marker two lines
+        // above its finding, or of another rule, suppresses nothing and
+        // is stale.
+        ("crates/netsim/src/shard.rs", 75, "stale-allow"),
+        ("crates/netsim/src/shard.rs", 77, "unordered-map"),
+        ("crates/netsim/src/shard.rs", 78, "stale-allow"),
+        ("crates/netsim/src/shard.rs", 79, "unordered-map"),
         // Bare += / + on score and deadline fields; the saturating_add and
         // the marker-justified float op below them stay quiet.
         ("crates/node/src/banscore/tracker.rs", 5, "score-arith"),

@@ -68,3 +68,12 @@ mod tests {
         let _ = std::time::Instant::now();
     }
 }
+
+// Marker reach, checked end to end: a marker covers its own line and
+// the next, for its own rule only (the line-above case is `seen`).
+pub fn same_line(set: &std::collections::HashSet<u64>) -> usize { set.len() } // lint:allow(unordered-map): fixture same-line marker
+// lint:allow(unordered-map): fixture marker two lines above its finding
+
+pub fn two_below(set: &std::collections::HashSet<u64>) -> usize { set.len() }
+// lint:allow(wallclock): fixture marker of another rule
+pub fn other_rule(set: &std::collections::HashSet<u64>) -> usize { set.len() }

@@ -9,7 +9,7 @@ echo "==> cargo tree: dependency graph must contain only workspace members"
 externals=$(cargo tree --offline --workspace --edges normal,build,dev \
   | grep -oE '[a-zA-Z0-9_-]+ v[0-9][^ ]*' \
   | awk '{print $1}' | sort -u \
-  | grep -vE '^(banscore|banscore-suite|btc-attack|btc-bench|btc-detect|btc-lint|btc-netsim|btc-node|btc-par|btc-wire)$' \
+  | grep -vE '^(banscore|banscore-suite|btc-attack|btc-detect|btc-lint|btc-netsim|btc-node|btc-par|btc-wire)$' \
   || true)
 if [ -n "$externals" ]; then
   echo "ERROR: external crates in the dependency graph:" >&2
@@ -106,9 +106,9 @@ echo "==> jobs matrix: repro output must be byte-identical at --jobs 1 vs --jobs
 out1=$(mktemp) out4=$(mktemp)
 trap 'rm -f "$out1" "$out4"' EXIT
 deterministic="table1 fig6 table3 fig8 fig10 evasion faults reputation counter"
-cargo run --release --offline -p btc-bench --bin repro -- \
+cargo run --release --offline --bin repro -- \
   --quick --jobs 1 $deterministic > "$out1"
-cargo run --release --offline -p btc-bench --bin repro -- \
+cargo run --release --offline --bin repro -- \
   --quick --jobs 4 $deterministic > "$out4"
 if ! diff -u "$out1" "$out4"; then
   echo "ERROR: repro output differs between --jobs 1 and --jobs 4" >&2
@@ -117,8 +117,8 @@ fi
 echo "    $(wc -l < "$out1") output lines identical across job counts OK (sha256 $(sha256sum < "$out1" | cut -d' ' -f1))"
 
 echo "==> ablate: every ablation must print byte-identical output at --jobs 1 vs --jobs 4"
-cargo run --release --offline -p btc-bench --bin ablate -- --jobs 1 > "$out1"
-cargo run --release --offline -p btc-bench --bin ablate -- --jobs 4 > "$out4"
+cargo run --release --offline --bin repro -- --jobs 1 ablate > "$out1"
+cargo run --release --offline --bin repro -- --jobs 4 ablate > "$out4"
 if ! diff -u "$out1" "$out4"; then
   echo "ERROR: ablate output differs between --jobs 1 and --jobs 4" >&2
   exit 1
@@ -134,7 +134,7 @@ echo "==> serve smoke: sharded service must be byte-identical at 1, 2 and 4 shar
 # wall-clock and are left out of the printed sha256.
 serve_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out"' EXIT
-cargo run --release --offline -p btc-bench --bin repro -- \
+cargo run --release --offline --bin repro -- \
   --quick --jobs 2 serve > "$serve_out" \
   || { cat "$serve_out" >&2; echo "ERROR: serve contract broken (see above)" >&2; exit 1; }
 serve_sha=$(grep -v '\[wall\]' "$serve_out" | sha256sum | cut -d' ' -f1)
@@ -153,7 +153,7 @@ echo "==> swarm smoke: many-region netsim must be byte-identical at 1 vs 4 worke
 # spin on them; a hang or a cell far slower than workers=1 shows here.
 swarm_out=$(mktemp)
 trap 'rm -f "$out1" "$out4" "$serve_out" "$swarm_out"' EXIT
-cargo run --release --offline -p btc-bench --bin repro -- \
+cargo run --release --offline --bin repro -- \
   --quick swarm > "$swarm_out" \
   || { cat "$swarm_out" >&2; echo "ERROR: swarm outcomes diverged (see above)" >&2; exit 1; }
 swarm_sha=$(grep -v '\[wall\]' "$swarm_out" | sha256sum | cut -d' ' -f1)

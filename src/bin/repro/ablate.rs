@@ -1,38 +1,35 @@
-//! `ablate` — ablation studies for the design choices DESIGN.md §5 calls
-//! out: ban threshold, ban duration, checksum-check ordering, good-score
-//! credit requirement, and detection window length.
+//! The ablation studies for the design choices DESIGN.md §5 calls out:
+//! ban threshold, checksum-check ordering, ban duration, good-score
+//! credit requirement, detection window length and Sybil reconnect
+//! pacing. Each is a `repro` experiment of its own; the group `ablate`
+//! runs all six.
 //!
-//! ```text
-//! ablate [--jobs N] [threshold|check-order|duration|good-score|window|reconnect|all]...
-//! ```
-//!
-//! Each named ablation runs in the order given; no name means `all`.
-//! `--quick` and `--csv` are `repro` flags and exit 2 here.
-//!
-//! The simulator-driven sweeps (threshold, reconnect pacing) run their
-//! independently-seeded points on `N` workers; rows are collected first
-//! and printed in sweep order, so the output is identical for any `N`.
+//! The ablations have one size and write no CSV, so they ignore
+//! `--quick` and `--csv`. The simulator-driven sweeps (threshold,
+//! reconnect pacing) run their independently-seeded points on `--jobs`
+//! workers; rows are collected first and printed in sweep order, so the
+//! output is identical for any job count.
 
 use banscore::testbed::{addrs, Testbed, TestbedConfig};
 use btc_attack::flood::{FloodConfig, Flooder};
 use btc_attack::payload::FloodPayload;
-use btc_bench::{ReproArgs, ABLATIONS};
 use btc_detect::engine::AnalysisEngine;
 use btc_netsim::time::{MILLIS, MINUTES, SECS};
 use btc_node::node::NodeConfig;
+use crate::args::{ReproArgs, ReproConfig};
 
 fn section(title: &str) {
-    println!("\n==== ablation: {title} ====\n");
+    crate::section(&format!("ablation: {title}"));
 }
 
 /// How long a Defamation ban takes as the `-banscore` threshold varies.
-fn threshold_sweep(jobs: usize) {
+pub fn threshold(_: &ReproConfig, args: &ReproArgs) -> bool {
     section("ban threshold (default 100)");
     println!(
         "{:<10} {:>14} {:>18}",
         "threshold", "msgs to ban", "time to ban (s)"
     );
-    let rows = btc_par::par_map(jobs, vec![10u32, 50, 100, 200, 500], |threshold| {
+    let rows = btc_par::par_map(args.jobs, vec![10u32, 50, 100, 200, 500], |threshold| {
         let mut tb = Testbed::build(TestbedConfig {
             feeders: 0,
             node: NodeConfig {
@@ -59,10 +56,11 @@ fn threshold_sweep(jobs: usize) {
     }
     println!("\nLinear in the threshold: raising it only rescales the Defamation");
     println!("timeline; it cannot fix the mechanism.");
+    true
 }
 
 /// What changes if the node (counterfactually) scored bad-checksum frames.
-fn check_order() {
+pub fn check_order(_: &ReproConfig, _: &ReproArgs) -> bool {
     section("checksum-first vs punish-bad-checksum (BM-DoS vector 2)");
     println!(
         "{:<26} {:>14} {:>12} {:>12}",
@@ -101,10 +99,11 @@ fn check_order() {
     println!("\nPunishing checksum failures closes vector 2 but cannot stop the");
     println!("Sybil reconnection loop — and would let *network* corruption ban");
     println!("honest peers, which is why Core never did it.");
+    true
 }
 
 /// Ban duration: how long one defamed identifier stays locked out.
-fn ban_duration() {
+pub fn duration(_: &ReproConfig, _: &ReproArgs) -> bool {
     section("ban duration (default 24 h)");
     println!("{:<14} {:>22}", "duration", "identifier locked for");
     for (name, secs) in [("1 h", 3_600u64), ("24 h (stock)", 86_400), ("7 d", 604_800)] {
@@ -122,10 +121,11 @@ fn ban_duration() {
     println!("\nLonger bans only raise the damage of each Defamation strike: the");
     println!("paper's full-IP attack needs ~82 min to lock an IP out for the whole");
     println!("ban window, whatever its length.");
+    true
 }
 
 /// Good-score credit requirement vs shielding.
-fn good_score_credit() {
+pub fn good_score(_: &ReproConfig, _: &ReproArgs) -> bool {
     section("good-score minimum credit");
     println!("{:<12} {:>10} {:>16}", "min credit", "earned", "shielded?");
     for min_credit in [1u64, 2, 5] {
@@ -141,10 +141,11 @@ fn good_score_credit() {
     }
     println!("\nHigher credit floors resist longer defamation campaigns but delay");
     println!("protection for young honest peers.");
+    true
 }
 
 /// Detection window length: resolution vs latency of the `c` feature.
-fn detection_window() {
+pub fn window(_: &ReproConfig, _: &ReproArgs) -> bool {
     section("detection window length (paper: 10 min)");
     let engine = AnalysisEngine;
     // Train on clean traffic.
@@ -170,14 +171,15 @@ fn detection_window() {
     }
     println!("\nShort windows give noisy thresholds (false positives); long windows");
     println!("delay detection. 10 minutes balances both, as the paper chose.");
+    true
 }
 
 /// Sybil reconnect pacing: attacker cost of the 0.2 s socket latency.
-fn reconnect_pacing(jobs: usize) {
+pub fn reconnect(_: &ReproConfig, args: &ReproArgs) -> bool {
     section("serial-Sybil reconnect latency");
     println!("{:<16} {:>10} {:>18}", "setup delay", "bans/5s", "bans/min (extrap)");
     let pacings = vec![("50 ms", 50 * MILLIS), ("200 ms (paper)", 200 * MILLIS), ("1 s", SECS)];
-    let rows = btc_par::par_map(jobs, pacings, |(name, delay)| {
+    let rows = btc_par::par_map(args.jobs, pacings, |(name, delay)| {
         let mut tb = Testbed::build(TestbedConfig {
             feeders: 0,
             ..TestbedConfig::default()
@@ -197,54 +199,5 @@ fn reconnect_pacing(jobs: usize) {
     for (name, bans) in rows {
         println!("{:<16} {:>10} {:>18.1}", name, bans, bans as f64 * 12.0);
     }
-}
-
-fn usage() -> String {
-    format!("usage: ablate [--jobs N] [{}]", ABLATIONS.join("|"))
-}
-
-fn main() {
-    let args = ReproArgs::parse(std::env::args().skip(1), ABLATIONS).and_then(|a| {
-        if a.quick || a.csv {
-            Err("--quick and --csv are repro flags: ablate has one size and writes no CSV".into())
-        } else {
-            Ok(a)
-        }
-    });
-    let args = match args {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    let what: Vec<&str> = if args.what.is_empty() {
-        vec!["all"]
-    } else {
-        args.what.iter().map(String::as_str).collect()
-    };
-    for w in what {
-        match w {
-            "threshold" => threshold_sweep(args.jobs),
-            "check-order" => check_order(),
-            "duration" => ban_duration(),
-            "good-score" => good_score_credit(),
-            "window" => detection_window(),
-            "reconnect" => reconnect_pacing(args.jobs),
-            "all" => {
-                threshold_sweep(args.jobs);
-                check_order();
-                ban_duration();
-                good_score_credit();
-                detection_window();
-                reconnect_pacing(args.jobs);
-            }
-            other => {
-                eprintln!("unknown ablation {other:?}");
-                eprintln!("{}", usage());
-                std::process::exit(2);
-            }
-        }
-    }
+    true
 }

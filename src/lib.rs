@@ -2,8 +2,10 @@
 //!
 //! Umbrella crate for the reproduction of *"The Security Investigation of
 //! Ban Score and Misbehavior Tracking in Bitcoin Network"* (ICDCS 2022).
-//! It re-exports every workspace crate and hosts the runnable examples
-//! (`examples/`) and the cross-crate integration tests (`tests/`).
+//! It re-exports every workspace crate and hosts the paper-reproduction
+//! CLI (`src/bin/repro`: every table, figure and ablation as text, with
+//! `--csv` also as `results/*.csv`), the runnable examples (`examples/`)
+//! and the cross-crate integration tests (`tests/`).
 //!
 //! Crate map:
 //!
